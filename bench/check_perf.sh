@@ -21,25 +21,9 @@
 #     on a machine that actually has cores to parallelize over
 #     (recommended_domains > 1 and more than one worker used; single-core
 #     runners skip this gate because domains just time-slice there), or
-#   - a --engine pdes report (schema spandex-bench-sweep/5) was not
-#     bit-identical to its sequential wheel reference pass
-#     (pdes_identical), or its PDES pass was slower than the wheel
-#     (pdes_speedup < 1.0) on a multi-core machine — single-core runners
-#     skip the speedup gate, never the identity gate, or
 #   - the report's metrics-enabled verification run diverged from the
-#     metrics-off one (schema spandex-bench-sweep/6 runs one cell with the
-#     time-series registry sampling and asserts bit-identical results), or
-#   - a --engine pdes /6+ report is missing its per-cell shard_profile on a
-#     multi-shard cell, or reports a barrier_wait_fraction outside [0, 1],
-#     or a cell's shard_profile event counts do not sum to the cell's
-#     event count, or
-#   - a --engine pdes /7 report shows shard 0 carrying more than 2x the
-#     mean event share on any multi-shard cell (the banked partition must
-#     not recreate the old shard-0 home-complex hotspot), or a cell whose
-#     partition spreads both the home banks and the cores over several
-#     shards exceeds 2x max/mean event imbalance (barrier workloads
-#     collapse the cores onto one shard — a structural serialization the
-#     max/mean gate therefore skips; the shard-0 gate still applies).
+#     metrics-off one (schema spandex-bench-sweep/6+ runs one cell with the
+#     time-series registry sampling and asserts bit-identical results).
 #
 # Refresh the baseline with:
 #   dune exec bin/spandex_cli.exe -- bench --jobs 2 --scale 0.25 \
@@ -91,9 +75,9 @@ if "total_events_extended" in report and "total_events_extended" in baseline:
         )
 
 # The throughput and allocation gates compare like with like: a report
-# benched on a different backend than the baseline (e.g. --engine pdes
-# against the committed wheel baseline) skips them — its own gates are
-# the bit-identity and pdes_speedup checks below.
+# benched on a different backend than the baseline (e.g. --engine heap
+# against the committed wheel baseline) skips them; the bit-identity and
+# event-count gates above still apply.
 engines_match = report.get("engine", "wheel") == baseline.get("engine", "wheel")
 if not engines_match:
     print(
@@ -152,118 +136,6 @@ if (
             "parallel sweep slower than sequential: speedup %.3f < 1.0 "
             "with %d jobs on %d recommended domains"
             % (report["speedup"], report["jobs_used"], report["recommended_domains"])
-        )
-
-# PDES gates (schema v5, --engine pdes reports only).  Bit-identity to the
-# wheel reference is unconditional; the speedup gate needs real cores.
-if "pdes_identical" in report:
-    if not report["pdes_identical"]:
-        failures.append("pdes backend was not bit-identical to the wheel")
-    if "pdes_speedup" in report:
-        print(
-            "pdes: %.3fx vs wheel with %d effective shard(s) (%d requested)"
-            % (
-                report["pdes_speedup"],
-                report.get("shards_effective", 1),
-                report.get("shards_requested", 1),
-            )
-        )
-        if (
-            report.get("recommended_domains", 1) > 1
-            and report.get("shards_effective", 1) > 1
-            and report["pdes_speedup"] < 1.0
-        ):
-            failures.append(
-                "pdes slower than the wheel: pdes_speedup %.3f < 1.0 with "
-                "%d effective shards on %d recommended domains"
-                % (
-                    report["pdes_speedup"],
-                    report.get("shards_effective", 1),
-                    report["recommended_domains"],
-                )
-            )
-
-# Shard-profile gates (schema v6+, --engine pdes reports only): every
-# multi-shard cell must carry a shard_profile whose event counts sum to
-# the cell's event total and whose barrier-wait fraction is a sane
-# fraction of wall time.
-schema_rev = report.get("schema", "").rsplit("/", 1)[-1]
-if report.get("engine") == "pdes" and schema_rev in ("6", "7"):
-    checked = 0
-    for cell in report.get("simulations", []):
-        label = "%s %s" % (cell.get("workload"), cell.get("config"))
-        if cell.get("shards", 1) <= 1:
-            continue
-        prof = cell.get("shard_profile")
-        if prof is None:
-            failures.append(
-                "pdes cell %s (shards=%d) has no shard_profile"
-                % (label, cell.get("shards", 1))
-            )
-            continue
-        checked += 1
-        bwf = prof.get("barrier_wait_fraction")
-        if bwf is None or not (0.0 <= bwf <= 1.0):
-            failures.append(
-                "pdes cell %s barrier_wait_fraction %r outside [0, 1]"
-                % (label, bwf)
-            )
-        pe = sum(s["events"] for s in prof.get("shards", []))
-        if pe != cell["events"]:
-            failures.append(
-                "pdes cell %s shard_profile events sum %d != cell events %d"
-                % (label, pe, cell["events"])
-            )
-    if checked:
-        print(
-            "pdes profile: %d multi-shard cell(s) carry a sane shard_profile"
-            % checked
-        )
-
-# Imbalance gates (schema v7, --engine pdes reports only).  The banked
-# partition spreads home banks + DRAM channels across shards, so shard 0
-# must never again carry the whole home complex: on every multi-shard
-# cell its event share is capped at 2x the mean.  Cells whose partition
-# also spreads the cores (no barrier collapse) must balance overall:
-# max/mean event share below 2x.  Barrier workloads co-locate every core
-# on one shard (1-cycle barrier wakes sit below the network lookahead),
-# which that shard's event count reflects — the max/mean gate skips
-# those structurally serialized cells rather than gate on physics.
-if report.get("engine") == "pdes" and schema_rev == "7":
-    s0_checked = mm_checked = 0
-    for cell in report.get("simulations", []):
-        label = "%s %s" % (cell.get("workload"), cell.get("config"))
-        se = cell.get("shard_events", [])
-        if cell.get("shards", 1) <= 1 or not se:
-            continue
-        mean = sum(se) / float(len(se))
-        if mean <= 0:
-            continue
-        s0_checked += 1
-        if se[0] > 2.0 * mean:
-            failures.append(
-                "pdes cell %s: shard 0 carries %.2fx the mean event share "
-                "(> 2.0x) — the banked partition left a shard-0 hotspot"
-                % (label, se[0] / mean)
-            )
-        part = cell.get("partition", {})
-        bank_shards = {
-            s for n, s in part.items()
-            if n.startswith("llc.b") or n.startswith("dir.b")
-        }
-        core_shards = {s for n, s in part.items() if "l1." in n}
-        if len(bank_shards) > 1 and len(core_shards) > 1:
-            mm_checked += 1
-            if max(se) > 2.0 * mean:
-                failures.append(
-                    "pdes cell %s: max/mean event imbalance %.2fx > 2.0x "
-                    "with banks and cores both spread across shards"
-                    % (label, max(se) / mean)
-                )
-    if s0_checked:
-        print(
-            "pdes imbalance: shard-0 share gated on %d cell(s), max/mean "
-            "gated on %d core-spread cell(s)" % (s0_checked, mm_checked)
         )
 
 if failures:

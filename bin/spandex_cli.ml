@@ -20,8 +20,6 @@ module Registry = Spandex_workloads.Registry
 module Trace = Spandex_sim.Trace
 module Hist = Spandex_util.Hist
 module Metrics = Spandex_obs.Metrics
-module Pdes_prof = Spandex_obs.Pdes_prof
-module Pdes = Spandex_sim.Pdes
 
 let params_of ?(backend = Spandex_sim.Engine.Wheel_backend) ~cpus ~cus ~warps
     ~fault ~watchdog ~trace () =
@@ -38,17 +36,11 @@ let params_of ?(backend = Spandex_sim.Engine.Wheel_backend) ~cpus ~cus ~warps
     engine_backend = backend;
   }
 
-let backend_of ~shards = function
+let backend_of = function
   | "wheel" -> Spandex_sim.Engine.Wheel_backend
   | "heap" -> Spandex_sim.Engine.Heap_backend
-  | "pdes" ->
-    let shards =
-      if shards > 0 then shards
-      else max 2 (Domain.recommended_domain_count ())
-    in
-    Spandex_sim.Engine.Pdes_backend { shards }
   | s ->
-    Printf.eprintf "unknown engine %s (wheel, heap or pdes)\n" s;
+    Printf.eprintf "unknown engine %s (wheel or heap)\n" s;
     exit 1
 
 let fault_spec_of ~drop ~dup ~delay ~reorder ~seed =
@@ -183,26 +175,9 @@ let engine_arg =
     value & opt string "wheel"
     & info [ "engine" ]
         ~doc:
-          "Simulation backend: 'wheel' (timing wheel, default), 'heap' \
-           (the pre-wheel binary heap reference scheduler) or 'pdes' \
-           (conservative parallel discrete-event simulation — the machine \
-           is sharded across domains synchronized on the topology's \
-           minimum latency; see --shards).  Results are bit-identical for \
-           every backend; only speed differs.")
-
-let shards_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "shards" ]
-        ~doc:
-          "Shard count for --engine pdes (0 = recommended domain count, \
-           min 2).  The effective count is capped by the number of \
-           placement units — one per core, one per home bank (each LLC or \
-           directory bank carries its own DRAM channel), plus one for the \
-           GPU-L2 complex on hierarchical configs; barrier workloads \
-           collapse the cores onto a single unit.  Fault plans do not cap \
-           (fault RNG streams are per-link).  A capped request is \
-           reported with the reason, not an error.")
+          "Simulation backend: 'wheel' (timing wheel, default) or 'heap' \
+           (the pre-wheel binary heap reference scheduler).  Results are \
+           bit-identical for both; only speed differs.")
 
 let resolve_jobs jobs = if jobs <= 0 then Sweep.default_jobs () else jobs
 
@@ -229,7 +204,7 @@ let list_cmd =
 
 let run_cmd =
   let run workload config all_configs scale stats cpus cus warps drop dup delay
-      reorder fault_seed watchdog trace engine shards =
+      reorder fault_seed watchdog trace engine =
     let entry =
       try Registry.find workload
       with Not_found ->
@@ -239,7 +214,7 @@ let run_cmd =
     in
     let fault = fault_spec_of ~drop ~dup ~delay ~reorder ~seed:fault_seed in
     let trace = if trace then Some Trace.default_spec else None in
-    let backend = backend_of ~shards engine in
+    let backend = backend_of engine in
     let params = params_of ~backend ~cpus ~cus ~warps ~fault ~watchdog ~trace () in
     let configs =
       if all_configs then Config.all
@@ -260,7 +235,7 @@ let run_cmd =
       const run $ workload_arg $ config_arg $ all_configs_arg $ scale_arg
       $ stats_arg $ cpus_arg $ cus_arg $ warps_arg $ fault_drop_arg
       $ fault_dup_arg $ fault_delay_arg $ fault_reorder_arg $ fault_seed_arg
-      $ watchdog_arg $ trace_flag_arg $ engine_arg $ shards_arg)
+      $ watchdog_arg $ trace_flag_arg $ engine_arg)
 
 (* The (workload x config) job matrix: every non-stress registry entry on
    every swept cache configuration (the paper's six plus the adaptive
@@ -518,17 +493,17 @@ let explain_cmd =
       $ capacity_arg $ fault_drop_arg $ fault_dup_arg $ fault_delay_arg
       $ fault_reorder_arg $ fault_seed_arg)
 
-(* --- metrics / profile: time-series and PDES-shard observability ------------- *)
+(* --- metrics: time-series observability --------------------------------------- *)
 
 let metrics_cmd =
-  let run workload config scale format out sample_every engine shards =
+  let run workload config scale format out sample_every engine =
     let entry = find_entry workload in
     let config = find_config config in
     if sample_every < 1 then begin
       Printf.eprintf "--sample-every must be >= 1\n";
       exit 1
     end;
-    let backend = backend_of ~shards engine in
+    let backend = backend_of engine in
     let params =
       {
         Params.bench with
@@ -607,126 +582,7 @@ let metrics_cmd =
           results are bit-identical to a metrics-off run.")
     Term.(
       const run $ workload_pos_arg $ config_arg $ scale_arg $ format_arg
-      $ out_arg $ sample_every_arg $ engine_arg $ shards_arg)
-
-let profile_cmd =
-  let run workloads config scale engine shards =
-    let backend = backend_of ~shards engine in
-    (match backend with
-    | Spandex_sim.Engine.Pdes_backend _ -> ()
-    | _ ->
-      Printf.eprintf "profile requires --engine pdes\n";
-      exit 1);
-    let config = find_config config in
-    let params = { Params.bench with Params.engine_backend = backend } in
-    let entries =
-      match workloads with
-      | None -> sweep_entries ()
-      | Some names ->
-        String.split_on_char ',' names
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-        |> List.map find_entry
-    in
-    let geom = Registry.geometry_of_params params in
-    (* Bank -> shard placement table, grouped by shard: the banked
-       partition spreads the home complex, so the placement is the first
-       thing to look at when one shard dominates. *)
-    let placement_line (table : (string * int) array) =
-      let max_shard = Array.fold_left (fun a (_, s) -> max a s) 0 table in
-      List.init (max_shard + 1) (fun s ->
-          let names =
-            Array.to_list table
-            |> List.filter_map (fun (n, sh) ->
-                   if sh = s then Some n else None)
-          in
-          Printf.sprintf "s%d[%s]" s (String.concat " " names))
-      |> String.concat " "
-    in
-    let peaks_line peaks =
-      Array.to_list peaks
-      |> List.mapi (fun b d -> Printf.sprintf "b%d=%d" b d)
-      |> String.concat " "
-    in
-    let agg = ref [||] in
-    let profiled = ref 0 and capped = ref [] in
-    (* Pass a partition table to the final report only when every profiled
-       cell placed components the same way (barrier workloads collapse
-       cores onto one shard, so cells can disagree). *)
-    let common_partition = ref `Unset in
-    List.iter
-      (fun (e : Registry.entry) ->
-        let wl = e.Registry.build ~scale geom in
-        let r = Run.simulate ~params ~config wl in
-        Run.assert_clean r;
-        match r.Run.shard_profile with
-        | Some prof ->
-          incr profiled;
-          Printf.printf
-            "%-12s %-4s shards=%d events=%-9d rounds=%-7d barrier-wait=%.1f%%\n"
-            e.Registry.name config.Config.name r.Run.shards r.Run.events
-            (Array.fold_left (fun acc s -> max acc s.Pdes.sp_rounds) 0 prof)
-            (100.0 *. Pdes_prof.barrier_wait_fraction prof);
-          Printf.printf "             placement: %s\n"
-            (placement_line r.Run.partition);
-          Printf.printf "             dram peak queue depth: %s\n"
-            (peaks_line r.Run.dram_channel_peaks);
-          (match r.Run.cap_reason with
-          | Some why when r.Run.shards < shards ->
-            Printf.printf "             note: capped to %d shard(s) — %s\n"
-              r.Run.shards why
-          | _ -> ());
-          (match !common_partition with
-          | `Unset -> common_partition := `Same r.Run.partition
-          | `Same p when p <> r.Run.partition -> common_partition := `Mixed
-          | _ -> ());
-          agg := (if Array.length !agg = 0 then prof else Pdes_prof.add !agg prof)
-        | None -> capped := (e.Registry.name, r.Run.cap_reason) :: !capped)
-      entries;
-    List.iter
-      (fun (name, reason) ->
-        Printf.printf "  note: %s ran sequentially, not profiled — %s\n" name
-          (Option.value reason
-             ~default:"shard count capped to 1 by the partition"))
-      (List.rev !capped);
-    if !profiled = 0 then begin
-      Printf.eprintf
-        "no multi-shard runs to profile (every cell was capped to one \
-         shard)\n";
-      exit 1
-    end;
-    Printf.printf "\n";
-    let partition =
-      match !common_partition with `Same p -> Some p | _ -> None
-    in
-    Format.printf "%a@." (Pdes_prof.pp ?partition) (Pdes_prof.analyze !agg)
-  in
-  let workloads_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "w"; "workloads" ]
-          ~doc:
-            "Comma-separated workload subset to profile (default: every \
-             non-stress workload).")
-  in
-  let profile_engine_arg =
-    Arg.(
-      value & opt string "pdes"
-      & info [ "engine" ]
-          ~doc:"Simulation backend; must be 'pdes' (the default here).")
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run workloads on the PDES backend and print the per-shard \
-          profile: events executed, execute vs. barrier-wait vs. \
-          inbox-drain wall split, SPSC channel stalls and depth, GC \
-          pressure, and the load-imbalance / barrier-wait summary naming \
-          the dominant shard.  Profiling reads a wall clock only — \
-          simulated results stay bit-identical.")
-    Term.(
-      const run $ workloads_arg $ config_arg $ scale_arg $ profile_engine_arg
-      $ shards_arg)
+      $ out_arg $ sample_every_arg $ engine_arg)
 
 (* --- check: exhaustive-interleaving model checker ---------------------------- *)
 
@@ -976,7 +832,7 @@ let json_string s =
   Buffer.contents buf
 
 let bench_cmd =
-  let run scale jobs workloads out engine shards repeat =
+  let run scale jobs workloads out engine repeat =
     let jobs = resolve_jobs jobs in
     let repeat = max 1 repeat in
     let recommended = Domain.recommended_domain_count () in
@@ -990,17 +846,7 @@ let bench_cmd =
        any worker domain spawns. *)
     if Sys.getenv_opt "SPANDEX_CHECKS" = None then
       Spandex_proto.Msg.set_checks false;
-    let backend = backend_of ~shards engine in
-    let is_pdes =
-      match backend with
-      | Spandex_sim.Engine.Pdes_backend _ -> true
-      | _ -> false
-    in
-    let requested_shards =
-      match backend with
-      | Spandex_sim.Engine.Pdes_backend { shards } -> shards
-      | _ -> 1
-    in
+    let backend = backend_of engine in
     let params = { Params.bench with Params.engine_backend = backend } in
     let entries =
       match workloads with
@@ -1062,70 +908,6 @@ let bench_cmd =
     let (par, par_gc), par_wall = median_of par_passes in
     let par_wall_min = wall_min par_passes
     and par_wall_max = wall_max par_passes in
-    (* With --engine pdes the timed passes above already ran the parallel
-       backend; a wheel reference pass supplies the speedup denominator
-       and the backend bit-identity gate (every cell must match the
-       sequential wheel exactly). *)
-    let pdes_ref =
-      if not is_pdes then None
-      else begin
-        let wheel_params =
-          { params with Params.engine_backend = Spandex_sim.Engine.Wheel_backend }
-        in
-        let pass () =
-          let t0 = Unix.gettimeofday () in
-          let rs =
-            List.map
-              (fun (j : Sweep.job) ->
-                Run.simulate ~params:wheel_params ~config:j.Sweep.config
-                  j.Sweep.workload)
-              cells
-          in
-          (rs, Unix.gettimeofday () -. t0)
-        in
-        let wheel_rs, wheel_wall =
-          median_of (List.init repeat (fun _ -> pass ()))
-        in
-        let divergences =
-          List.concat
-            (List.map2
-               (fun ((j : Sweep.job), r, _) w ->
-                 match Report.diff_result w r with
-                 | None -> []
-                 | Some d ->
-                   [
-                     Printf.sprintf "%s %s: %s" j.Sweep.label
-                       j.Sweep.config.Config.name d;
-                   ])
-               seq wheel_rs)
-        in
-        Some (wheel_wall, divergences)
-      end
-    in
-    let effective_shards =
-      List.fold_left
-        (fun acc (_, (r : Run.result), _) -> max acc r.Run.shards)
-        1 seq
-    in
-    let shards_capped = is_pdes && effective_shards < requested_shards in
-    (* Why the partition capped: taken from the run that used the most
-       shards, so the reported reason matches [shards_effective]. *)
-    let cap_reason =
-      List.fold_left
-        (fun acc (_, (r : Run.result), _) ->
-          if r.Run.shards = effective_shards && r.Run.cap_reason <> None then
-            r.Run.cap_reason
-          else acc)
-        None seq
-    in
-    if shards_capped then
-      Printf.eprintf
-        "warning: --shards %d exceeds what the machine partition supports; \
-         capped at %d — %s\n%!"
-        requested_shards effective_shards
-        (match cap_reason with
-        | Some why -> why
-        | None -> "placement-unit count");
     let divergences =
       List.concat
         (List.map2
@@ -1191,27 +973,12 @@ let bench_cmd =
     in
     let buf = Buffer.create 4096 in
     Printf.bprintf buf "{\n";
-    Printf.bprintf buf "  \"schema\": \"spandex-bench-sweep/7\",\n";
+    Printf.bprintf buf "  \"schema\": \"spandex-bench-sweep/8\",\n";
     Printf.bprintf buf "  \"scale\": %g,\n" scale;
     Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
     Printf.bprintf buf "  \"jobs_used\": %d,\n" jobs;
     Printf.bprintf buf "  \"repeat\": %d,\n" repeat;
     Printf.bprintf buf "  \"engine\": %s,\n" (json_string engine);
-    Printf.bprintf buf "  \"shards_requested\": %d,\n" requested_shards;
-    Printf.bprintf buf "  \"shards_effective\": %d,\n" effective_shards;
-    Printf.bprintf buf "  \"pdes_shards_capped\": %b,\n" shards_capped;
-    Printf.bprintf buf "  \"pdes_cap_reason\": %s,\n"
-      (match cap_reason with
-      | Some why when shards_capped -> json_string why
-      | _ -> "null");
-    (match pdes_ref with
-    | None -> ()
-    | Some (wheel_wall, divs) ->
-      Printf.bprintf buf "  \"wheel_wall_s\": %.6f,\n" wheel_wall;
-      Printf.bprintf buf "  \"pdes_wall_s\": %.6f,\n" seq_wall;
-      Printf.bprintf buf "  \"pdes_speedup\": %.3f,\n"
-        (wheel_wall /. max 1e-9 seq_wall);
-      Printf.bprintf buf "  \"pdes_identical\": %b,\n" (divs = []));
     Printf.bprintf buf "  \"msg_checks\": %b,\n"
       (Spandex_proto.Msg.checks_enabled ());
     Printf.bprintf buf "  \"recommended_domains\": %d,\n" recommended;
@@ -1298,64 +1065,14 @@ let bench_cmd =
           "    { \"workload\": %s, \"config\": %s, \"cycles\": %d, \
            \"events\": %d, \"flits\": %d, \"messages\": %d, \
            \"wall_s\": %.6f, \"events_per_sec\": %.0f, \
-           \"minor_words_per_event\": %.2f, \"major_collections\": %d, \
-           \"shards\": %d, \"shard_events\": [%s]"
+           \"minor_words_per_event\": %.2f, \"major_collections\": %d }%s\n"
           (json_string j.Sweep.label)
           (json_string j.Sweep.config.Config.name)
           r.Run.cycles r.Run.events r.Run.total_flits r.Run.messages wall
           (float_of_int r.Run.events /. max 1e-9 wall)
           (r.Run.minor_words /. float_of_int (max 1 r.Run.events))
-          r.Run.major_collections r.Run.shards
-          (String.concat ", "
-             (Array.to_list (Array.map string_of_int r.Run.shard_events)));
-        (* The banked placement only means something on multi-shard pdes
-           cells; sequential backends report all zeros, so skip them. *)
-        if is_pdes then begin
-          Printf.bprintf buf ", \"partition\": { %s }"
-            (String.concat ", "
-               (Array.to_list
-                  (Array.map
-                     (fun (name, s) ->
-                       Printf.sprintf "%s: %d" (json_string name) s)
-                     r.Run.partition)));
-          (match r.Run.cap_reason with
-          | Some why ->
-            Printf.bprintf buf ", \"cap_reason\": %s" (json_string why)
-          | None -> ());
-          Printf.bprintf buf ", \"dram_channel_peaks\": [%s]"
-            (String.concat ", "
-               (Array.to_list
-                  (Array.map string_of_int r.Run.dram_channel_peaks)))
-        end;
-        (match r.Run.shard_profile with
-        | None -> ()
-        | Some prof ->
-          Printf.bprintf buf
-            ", \"shard_profile\": { \"rounds\": %d, \
-             \"barrier_wait_fraction\": %.6f, \"shards\": ["
-            (Array.fold_left (fun acc s -> max acc s.Pdes.sp_rounds) 0 prof)
-            (Pdes_prof.barrier_wait_fraction prof);
-          Array.iteri
-            (fun k (s : Pdes.shard_profile) ->
-              Printf.bprintf buf
-                "%s{ \"events\": %d, \"rounds\": %d, \"busy_rounds\": %d, \
-                 \"exec_s\": %.6f, \"barrier_s\": %.6f, \"drain_s\": %.6f, \
-                 \"full_stalls\": %d, \"max_link_depth\": %d, \
-                 \"minor_words\": %.0f, \"major_collections\": %d, \
-                 \"max_round_events\": %d, \"round_stride\": %d, \
-                 \"round_events\": [%s] }"
-                (if k = 0 then "" else ", ")
-                s.Pdes.sp_events s.Pdes.sp_rounds s.Pdes.sp_busy_rounds
-                s.Pdes.sp_exec_s s.Pdes.sp_barrier_s s.Pdes.sp_drain_s
-                s.Pdes.sp_full_stalls s.Pdes.sp_max_link_depth
-                s.Pdes.sp_minor_words s.Pdes.sp_major_collections
-                s.Pdes.sp_max_round_events s.Pdes.sp_round_stride
-                (String.concat ", "
-                   (Array.to_list
-                      (Array.map string_of_int s.Pdes.sp_round_events))))
-            prof;
-          Printf.bprintf buf "] }");
-        Printf.bprintf buf " }%s\n" (if i = n - 1 then "" else ","))
+          r.Run.major_collections
+          (if i = n - 1 then "" else ","))
       seq;
     Printf.bprintf buf "  ]\n}\n";
     let oc = open_out out in
@@ -1379,14 +1096,6 @@ let bench_cmd =
     Printf.printf "  alloc: %.1f minor words/event | %d major collections\n"
       (total_minor_words /. float_of_int (max 1 total_events_extended))
       total_major_collections;
-    (match pdes_ref with
-    | None -> ()
-    | Some (wheel_wall, _) ->
-      Printf.printf
-        "  pdes: %d shard(s) effective (%d requested) | wheel ref: %.2fs | \
-         pdes speedup: %.2fx\n"
-        effective_shards requested_shards wheel_wall
-        (wheel_wall /. max 1e-9 seq_wall));
     Printf.printf "  wrote %s\n" out;
     if divergences <> [] then begin
       Printf.eprintf
@@ -1395,14 +1104,6 @@ let bench_cmd =
       List.iter (fun d -> Printf.eprintf "  %s\n" d) divergences;
       exit 1
     end;
-    (match pdes_ref with
-    | Some (_, (_ :: _ as divs)) ->
-      Printf.eprintf
-        "FAIL: pdes backend diverged from the wheel on %d simulation(s):\n"
-        (List.length divs);
-      List.iter (fun d -> Printf.eprintf "  %s\n" d) divs;
-      exit 1
-    | _ -> ());
     (match traced with
     | Some (j, tr, false) ->
       Printf.eprintf "FAIL: traced run of %s %s diverged from untraced: %s\n"
@@ -1464,7 +1165,7 @@ let bench_cmd =
           SPANDEX_CHECKS is set in the environment.")
     Term.(
       const run $ scale_arg $ jobs_arg $ workloads_arg $ out_arg $ engine_arg
-      $ shards_arg $ repeat_arg)
+      $ repeat_arg)
 
 let soak_cmd =
   let run seeds jobs_geometry =
@@ -1547,7 +1248,6 @@ let () =
             trace_cmd;
             explain_cmd;
             metrics_cmd;
-            profile_cmd;
             check_cmd;
             bench_cmd;
             soak_cmd;

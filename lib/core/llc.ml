@@ -68,18 +68,16 @@ type meta = {
    {!Spandex_mem.Banked_frame} (shared with the MESI directory): bank [b]
    holds the lines ≡ b (mod banks), conflict sets and LRU order are
    unchanged, and each bank owns a disjoint slice of the tag/state
-   arrays — the PDES partition boundary. *)
+   arrays. *)
 module Frames = Spandex_mem.Banked_frame
 
 (* Everything mutable a bank touches while processing a request lives in
-   its own [bank] record: engine (the bank's shard engine under PDES),
-   backing, probe-txn allocator, stats, trace sink and interned names.
-   The handlers derive the bank from the line ([line mod banks]), so a
-   bank never reads or writes another bank's state — which is exactly
-   what lets the PDES partition place each bank on its own shard. *)
+   its own [bank] record: probe-txn allocator, stats, trace sink and
+   interned names.  The handlers derive the bank from the line ([line mod
+   banks]), so a bank never reads or writes another bank's state.  Each
+   bank draws probe ids from its own allocator, in its own arrival order;
+   the committed goldens pin those ids. *)
 type bank = {
-  bk_engine : Engine.t;
-  bk_backing : Backing.t;
   bk_txns : Txn.allocator;  (* probe ids: drawn in bank arrival order. *)
   bk_stats : Stats.t;
   bk_req_keys : Stats.key array;  (* "req.<kind>" by [Msg.req_kind_index]. *)
@@ -92,6 +90,8 @@ type bank = {
 
 type t = {
   cfg : config;
+  engine : Engine.t;
+  backing : Backing.t;
   frame : meta Frames.t;
   banks : bank array;
   (* At-most-once reply cache, armed only under fault injection.  For
@@ -125,12 +125,9 @@ let fresh_meta () =
 (* ----- messaging helpers -------------------------------------------------- *)
 
 (* State transitions happen at arrival (the serialization point); outgoing
-   messages are charged the LLC access latency.  The sending bank is read
-   off the message source (all outgoing messages carry [bank_of cfg line]
-   as [src]), so the send lands on that bank's engine. *)
+   messages are charged the LLC access latency. *)
 let send t (msg : Msg.t) =
-  let bk = t.banks.(msg.Msg.src - t.cfg.llc_id) in
-  Engine.send_later bk.bk_engine ~delay:t.cfg.access_latency msg
+  Engine.send_later t.engine ~delay:t.cfg.access_latency msg
 
 let respond t (req : Msg.t) ~kind ~mask ?payload () =
   if not (Mask.is_empty mask) then begin
@@ -256,7 +253,7 @@ and handle_req t (msg : Msg.t) kind =
         meta.pending <- Some Upgrading;
         Msg.keep msg;
         meta.blocked <- meta.blocked @ [ msg ];
-        bk.bk_backing.Backing.acquire ~line:msg.Msg.line ~excl:true
+        t.backing.Backing.acquire ~line:msg.Msg.line ~excl:true
           ~k:(fun data ~excl ->
             assert excl;
             (* A parent Inv may have raced past this upgrade (§III-C): our
@@ -679,7 +676,7 @@ and allocate_and_fetch t (msg : Msg.t) kind =
     meta.pending <- Some (Fetching { excl = needs_excl kind });
     Msg.keep msg;
     meta.blocked <- [ msg ];
-    bk.bk_backing.Backing.acquire ~line ~excl:(needs_excl kind)
+    t.backing.Backing.acquire ~line ~excl:(needs_excl kind)
       ~k:(fun data ~excl ->
         (match data with
         | Some d -> Array.blit d 0 meta.data 0 Addr.words_per_line
@@ -696,7 +693,7 @@ and allocate_and_fetch t (msg : Msg.t) kind =
   | Cache_frame.Evicted (vline, vmeta) ->
     Stats.incr bk.bk_stats "evict";
     (* [vline] shares the bank with [line]: evictions stay in-set. *)
-    bk.bk_backing.Backing.writeback ~line:vline ~data:(Array.copy vmeta.data)
+    t.backing.Backing.writeback ~line:vline ~data:(Array.copy vmeta.data)
       ~dirty:vmeta.dirty
       ~k:(fun () -> ());
     Stats.incr bk.bk_stats "fill";
@@ -710,13 +707,13 @@ and allocate_and_fetch t (msg : Msg.t) kind =
       Msg.keep msg;
       purge t vline vmeta ~keep_line:false ~inv_sharers:true
         ~k:(fun (data, dirty) ->
-          bk.bk_backing.Backing.writeback ~line:vline ~data ~dirty
+          t.backing.Backing.writeback ~line:vline ~data ~dirty
             ~k:(fun () -> ());
           handle t msg)
     | None ->
       Stats.incr bk.bk_stats "alloc_stall";
       Msg.keep msg;
-      Engine.schedule bk.bk_engine ~delay:8 (fun () -> handle t msg)
+      Engine.schedule t.engine ~delay:8 (fun () -> handle t msg)
   end
 
 and find_purge_victim t line =
@@ -798,7 +795,7 @@ and handle_recall t ~line ~kind ~k =
   | exception Not_found ->
     (* arg -1: the line is absent (answered from a write-back record). *)
     if Trace.on bk.bk_trace then
-      Trace.instant bk.bk_trace ~time:(Engine.now bk.bk_engine)
+      Trace.instant bk.bk_trace ~time:(Engine.now t.engine)
         ~dev:(bank_of t.cfg line) ~name:bk.bk_n_recall ~txn:(-1) ~arg:(-1);
     k None
   | meta ->
@@ -806,7 +803,7 @@ and handle_recall t ~line ~kind ~k =
     (* arg encodes the pending state the recall found: 0 idle, then the
        1-based constructor index of [pending]. *)
     if Trace.on bk.bk_trace then
-      Trace.instant bk.bk_trace ~time:(Engine.now bk.bk_engine)
+      Trace.instant bk.bk_trace ~time:(Engine.now t.engine)
         ~dev:(bank_of t.cfg line) ~name:bk.bk_n_recall ~txn:(-1)
         ~arg:
           (match meta.pending with
@@ -853,7 +850,7 @@ let arrival t (msg : Msg.t) =
          (possibly nothing yet, if the original is still blocked). *)
       Stats.incr bk.bk_stats "replayed";
       if Trace.on bk.bk_trace then
-        Trace.instant bk.bk_trace ~time:(Engine.now bk.bk_engine)
+        Trace.instant bk.bk_trace ~time:(Engine.now t.engine)
           ~dev:(bank_of t.cfg msg.Msg.line) ~name:bk.bk_n_replay
           ~txn:msg.Msg.txn ~arg:(List.length !sent);
       List.iter (fun m -> send t m) (List.rev !sent)
@@ -865,28 +862,11 @@ let arrival t (msg : Msg.t) =
 (* Fold over one bank's resident lines, with global line numbers. *)
 let fold_bank t b ~init ~f = Frames.fold_bank t.frame b ~init ~f
 
-let create ?bank_engines ?bank_backings engine net backing (cfg : config) =
-  let engine_of b =
-    match bank_engines with Some a -> a.(b) | None -> engine
-  in
-  let backing_of b =
-    match bank_backings with Some a -> a.(b) | None -> backing
-  in
-  (match bank_engines with
-  | Some a when Array.length a <> cfg.banks ->
-    invalid_arg "Llc.create: bank_engines length must equal banks"
-  | _ -> ());
-  (match bank_backings with
-  | Some a when Array.length a <> cfg.banks ->
-    invalid_arg "Llc.create: bank_backings length must equal banks"
-  | _ -> ());
+let create engine net backing (cfg : config) =
   let make_bank b =
     let stats = Stats.create () in
-    let e = engine_of b in
-    let trace = Engine.trace e in
+    let trace = Engine.trace engine in
     {
-      bk_engine = e;
-      bk_backing = backing_of b;
       bk_txns = Txn.allocator ~id:(cfg.llc_id + b);
       bk_stats = stats;
       bk_req_keys =
@@ -907,6 +887,8 @@ let create ?bank_engines ?bank_backings engine net backing (cfg : config) =
   let t =
     {
       cfg;
+      engine;
+      backing;
       frame = Frames.create ~banks:cfg.banks ~sets:cfg.sets ~ways:cfg.ways;
       banks = Array.init cfg.banks make_bank;
       replay =
@@ -918,17 +900,12 @@ let create ?bank_engines ?bank_backings engine net backing (cfg : config) =
   for b = 0 to cfg.banks - 1 do
     Network.register net ~id:(cfg.llc_id + b) (fun msg -> arrival t msg)
   done;
-  (* One recall dispatcher per distinct backing; it routes by line, so
-     installing the same closure on a backing shared between banks (the
-     hierarchical GPU L2 over one MESI client) is harmless. *)
-  Array.iter
-    (fun bk ->
-      bk.bk_backing.Backing.set_recall_handler (fun ~line ~kind ~k ->
-          handle_recall t ~line ~kind ~k))
-    t.banks;
+  (* Every bank shares the backing; the recall dispatcher routes by line. *)
+  backing.Backing.set_recall_handler (fun ~line ~kind ~k ->
+      handle_recall t ~line ~kind ~k);
   Array.iteri
-    (fun b bk ->
-      Engine.register_pending_source bk.bk_engine (fun () ->
+    (fun b _ ->
+      Engine.register_pending_source engine (fun () ->
           fold_bank t b ~init:[] ~f:(fun acc ~line m ->
               let item what =
                 {
@@ -961,8 +938,7 @@ let create ?bank_engines ?bank_backings engine net backing (cfg : config) =
 
 let bank_count t = t.cfg.banks
 
-(* Per-bank occupancy counters, sampled from the bank's own shard: dev is
-   the bank's network endpoint, the sink is the bank's shard trace. *)
+(* Per-bank occupancy counters: dev is the bank's network endpoint. *)
 let bank_trace_sample t b ~time =
   let bk = t.banks.(b) in
   let pending, blocked =
@@ -979,12 +955,11 @@ let trace_sample t ~time =
     bank_trace_sample t b ~time
   done
 
-(* Metrics probes, registered per bank so each bank's series lives on its
-   own shard's registry: resident-line occupancy (the bank-sharding lever
-   the ROADMAP names), transaction pressure (lines with a pending op /
-   requests parked behind one), and the at-most-once reply cache's replay
-   counter.  [device] distinguishes the flat LLC from the hierarchical
-   GPU L2, which are both this module. *)
+(* Metrics probes, registered per bank: resident-line occupancy,
+   transaction pressure (lines with a pending op / requests parked behind
+   one), and the at-most-once reply cache's replay counter.  [device]
+   distinguishes the flat LLC from the hierarchical GPU L2, which are both
+   this module. *)
 let bank_register_metrics t ~device b reg =
   let module Metrics = Spandex_obs.Metrics in
   let bk = t.banks.(b) in
@@ -1012,7 +987,7 @@ let register_metrics t ~device reg =
 let bank_quiescent t b =
   fold_bank t b ~init:true ~f:(fun acc ~line:_ m ->
       acc && m.pending = None && m.blocked = [] && m.recalls = [])
-  && t.banks.(b).bk_backing.Backing.quiescent ()
+  && t.backing.Backing.quiescent ()
 
 let quiescent t =
   let ok = ref true in

@@ -57,21 +57,15 @@ type config = {
 type t
 
 val create :
-  ?bank_engines:Spandex_sim.Engine.t array ->
-  ?bank_backings:Backing.t array ->
   Spandex_sim.Engine.t ->
   Spandex_net.Network.t ->
   Backing.t ->
   config ->
   t
 (** Registers the LLC on the network under [llc_id .. llc_id + banks - 1]
-    and installs the recall handler on the backing(s).  Each bank is a
-    self-contained component: its own engine, backing, probe-txn
-    allocator, stats and trace names — [bank_engines] / [bank_backings]
-    (length [banks]) place bank [b] on [bank_engines.(b)] with backing
-    [bank_backings.(b)], which is how the PDES partition spreads banks
-    across shards.  When omitted, every bank uses the positional
-    [engine] / [Backing.t] (the classic single-shard wiring). *)
+    and installs the recall handler on the backing.  Each bank keeps its
+    own probe-txn allocator, stats and trace names, and touches only the
+    lines that interleave to it. *)
 
 val bank_count : t -> int
 
@@ -92,18 +86,18 @@ val trace_sample : t -> time:int -> unit
     when disabled. *)
 
 val bank_trace_sample : t -> int -> time:int -> unit
-(** One bank's occupancy counters, on that bank's shard trace — the
-    sharded sampler entry point (sampling must stay shard-local). *)
+(** One bank's occupancy counters ([Run] samples each bank as its own
+    component). *)
 
 val register_metrics : t -> device:string -> Spandex_obs.Metrics.t -> unit
-(** Register every bank's probes on one registry (single-registry runs):
-    resident-line gauges, pending/blocked transaction-pressure gauges,
-    and the reply-cache replay counter — labelled [device] and [bank]
+(** Register every bank's probes on one registry: resident-line gauges,
+    pending/blocked transaction-pressure gauges, and the reply-cache
+    replay counter — labelled [device] and [bank]
     (the flat LLC and the hierarchical GPU L2 are both this module). *)
 
 val bank_register_metrics :
   t -> device:string -> int -> Spandex_obs.Metrics.t -> unit
-(** One bank's probes, for that bank's shard registry. *)
+(** One bank's probes ([Run] registers each bank as its own component). *)
 
 (** {2 Introspection for tests} *)
 

@@ -34,7 +34,7 @@ type 'o t = {
   sb_capacity : int;
   txns : Spandex_proto.Txn.allocator;
       (** per-device txn-id source, shared with [outstanding]; ids depend
-          only on this device's allocation order (PDES-safe). *)
+          only on this device's allocation order. *)
   outstanding : 'o Mshr.t;
   sb : Store_buffer.t;
   stats : Stats.t;

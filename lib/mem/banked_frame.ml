@@ -4,8 +4,8 @@
    banks], bank-local set [s / banks]) — the conflict sets and per-set LRU
    order are unchanged, so banking is behaviour-neutral.  What it buys is
    structural: each bank owns a disjoint slice of the tag/state arrays, so
-   a bank is a self-contained unit the PDES backend can treat as a
-   partition boundary.  Shared by the Spandex LLC and the MESI directory. *)
+   per-bank folds touch only that bank's lines.  Shared by the Spandex LLC
+   and the MESI directory. *)
 
 type 'a t = { frames : 'a Cache_frame.t array; banks : int }
 

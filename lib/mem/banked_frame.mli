@@ -5,9 +5,9 @@
     corresponds exactly to (bank [s mod banks], bank-local set
     [s / banks]): conflict sets and per-set LRU order are unchanged, so
     banking is behaviour-neutral — what it buys is structural.  Each bank
-    owns a disjoint slice of the tag/state arrays, making a bank a
-    self-contained unit the PDES backend can place on any shard.  Shared
-    by the Spandex LLC and the MESI directory. *)
+    owns a disjoint slice of the tag/state arrays, so per-bank occupancy
+    and per-bank quiescence are direct reads.  Shared by the Spandex LLC
+    and the MESI directory. *)
 
 type 'a t
 
@@ -40,7 +40,7 @@ val fold : 'a t -> init:'b -> f:('b -> line:int -> 'a -> 'b) -> 'b
 (** Over all banks, in bank order. *)
 
 val fold_bank : 'a t -> int -> init:'b -> f:('b -> line:int -> 'a -> 'b) -> 'b
-(** Over one bank's resident lines only — the shard-local view. *)
+(** Over one bank's resident lines only. *)
 
 val count : 'a t -> int
 val count_bank : 'a t -> int -> int

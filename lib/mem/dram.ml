@@ -3,8 +3,8 @@ module Linedata = Spandex_proto.Linedata
 
 (* One independent DRAM channel: its own service queue, timing state and
    line store.  A channel belongs to exactly one LLC/directory bank (lines
-   ≡ bank (mod banks) route here), so it shares no mutable state with any
-   other channel and can live on whatever PDES shard its bank lives on. *)
+   ≡ bank (mod banks) route here), so one bank's misses never queue behind
+   another bank's. *)
 module Channel = struct
   type t = {
     engine : Engine.t;
@@ -87,14 +87,12 @@ end
    channels]), so each bank's traffic lands on its own channel. *)
 type t = { channels : Channel.t array }
 
-let create engine ~latency ~service_interval =
-  { channels = [| Channel.create engine ~latency ~service_interval |] }
-
-let create_banked engines ~latency ~service_interval =
-  if Array.length engines = 0 then invalid_arg "Dram.create_banked: no banks";
+let create ?(channels = 1) engine ~latency ~service_interval =
+  if channels < 1 then invalid_arg "Dram.create: channels must be >= 1";
   {
     channels =
-      Array.map (fun e -> Channel.create e ~latency ~service_interval) engines;
+      Array.init channels (fun _ ->
+          Channel.create engine ~latency ~service_interval);
   }
 
 let channels t = t.channels
@@ -114,10 +112,7 @@ let writes t = sum Channel.writes t
 let queue_depth t = sum Channel.queue_depth t
 
 let register_metrics t reg =
-  match t.channels with
-  | [| c |] -> Channel.register_metrics c reg
-  | cs ->
-    Array.iteri
-      (fun b c ->
-        Channel.register_metrics c ~labels:[ ("bank", string_of_int b) ] reg)
-      cs
+  Array.iteri
+    (fun b c ->
+      Channel.register_metrics c ~labels:[ ("bank", string_of_int b) ] reg)
+    t.channels

@@ -9,9 +9,9 @@
 
     Lines interleave across channels the same way they interleave across
     LLC banks ([line mod channels]), so with one channel per bank each
-    bank's memory traffic touches only its own channel — no cross-bank
-    shared mutable state, which is what lets the PDES backend place a
-    bank + its channel on any shard. *)
+    bank's memory traffic queues only on its own channel.  The per-bank
+    channels set DRAM queueing delay, and with it the cycle counts the
+    committed goldens pin. *)
 
 (** One independent DRAM channel: its own queue, timing and line store. *)
 module Channel : sig
@@ -29,28 +29,22 @@ module Channel : sig
 
   val reads : t -> int
   val writes : t -> int
-
-  val register_metrics :
-    t -> ?labels:(string * string) list -> Spandex_obs.Metrics.t -> unit
-  (** Register this channel's queue-depth gauge and read/write counters
-      (probes only); [labels] distinguishes banked channels. *)
 end
 
 type t
 
-val create : Spandex_sim.Engine.t -> latency:int -> service_interval:int -> t
-(** A single shared channel (the classic model).  [service_interval]
-    cycles between successive accesses models DRAM bandwidth; 0 means
-    unlimited. *)
-
-val create_banked :
-  Spandex_sim.Engine.t array -> latency:int -> service_interval:int -> t
-(** One channel per element of [engines] — channel [b] schedules its
-    completions on [engines.(b)], which must be the engine of the shard
-    hosting bank [b]. *)
+val create :
+  ?channels:int ->
+  Spandex_sim.Engine.t ->
+  latency:int ->
+  service_interval:int ->
+  t
+(** [channels] (default 1) independent channels on [engine]; [Run] makes
+    one per home bank.  [service_interval] cycles between successive
+    accesses to one channel models DRAM bandwidth; 0 means unlimited. *)
 
 val channels : t -> Channel.t array
-(** The per-bank channels, in bank order ([[| c |]] for {!create}). *)
+(** The per-bank channels, in bank order. *)
 
 val channel_of_line : t -> line:int -> Channel.t
 
@@ -75,7 +69,5 @@ val queue_depth : t -> int
 (** Summed across channels; 0 when bandwidth is unlimited. *)
 
 val register_metrics : t -> Spandex_obs.Metrics.t -> unit
-(** Register every channel's series on one registry (single-registry
-    runs); banked channels get a [bank] label.  Sharded runs should
-    instead register each channel on its own shard's registry via
-    {!Channel.register_metrics}. *)
+(** Register every channel's series on one registry, each labelled with
+    its [bank]. *)

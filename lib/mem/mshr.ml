@@ -8,7 +8,7 @@ type 'a t = {
   mutable vals : 'a array;
   mutable len : int;
   mutable hi : int;  (* scan bound: every slot at index >= hi is free *)
-  fresh : unit -> int;  (* txn-id source; per-device under PDES *)
+  fresh : unit -> int;  (* txn-id source; per-device in every L1 *)
 }
 
 let create ?(fresh_txn = Spandex_proto.Txn.fresh) ~capacity () =

@@ -9,7 +9,7 @@ type 'a t
 val create : ?fresh_txn:(unit -> int) -> capacity:int -> unit -> 'a t
 (** [fresh_txn] (default {!Spandex_proto.Txn.fresh}) supplies transaction
     ids for {!alloc}; devices pass a per-device {!Spandex_proto.Txn.next}
-    so ids stay interleave-independent under the PDES backend. *)
+    so ids depend only on that device's own allocation order. *)
 
 val alloc : 'a t -> 'a -> int option
 (** Allocate an entry under a fresh transaction id, or [None] if full. *)

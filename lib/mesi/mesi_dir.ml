@@ -40,13 +40,12 @@ type meta = {
   mutable blocked : Msg.t list;
 }
 
-(* Per-bank mutable state (cf. Llc.bank): each directory bank runs on its
-   own engine with its own stats, probe-txn allocator and trace names, and
-   touches only lines ≡ bank (mod banks) — whose DRAM accesses route to
-   that bank's channel.  No cross-bank shared mutable state, so the PDES
-   partition can place each bank (plus its DRAM channel) on any shard. *)
+(* Per-bank mutable state (cf. Llc.bank): each directory bank has its own
+   stats, probe-txn allocator and trace names, and touches only lines ≡
+   bank (mod banks) — whose DRAM accesses route to that bank's channel.
+   Probe ids are drawn per bank in bank arrival order; the committed
+   goldens pin them. *)
 type bank = {
-  bk_engine : Engine.t;
   bk_txns : Txn.allocator;  (* probe ids: drawn in bank arrival order. *)
   bk_stats : Stats.t;
   bk_req_keys : Stats.key array;  (* "req.<kind>" by [Msg.req_kind_index]. *)
@@ -58,6 +57,7 @@ type bank = {
 
 type t = {
   cfg : config;
+  engine : Engine.t;
   dram : Dram.t;
   frame : meta Frames.t;
   banks : bank array;
@@ -70,11 +70,8 @@ type t = {
 
 let bank t line = t.banks.(line mod t.cfg.banks)
 
-(* All outgoing messages carry [bank_of cfg line] as [src]; the send lands
-   on that bank's engine. *)
 let send t (msg : Msg.t) =
-  let bk = t.banks.(msg.Msg.src - t.cfg.dir_id) in
-  Engine.send_later bk.bk_engine ~delay:t.cfg.access_latency msg
+  Engine.send_later t.engine ~delay:t.cfg.access_latency msg
 
 let respond t (req : Msg.t) ~kind ?payload () =
   let msg =
@@ -348,7 +345,7 @@ and allocate_and_fetch t (msg : Msg.t) =
     | None ->
       Stats.incr bk.bk_stats "alloc_stall";
       Msg.keep msg;
-      Engine.schedule bk.bk_engine ~delay:8 (fun () -> handle t msg)
+      Engine.schedule t.engine ~delay:8 (fun () -> handle t msg)
   end
 
 and find_recall_victim t line =
@@ -410,7 +407,7 @@ let arrival t (msg : Msg.t) =
       | Some sent ->
         Stats.incr bk.bk_stats "replayed";
         if Trace.on bk.bk_trace then
-          Trace.instant bk.bk_trace ~time:(Engine.now bk.bk_engine)
+          Trace.instant bk.bk_trace ~time:(Engine.now t.engine)
             ~dev:(bank_of t.cfg msg.Msg.line) ~name:bk.bk_n_replay
             ~txn:msg.Msg.txn ~arg:(List.length !sent);
         List.iter (fun m -> send t m) (List.rev !sent)
@@ -419,20 +416,11 @@ let arrival t (msg : Msg.t) =
         handle t msg)
     | _ -> handle t msg)
 
-let create ?bank_engines engine net dram (cfg : config) =
-  (match bank_engines with
-  | Some a when Array.length a <> cfg.banks ->
-    invalid_arg "Mesi_dir.create: bank_engines length must equal banks"
-  | _ -> ());
-  let engine_of b =
-    match bank_engines with Some a -> a.(b) | None -> engine
-  in
+let create engine net dram (cfg : config) =
   let make_bank b =
     let stats = Stats.create () in
-    let e = engine_of b in
-    let trace = Engine.trace e in
+    let trace = Engine.trace engine in
     {
-      bk_engine = e;
       bk_txns = Txn.allocator ~id:(cfg.dir_id + b);
       bk_stats = stats;
       bk_req_keys =
@@ -452,6 +440,7 @@ let create ?bank_engines engine net dram (cfg : config) =
   let t =
     {
       cfg;
+      engine;
       dram;
       frame = Frames.create ~banks:cfg.banks ~sets:cfg.sets ~ways:cfg.ways;
       banks = Array.init cfg.banks make_bank;
@@ -465,8 +454,8 @@ let create ?bank_engines engine net dram (cfg : config) =
     Network.register net ~id:(cfg.dir_id + b) (fun msg -> arrival t msg)
   done;
   Array.iteri
-    (fun b bk ->
-      Engine.register_pending_source bk.bk_engine (fun () ->
+    (fun b _ ->
+      Engine.register_pending_source engine (fun () ->
           Frames.fold_bank t.frame b ~init:[] ~f:(fun acc ~line m ->
               let item what =
                 {

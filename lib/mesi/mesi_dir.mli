@@ -20,20 +20,16 @@ type config = {
 type t
 
 val create :
-  ?bank_engines:Spandex_sim.Engine.t array ->
   Spandex_sim.Engine.t ->
   Spandex_net.Network.t ->
   Spandex_mem.Dram.t ->
   config ->
   t
 (** Registers the directory on the network under
-    [dir_id .. dir_id + banks - 1].  Each bank is a self-contained
-    component (its own engine, probe-txn allocator, stats and trace
-    names) touching only lines ≡ bank (mod banks) — whose DRAM accesses
-    route to the matching {!Spandex_mem.Dram} channel — so the PDES
-    partition can place bank [b] on [bank_engines.(b)].  When omitted,
-    every bank uses the positional [engine] (the classic single-shard
-    wiring).  Requires [banks] to divide [sets]. *)
+    [dir_id .. dir_id + banks - 1].  Each bank keeps its own probe-txn
+    allocator, stats and trace names, and touches only lines ≡ bank (mod
+    banks) — whose DRAM accesses route to the matching
+    {!Spandex_mem.Dram} channel.  Requires [banks] to divide [sets]. *)
 
 val bank_count : t -> int
 
@@ -53,8 +49,8 @@ val trace_sample : t -> time:int -> unit
     bank endpoint); no-op when tracing is disabled. *)
 
 val bank_trace_sample : t -> int -> time:int -> unit
-(** One bank's occupancy counters, on that bank's shard trace — the
-    sharded sampler entry point (sampling must stay shard-local). *)
+(** One bank's occupancy counters ([Run] samples each bank as its own
+    component). *)
 
 val register_metrics : t -> device:string -> Spandex_obs.Metrics.t -> unit
 (** Register every bank's probes on one registry: resident-line, pending
@@ -63,7 +59,7 @@ val register_metrics : t -> device:string -> Spandex_obs.Metrics.t -> unit
 
 val bank_register_metrics :
   t -> device:string -> int -> Spandex_obs.Metrics.t -> unit
-(** One bank's probes, for that bank's shard registry. *)
+(** One bank's probes ([Run] registers each bank as its own component). *)
 
 (** {2 Test introspection} *)
 

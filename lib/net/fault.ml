@@ -5,12 +5,10 @@
    drawn from a dedicated per-(src, dst) link [Rng] stream derived from
    the plan seed alone, so a given (plan, seed, workload) triple is fully
    deterministic AND the decisions on one link are independent of the
-   traffic interleaving on every other link.  That independence is what
-   lets an armed plan run under the sharded PDES backend: each link is
-   only ever consulted from its source component's shard, and the stream
-   it produces does not depend on how many shards exist or in what order
-   other shards send — so pdes == wheel bit-identity holds at any shard
-   count.
+   traffic interleaving on every other link.  A protocol change that adds
+   or removes traffic on one link therefore leaves every other link's
+   fault decisions where they were, and the fault-armed goldens pin these
+   per-link streams.
 
    Fault eligibility follows the recovery story, not the other way round:
 
@@ -88,8 +86,7 @@ let faultable (msg : Msg.t) =
   | Msg.Rsp _ | Msg.Probe _ -> false
 
 (* One (src, dst) link: its own decision stream plus the last scheduled
-   arrival for FIFO clamping.  A link is only ever touched by sends from
-   [src], i.e. from a single shard. *)
+   arrival for FIFO clamping. *)
 type link = { rng : Rng.t; mutable last : int }
 
 type t = {

@@ -5,9 +5,7 @@
     are drawn from a dedicated per-(src, dst) link [Rng] stream derived
     from the plan seed, so a given (plan, seed, workload) triple is fully
     deterministic and each link's stream is independent of traffic on
-    every other link — which keeps an armed plan bit-identical across
-    PDES shard counts (each link is only consulted from its source
-    component's shard).
+    every other link.
 
     Fault eligibility follows the recovery story: only messages whose
     loss the requester can recover with an end-to-end retry timer (see

@@ -34,66 +34,36 @@ let grouped_topology ~group_of ~local_latency ~cross_latency =
 
 module Trace = Spandex_sim.Trace
 
-(* Per-shard slice of the network: its engine, and all the mutable
-   accounting that slice touches — so a sharded run never has two domains
-   writing one counter.  A device's sends are accounted on its own shard
-   (a send happens on the sending device's domain); a delivery decrements
-   the in-flight counter of the destination's shard.  At settled points
-   (round horizons) the per-shard counters sum to exactly the sequential
-   totals, because every message is counted once on each side. *)
-type shard = {
-  sh_engine : Engine.t;
-  sh_traffic : int array;  (** flit-hops per category. *)
-  sh_stats : Stats.t;
-  sh_kind_keys : Stats.key array;  (** per-kind counters, by [Msg.kind_index]. *)
-  sh_in_flight : int ref;
-  mutable sh_messages : int;
-  sh_trace : Trace.t;  (** that engine's sink; [Trace.disabled] when off. *)
-  sh_n_in_flight : int;  (** interned trace counter name. *)
-  sh_n_fault_drop : int;
-  sh_n_fault_dup : int;
-  sh_n_fault_delay : int;
-}
-
-type cross_send =
-  src_shard:int ->
-  dst_shard:int ->
-  time:int ->
-  t0:int ->
-  tie:int ->
-  Msg.t ->
-  Engine.endpoint ->
-  unit
-
 type t = {
   topo : topology;
-  shards : shard array;
-  shard_of : int -> int;  (** device id -> owning shard. *)
-  (* Stamped cross-shard deliveries leave through here (the PDES link
-     mesh); unused in a single-shard network. *)
-  cross : cross_send;
+  engine : Engine.t;
+  traffic : int array;  (** flit-hops per category. *)
+  stats : Stats.t;
+  kind_keys : Stats.key array;  (** per-kind counters, by [Msg.kind_index]. *)
+  in_flight : int ref;  (** shared by every endpoint; see [register]. *)
+  mutable messages : int;
+  trace : Trace.t;  (** the engine's sink; [Trace.disabled] when off. *)
+  n_in_flight : int;  (** interned trace counter name. *)
+  n_fault_drop : int;
+  n_fault_dup : int;
+  n_fault_delay : int;
   (* Device ids are small dense ints assigned by [Run], so the endpoint
      table is a plain array indexed by id (grown on register) instead of a
      Hashtbl — no hashing on the delivery hot path. *)
   mutable endpoints : Engine.endpoint option array;
-  (* Active fault-injection plan: one [Fault.t] per shard, each charging
-     its own shard's stats.  Decisions come from per-(src, dst) link RNG
-     streams derived from the plan seed, and a link is only consulted by
-     sends from [src] — i.e. from one shard — so the instances never
-     race and the decision streams are identical at any shard count. *)
-  faults : Fault.t array option;
+  (* Active fault-injection plan.  Decisions come from per-(src, dst) link
+     RNG streams derived from the plan seed, so one link's outcomes do not
+     depend on traffic on any other link. *)
+  fault : Fault.t option;
   (* Model-checker delivery hook: when installed, [send] hands every
      accounted message here instead of enqueueing a [Deliver] event (or
      routing through the fault plan), letting the checker hold it and
      choose the delivery order; held messages re-enter via
-     [deliver_held].  Single-shard only. *)
+     [deliver_held]. *)
   mutable delivery_hook : (Msg.t -> latency:int -> unit) option;
   (* Per-virtual-channel (request-category) in-flight depth, armed only
-     by [enable_vc_depth_metrics] on a single-shard network: the send
-     path increments, a wrapper around every endpoint handler decrements.
-     Cross-shard would mean two domains racing one array, so sharded runs
-     leave it [None] (per-VC *send* counters remain available per
-     shard). *)
+     by [enable_vc_depth_metrics]: the send path increments, a wrapper
+     around every endpoint handler decrements. *)
   mutable vc_depth : int array option;
 }
 
@@ -105,10 +75,8 @@ let category_index = function
   | Msg.Cat_WB -> 4
   | Msg.Cat_Probe -> 5
 
-let fault t = Option.map (fun a -> a.(0)) t.faults
-let faults_enabled t = Option.is_some t.faults
-let shard_count t = Array.length t.shards
-let shard_of t id = t.shard_of id
+let fault t = t.fault
+let faults_enabled t = Option.is_some t.fault
 
 let register t ~id handler =
   if id < 0 then invalid_arg "Network.register: negative id";
@@ -122,13 +90,8 @@ let register t ~id handler =
   match t.endpoints.(id) with
   | Some ep -> ep.Engine.handler <- handler
   | None ->
-    (* The destination shard owns the in-flight count: it is decremented
-       on delivery (the destination's domain), and incremented either on
-       a same-shard send or when the destination injects a cross-shard
-       arrival — never from another domain. *)
-    let sh = t.shards.(t.shard_of id) in
     t.endpoints.(id) <-
-      Some { Engine.handler; ingress_free = 0; in_flight = sh.sh_in_flight }
+      Some { Engine.handler; ingress_free = 0; in_flight = t.in_flight }
 
 let endpoint t id =
   if id < 0 || id >= Array.length t.endpoints then
@@ -138,21 +101,22 @@ let endpoint t id =
     | Some ep -> ep
     | None -> failwith (Printf.sprintf "Network: unregistered endpoint %d" id)
 
+let enqueue t ~cat ~delay msg (ep : Engine.endpoint) =
+  (match t.vc_depth with Some a -> a.(cat) <- a.(cat) + 1 | None -> ());
+  incr ep.Engine.in_flight;
+  Engine.deliver t.engine ~delay msg ep
+
 let send t (msg : Msg.t) =
-  (* All accounting lands on the sending device's shard — [send] executes
-     on that shard's domain. *)
-  let ss = t.shard_of msg.Msg.src in
-  let sh = t.shards.(ss) in
-  let now = Engine.now sh.sh_engine in
-  if Trace.on sh.sh_trace then
-    Trace.msg_send sh.sh_trace ~time:now ~src:msg.src ~dst:msg.dst
+  let now = Engine.now t.engine in
+  if Trace.on t.trace then
+    Trace.msg_send t.trace ~time:now ~src:msg.src ~dst:msg.dst
       ~txn:msg.txn ~kind:(Msg.kind_index msg.kind) ~line:msg.line;
   let flits = Msg.flits msg in
   let hops = t.topo.hops ~src:msg.src ~dst:msg.dst in
   let cat = category_index (Msg.category msg.kind) in
-  sh.sh_traffic.(cat) <- sh.sh_traffic.(cat) + (flits * hops);
-  sh.sh_messages <- sh.sh_messages + 1;
-  Stats.bump sh.sh_stats sh.sh_kind_keys.(Msg.kind_index msg.kind);
+  t.traffic.(cat) <- t.traffic.(cat) + (flits * hops);
+  t.messages <- t.messages + 1;
+  Stats.bump t.stats t.kind_keys.(Msg.kind_index msg.kind);
   let latency = t.topo.latency ~src:msg.src ~dst:msg.dst in
   (* Closure-free hot path: enqueue a typed [Deliver] event; the engine
      applies the one-message-per-cycle ingress drain and invokes
@@ -165,68 +129,36 @@ let send t (msg : Msg.t) =
     Msg.keep msg;
     hook msg ~latency
   | None -> (
-  match t.faults with
-  | None ->
-    let ds = t.shard_of msg.Msg.dst in
-    if ds = ss then begin
-      (match t.vc_depth with Some a -> a.(cat) <- a.(cat) + 1 | None -> ());
-      incr ep.Engine.in_flight;
-      Engine.deliver sh.sh_engine ~delay:latency msg ep
-    end
-    else
-      (* Stamp the canonical delivery key — the same draw a same-shard
-         [Engine.deliver] would perform — and hand the message to the
-         cross-shard link; the destination shard injects it (and counts
-         it in flight) when it drains the link. *)
-      t.cross ~src_shard:ss ~dst_shard:ds ~time:(now + latency) ~t0:now
-        ~tie:(Engine.cross_tie sh.sh_engine msg)
-        msg ep
-  | Some faults -> (
+  match t.fault with
+  | None -> enqueue t ~cat ~delay:latency msg ep
+  | Some fault -> (
     (* Under fault injection a message can be dropped (retry closures
        re-read it), duplicated (two Deliver events share one record) or
        replayed from a reply cache — blanket-detach instead of tracking
        which path each message takes.  Fault runs are off the measured
        hot path. *)
     Msg.keep msg;
-    match Fault.route faults.(ss) ~now ~latency msg with
+    match Fault.route fault ~now ~latency msg with
     | Fault.Drop ->
-      if Trace.on sh.sh_trace then
-        Trace.instant sh.sh_trace ~time:now ~dev:msg.src
-          ~name:sh.sh_n_fault_drop ~txn:msg.txn
-          ~arg:(Msg.kind_index msg.kind)
+      if Trace.on t.trace then
+        Trace.instant t.trace ~time:now ~dev:msg.src ~name:t.n_fault_drop
+          ~txn:msg.txn ~arg:(Msg.kind_index msg.kind)
     | Fault.Deliver delays ->
       (match delays with
-      | [ delay ] when delay <> latency && Trace.on sh.sh_trace ->
-        Trace.instant sh.sh_trace ~time:now ~dev:msg.src
-          ~name:sh.sh_n_fault_delay ~txn:msg.txn ~arg:(delay - latency)
+      | [ delay ] when delay <> latency && Trace.on t.trace ->
+        Trace.instant t.trace ~time:now ~dev:msg.src ~name:t.n_fault_delay
+          ~txn:msg.txn ~arg:(delay - latency)
       | _ -> ());
-      let ds = t.shard_of msg.Msg.dst in
       List.iteri
         (fun i delay ->
           (* Duplicate copies occupy the fabric too. *)
           if i > 0 then begin
-            sh.sh_traffic.(cat) <- sh.sh_traffic.(cat) + (flits * hops);
-            if Trace.on sh.sh_trace then
-              Trace.instant sh.sh_trace ~time:now ~dev:msg.src
-                ~name:sh.sh_n_fault_dup ~txn:msg.txn ~arg:delay
+            t.traffic.(cat) <- t.traffic.(cat) + (flits * hops);
+            if Trace.on t.trace then
+              Trace.instant t.trace ~time:now ~dev:msg.src
+                ~name:t.n_fault_dup ~txn:msg.txn ~arg:delay
           end;
-          if ds = ss then begin
-            (match t.vc_depth with
-            | Some a -> a.(cat) <- a.(cat) + 1
-            | None -> ());
-            incr ep.Engine.in_flight;
-            Engine.deliver sh.sh_engine ~delay msg ep
-          end
-          else
-            (* Faulted deliveries cross shards like any other: the total
-               delay never undercuts the nominal latency (extra delay and
-               FIFO clamping only add), so [now + delay] respects the
-               conservative lookahead.  Each copy draws its own tie —
-               exactly the per-copy draws a same-shard [Engine.deliver]
-               sequence would make. *)
-            t.cross ~src_shard:ss ~dst_shard:ds ~time:(now + delay) ~t0:now
-              ~tie:(Engine.cross_tie sh.sh_engine msg)
-              msg ep)
+          enqueue t ~cat ~delay msg ep)
         delays))
 
 let set_delivery_hook t hook = t.delivery_hook <- Some hook
@@ -235,13 +167,13 @@ let clear_delivery_hook t = t.delivery_hook <- None
 let deliver_held t (msg : Msg.t) =
   let ep = endpoint t msg.dst in
   incr ep.Engine.in_flight;
-  Engine.deliver t.shards.(0).sh_engine ~delay:0 msg ep
+  Engine.deliver t.engine ~delay:0 msg ep
 
 let wrap_handler t ~id wrap =
   let ep = endpoint t id in
   ep.Engine.handler <- wrap ep.Engine.handler
 
-let make_shard engine =
+let create ?fault engine topo =
   let stats = Stats.create () in
   let kind_keys =
     let keys = Array.make Msg.num_kinds (Stats.key stats "ReqV") in
@@ -251,121 +183,73 @@ let make_shard engine =
     keys
   in
   let trace = Engine.trace engine in
-  {
-    sh_engine = engine;
-    sh_traffic = Array.make 6 0;
-    sh_stats = stats;
-    sh_kind_keys = kind_keys;
-    sh_in_flight = ref 0;
-    sh_messages = 0;
-    sh_trace = trace;
-    sh_n_in_flight = Trace.name trace "net.in_flight";
-    sh_n_fault_drop = Trace.name trace "fault.drop";
-    sh_n_fault_dup = Trace.name trace "fault.dup";
-    sh_n_fault_delay = Trace.name trace "fault.delay";
-  }
-
-let no_cross ~src_shard:_ ~dst_shard:_ ~time:_ ~t0:_ ~tie:_ _msg _ep =
-  failwith "Network: cross-shard send on a single-shard network"
-
-let create_sharded ?fault engines topo ~shard_of ~cross =
-  if Array.length engines < 1 then
-    invalid_arg "Network.create_sharded: need at least one shard";
-  let shards = Array.map make_shard engines in
   let t =
     {
       topo;
-      shards;
-      shard_of;
-      cross;
+      engine;
+      traffic = Array.make 6 0;
+      stats;
+      kind_keys;
+      in_flight = ref 0;
+      messages = 0;
+      trace;
+      n_in_flight = Trace.name trace "net.in_flight";
+      n_fault_drop = Trace.name trace "fault.drop";
+      n_fault_dup = Trace.name trace "fault.dup";
+      n_fault_delay = Trace.name trace "fault.delay";
       endpoints = Array.make 64 None;
-      faults =
-        Option.map
-          (fun spec ->
-            Array.map (fun sh -> Fault.create spec ~stats:sh.sh_stats) shards)
-          fault;
+      fault = Option.map (fun spec -> Fault.create spec ~stats) fault;
       delivery_hook = None;
       vc_depth = None;
     }
   in
   (* Components enqueue outbound messages as typed [Egress] events
      ({!Engine.send_later}) instead of per-message closures; install the
-     dispatch target once per shard engine ([send] re-derives the shard
-     from the sender id). *)
-  Array.iter (fun e -> Engine.set_egress e (send t)) engines;
+     dispatch target once. *)
+  Engine.set_egress engine (send t);
   t
 
-let create ?fault engine topo =
-  create_sharded ?fault [| engine |] topo ~shard_of:(fun _ -> 0)
-    ~cross:no_cross
-
-let in_flight t =
-  Array.fold_left (fun acc sh -> acc + !(sh.sh_in_flight)) 0 t.shards
+let in_flight t = !(t.in_flight)
 
 let trace_sample t ~time =
-  let sh = t.shards.(0) in
-  Trace.counter sh.sh_trace ~time ~dev:0 ~name:sh.sh_n_in_flight
-    ~value:!(sh.sh_in_flight)
+  Trace.counter t.trace ~time ~dev:0 ~name:t.n_in_flight ~value:!(t.in_flight)
 
-let trace_sample_shard t ~shard ~time =
-  let sh = t.shards.(shard) in
-  Trace.counter sh.sh_trace ~time ~dev:0 ~name:sh.sh_n_in_flight
-    ~value:!(sh.sh_in_flight)
-
-let traffic_flits t cat =
-  let i = category_index cat in
-  Array.fold_left (fun acc sh -> acc + sh.sh_traffic.(i)) 0 t.shards
-
-let total_flits t =
-  Array.fold_left
-    (fun acc sh -> acc + Array.fold_left ( + ) 0 sh.sh_traffic)
-    0 t.shards
-
-let messages_sent t =
-  Array.fold_left (fun acc sh -> acc + sh.sh_messages) 0 t.shards
-
-let stats t = t.shards.(0).sh_stats
-let shard_stats t = Array.map (fun sh -> sh.sh_stats) t.shards
+let traffic_flits t cat = t.traffic.(category_index cat)
+let total_flits t = Array.fold_left ( + ) 0 t.traffic
+let messages_sent t = t.messages
+let stats t = t.stats
 
 (* ----- metrics ------------------------------------------------------------- *)
 
-(* Shard-local probes only: every value read here is owned by [shard]'s
-   domain, and the registry itself is sampled from that domain. *)
-let register_metrics t ~shard reg =
+let register_metrics t reg =
   let module Metrics = Spandex_obs.Metrics in
-  let sh = t.shards.(shard) in
-  let labels = [ ("shard", string_of_int shard) ] in
-  Metrics.counter reg ~name:"spandex_net_messages_total" ~labels
-    ~help:"messages sent from this shard's devices" (fun () ->
-      sh.sh_messages);
-  Metrics.gauge reg ~name:"spandex_net_in_flight" ~labels
-    ~help:"messages sent but not yet delivered (destination-side count)"
-    (fun () -> !(sh.sh_in_flight));
+  Metrics.counter reg ~name:"spandex_net_messages_total"
+    ~help:"messages sent" (fun () -> t.messages);
+  Metrics.gauge reg ~name:"spandex_net_in_flight"
+    ~help:"messages sent but not yet delivered" (fun () -> !(t.in_flight));
   List.iter
     (fun cat ->
       let i = category_index cat in
       Metrics.counter reg ~name:"spandex_net_flits_total"
-        ~labels:(("vc", Msg.category_name cat) :: labels)
+        ~labels:[ ("vc", Msg.category_name cat) ]
         ~help:"flit-hops sent per virtual channel (request category)"
-        (fun () -> sh.sh_traffic.(i)))
+        (fun () -> t.traffic.(i)))
     Msg.all_categories;
-  if Option.is_some t.faults then
+  if Option.is_some t.fault then
     List.iter
       (fun what ->
         Metrics.counter reg
           ~name:(Printf.sprintf "spandex_net_fault_%s_total" what)
-          ~labels
           ~help:"fault-injection outcomes on the interconnect" (fun () ->
-            Stats.get sh.sh_stats ("fault." ^ what)))
+            Stats.get t.stats ("fault." ^ what)))
       [ "injected"; "drop"; "dup"; "delay"; "reorder"; "exempt" ]
 
-(* Arm the per-VC in-flight depth gauges.  Single-shard networks only
-   (cross-shard would race one array from two domains); call after every
-   endpoint has registered — later [register] calls on fresh ids would
-   bypass the decrement wrapper. *)
+(* Arm the per-VC in-flight depth gauges.  Call after every endpoint has
+   registered — later [register] calls on fresh ids would bypass the
+   decrement wrapper. *)
 let enable_vc_depth_metrics t reg =
   let module Metrics = Spandex_obs.Metrics in
-  if Array.length t.shards = 1 && t.vc_depth = None && Metrics.on reg then begin
+  if t.vc_depth = None && Metrics.on reg then begin
     let a = Array.make 6 0 in
     t.vc_depth <- Some a;
     Array.iter

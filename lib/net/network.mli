@@ -9,8 +9,8 @@ type topology = {
   latency : src:int -> dst:int -> int;  (** delivery latency in cycles. *)
   hops : src:int -> dst:int -> int;  (** link crossings, for flit-hops. *)
   min_latency : int;
-      (** smallest latency over all (src, dst) pairs — the conservative
-          lookahead bound the PDES backend synchronizes on. *)
+      (** smallest latency over all (src, dst) pairs; [Run] sets the
+          engine's completion-check grid to it. *)
 }
 
 val flat_topology : latency:int -> topology
@@ -29,49 +29,13 @@ val grouped_topology :
 
 type t
 
-type cross_send =
-  src_shard:int ->
-  dst_shard:int ->
-  time:int ->
-  t0:int ->
-  tie:int ->
-  Spandex_proto.Msg.t ->
-  Spandex_sim.Engine.endpoint ->
-  unit
-(** How a sharded network hands a stamped cross-shard delivery to the
-    PDES link mesh ([Pdes.push]): absolute arrival [time], send cycle
-    [t0] and [tie] from [Engine.cross_tie] form the canonical delivery
-    key, so the destination shard merges it exactly where a sequential
-    run would. *)
-
 val create : ?fault:Fault.spec -> Spandex_sim.Engine.t -> topology -> t
 (** [?fault] arms a fault-injection plan (see {!Fault}); when absent the
     network is reliable and delivery behavior is bit-identical to before
-    fault injection existed.  Equivalent to a one-shard
-    {!create_sharded}. *)
-
-val create_sharded :
-  ?fault:Fault.spec ->
-  Spandex_sim.Engine.t array ->
-  topology ->
-  shard_of:(int -> int) ->
-  cross:cross_send ->
-  t
-(** One network spanning several per-shard engines: device [id] lives on
-    shard [shard_of id], a send is accounted on the sender's shard, a
-    same-shard message is delivered directly, and a cross-shard message
-    leaves through [cross].  All per-shard accounting (traffic, stats,
-    message and in-flight counts, trace sends) is owned by one domain;
-    the aggregate accessors below sum across shards and are exact at
-    settled points.  [?fault] arms one {!Fault.t} per shard (all sharing
-    the plan); per-(src, dst) link RNG streams make the decisions
-    shard-count-invariant, and faulted deliveries cross shards like any
-    other (the total delay never undercuts the nominal latency, so the
-    conservative lookahead holds). *)
+    fault injection existed. *)
 
 val fault : t -> Fault.t option
-(** Shard 0's live fault-injection state, when a plan was armed at
-    [create] (every shard's instance shares the plan spec). *)
+(** The live fault-injection state, when a plan was armed at [create]. *)
 
 val faults_enabled : t -> bool
 (** True when a fault plan is active; requesters use this to decide whether
@@ -114,43 +78,27 @@ val wrap_handler :
     without touching protocol code. *)
 
 val in_flight : t -> int
-(** Messages sent but not yet delivered, summed over shards; used for
-    quiescence checks (exact at settled points — messages parked on a
-    cross-shard link are counted by neither side, but links are empty at
-    round horizons). *)
-
-val shard_count : t -> int
-val shard_of : t -> int -> int
-(** The shard owning device [id] (as passed to {!create_sharded}). *)
+(** Messages sent but not yet delivered; used for quiescence checks. *)
 
 val trace_sample : t -> time:int -> unit
-(** Record shard 0's in-flight count into its trace sink as a
+(** Record the in-flight count into the engine's trace sink as a
     ["net.in_flight"] counter sample; no-op when tracing is disabled. *)
-
-val trace_sample_shard : t -> shard:int -> time:int -> unit
-(** Per-shard variant, called from that shard's sampler. *)
 
 val traffic_flits : t -> Spandex_proto.Msg.category -> int
 val total_flits : t -> int
 val messages_sent : t -> int
 val stats : t -> Spandex_util.Stats.t
-(** Shard 0's per-kind message counters, keyed by message-kind name (the
-    whole network's counters on a single-shard network). *)
+(** Per-kind message counters, keyed by message-kind name, plus the fault
+    plan's outcome counters when one is armed. *)
 
-val shard_stats : t -> Spandex_util.Stats.t array
-(** Every shard's counters, in shard order; merging them sums to the
-    sequential totals. *)
-
-val register_metrics : t -> shard:int -> Spandex_obs.Metrics.t -> unit
-(** Register shard-local probes on that shard's metrics registry:
-    message and per-virtual-channel flit counters, the in-flight gauge,
-    and (fault runs) that shard's fault-injection outcome counters.
-    Every probed value is owned by [shard]'s domain. *)
+val register_metrics : t -> Spandex_obs.Metrics.t -> unit
+(** Register the network's probes: message and per-virtual-channel flit
+    counters, the in-flight gauge, and (fault runs) the fault-injection
+    outcome counters. *)
 
 val enable_vc_depth_metrics : t -> Spandex_obs.Metrics.t -> unit
 (** Arm per-virtual-channel in-flight depth gauges: the send path counts
     each enqueued delivery up, a wrapper installed around every
     registered endpoint handler counts it back down on delivery.  No-op
-    on sharded networks (the depth array would be written by several
-    domains) and on a disabled registry; call only after all endpoints
-    have registered. *)
+    on a disabled registry; call only after all endpoints have
+    registered. *)

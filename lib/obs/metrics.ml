@@ -8,8 +8,8 @@
    growable column per series; export renders the columns as OpenMetrics
    text, CSV, or Chrome trace-event counter tracks.
 
-   A registry is single-domain: each PDES shard owns one and samples it
-   from its own dispatch loop; [merge] combines them after the run. *)
+   A registry is single-domain state, owned by one simulation like every
+   other component, so parallel sweep workers never share one. *)
 
 type spec = { sample_every : int }
 
@@ -130,65 +130,6 @@ let sample t ~time =
       s.sr_den.(l) <- den;
       s.sr_len <- l + 1
     done
-
-(* ----- merge --------------------------------------------------------------- *)
-
-let same_identity a b =
-  a.sr_name = b.sr_name && a.sr_labels = b.sr_labels && a.sr_kind = b.sr_kind
-
-(* Merge [b]'s samples into a fresh copy of [a], ordered by time (each
-   input is already time-sorted; ties keep [a] first).  Used only when
-   two registries carry the same (name, labels) identity — our wiring
-   labels per-shard series distinctly, so this is the uncommon path. *)
-let merge_series a b =
-  let n = a.sr_len + b.sr_len in
-  let times = Array.make (max 1 n) 0 in
-  let num = Array.make (max 1 n) 0 in
-  let den = Array.make (max 1 n) 0 in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  while !i < a.sr_len || !j < b.sr_len do
-    let take_a =
-      !j >= b.sr_len
-      || (!i < a.sr_len && a.sr_times.(!i) <= b.sr_times.(!j))
-    in
-    let src, idx = if take_a then (a, !i) else (b, !j) in
-    times.(!k) <- src.sr_times.(idx);
-    num.(!k) <- src.sr_num.(idx);
-    den.(!k) <- src.sr_den.(idx);
-    incr k;
-    if take_a then incr i else incr j
-  done;
-  { a with sr_times = times; sr_num = num; sr_den = den; sr_len = n }
-
-let copy_series s =
-  {
-    s with
-    sr_times = Array.sub s.sr_times 0 s.sr_len;
-    sr_num = Array.sub s.sr_num 0 s.sr_len;
-    sr_den = Array.sub s.sr_den 0 s.sr_len;
-  }
-
-let merge ts =
-  let live = List.filter (fun t -> t.enabled) ts in
-  match live with
-  | [] -> disabled
-  | first :: _ ->
-    let out = create first.spec in
-    List.iter
-      (fun t ->
-        for i = 0 to t.n_series - 1 do
-          let s = t.series.(i) in
-          let merged = ref false in
-          for j = 0 to out.n_series - 1 do
-            if (not !merged) && same_identity out.series.(j) s then begin
-              out.series.(j) <- merge_series out.series.(j) s;
-              merged := true
-            end
-          done;
-          if not !merged then add_series out (copy_series s)
-        done)
-      live;
-    out
 
 (* ----- introspection ------------------------------------------------------- *)
 

@@ -8,10 +8,9 @@
     enqueues events, so event counts and results are bit-identical with
     metrics on or off.
 
-    A registry is single-domain: each PDES shard owns one and samples it
-    from its own dispatch loop.  {!merge} combines the per-shard
-    registries deterministically after the run.  The {!disabled} sentinel
-    makes every operation a cheap no-op. *)
+    A registry is single-domain state, owned by one simulation like every
+    other component.  The {!disabled} sentinel makes every operation a
+    cheap no-op. *)
 
 type spec = { sample_every : int  (** cycles between samples (≥ 1). *) }
 
@@ -71,13 +70,7 @@ val sample : t -> time:int -> unit
     Called from the engine's inline sampler; allocation-light (amortized
     column growth only) and never schedules events. *)
 
-(* ----- merge & introspection ----------------------------------------------- *)
-
-val merge : t list -> t
-(** Combine registries (per-shard sinks) into one: series are copied in
-    registry-then-registration order; two series with the same (name,
-    labels, kind) identity merge their points by time.  Disabled inputs
-    are skipped; all-disabled merges to {!disabled}. *)
+(* ----- introspection ------------------------------------------------------- *)
 
 val dump :
   t -> (string * (string * string) list * kind * (int * int * int) array) list

@@ -14,9 +14,9 @@ let reset () = Domain.DLS.get counter_key := 0
 
 (* Per-device allocators make an id depend only on the issuing device and
    how many ids that device has drawn — never on the global interleave of
-   events across devices.  That is what lets the PDES backend, which runs
-   devices on different domains, hand out the same ids as the sequential
-   wheel.  Ids are [id + k * 4096]: disjoint per device as long as device
+   events across devices, so a protocol change in one device does not
+   renumber every other device's transactions; the committed goldens pin
+   these ids.  Ids are [id + k * 4096]: disjoint per device as long as device
    ids stay below 4096 (they are small dense ints), and [k] starts at 1 so
    no allocator ever returns its bare device id twice. *)
 type allocator = { id : int; mutable next : int }

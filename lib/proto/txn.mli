@@ -16,9 +16,8 @@ val reset : unit -> unit
 type allocator
 (** A per-device id source: ids are [device_id + k * 4096], unique across
     devices (ids are small dense ints < 4096) and — unlike {!fresh} —
-    independent of the global event interleave, so a device hands out the
-    same ids whether the simulation runs on one domain or is sharded
-    across several (PDES backend). *)
+    independent of the global event interleave: a device's ids depend
+    only on how many it has drawn. *)
 
 val allocator : id:int -> allocator
 (** Raises [Invalid_argument] when [id] is outside [0, 4096). *)

@@ -48,11 +48,8 @@ let fresh_ev () =
    The engine drains same-cycle component events before granting the
    cycle's deliveries, so the interleave of deliveries with component work
    is canonical — a function of the simulated machine, not of the order
-   the queue happened to be pushed.  That is what lets a sharded (PDES)
-   run, where pushes from different shards have no global order at all,
-   reproduce the sequential engine bit for bit: every shard computes the
-   same delivery keys, and the per-shard component order is the sequential
-   order restricted to that shard.
+   the queue happened to be pushed — and the wheel and heap schedulers
+   share it exactly.
 
    Represented as a binary min-heap over parallel int arrays (no per-entry
    boxing; [msgs]/[eps] carry the payload).  Keys are unique — [tie]
@@ -161,28 +158,23 @@ module Netq = struct
     done
 end
 
-type backend = Wheel_backend | Heap_backend | Pdes_backend of { shards : int }
+type backend = Wheel_backend | Heap_backend
 
 (* The heap backend is the pre-wheel engine, kept as a reference
    implementation: component events go through a single (time, seq) binary
    heap, so sweeps run on it reproduce the original scheduler bit-for-bit
-   and the test suite can assert the wheel engine matches it.  A
-   [Pdes_backend] engine is one shard's scheduler — a wheel; the sharding
-   itself lives in [Pdes]/[Run], not here. *)
+   and the test suite can assert the wheel engine matches it. *)
 type queue = Q_wheel of ev Wheel.t | Q_heap of ev Pqueue.t
 
 type t = {
   queue : queue;
   netq : Netq.t;
-  (* Per-source delivery sequence numbers (index = src device id).  Under
-     PDES each device sends from exactly one shard, so the per-shard
-     arrays partition the sequential engine's single array — every source
-     draws the same sequence either way. *)
+  (* Per-source delivery sequence numbers (index = src device id): the
+     low half of the canonical delivery tiebreak. *)
   mutable dseq : int array;
   mutable lookahead : int;
       (* the until_done / watchdog check grid; [Run] sets it to the
-         topology's min latency so every backend — sharded or not —
-         evaluates completion at the same boundaries. *)
+         topology's min latency. *)
   mutable time : int;
   mutable steps : int;
   mutable step_limit : int;
@@ -201,9 +193,8 @@ type t = {
      parked ops) so a drained queue can be diagnosed as [Stuck] instead
      of silently returning as complete. *)
   mutable pending_sources : (unit -> pending_work list) list;
-  (* Watchdog state, polled at lookahead-grid boundaries by [run] (and by
-     the PDES coordinator via [watchdog_check]) — never via heartbeat
-     events, which would perturb event counts and differ across shards. *)
+  (* Watchdog state, polled at lookahead-grid boundaries by [run] — never
+     via heartbeat events, which would perturb event counts. *)
   mutable wd_interval : int;  (* 0 = no watchdog *)
   mutable wd_beat : int;
   mutable wd_next : int;
@@ -259,7 +250,7 @@ let pp_livelock fmt l =
 let create ?(backend = Wheel_backend) ?(trace = Trace.disabled) () =
   let queue =
     match backend with
-    | Wheel_backend | Pdes_backend _ ->
+    | Wheel_backend ->
       Q_wheel (Wheel.create ~horizon:512 ~dummy:(fresh_ev ()) ())
     | Heap_backend -> Q_heap (Pqueue.create ~capacity:1024 ())
   in
@@ -302,8 +293,6 @@ let trace t = t.trace
 let set_lookahead t l =
   if l <= 0 then invalid_arg "Engine.set_lookahead";
   t.lookahead <- l
-
-let lookahead t = t.lookahead
 
 let set_sampler t ~every f =
   if every <= 0 then invalid_arg "Engine.set_sampler: every";
@@ -378,19 +367,6 @@ let deliver t ~delay (msg : Msg.t) ep =
   if delay < 0 then invalid_arg "Engine.deliver: negative delay";
   Netq.push t.netq ~time:(t.time + delay) ~t0:t.time
     ~tie:(draw_tie t msg.Msg.src) msg ep
-
-let cross_tie t (msg : Msg.t) = draw_tie t msg.Msg.src
-
-let inject t ~time ~t0 ~tie msg ep =
-  if time < t.time then
-    invalid_arg
-      (Printf.sprintf "Engine.inject: time %d is in the past (now %d)" time
-         t.time);
-  (* The destination shard owns the in-flight count for messages bound to
-     its endpoints; a cross-shard message is counted when it crosses into
-     the shard (the sender's network context never saw it). *)
-  incr ep.in_flight;
-  Netq.push t.netq ~time ~t0 ~tie msg ep
 
 let send_later t ~delay msg =
   if delay < 0 then invalid_arg "Engine.send_later: negative delay";
@@ -602,9 +578,8 @@ let events_processed t = t.steps
 
 (* Watchdog: polled at lookahead-grid boundaries instead of via heartbeat
    events.  [boundary] values form a deterministic sequence (derived from
-   event times), so sequential and sharded runs make identical stall
-   decisions; the beat throttle keeps the progress census off the
-   per-window path. *)
+   event times), so stall decisions are reproducible; the beat throttle
+   keeps the progress census off the per-window path. *)
 let set_watchdog t ~interval ~progress ~describe =
   if interval <= 0 then invalid_arg "Engine.set_watchdog: interval";
   t.wd_interval <- interval;
@@ -636,10 +611,8 @@ let watchdog_check t ~boundary =
 (* [run] checks [until_done] at lookahead-grid boundaries, not per event:
    when the next event's window [b, b + L) differs from the last checked
    one, completion (and the watchdog) are evaluated on the settled state
-   of everything before [b].  This is exactly the schedule on which the
-   PDES coordinator can evaluate the same predicates — every shard has
-   completed the same prefix at a window barrier — so both finish at the
-   same cycle with the same event count. *)
+   of everything before [b].  The finish cycle and event count of every
+   run depend on this grid. *)
 let run t ~until_done ~pending_desc =
   let l = t.lookahead in
   let check_at = ref min_int in
@@ -670,53 +643,3 @@ let run t ~until_done ~pending_desc =
   in
   loop ()
 
-(* PDES window execution: drain every event strictly before [stop].  The
-   caller (the round coordinator) guarantees no event before [stop] can
-   still arrive from another shard. *)
-let run_window t ~stop =
-  let nq = t.netq in
-  match t.queue with
-  | Q_wheel w ->
-    let rec loop () =
-      let tq =
-        match Wheel.peek_time w with Some v -> v | None -> max_int
-      in
-      let tn = if Netq.is_empty nq then max_int else Netq.min_time nq in
-      let te = if tq <= tn then tq else tn in
-      if te < stop then begin
-        t.steps <- t.steps + 1;
-        if t.steps > t.step_limit then step_limit_hit t;
-        if tq <= tn then begin
-          let ev = Wheel.pop_min w in
-          t.time <- Wheel.current_time w;
-          wheel_dispatch t ev
-        end
-        else begin
-          t.time <- tn;
-          netq_dispatch t
-        end;
-        loop ()
-      end
-    in
-    loop ()
-  | Q_heap h ->
-    let rec loop () =
-      let tq = if Pqueue.is_empty h then max_int else Pqueue.min_time h in
-      let tn = if Netq.is_empty nq then max_int else Netq.min_time nq in
-      let te = if tq <= tn then tq else tn in
-      if te < stop then begin
-        t.steps <- t.steps + 1;
-        if t.steps > t.step_limit then step_limit_hit t;
-        if tq <= tn then begin
-          t.time <- tq;
-          let ev = Pqueue.pop_min h in
-          heap_dispatch t ev
-        end
-        else begin
-          t.time <- tn;
-          netq_dispatch t
-        end;
-        loop ()
-      end
-    in
-    loop ()

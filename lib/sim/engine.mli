@@ -7,10 +7,9 @@
     source id, per-source sequence).  At every cycle the engine drains
     same-cycle component events before granting deliveries, so the merged
     order is a pure function of the simulated machine rather than of
-    queue push interleave.  That canonical order is what makes the
-    sharded PDES backend bit-identical to a sequential run: shards compute
-    the same delivery keys, and per-shard component order is the
-    sequential order restricted to the shard.
+    queue push interleave: both component schedulers below see the same
+    delivery order, and the order the committed goldens pin does not
+    depend on which component happened to send first within a cycle.
 
     The component queue is a hierarchical timing wheel
     ({!Spandex_util.Wheel}): almost every event lands 1–100 cycles ahead,
@@ -91,12 +90,6 @@ type backend =
   | Heap_backend
       (** the pre-wheel (time, seq) binary heap, kept as a reference
           scheduler for bit-identity tests. *)
-  | Pdes_backend of { shards : int }
-      (** conservative parallel DES: the machine is partitioned into
-          [shards] shards, each with its own engine (a timing wheel) on a
-          dedicated domain, synchronized on the topology's min-latency
-          lookahead (see {!Pdes} and [Run]).  An engine created with this
-          backend is one shard's scheduler. *)
 
 val create : ?backend:backend -> ?trace:Trace.t -> unit -> t
 (** [trace] (default {!Trace.disabled}) is the simulation's trace sink;
@@ -113,10 +106,8 @@ val set_lookahead : t -> int -> unit
 (** Set the completion-check grid (default 1): {!run} evaluates
     [until_done] and the watchdog once per [l]-aligned window of event
     times instead of per event.  [Run] sets the topology's minimum
-    latency, which is also the PDES synchronization horizon — so every
-    backend evaluates completion at identical boundaries. *)
-
-val lookahead : t -> int
+    latency; the finish cycle and event count of every run depend on
+    this grid, so changing it moves every committed golden. *)
 
 val set_sampler : t -> every:int -> (int -> unit) -> unit
 (** Install an occupancy sampler: [f time] is invoked from the event
@@ -140,21 +131,6 @@ val deliver : t -> delay:int -> Spandex_proto.Msg.t -> endpoint -> unit
     re-queues the handler invocation as a component event (two events per
     delivered message, as always). *)
 
-val cross_tie : t -> Spandex_proto.Msg.t -> int
-(** Draw the delivery tiebreak (src, per-src seq) for [msg] from this
-    (sending) engine's counters — the same draw {!deliver} performs —
-    without enqueueing anything.  The sharded network uses it to stamp a
-    cross-shard message before pushing it onto the link channel; the
-    destination shard completes the delivery with {!inject}. *)
-
-val inject :
-  t -> time:int -> t0:int -> tie:int -> Spandex_proto.Msg.t -> endpoint -> unit
-(** Enqueue a delivery stamped elsewhere ([time] = absolute arrival,
-    [t0] = send cycle, [tie] from {!cross_tie}).  Counts the message into
-    the endpoint's in-flight counter — for cross-shard messages the
-    destination shard owns the count.  [time] must not be in the shard's
-    past; the PDES lookahead guarantees that. *)
-
 val set_egress : t -> (Spandex_proto.Msg.t -> unit) -> unit
 (** Install the callback Egress events dispatch to — [Network.create]
     registers its [send] here so components can enqueue outbound messages
@@ -172,8 +148,8 @@ val apply_later : t -> delay:int -> (int -> unit) -> int -> unit
 val run : t -> until_done:(unit -> bool) -> pending_desc:(unit -> string) -> int
 (** Drain events until [until_done ()] is true; returns the finish cycle.
     Completion (and the watchdog) are evaluated at lookahead-grid window
-    boundaries — the settled points a sharded run can also evaluate them
-    at — not between every event.  Raises {!Deadlock} (with
+    boundaries (see {!set_lookahead}), not between every event.  Raises
+    {!Deadlock} (with
     [pending_desc ()] in the message) if the queue empties first.  A step
     limit guards against livelock. *)
 
@@ -186,12 +162,6 @@ val run_all : ?strict:bool -> t -> int
     [~strict:false] to skip the liveness audit — for harnesses that
     deliberately pause a protocol mid-transaction to inspect
     intermediate state. *)
-
-val run_window : t -> stop:int -> unit
-(** Dispatch every event with time strictly before [stop]; the shard
-    executor for one PDES round.  The caller must guarantee no event
-    before [stop] can still arrive from another shard.  Honors the step
-    limit, raising {!Deadlock} when exceeded. *)
 
 val next_event_time : t -> int option
 (** Cycle of the earliest queued event, or [None] when the queue is
@@ -208,19 +178,13 @@ val set_watchdog :
   progress:(unit -> int) ->
   describe:(unit -> string) ->
   unit
-(** Configure the livelock watchdog: {!run} (and the PDES coordinator via
-    {!watchdog_check}) polls [progress ()] — any monotone counter of
-    forward progress, e.g. retired ops — at lookahead-grid boundaries,
+(** Configure the livelock watchdog: {!run} polls [progress ()] — any
+    monotone counter of forward progress, e.g. retired ops — at
+    lookahead-grid boundaries,
     throttled to every [interval / 4] cycles, and raises {!Livelock} when
     it has not changed for [interval] cycles.  Polling happens from the
     run loop, never via heartbeat events, so the watchdog perturbs
     neither event counts nor simulated timing. *)
-
-val watchdog_check : t -> boundary:int -> unit
-(** Poll the watchdog at window boundary [boundary] (a settled point: all
-    events before it have been dispatched).  No-op when no watchdog is
-    configured or the boundary precedes the next scheduled beat.  Exposed
-    for the PDES round coordinator; {!run} calls it internally. *)
 
 val set_step_limit : t -> int -> unit
 (** Override the default step limit (events processed) of [run]. *)

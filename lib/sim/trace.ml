@@ -220,84 +220,6 @@ let iter t ~f =
     else f (Msg_send { time; src = dev; dst = c; txn = id; kind = a; line = b })
   done
 
-(* ----- merging ---------------------------------------------------------------- *)
-
-let time_of = function
-  | Span_begin { time; _ }
-  | Span_end { time; _ }
-  | Instant { time; _ }
-  | Counter { time; _ }
-  | Msg_send { time; _ } ->
-    time
-
-(* Re-record one decoded event into [m].  A span end whose begin fell off
-   the source ring is replayed verbatim (the source already computed the
-   latency), so histograms still sum correctly across shards. *)
-let re_record m = function
-  | Span_begin { time; dev; txn; cls; line } ->
-    span_begin m ~time ~dev ~txn ~cls ~line
-  | Span_end { time; dev; txn; cls; latency } -> (
-    match Hashtbl.find_opt m.open_tbl txn with
-    | Some _ -> span_end m ~time ~dev ~txn
-    | None ->
-      Hist.record m.hists.(cls) latency;
-      push m ~time ~ek:ek_span_end ~dev ~id:txn ~a:cls ~b:latency ~c:0)
-  | Instant { time; dev; name = n; txn; arg } ->
-    instant m ~time ~dev ~name:(name m n) ~txn ~arg
-  | Counter { time; dev; name = n; value } ->
-    counter m ~time ~dev ~name:(name m n) ~value
-  | Msg_send { time; src; dst; txn; kind; line } ->
-    msg_send m ~time ~src ~dst ~txn ~kind ~line
-
-let merge ts =
-  match List.filter on ts with
-  | [] -> disabled
-  | [ t ] -> t
-  | live ->
-    (* Decode each shard's ring (already time-sorted within a shard) and
-       k-way merge by (time, shard index) — a deterministic order that
-       does not depend on domain scheduling. *)
-    let streams =
-      live
-      |> List.map (fun t ->
-             let evs = ref [] in
-             iter t ~f:(fun e -> evs := e :: !evs);
-             Array.of_list (List.rev !evs))
-      |> Array.of_list
-    in
-    let cap = List.fold_left (fun acc t -> acc + recorded t) 0 live in
-    let m =
-      create
-        {
-          capacity = max 2 cap;
-          sample_every =
-            List.fold_left (fun acc t -> max acc t.sample_every) 1 live;
-        }
-    in
-    let idx = Array.map (fun _ -> 0) streams in
-    let continue = ref true in
-    while !continue do
-      let best = ref (-1) in
-      let best_t = ref max_int in
-      Array.iteri
-        (fun s i ->
-          if i < Array.length streams.(s) then begin
-            let tt = time_of streams.(s).(i) in
-            if tt < !best_t then begin
-              best := s;
-              best_t := tt
-            end
-          end)
-        idx;
-      if !best < 0 then continue := false
-      else begin
-        let s = !best in
-        re_record m streams.(s).(idx.(s));
-        idx.(s) <- idx.(s) + 1
-      end
-    done;
-    m
-
 (* ----- export ---------------------------------------------------------------- *)
 
 let add_json_string buf s =

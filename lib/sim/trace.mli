@@ -108,15 +108,6 @@ val kind_name : int -> string
 (** Message-kind display name by {!Spandex_proto.Msg.kind_index} (for
     rendering {!event-Msg_send} events). *)
 
-val merge : t list -> t
-(** Merge per-shard sinks into one: events are k-way merged by
-    (time, shard index) — deterministic, independent of domain
-    scheduling — and latency histograms recompute to the sum of the
-    inputs.  Disabled sinks are skipped; a single live input is returned
-    as-is; no live inputs yield {!disabled}.  The PDES backend records
-    into one sink per shard (a sink is single-domain) and merges on
-    export. *)
-
 (* ----- export -------------------------------------------------------------- *)
 
 val export_chrome :

@@ -1,23 +1,3 @@
-(* Where a group of components lands in the PDES partition. *)
-type placement =
-  | Spread  (* round-robin the group's units across the shards. *)
-  | Pin of int  (* every unit on one shard (index modulo the shard count). *)
-
-(* How [Run] maps components to PDES shards.  The unit of placement is a
-   self-contained component: one core (with its L1), one home bank (an LLC
-   or directory bank plus its DRAM channel), or — hierarchical configs —
-   the whole GPU-L2 complex (L2 banks + the MESI client backside, which
-   share MSHR and recall state and therefore cannot split). *)
-type partition = {
-  home_banks : placement;
-  gpu_complex : placement;
-      (* a single unit; [Spread] means "place it in the round-robin
-         sequence after the home banks" rather than splitting it. *)
-  cores : placement;
-      (* barrier workloads override this to one shard: barrier wakes are
-         1-cycle events, far below the network lookahead. *)
-}
-
 type t = {
   cpu_cores : int;
   gpu_cus : int;
@@ -53,9 +33,6 @@ type t = {
   (* Event-queue implementation; [Heap_backend] is the pre-wheel reference
      scheduler used by bit-identity tests. *)
   engine_backend : Spandex_sim.Engine.backend;
-  (* Component-to-shard placement for the PDES backend; ignored by the
-     sequential backends. *)
-  pdes_partition : partition;
   (* Transaction-trace sink configuration; [None] (the default) runs with
      the shared disabled sink and is bit-identical to an untraced build. *)
   trace : Spandex_sim.Trace.spec option;
@@ -98,8 +75,6 @@ let default =
     fault = None;
     watchdog_cycles = 200_000;
     engine_backend = Spandex_sim.Engine.Wheel_backend;
-    pdes_partition =
-      { home_banks = Spread; gpu_complex = Spread; cores = Spread };
     trace = None;
     metrics = None;
   }

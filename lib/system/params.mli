@@ -3,27 +3,6 @@
     All latencies are in LLC-clock cycles (2 GHz).  The GPU's 700 MHz clock
     is modelled by issuing GPU ops every [gpu_clock] cycles. *)
 
-type placement =
-  | Spread  (** round-robin the group's units across the shards. *)
-  | Pin of int  (** every unit on one shard (index modulo the shard count). *)
-
-type partition = {
-  home_banks : placement;
-      (** LLC (flat) or directory (H-MESI) banks; each bank, together
-          with its DRAM channel, is one placement unit. *)
-  gpu_complex : placement;
-      (** hierarchical configs: the GPU L2 banks plus the MESI client
-          backside — shared MSHR/recall state makes them a single
-          placement unit; [Spread] slots that unit into the round-robin
-          sequence after the home banks. *)
-  cores : placement;
-      (** one unit per core (with its L1); barrier workloads override
-          this to a single shard, since barrier wakes are 1-cycle events
-          below the network lookahead. *)
-}
-(** How {!Run} maps components to PDES shards (DESIGN.md §9).  Ignored by
-    the sequential backends. *)
-
 type t = {
   cpu_cores : int;
   gpu_cus : int;
@@ -66,9 +45,6 @@ type t = {
       (** event-queue implementation; [Wheel_backend] (the default) is the
           timing wheel, [Heap_backend] the pre-wheel binary heap kept for
           bit-identity cross-checks. *)
-  pdes_partition : partition;
-      (** component-to-shard placement under [Pdes_backend]; the default
-          spreads every group. *)
   trace : Spandex_sim.Trace.spec option;
       (** transaction-trace sink configuration; [None] (the default) uses
           the shared disabled sink — no events, no histograms, and results

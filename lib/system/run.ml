@@ -10,7 +10,6 @@ module Core = Spandex_device.Core
 module Port = Spandex_device.Port
 module Barrier = Spandex_device.Barrier
 module Check_log = Spandex_device.Check_log
-module Pdes = Spandex_sim.Pdes
 module Metrics = Spandex_obs.Metrics
 module Llc = Spandex.Llc
 module Backing = Spandex.Backing
@@ -34,12 +33,7 @@ type result = {
   latency : (string * Hist.summary) list;
   trace : Trace.t;
   device_names : string array;
-  shards : int;
-  shard_events : int array;
   metrics : Metrics.t;
-  shard_profile : Pdes.shard_profile array option;
-  partition : (string * int) array;
-  cap_reason : string option;
   dram_channel_peaks : int array;
 }
 
@@ -209,110 +203,16 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
   let home_id = p.Params.cpu_cores + p.Params.gpu_cus in
   let l2_front_id = home_id + banks in
   let l2_back_id = l2_front_id + banks in
-  (* --- sharding plan ------------------------------------------------------ *)
-  (* The partition (DESIGN.md §9): every self-contained component is a
-     placement unit — each core (with its L1), each home bank (an LLC or
-     directory bank plus its DRAM channel), and, hierarchical configs, the
-     GPU-L2 complex (L2 banks + MESI client backside, whose shared
-     MSHR/recall state forbids splitting).  [Params.pdes_partition] maps
-     each group to shards; the default round-robins everything, so no
-     shard is a component-pinned "home complex" any more.  Structural caps
-     keep the partition sound:
-     - barrier wakes are 1-cycle events on the barrier's engine, far
-       below the network lookahead, so barrier workloads co-locate every
-       core on one shard (the cores collapse to one unit);
-     - more shards than placement units would leave empty shards.
-     Fault plans no longer cap: per-(src, dst) link RNG streams make
-     injection decisions shard-count-invariant (see [Fault]). *)
-  let requested_shards =
-    match p.Params.engine_backend with
-    | Engine.Pdes_backend { shards } -> shards
-    | Engine.Wheel_backend | Engine.Heap_backend -> 1
-  in
-  let n_cores =
-    Array.length w.Workload.cpu_programs + Array.length w.Workload.gpu_programs
-  in
-  let has_barriers = Array.length w.Workload.barrier_parties > 0 in
-  let hierarchical = config.Config.llc = Config.H_mesi in
-  let core_units = if has_barriers then 1 else n_cores in
-  let unit_count = core_units + banks + if hierarchical then 1 else 0 in
-  let shard_cap = max 1 unit_count in
-  let shards = max 1 (min requested_shards shard_cap) in
-  let cap_reason =
-    if requested_shards <= shards then None
-    else
-      let units =
-        Printf.sprintf "%d core unit%s + %d home bank%s%s = %d placement units"
-          core_units
-          (if core_units = 1 then "" else "s")
-          banks
-          (if banks = 1 then "" else "s")
-          (if hierarchical then " + 1 GPU-L2 complex" else "")
-          unit_count
-      in
-      if has_barriers then
-        Some
-          (Printf.sprintf
-             "barrier workload: barrier wakes are 1-cycle events below the \
-              network lookahead, so all %d cores co-locate on one shard (%s)"
-             n_cores units)
-      else Some (Printf.sprintf "bank/component count: %s" units)
-  in
-  let partition_spec = p.Params.pdes_partition in
-  let place (pl : Params.placement) ~unit_base u =
-    if shards = 1 then 0
-    else
-      match pl with
-      | Params.Pin s -> ((s mod shards) + shards) mod shards
-      | Params.Spread -> (unit_base + u) mod shards
-  in
-  let bank_shard b = place partition_spec.Params.home_banks ~unit_base:0 b in
-  let core_shard id =
-    match (has_barriers, partition_spec.Params.cores) with
-    (* The collapsed core unit is by far the heaviest (every core, L1 and
-       pipeline event lands on it); give it the last shard so shard 0
-       keeps only its round-robin share of home banks instead of
-       re-becoming the hotspot the banked partition exists to break up. *)
-    | true, Params.Spread -> shards - 1
-    | true, (Params.Pin _ as pl) -> place pl ~unit_base:0 0
-    | false, pl -> place pl ~unit_base:banks id
-  in
-  let gpu_shard =
-    place partition_spec.Params.gpu_complex ~unit_base:(banks + core_units) 0
-  in
-  let shard_of id =
-    if id < home_id then core_shard id
-    else if id < l2_front_id then bank_shard (id - home_id)
-    else gpu_shard
-  in
   let trace =
     match p.Params.trace with
     | None -> Trace.disabled
     | Some spec -> Trace.create spec
   in
-  (* One trace sink per shard — a sink is single-domain; they merge
-     deterministically on export. *)
-  let traces =
-    Array.init shards (fun s ->
-        if s = 0 then trace
-        else
-          match p.Params.trace with
-          | None -> Trace.disabled
-          | Some spec -> Trace.create spec)
-  in
-  let engines =
-    Array.init shards (fun s ->
-        Engine.create ~backend:p.Params.engine_backend ~trace:traces.(s) ())
-  in
-  let engine = engines.(0) in
-  (* One metrics registry per shard, mirroring the trace sinks: every
-     probe registered on shard [s]'s registry reads only state owned by
-     shard [s]'s domain, and the registries merge after the run. *)
-  let mregs =
-    Array.init shards (fun _ ->
-        match p.Params.metrics with
-        | None -> Metrics.disabled
-        | Some spec -> Metrics.create spec)
+  let engine = Engine.create ~backend:p.Params.engine_backend ~trace () in
+  let mreg =
+    match p.Params.metrics with
+    | None -> Metrics.disabled
+    | Some spec -> Metrics.create spec
   in
   (* Human-readable endpoint names for trace export ("who is track 12?"). *)
   let device_names =
@@ -351,42 +251,19 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
         ~local_latency:p.Params.local_net_latency
         ~cross_latency:p.Params.cross_net_latency
   in
-  let pdes =
-    if shards > 1 then
-      Some
-        (Pdes.create ~clock:Unix.gettimeofday
-           ~lookahead:topo.Network.min_latency engines)
-    else None
-  in
-  let net =
-    match pdes with
-    | None -> Network.create ?fault:p.Params.fault engine topo
-    | Some pd ->
-      Network.create_sharded ?fault:p.Params.fault engines topo ~shard_of
-        ~cross:(fun ~src_shard ~dst_shard ~time ~t0 ~tie msg ep ->
-          Pdes.push pd ~src_shard ~dst_shard ~time ~t0 ~tie msg ep)
-  in
+  let net = Network.create ?fault:p.Params.fault engine topo in
   (* Completion checks and the watchdog run on the topology's min-latency
-     grid in every backend, so a sharded PDES run — which can only evaluate
-     them at lookahead-aligned horizons — sees the identical boundary
-     sequence and finishes at the identical cycle. *)
-  Array.iter
-    (fun e -> Engine.set_lookahead e topo.Network.min_latency)
-    engines;
-  (* One DRAM channel per home bank, each on its bank's shard engine: a
-     bank only touches lines ≡ bank (mod banks), which route to exactly
-     its channel, so memory timing state is bank-local.  The sequential
-     backends build the identical banked structure (all channels on the
-     one engine), keeping pdes == wheel bit-identity. *)
-  let home_bank_engines = Array.init banks (fun b -> engines.(bank_shard b)) in
+     grid (see [Engine.set_lookahead]); finish cycles depend on it. *)
+  Engine.set_lookahead engine topo.Network.min_latency;
+  (* One DRAM channel per home bank: a bank only touches lines ≡ bank (mod
+     banks), which route to exactly its channel. *)
   let dram =
-    Dram.create_banked home_bank_engines ~latency:p.Params.mem_latency
+    Dram.create ~channels:banks engine ~latency:p.Params.mem_latency
       ~service_interval:p.Params.mem_interval
   in
-  (* Components tagged with their owning shard, for per-shard samplers. *)
+  (* Components, most recently built first. *)
   let components = ref [] in
-  let add ?(shard = 0) c = components := (shard, c) :: !components in
-  let all_components () = List.map snd !components in
+  let add c = components := c :: !components in
   let kind_of id =
     if id < p.Params.cpu_cores then
       match config.Config.cpu with
@@ -404,11 +281,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
     | Config.Spandex_flat ->
       let sets, ways = cache_geometry ~bytes:p.Params.llc_bytes ~ways:p.Params.llc_ways in
       let llc =
-        Llc.create ~bank_engines:home_bank_engines
-          ~bank_backings:
-            (Array.map (fun e -> Backing.dram e dram) home_bank_engines)
-          engine net
-          (Backing.dram engine dram)
+        Llc.create engine net (Backing.dram engine dram)
           {
             Llc.llc_id = home_id;
             banks;
@@ -422,11 +295,10 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
           }
       in
       (* One component per bank, all named "spandex_llc": the merged stats
-         sum back to the aggregate, and each bank's sampler/metrics/
-         quiescence run on its own shard.  The fingerprint (settled
-         points only) is emitted once, from bank 0's slot. *)
+         sum back to the aggregate.  The fingerprint is emitted once, from
+         bank 0's slot. *)
       for b = 0 to banks - 1 do
-        add ~shard:(bank_shard b)
+        add
           {
             c_name = "spandex_llc";
             c_quiescent = (fun () -> Llc.bank_quiescent llc b);
@@ -450,12 +322,12 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
     | Config.H_mesi ->
       let dsets, dways = cache_geometry ~bytes:p.Params.llc_bytes ~ways:p.Params.llc_ways in
       let dir =
-        Mesi_dir.create ~bank_engines:home_bank_engines engine net dram
+        Mesi_dir.create engine net dram
           { Mesi_dir.dir_id = home_id; banks; sets = dsets; ways = dways;
             access_latency = p.Params.llc_access }
       in
       for b = 0 to banks - 1 do
-        add ~shard:(bank_shard b)
+        add
           {
             c_name = "mesi_dir";
             c_quiescent = (fun () -> Mesi_dir.bank_quiescent dir b);
@@ -469,12 +341,8 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
               (if b = 0 then Mesi_dir.fingerprint dir else fun _ -> ());
           }
       done;
-      (* The GPU-L2 complex — L2 banks plus the MESI client backside —
-         shares MSHR and recall state through direct closure calls, so it
-         is one placement unit on [gpu_shard]. *)
-      let gpu_engine = engines.(gpu_shard) in
       let client =
-        Mesi_client.create gpu_engine net
+        Mesi_client.create engine net
           { Mesi_client.id = l2_back_id; dir_id = home_id; dir_banks = banks;
             hit_latency = p.Params.hit_latency }
       in
@@ -482,10 +350,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
         cache_geometry ~bytes:p.Params.gpu_l2_bytes ~ways:p.Params.gpu_l2_ways
       in
       let l2 =
-        Llc.create
-          ~bank_engines:(Array.make banks gpu_engine)
-          gpu_engine net
-          (Mesi_client.backing client)
+        Llc.create engine net (Mesi_client.backing client)
           {
             Llc.llc_id = l2_front_id;
             banks;
@@ -497,7 +362,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
           }
       in
       for b = 0 to banks - 1 do
-        add ~shard:gpu_shard
+        add
           {
             c_name = "gpu_l2";
             c_quiescent = (fun () -> Llc.bank_quiescent l2 b);
@@ -509,7 +374,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
             c_fingerprint = (if b = 0 then Llc.fingerprint l2 else fun _ -> ());
           }
       done;
-      add ~shard:gpu_shard
+      add
         {
           c_name = "mesi_client";
           c_quiescent = (fun () -> (Mesi_client.backing client).Backing.quiescent ());
@@ -523,25 +388,22 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
       (home_id, l2_front_id, None)
   in
   (* --- L1s ------------------------------------------------------------------ *)
-  (* Each L1 is created on its core's shard engine: the core drives its
-     port directly and the L1 schedules its own latency/retry events, all
-     of which must run on the owning shard's clock. *)
-  let cpu_port eng i =
+  let cpu_port i =
     match config.Config.cpu with
     | Config.Cpu_mesi ->
-      build_mesi eng net p ~id:(cpu_id i) ~llc_id:cpu_home
+      build_mesi engine net p ~id:(cpu_id i) ~llc_id:cpu_home
         ~notify:(config.Config.llc = Config.H_mesi)
     | Config.Cpu_denovo ->
-      build_denovo eng net p ~id:(cpu_id i) ~llc_id:cpu_home
+      build_denovo engine net p ~id:(cpu_id i) ~llc_id:cpu_home
         ~atomics_at_llc:config.Config.cpu_atomics_at_llc
         ~region_of:w.Workload.region_of
         ~policy:Spandex_l1.Spandex_policy.Static_own
   in
-  let gpu_port eng j =
+  let gpu_port j =
     match config.Config.gpu with
-    | Config.Gpu_coh -> build_gpucoh eng net p ~id:(gpu_id j) ~llc_id:gpu_home
+    | Config.Gpu_coh -> build_gpucoh engine net p ~id:(gpu_id j) ~llc_id:gpu_home
     | Config.Gpu_denovo | Config.Gpu_adaptive | Config.Gpu_adaptive_rw ->
-      build_denovo eng net p ~id:(gpu_id j) ~llc_id:gpu_home
+      build_denovo engine net p ~id:(gpu_id j) ~llc_id:gpu_home
         ~atomics_at_llc:false ~region_of:w.Workload.region_of
         ~policy:
           (match config.Config.gpu with
@@ -551,22 +413,17 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
             Spandex_l1.Spandex_policy.Static_own)
   in
   (* --- cores ----------------------------------------------------------------- *)
-  (* One check log per core: the per-core logs partition the global check
-     stream, so a sharded run (cores on different domains) records exactly
-     what a sequential run records — totals sum and failure lists
-     concatenate in core order, independent of event interleave. *)
+  (* One check log per core: totals sum and failure lists concatenate in
+     core order, independent of event interleave. *)
   let check_logs = ref [] in
   let new_check_log () =
     let log = Check_log.create () in
     check_logs := log :: !check_logs;
     log
   in
-  (* Barrier workloads co-locate every core on one shard (see the shard
-     plan above), so the barrier's wake events run on that shard. *)
-  let barrier_engine = engines.(core_shard 0) in
   let barriers =
     Array.map
-      (fun parties -> Barrier.create barrier_engine ~parties)
+      (fun parties -> Barrier.create engine ~parties)
       w.Workload.barrier_parties
   in
   let cores = ref [] in
@@ -575,12 +432,11 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
     (fun i program ->
       if i >= p.Params.cpu_cores then
         invalid_arg "workload uses more CPU cores than configured";
-      let s = core_shard (cpu_id i) in
-      let port, comp, view = cpu_port engines.(s) i in
-      add ~shard:s comp;
+      let port, comp, view = cpu_port i in
+      add comp;
       views := view :: !views;
       let core =
-        Core.create engines.(s) ~port ~barriers ~check_log:(new_check_log ())
+        Core.create engine ~port ~barriers ~check_log:(new_check_log ())
           ~core_id:(cpu_id i)
           ~clock:p.Params.cpu_clock ~programs:[| program |]
       in
@@ -590,12 +446,11 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
     (fun j warps ->
       if j >= p.Params.gpu_cus then
         invalid_arg "workload uses more GPU CUs than configured";
-      let s = core_shard (gpu_id j) in
-      let port, comp, view = gpu_port engines.(s) j in
-      add ~shard:s comp;
+      let port, comp, view = gpu_port j in
+      add comp;
       views := view :: !views;
       let core =
-        Core.create engines.(s) ~port ~barriers ~check_log:(new_check_log ())
+        Core.create engine ~port ~barriers ~check_log:(new_check_log ())
           ~core_id:(gpu_id j)
           ~clock:p.Params.gpu_clock ~programs:warps
       in
@@ -611,75 +466,43 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
      sinks: it fires on the faster cadence and each sink keeps its own
      next-due cursor (the engine samples at the first event past each
      multiple, not on exact multiples, so modulo gating would misfire). *)
-  let metrics_on = Metrics.on mregs.(0) in
+  let metrics_on = Metrics.on mreg in
   if metrics_on then begin
-    for s = 0 to shards - 1 do
-      List.iter
-        (fun (cs, c) -> if cs = s then c.c_metrics mregs.(s))
-        (List.rev !components);
-      Network.register_metrics net ~shard:s mregs.(s);
-      Metrics.counter mregs.(s) ~name:"spandex_engine_events_total"
-        ~labels:[ ("shard", string_of_int s) ]
-        ~help:"engine events dispatched"
-        (fun () -> Engine.events_processed engines.(s))
-    done;
-    (* Each DRAM channel's probes go on its owning bank's shard registry
-       (probes must read only shard-local state). *)
-    Array.iteri
-      (fun b ch ->
-        Dram.Channel.register_metrics ch
-          ~labels:[ ("bank", string_of_int b) ]
-          mregs.(bank_shard b))
-      (Dram.channels dram);
+    List.iter (fun c -> c.c_metrics mreg) (List.rev !components);
+    Network.register_metrics net mreg;
+    Metrics.counter mreg ~name:"spandex_engine_events_total"
+      ~help:"engine events dispatched"
+      (fun () -> Engine.events_processed engine);
+    Dram.register_metrics dram mreg;
     (* Depth gauges wrap every endpoint handler, so arm them only after
-       all devices have registered; no-op on sharded networks. *)
-    Network.enable_vc_depth_metrics net mregs.(0)
+       all devices have registered. *)
+    Network.enable_vc_depth_metrics net mreg
   end;
-  if Trace.on trace || metrics_on then
-    for s = 0 to shards - 1 do
-      let sampled =
-        List.filter_map
-          (fun (cs, c) -> if cs = s then Some c else None)
-          !components
-      in
-      let trace_every = if Trace.on trace then Trace.sample_every trace else 0
-      and metrics_every = if metrics_on then Metrics.sample_every mregs.(s) else 0 in
-      let every =
-        match (trace_every, metrics_every) with
-        | 0, m -> m
-        | t, 0 -> t
-        | t, m -> min t m
-      in
-      let next_trace = ref 0 and next_metrics = ref 0 in
-      Engine.set_sampler engines.(s) ~every (fun time ->
-          if trace_every > 0 && time >= !next_trace then begin
-            next_trace := time + trace_every;
-            List.iter (fun c -> c.c_sample ~time) sampled;
-            Network.trace_sample_shard net ~shard:s ~time
-          end;
-          if metrics_every > 0 && time >= !next_metrics then begin
-            next_metrics := time + metrics_every;
-            Metrics.sample mregs.(s) ~time
-          end)
-    done;
-  (* Component -> shard table, in device-id order, for profiling output
-     and the bench schema (only devices this workload instantiates). *)
-  let partition_table =
-    let used =
-      List.init (Array.length w.Workload.cpu_programs) cpu_id
-      @ List.init (Array.length w.Workload.gpu_programs) gpu_id
-      @ List.init banks (fun b -> home_id + b)
-      @
-      if hierarchical then
-        List.init banks (fun b -> l2_front_id + b) @ [ l2_back_id ]
-      else []
+  if Trace.on trace || metrics_on then begin
+    let trace_every = if Trace.on trace then Trace.sample_every trace else 0
+    and metrics_every = if metrics_on then Metrics.sample_every mreg else 0 in
+    let every =
+      match (trace_every, metrics_every) with
+      | 0, m -> m
+      | t, 0 -> t
+      | t, m -> min t m
     in
-    Array.of_list (List.map (fun id -> (device_names.(id), shard_of id)) used)
-  in
+    let next_trace = ref 0 and next_metrics = ref 0 in
+    Engine.set_sampler engine ~every (fun time ->
+        if trace_every > 0 && time >= !next_trace then begin
+          next_trace := time + trace_every;
+          List.iter (fun c -> c.c_sample ~time) !components;
+          Network.trace_sample net ~time
+        end;
+        if metrics_every > 0 && time >= !next_metrics then begin
+          next_metrics := time + metrics_every;
+          Metrics.sample mreg ~time
+        end)
+  end;
   (* --- run ----------------------------------------------------------------- *)
   let finished () =
     List.for_all Core.finished cores
-    && List.for_all (fun c -> c.c_quiescent ()) (all_components ())
+    && List.for_all (fun c -> c.c_quiescent ()) !components
     && Network.in_flight net = 0
   in
   let pending_desc () =
@@ -691,7 +514,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
     let comp_desc =
       List.filter_map
         (fun c -> if c.c_quiescent () then None else Some (c.c_pending ()))
-        (all_components ())
+        !components
     in
     String.concat " | "
       (core_desc @ comp_desc
@@ -704,7 +527,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
      through different schedules digest identically. *)
   let fingerprint () =
     let fp = Spandex_util.Fingerprint.create () in
-    List.iter (fun c -> c.c_fingerprint fp) (List.rev (all_components ()));
+    List.iter (fun c -> c.c_fingerprint fp) (List.rev !components);
     List.iter (fun core -> Core.fingerprint core fp) cores;
     Array.iter
       (fun b ->
@@ -730,27 +553,18 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
             (fun acc c -> acc + Stats.get (Core.stats c) "ops")
             0 cores)
         ~describe:pending_desc;
-    let cycles =
-      match pdes with
-      | None -> Engine.run engine ~until_done:finished ~pending_desc
-      | Some pd -> Pdes.run pd ~until_done:finished ~pending_desc
-    in
+    let cycles = Engine.run engine ~until_done:finished ~pending_desc in
     let stats = Stats.create () in
     List.iter
       (fun c -> Stats.merge_into ~dst:stats ~prefix:c.c_name c.c_stats)
-      (all_components ());
+      !components;
     List.iter
       (fun c ->
         Stats.merge_into ~dst:stats
           ~prefix:(Printf.sprintf "core.%d" (Core.core_id c))
           (Core.stats c))
       cores;
-    Array.iter
-      (fun s -> Stats.merge_into ~dst:stats ~prefix:"net" s)
-      (Network.shard_stats net);
-    let out_trace =
-      if shards = 1 then trace else Trace.merge (Array.to_list traces)
-    in
+    Stats.merge_into ~dst:stats ~prefix:"net" (Network.stats net);
     let gc1 = Gc.quick_stat () in
     {
       cycles;
@@ -758,23 +572,17 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
       traffic =
         List.map (fun c -> (c, Network.traffic_flits net c)) Msg.all_categories;
       messages = Network.messages_sent net;
-      events =
-        Array.fold_left (fun acc e -> acc + Engine.events_processed e) 0 engines;
+      events = Engine.events_processed engine;
       checks =
         List.fold_left (fun acc l -> acc + Check_log.checks l) 0 check_logs;
       failures = List.concat_map Check_log.failures check_logs;
       stats;
       minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
       major_collections = gc1.Gc.major_collections - gc0.Gc.major_collections;
-      latency = Trace.latency_summaries out_trace;
-      trace = out_trace;
+      latency = Trace.latency_summaries trace;
+      trace;
       device_names;
-      shards;
-      shard_events = Array.map Engine.events_processed engines;
-      metrics = Metrics.merge (Array.to_list mregs);
-      shard_profile = Option.map Pdes.profile pdes;
-      partition = partition_table;
-      cap_reason;
+      metrics = mreg;
       dram_channel_peaks =
         Array.map Dram.Channel.peak_queue_depth (Dram.channels dram);
     }

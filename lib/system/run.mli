@@ -28,33 +28,11 @@ type result = {
           {!Spandex_sim.Trace.disabled} when [params.trace] was [None]. *)
   device_names : string array;
       (** endpoint display name by device id, for trace export tracks. *)
-  shards : int;
-      (** effective PDES shard count actually used (1 for the sequential
-          backends; a requested count is capped by the partition — see
-          [Pdes] — so this can be lower than [--shards]). *)
-  shard_events : int array;
-      (** engine events processed per shard, in shard order; sums to
-          [events].  [[| events |]] for sequential backends. *)
   metrics : Spandex_obs.Metrics.t;
-      (** the run's merged time-series registry (per-shard registries
-          combined deterministically); {!Spandex_obs.Metrics.disabled}
+      (** the run's time-series registry; {!Spandex_obs.Metrics.disabled}
           when [params.metrics] was [None].  Sampling shares the engine's
           inline sampler with the trace sink, so results are bit-identical
           with metrics on or off. *)
-  shard_profile : Spandex_sim.Pdes.shard_profile array option;
-      (** per-shard PDES profile (events, wall split, stalls, GC) in shard
-          order; [None] for sequential backends.  Wall times come from a
-          real clock and are excluded from bit-identity — simulated
-          results are unaffected by profiling. *)
-  partition : (string * int) array;
-      (** component -> shard placement table (device display name, owning
-          shard), in device-id order, covering the devices this workload
-          instantiated; all zeros for sequential backends.  Excluded from
-          bit-identity comparisons. *)
-  cap_reason : string option;
-      (** why the effective shard count is below the requested one
-          (barrier workload, or bank/component count); [None] when the
-          request was honoured. *)
   dram_channel_peaks : int array;
       (** peak DRAM service-queue depth per channel (one channel per home
           bank), in bank order. *)

@@ -20,8 +20,6 @@ let () =
       ("extensions", Test_extensions.tests);
       ("faults", Test_faults.tests);
       ("sweep", Test_sweep.tests);
-      ("spsc", Test_spsc.tests);
-      ("pdes", Test_pdes.tests);
       ("obs", Test_obs.tests);
       ("chassis", Test_chassis.tests);
       ("random", Test_random.tests);

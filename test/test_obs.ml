@@ -1,12 +1,8 @@
-(* Time-series metrics and the PDES shard profiler: series sampling and
-   merge semantics, OpenMetrics/CSV/Chrome exporter well-formedness, the
-   profiler's accounting identities, and the load-bearing invariant that
-   enabling metrics never changes simulated results — on the full 60-cell
-   bench matrix and under the PDES backend. *)
+(* Time-series metrics: series sampling, OpenMetrics/CSV/Chrome exporter
+   well-formedness, and the load-bearing invariant that enabling metrics
+   never changes simulated results on the full 60-cell bench matrix. *)
 
 module Metrics = Spandex_obs.Metrics
-module Pdes_prof = Spandex_obs.Pdes_prof
-module Pdes = Spandex_sim.Pdes
 module Trace = Spandex_sim.Trace
 module Config = Spandex_system.Config
 module Params = Spandex_system.Params
@@ -25,7 +21,7 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-(* ----- registry: sampling, kinds, merge -------------------------------------- *)
+(* ----- registry: sampling and kinds ------------------------------------------- *)
 
 let disabled_is_noop () =
   let reg = Metrics.disabled in
@@ -39,7 +35,7 @@ let sampling_records_typed_series () =
   let reg = Metrics.create { Metrics.sample_every = 4 } in
   let ops = ref 0 and depth = ref 5 in
   Metrics.counter reg ~name:"t_ops_total"
-    ~labels:[ ("shard", "0") ]
+    ~labels:[ ("device", "llc.b0") ]
     ~help:"ops" (fun () -> !ops);
   Metrics.gauge reg ~name:"t_depth" (fun () -> !depth);
   Metrics.ratio reg ~name:"t_hit_ratio" (fun () -> (!ops, !depth));
@@ -52,7 +48,7 @@ let sampling_records_typed_series () =
   match Metrics.dump reg with
   | [ (cn, cl, ck, cs); (gn, _, gk, gs); (rn, _, rk, rs) ] ->
     check_string "counter name" "t_ops_total" cn;
-    check_bool "counter labels" true (cl = [ ("shard", "0") ]);
+    check_bool "counter labels" true (cl = [ ("device", "llc.b0") ]);
     check_bool "counter kind" true (ck = Metrics.Counter);
     check_bool "counter points" true (cs = [| (0, 0, 1); (4, 3, 1) |]);
     check_string "gauge name" "t_depth" gn;
@@ -67,34 +63,6 @@ let rejects_bad_cadence () =
   match Metrics.create { Metrics.sample_every = 0 } with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
-
-let merge_combines_registries () =
-  (* Distinct identities concatenate; the same (name, labels, kind)
-     identity across registries merges its points in time order. *)
-  let a = Metrics.create Metrics.default_spec in
-  let b = Metrics.create Metrics.default_spec in
-  let va = ref 1 and vb = ref 10 in
-  Metrics.gauge a ~name:"m" ~labels:[ ("shard", "0") ] (fun () -> !va);
-  Metrics.gauge a ~name:"shared" (fun () -> !va);
-  Metrics.gauge b ~name:"m" ~labels:[ ("shard", "1") ] (fun () -> !vb);
-  Metrics.gauge b ~name:"shared" (fun () -> !vb);
-  Metrics.sample a ~time:0;
-  Metrics.sample b ~time:64;
-  va := 2;
-  Metrics.sample a ~time:128;
-  let m = Metrics.merge [ a; b; Metrics.disabled ] in
-  check_int "distinct label sets stay separate" 3 (Metrics.num_series m);
-  check_int "all samples survive" 6 (Metrics.num_samples m);
-  let shared =
-    List.find_opt (fun (n, _, _, _) -> n = "shared") (Metrics.dump m)
-  in
-  (match shared with
-  | Some (_, _, _, pts) ->
-    check_bool "same-identity series merged by time" true
-      (pts = [| (0, 1, 1); (64, 10, 1); (128, 2, 1) |])
-  | None -> Alcotest.fail "shared series missing");
-  check_bool "all-disabled merges to disabled" false
-    (Metrics.on (Metrics.merge [ Metrics.disabled ]))
 
 (* ----- exporters -------------------------------------------------------------- *)
 
@@ -328,120 +296,14 @@ let metrics_on_matches_off_all_cells () =
         (Metrics.num_samples m.Run.metrics > 0))
     (List.combine cells off) on_
 
-let metrics_on_matches_off_pdes () =
-  (* Same identity under the sharded backend: per-shard registries sample
-     from their own domains and merge after the run. *)
-  let wl, config = bench_cell () in
-  let params =
-    {
-      Params.bench with
-      Params.engine_backend = Spandex_sim.Engine.Pdes_backend { shards = 2 };
-    }
-  in
-  let off = Run.simulate ~params ~config wl in
-  let on_ =
-    Run.simulate
-      ~params:{ params with Params.metrics = Some Metrics.default_spec }
-      ~config wl
-  in
-  (match Report.diff_result off on_ with
-  | None -> ()
-  | Some d -> Alcotest.failf "pdes run diverged with metrics on: %s" d);
-  check_bool "per-shard registries merged" true
-    (Metrics.num_samples on_.Run.metrics > 0)
-
-(* ----- PDES shard profiler ---------------------------------------------------- *)
-
-let pdes_profile_sanity () =
-  let wl, config = bench_cell () in
-  let params =
-    {
-      Params.bench with
-      Params.engine_backend = Spandex_sim.Engine.Pdes_backend { shards = 2 };
-    }
-  in
-  let r = Run.simulate ~params ~config wl in
-  Run.assert_clean r;
-  match r.Run.shard_profile with
-  | None -> Alcotest.fail "pdes run must carry a shard profile"
-  | Some prof ->
-    check_int "one profile per shard" r.Run.shards (Array.length prof);
-    Array.iteri
-      (fun i (s : Pdes.shard_profile) ->
-        check_int
-          (Printf.sprintf "shard %d events match shard_events" i)
-          r.Run.shard_events.(i) s.Pdes.sp_events;
-        check_bool "rounds positive" true (s.Pdes.sp_rounds > 0);
-        check_bool "busy rounds bounded" true
-          (s.Pdes.sp_busy_rounds >= 0
-          && s.Pdes.sp_busy_rounds <= s.Pdes.sp_rounds);
-        check_bool "wall split non-negative" true
-          (s.Pdes.sp_exec_s >= 0.0
-          && s.Pdes.sp_barrier_s >= 0.0
-          && s.Pdes.sp_drain_s >= 0.0);
-        (* The curve is capped at 512 buckets plus one partial tail. *)
-        check_bool "load curve bounded" true
-          (Array.length s.Pdes.sp_round_events <= 513);
-        check_int
-          (Printf.sprintf "shard %d load curve sums to its events" i)
-          s.Pdes.sp_events
-          (Array.fold_left ( + ) 0 s.Pdes.sp_round_events))
-      prof;
-    let f = Pdes_prof.barrier_wait_fraction prof in
-    check_bool "barrier-wait fraction in [0,1]" true (f >= 0.0 && f <= 1.0);
-    let rep = Pdes_prof.analyze prof in
-    check_int "report total events" r.Run.events rep.Pdes_prof.r_total_events;
-    check_bool "dominant shard valid" true
-      (rep.Pdes_prof.r_dominant_shard >= 0
-      && rep.Pdes_prof.r_dominant_shard < r.Run.shards);
-    check_bool "max/mean >= 1" true (rep.Pdes_prof.r_load_max_mean >= 1.0);
-    let s =
-      Format.asprintf "%a" (Pdes_prof.pp ~partition:r.Run.partition) rep
-    in
-    check_bool "report names the dominant shard" true
-      (contains s "dominant shard");
-    check_bool "report prints the wall split header" true
-      (contains s "barrier(s)")
-
-let pdes_prof_add_pads_and_sums () =
-  let wl, config = bench_cell () in
-  let params =
-    {
-      Params.bench with
-      Params.engine_backend = Spandex_sim.Engine.Pdes_backend { shards = 2 };
-    }
-  in
-  let r = Run.simulate ~params ~config wl in
-  let prof = Option.get r.Run.shard_profile in
-  let double = Pdes_prof.add prof prof in
-  check_int "same shard count" (Array.length prof) (Array.length double);
-  Array.iteri
-    (fun i (s : Pdes.shard_profile) ->
-      check_int "events doubled" (2 * prof.(i).Pdes.sp_events) s.Pdes.sp_events;
-      check_bool "aggregates drop the round curve" true
-        (s.Pdes.sp_round_events = [||]))
-    double;
-  (* Different shard counts pad with zero-profiles. *)
-  let padded = Pdes_prof.add prof (Array.sub prof 0 1) in
-  check_int "padded to the wider array" (Array.length prof)
-    (Array.length padded);
-  check_int "padded tail keeps its events" prof.(1).Pdes.sp_events
-    padded.(1).Pdes.sp_events;
-  check_int "overlapping head sums" (2 * prof.(0).Pdes.sp_events)
-    padded.(0).Pdes.sp_events
-
 let tests =
   [
     test "disabled_is_noop" disabled_is_noop;
     test "sampling_records_typed_series" sampling_records_typed_series;
     test "rejects_bad_cadence" rejects_bad_cadence;
-    test "merge_combines_registries" merge_combines_registries;
     test "openmetrics_wellformed" openmetrics_wellformed;
     test "csv_wellformed" csv_wellformed;
     test "chrome_counters_json_valid" chrome_counters_json_valid;
     test "simulated_run_collects_series" simulated_run_collects_series;
-    test "metrics_on_matches_off_pdes" metrics_on_matches_off_pdes;
-    test "pdes_profile_sanity" pdes_profile_sanity;
-    test "pdes_prof_add_pads_and_sums" pdes_prof_add_pads_and_sums;
     test "metrics_on_matches_off_all_cells" metrics_on_matches_off_all_cells;
   ]

@@ -61,6 +61,51 @@ let engine_no_past_scheduling () =
       | exception Invalid_argument _ -> ());
   ignore (Engine.run_all e)
 
+(* A bare endpoint logging each delivered message's txn id. *)
+let logging_endpoint log =
+  {
+    Engine.handler = (fun (m : Msg.t) -> log := m.Msg.txn :: !log);
+    ingress_free = 0;
+    in_flight = ref 0;
+  }
+
+let deliver e ep ~delay ~txn ~src =
+  incr ep.Engine.in_flight;
+  Engine.deliver e ~delay
+    (Msg.make ~txn ~kind:(Msg.Req Msg.ReqV) ~line:0 ~mask:(Mask.singleton 0)
+       ~src ~dst:0 ())
+    ep
+
+let engine_canonical_delivery_order () =
+  (* Five deliveries all arriving at cycle 10, pushed from two send cycles
+     in scrambled source order: dispatch follows the canonical key (send
+     time, src, per-src seq), not push order. *)
+  let e = Engine.create () in
+  let order = ref [] in
+  let ep = logging_endpoint order in
+  Engine.at e ~time:8 (fun () ->
+      deliver e ep ~delay:2 ~txn:3 ~src:9;
+      deliver e ep ~delay:2 ~txn:1 ~src:3;
+      deliver e ep ~delay:2 ~txn:2 ~src:3);
+  Engine.at e ~time:9 (fun () ->
+      deliver e ep ~delay:1 ~txn:5 ~src:2;
+      deliver e ep ~delay:1 ~txn:4 ~src:1);
+  ignore (Engine.run_all e);
+  Alcotest.(check (list int)) "(t0, src, seq) order" [ 1; 2; 3; 4; 5 ]
+    (List.rev !order);
+  check_int "in flight drained" 0 !(ep.Engine.in_flight)
+
+let engine_components_before_deliveries () =
+  (* At one cycle, component events run before message deliveries, even
+     when the delivery was queued first. *)
+  let e = Engine.create () in
+  let order = ref [] in
+  let ep = logging_endpoint order in
+  deliver e ep ~delay:10 ~txn:1 ~src:0;
+  Engine.at e ~time:10 (fun () -> order := 0 :: !order);
+  ignore (Engine.run_all e);
+  Alcotest.(check (list int)) "component (0) first" [ 0; 1 ] (List.rev !order)
+
 (* ----- Network ------------------------------------------------------------------- *)
 
 let msg ?(payload = Msg.No_data) ~src ~dst () =
@@ -260,6 +305,9 @@ let tests =
     test "engine_deadlock_detection" engine_deadlock_detection;
     test "engine_step_limit" engine_step_limit;
     test "engine_no_past_scheduling" engine_no_past_scheduling;
+    test "engine_canonical_delivery_order" engine_canonical_delivery_order;
+    test "engine_components_before_deliveries"
+      engine_components_before_deliveries;
     test "network_delivery_latency" network_delivery_latency;
     test "network_ingress_serialization" network_ingress_serialization;
     test "network_point_to_point_fifo" network_point_to_point_fifo;
