@@ -74,40 +74,23 @@ if "total_events_extended" in report and "total_events_extended" in baseline:
             )
         )
 
-# The throughput and allocation gates compare like with like: a report
-# benched on a different backend than the baseline (e.g. --engine heap
-# against the committed wheel baseline) skips them; the bit-identity and
-# event-count gates above still apply.
-engines_match = report.get("engine", "wheel") == baseline.get("engine", "wheel")
-if not engines_match:
-    print(
-        "note: report engine %r != baseline engine %r; skipping "
-        "events/sec and allocation gates"
-        % (report.get("engine", "wheel"), baseline.get("engine", "wheel"))
+base = baseline["events_per_sec_sequential"]
+got = report["events_per_sec_sequential"]
+floor = 0.75 * base
+print(
+    "perf: %d events/sec sequential (baseline %d, floor %d)"
+    % (got, base, floor)
+)
+if got < floor:
+    failures.append(
+        "events/sec regressed >25%%: %d < %d (baseline %d)"
+        % (got, floor, base)
     )
-
-if engines_match:
-    base = baseline["events_per_sec_sequential"]
-    got = report["events_per_sec_sequential"]
-    floor = 0.75 * base
-    print(
-        "perf: %d events/sec sequential (baseline %d, floor %d)"
-        % (got, base, floor)
-    )
-    if got < floor:
-        failures.append(
-            "events/sec regressed >25%%: %d < %d (baseline %d)"
-            % (got, floor, base)
-        )
 
 # Allocation-rate gate (schema v4): minor words per event is deterministic
 # for a given sweep, so a >10% rise over the baseline means the allocation
 # diet on the message/event path regressed.
-if (
-    engines_match
-    and "minor_words_per_event" in report
-    and "minor_words_per_event" in baseline
-):
+if "minor_words_per_event" in report and "minor_words_per_event" in baseline:
     base_mw = baseline["minor_words_per_event"]
     got_mw = report["minor_words_per_event"]
     ceil_mw = 1.10 * base_mw

@@ -21,8 +21,7 @@ module Trace = Spandex_sim.Trace
 module Hist = Spandex_util.Hist
 module Metrics = Spandex_obs.Metrics
 
-let params_of ?(backend = Spandex_sim.Engine.Wheel_backend) ~cpus ~cus ~warps
-    ~fault ~watchdog ~trace () =
+let params_of ~cpus ~cus ~warps ~fault ~watchdog ~trace =
   let base = Params.bench in
   {
     base with
@@ -33,15 +32,7 @@ let params_of ?(backend = Spandex_sim.Engine.Wheel_backend) ~cpus ~cus ~warps
     watchdog_cycles =
       Option.value ~default:base.Params.watchdog_cycles watchdog;
     trace;
-    engine_backend = backend;
   }
-
-let backend_of = function
-  | "wheel" -> Spandex_sim.Engine.Wheel_backend
-  | "heap" -> Spandex_sim.Engine.Heap_backend
-  | s ->
-    Printf.eprintf "unknown engine %s (wheel or heap)\n" s;
-    exit 1
 
 let fault_spec_of ~drop ~dup ~delay ~reorder ~seed =
   if drop = 0.0 && dup = 0.0 && delay = 0.0 && reorder = 0.0 then None
@@ -170,15 +161,6 @@ let jobs_arg =
           "Worker domains for independent simulations (0 = cores - 1, \
            1 = sequential). Results are bit-identical for any value.")
 
-let engine_arg =
-  Arg.(
-    value & opt string "wheel"
-    & info [ "engine" ]
-        ~doc:
-          "Simulation backend: 'wheel' (timing wheel, default) or 'heap' \
-           (the pre-wheel binary heap reference scheduler).  Results are \
-           bit-identical for both; only speed differs.")
-
 let resolve_jobs jobs = if jobs <= 0 then Sweep.default_jobs () else jobs
 
 (* --- commands -------------------------------------------------------------- *)
@@ -204,7 +186,7 @@ let list_cmd =
 
 let run_cmd =
   let run workload config all_configs scale stats cpus cus warps drop dup delay
-      reorder fault_seed watchdog trace engine =
+      reorder fault_seed watchdog trace =
     let entry =
       try Registry.find workload
       with Not_found ->
@@ -214,8 +196,7 @@ let run_cmd =
     in
     let fault = fault_spec_of ~drop ~dup ~delay ~reorder ~seed:fault_seed in
     let trace = if trace then Some Trace.default_spec else None in
-    let backend = backend_of engine in
-    let params = params_of ~backend ~cpus ~cus ~warps ~fault ~watchdog ~trace () in
+    let params = params_of ~cpus ~cus ~warps ~fault ~watchdog ~trace in
     let configs =
       if all_configs then Config.all
       else
@@ -235,7 +216,7 @@ let run_cmd =
       const run $ workload_arg $ config_arg $ all_configs_arg $ scale_arg
       $ stats_arg $ cpus_arg $ cus_arg $ warps_arg $ fault_drop_arg
       $ fault_dup_arg $ fault_delay_arg $ fault_reorder_arg $ fault_seed_arg
-      $ watchdog_arg $ trace_flag_arg $ engine_arg)
+      $ watchdog_arg $ trace_flag_arg)
 
 (* The (workload x config) job matrix: every non-stress registry entry on
    every swept cache configuration (the paper's six plus the adaptive
@@ -496,19 +477,17 @@ let explain_cmd =
 (* --- metrics: time-series observability --------------------------------------- *)
 
 let metrics_cmd =
-  let run workload config scale format out sample_every engine =
+  let run workload config scale format out sample_every =
     let entry = find_entry workload in
     let config = find_config config in
     if sample_every < 1 then begin
       Printf.eprintf "--sample-every must be >= 1\n";
       exit 1
     end;
-    let backend = backend_of engine in
     let params =
       {
         Params.bench with
         Params.metrics = Some { Metrics.sample_every };
-        engine_backend = backend;
         (* The chrome export merges metric counter tracks into the
            transaction timeline, so it needs the trace sink too. *)
         trace = (if format = "chrome" then Some Trace.default_spec else None);
@@ -582,7 +561,7 @@ let metrics_cmd =
           results are bit-identical to a metrics-off run.")
     Term.(
       const run $ workload_pos_arg $ config_arg $ scale_arg $ format_arg
-      $ out_arg $ sample_every_arg $ engine_arg)
+      $ out_arg $ sample_every_arg)
 
 (* --- check: exhaustive-interleaving model checker ---------------------------- *)
 
@@ -832,7 +811,7 @@ let json_string s =
   Buffer.contents buf
 
 let bench_cmd =
-  let run scale jobs workloads out engine repeat =
+  let run scale jobs workloads out repeat =
     let jobs = resolve_jobs jobs in
     let repeat = max 1 repeat in
     let recommended = Domain.recommended_domain_count () in
@@ -846,8 +825,7 @@ let bench_cmd =
        any worker domain spawns. *)
     if Sys.getenv_opt "SPANDEX_CHECKS" = None then
       Spandex_proto.Msg.set_checks false;
-    let backend = backend_of engine in
-    let params = { Params.bench with Params.engine_backend = backend } in
+    let params = Params.bench in
     let entries =
       match workloads with
       | None -> sweep_entries ()
@@ -978,7 +956,6 @@ let bench_cmd =
     Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
     Printf.bprintf buf "  \"jobs_used\": %d,\n" jobs;
     Printf.bprintf buf "  \"repeat\": %d,\n" repeat;
-    Printf.bprintf buf "  \"engine\": %s,\n" (json_string engine);
     Printf.bprintf buf "  \"msg_checks\": %b,\n"
       (Spandex_proto.Msg.checks_enabled ());
     Printf.bprintf buf "  \"recommended_domains\": %d,\n" recommended;
@@ -1164,8 +1141,7 @@ let bench_cmd =
           speedup).  Message-construction checks are disabled unless \
           SPANDEX_CHECKS is set in the environment.")
     Term.(
-      const run $ scale_arg $ jobs_arg $ workloads_arg $ out_arg $ engine_arg
-      $ repeat_arg)
+      const run $ scale_arg $ jobs_arg $ workloads_arg $ out_arg $ repeat_arg)
 
 let soak_cmd =
   let run seeds jobs_geometry =

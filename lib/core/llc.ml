@@ -84,8 +84,6 @@ type bank = {
   bk_trace : Trace.t;
   bk_n_replay : int;  (* interned trace names (0 on a disabled sink). *)
   bk_n_recall : int;
-  bk_n_pending : int;
-  bk_n_blocked : int;
 }
 
 type t = {
@@ -880,8 +878,6 @@ let create engine net backing (cfg : config) =
       bk_trace = trace;
       bk_n_replay = Trace.name trace "llc.replay";
       bk_n_recall = Trace.name trace "llc.recall";
-      bk_n_pending = Trace.name trace "llc.pending";
-      bk_n_blocked = Trace.name trace "llc.blocked";
     }
   in
   let t =
@@ -938,51 +934,33 @@ let create engine net backing (cfg : config) =
 
 let bank_count t = t.cfg.banks
 
-(* Per-bank occupancy counters: dev is the bank's network endpoint. *)
-let bank_trace_sample t b ~time =
-  let bk = t.banks.(b) in
-  let pending, blocked =
-    fold_bank t b ~init:(0, 0) ~f:(fun (p, bl) ~line:_ m ->
-        ((if m.pending = None then p else p + 1), bl + List.length m.blocked))
-  in
-  Trace.counter bk.bk_trace ~time ~dev:(t.cfg.llc_id + b) ~name:bk.bk_n_pending
-    ~value:pending;
-  Trace.counter bk.bk_trace ~time ~dev:(t.cfg.llc_id + b) ~name:bk.bk_n_blocked
-    ~value:blocked
-
-let trace_sample t ~time =
-  for b = 0 to t.cfg.banks - 1 do
-    bank_trace_sample t b ~time
-  done
-
 (* Metrics probes, registered per bank: resident-line occupancy,
    transaction pressure (lines with a pending op / requests parked behind
    one), and the at-most-once reply cache's replay counter.  [device]
    distinguishes the flat LLC from the hierarchical GPU L2, which are both
-   this module. *)
+   this module.  The pending/blocked gauges feed the bank's trace counter
+   tracks; dev is the bank's network endpoint. *)
 let bank_register_metrics t ~device b reg =
   let module Metrics = Spandex_obs.Metrics in
   let bk = t.banks.(b) in
   let labels = [ ("bank", string_of_int b); ("device", device) ] in
+  let dev = t.cfg.llc_id + b in
   Metrics.gauge reg ~name:"spandex_llc_bank_lines" ~labels
     ~help:"resident lines per LLC bank" (fun () ->
       Frames.count_bank t.frame b);
   Metrics.gauge reg ~name:"spandex_llc_pending" ~labels
+    ~track:(dev, "llc.pending")
     ~help:"lines with an in-flight home transaction" (fun () ->
       fold_bank t b ~init:0 ~f:(fun p ~line:_ m ->
           if m.pending = None then p else p + 1));
   Metrics.gauge reg ~name:"spandex_llc_blocked" ~labels
+    ~track:(dev, "llc.blocked")
     ~help:"requests parked behind a pending line" (fun () ->
       fold_bank t b ~init:0 ~f:(fun bl ~line:_ m ->
           bl + List.length m.blocked));
   Metrics.counter reg ~name:"spandex_llc_replayed_total" ~labels
     ~help:"duplicate requests answered from the reply cache (fault runs)"
     (fun () -> Stats.get bk.bk_stats "replayed")
-
-let register_metrics t ~device reg =
-  for b = 0 to t.cfg.banks - 1 do
-    bank_register_metrics t ~device b reg
-  done
 
 let bank_quiescent t b =
   fold_bank t b ~init:true ~f:(fun acc ~line:_ m ->

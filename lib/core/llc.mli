@@ -80,24 +80,15 @@ val bank_stats : t -> int -> Spandex_util.Stats.t
 (** Bank [b]'s counters; merge all banks under one prefix to reproduce
     the aggregate ({!Spandex_util.Stats.merge_into} sums). *)
 
-val trace_sample : t -> time:int -> unit
-(** Record every bank's pending/blocked occupancy counters
-    (["llc.pending"] / ["llc.blocked"], dev = the bank endpoint); no-op
-    when disabled. *)
-
-val bank_trace_sample : t -> int -> time:int -> unit
-(** One bank's occupancy counters ([Run] samples each bank as its own
-    component). *)
-
-val register_metrics : t -> device:string -> Spandex_obs.Metrics.t -> unit
-(** Register every bank's probes on one registry: resident-line gauges,
-    pending/blocked transaction-pressure gauges, and the reply-cache
-    replay counter — labelled [device] and [bank]
-    (the flat LLC and the hierarchical GPU L2 are both this module). *)
-
 val bank_register_metrics :
   t -> device:string -> int -> Spandex_obs.Metrics.t -> unit
-(** One bank's probes ([Run] registers each bank as its own component). *)
+(** Register one bank's probes ([Run] registers each bank as its own
+    component): the resident-line gauge, pending/blocked
+    transaction-pressure gauges, and the reply-cache replay counter —
+    labelled [device] and [bank] (the flat LLC and the hierarchical GPU
+    L2 are both this module).  The pending/blocked gauges feed the
+    ["llc.pending"] / ["llc.blocked"] trace counter tracks, dev = the
+    bank endpoint. *)
 
 (** {2 Introspection for tests} *)
 

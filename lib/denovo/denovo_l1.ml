@@ -874,8 +874,6 @@ let describe_pending t =
       | Atomic _ -> "Atomic")
     ~extra
 
-let trace_sample t ~time = Chassis.trace_sample t.ch ~time ()
-
 let register_metrics t ~device reg =
   Chassis.register_metrics t.ch ~device reg
 
@@ -884,7 +882,7 @@ let create engine net cfg =
     Chassis.create engine net ~id:cfg.id ~home_id:cfg.llc_id
       ~home_banks:cfg.llc_banks ~hit_latency:cfg.hit_latency
       ~coalesce_window:cfg.coalesce_window ~mshrs:cfg.mshrs
-      ~sb_capacity:cfg.sb_capacity ~level:"l1" ~aux:"sb"
+      ~sb_capacity:cfg.sb_capacity ~level:"l1"
   in
   let t =
     {

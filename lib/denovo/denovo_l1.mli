@@ -48,13 +48,10 @@ val create : Spandex_sim.Engine.t -> Spandex_net.Network.t -> config -> t
 val port : t -> Spandex_device.Port.t
 val stats : t -> Spandex_util.Stats.t
 
-val trace_sample : t -> time:int -> unit
-(** Record MSHR and store-buffer occupancy into the engine's trace sink
-    (["l1.<id>.mshr"] / ["l1.<id>.sb"] counters); no-op when disabled. *)
-
 val register_metrics : t -> device:string -> Spandex_obs.Metrics.t -> unit
 (** Register the chassis occupancy/stall/retry probes, labelled
-    [device]. *)
+    [device]; the occupancy gauges feed the ["l1.<id>.mshr"] /
+    ["l1.<id>.sb"] trace counter tracks. *)
 
 (** {2 Test introspection} *)
 

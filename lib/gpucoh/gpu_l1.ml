@@ -344,8 +344,6 @@ let describe_pending t =
       | Atomic a -> Printf.sprintf "Atomic word %d" a.a_word)
     ~extra:[]
 
-let trace_sample t ~time = Chassis.trace_sample t.ch ~time ()
-
 let register_metrics t ~device reg =
   Chassis.register_metrics t.ch ~device reg
 
@@ -354,7 +352,7 @@ let create engine net cfg =
     Chassis.create engine net ~id:cfg.id ~home_id:cfg.llc_id
       ~home_banks:cfg.llc_banks ~hit_latency:cfg.hit_latency
       ~coalesce_window:cfg.coalesce_window ~mshrs:cfg.mshrs
-      ~sb_capacity:cfg.sb_capacity ~level:"l1" ~aux:"sb"
+      ~sb_capacity:cfg.sb_capacity ~level:"l1"
   in
   let t =
     {

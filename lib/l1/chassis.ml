@@ -33,8 +33,7 @@ type 'o t = {
   n_retry : int;
   n_nack : int;
   n_chain : int;
-  n_occ_mshr : int;
-  n_occ_aux : int;
+  name : string;
   mutable flushing : bool;
   mutable drain_armed : bool;
   mutable release_waiters : (unit -> unit) list;
@@ -47,7 +46,7 @@ type 'o t = {
 }
 
 let create engine net ~id ~home_id ~home_banks ~hit_latency ~coalesce_window
-    ~mshrs ~sb_capacity ~level ~aux =
+    ~mshrs ~sb_capacity ~level =
   let stats = Stats.create () in
   let trace = Engine.trace engine in
   let retry =
@@ -83,8 +82,7 @@ let create engine net ~id ~home_id ~home_banks ~hit_latency ~coalesce_window
       n_retry = Trace.name trace "retry.resend";
       n_nack = Trace.name trace "tu.nack";
       n_chain = Trace.name trace "txn.chain";
-      n_occ_mshr = Trace.name trace (Printf.sprintf "%s.%d.mshr" level id);
-      n_occ_aux = Trace.name trace (Printf.sprintf "%s.%d.%s" level id aux);
+      name = Printf.sprintf "%s.%d" level id;
       flushing = false;
       drain_armed = false;
       release_waiters = [];
@@ -102,13 +100,12 @@ let create engine net ~id ~home_id ~home_banks ~hit_latency ~coalesce_window
       t.drain ());
   (* Anything still held here when the event queue drains is a silent
      deadlock; let [Engine.run_all] report it as [Stuck]. *)
-  let name = Printf.sprintf "%s.%d" level id in
   Engine.register_pending_source engine (fun () ->
       let acc = ref [] in
       Mshr.iter t.outstanding ~f:(fun ~txn o ->
           acc :=
             {
-              Engine.pw_device = name;
+              Engine.pw_device = t.name;
               pw_txn = txn;
               pw_line = t.source_line o;
               pw_what = t.source_what o;
@@ -117,7 +114,7 @@ let create engine net ~id ~home_id ~home_banks ~hit_latency ~coalesce_window
       Store_buffer.iter t.sb ~f:(fun e ->
           acc :=
             {
-              Engine.pw_device = name;
+              Engine.pw_device = t.name;
               pw_txn = -1;
               pw_line = e.Store_buffer.line;
               pw_what = "buffered store";
@@ -126,7 +123,7 @@ let create engine net ~id ~home_id ~home_banks ~hit_latency ~coalesce_window
       if t.stalled_stores <> [] then
         acc :=
           {
-            Engine.pw_device = name;
+            Engine.pw_device = t.name;
             pw_txn = -1;
             pw_line = -1;
             pw_what =
@@ -234,28 +231,26 @@ let stall_store t retry =
   t.stalled_stores <- retry :: t.stalled_stores;
   arm_drain t ~delay:1
 
-let trace_sample t ~time ?aux () =
-  Trace.counter t.trace ~time ~dev:t.id ~name:t.n_occ_mshr
-    ~value:(Mshr.count t.outstanding);
-  Trace.counter t.trace ~time ~dev:t.id ~name:t.n_occ_aux
-    ~value:(Option.value ~default:(Store_buffer.count t.sb) aux)
-
 (* Metrics probes shared by every protocol built on the chassis: MSHR and
    store-buffer (or protocol-specific [aux]) occupancy gauges plus the
    retry/stall counters.  [device] labels the series — the same display
-   name trace tracks use. *)
+   name trace tracks use; the two gauges also feed the "<level>.<id>.mshr"
+   and "<level>.<id>.sb" (or aux) trace counter tracks. *)
 let register_metrics t ~device ?aux reg =
   let module Metrics = Spandex_obs.Metrics in
   let labels = [ ("device", device) ] in
+  let track what = (t.id, t.name ^ "." ^ what) in
   Metrics.gauge reg ~name:"spandex_l1_mshr_occupancy" ~labels
-    ~help:"MSHR entries in use" (fun () -> Mshr.count t.outstanding);
+    ~track:(track "mshr") ~help:"MSHR entries in use" (fun () ->
+      Mshr.count t.outstanding);
   (match aux with
   | None ->
     Metrics.gauge reg ~name:"spandex_l1_store_buffer_occupancy" ~labels
-      ~help:"store-buffer entries in use" (fun () -> Store_buffer.count t.sb)
-  | Some (name, probe) ->
-    Metrics.gauge reg ~name ~labels ~help:"protocol-specific occupancy"
-      probe);
+      ~track:(track "sb") ~help:"store-buffer entries in use" (fun () ->
+        Store_buffer.count t.sb)
+  | Some (name, what, probe) ->
+    Metrics.gauge reg ~name ~labels ~track:(track what)
+      ~help:"protocol-specific occupancy" probe);
   Metrics.counter reg ~name:"spandex_l1_sb_full_stalls_total" ~labels
     ~help:"stores stalled on a full store buffer" (fun () ->
       Stats.get t.stats "sb_full_stall");

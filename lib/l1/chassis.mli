@@ -50,8 +50,7 @@ type 'o t = {
   n_retry : int;  (** interned trace names (0 on a disabled sink). *)
   n_nack : int;
   n_chain : int;
-  n_occ_mshr : int;
-  n_occ_aux : int;
+  name : string;  (** ["<level>.<id>"]. *)
   mutable flushing : bool;
   mutable drain_armed : bool;
   mutable release_waiters : (unit -> unit) list;
@@ -80,11 +79,10 @@ val create :
   mshrs:int ->
   sb_capacity:int ->
   level:string ->
-  aux:string ->
   'o t
-(** [level]/[aux] name the occupancy trace counters
-    (["<level>.<id>.mshr"], ["<level>.<id>.<aux>"]).  Does not register a
-    network handler: the protocol owns message dispatch. *)
+(** [level] names the device (["<level>.<id>"]) in stuck reports and
+    occupancy trace counters.  Does not register a network handler: the
+    protocol owns message dispatch. *)
 
 val fresh_txn : 'o t -> int
 (** Draw a transaction id from the device's allocator — for transactions
@@ -164,20 +162,18 @@ val wake_stalled : 'o t -> unit
 val stall_store : 'o t -> (unit -> unit) -> unit
 (** Park a store that found the buffer full and arm a drain. *)
 
-val trace_sample : 'o t -> time:int -> ?aux:int -> unit -> unit
-(** Emit the occupancy counters; [aux] defaults to the store-buffer
-    count. *)
-
 val register_metrics :
   'o t ->
   device:string ->
-  ?aux:string * (unit -> int) ->
+  ?aux:string * string * (unit -> int) ->
   Spandex_obs.Metrics.t ->
   unit
 (** Register the chassis's standard probes on a metrics registry: MSHR
-    occupancy, store-buffer occupancy (or the [aux] (name, probe) gauge a
-    protocol substitutes, as {!trace_sample}'s [aux] does), store-buffer
-    full-stall and retry counters — all labelled [device]. *)
+    occupancy, store-buffer occupancy (or the [aux] (metric name, track
+    suffix, probe) gauge a protocol substitutes), store-buffer full-stall
+    and retry counters — all labelled [device].  The two occupancy gauges
+    feed the ["<level>.<id>.mshr"] and ["<level>.<id>.sb"] (or
+    ["<level>.<id>.<suffix>"]) trace counter tracks. *)
 
 val pending_summary :
   'o t -> describe:('o -> string) -> extra:(int * string) list -> string

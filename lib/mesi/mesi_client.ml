@@ -226,11 +226,9 @@ let handle t (msg : Msg.t) =
   | Msg.Req _ ->
     failwith (Format.asprintf "Mesi_client: unexpected message %a" Msg.pp msg)
 
-let trace_sample t ~time = Chassis.trace_sample t.ch ~time ~aux:t.parked ()
-
 let register_metrics t ~device reg =
   Chassis.register_metrics t.ch ~device
-    ~aux:("spandex_l2_parked", fun () -> t.parked)
+    ~aux:("spandex_l2_parked", "parked", fun () -> t.parked)
     reg
 
 let create engine net cfg =
@@ -239,7 +237,7 @@ let create engine net cfg =
        stays empty; the parent caches do the buffering. *)
     Chassis.create engine net ~id:cfg.id ~home_id:cfg.dir_id
       ~home_banks:cfg.dir_banks ~hit_latency:cfg.hit_latency ~coalesce_window:0
-      ~mshrs:256 ~sb_capacity:1 ~level:"l2" ~aux:"parked"
+      ~mshrs:256 ~sb_capacity:1 ~level:"l2"
   in
   let t =
     {

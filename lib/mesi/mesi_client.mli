@@ -22,13 +22,10 @@ val create : Spandex_sim.Engine.t -> Spandex_net.Network.t -> config -> t
 val backing : t -> Spandex.Backing.t
 val stats : t -> Spandex_util.Stats.t
 
-val trace_sample : t -> time:int -> unit
-(** Record occupancy counters into the engine's trace sink; no-op when
-    tracing is disabled. *)
-
 val register_metrics : t -> device:string -> Spandex_obs.Metrics.t -> unit
-(** Register the chassis probes (the aux gauge is the parked-request
-    depth, as in {!trace_sample}), labelled [device]. *)
+(** Register the chassis probes, labelled [device]; the aux gauge is the
+    parked-request depth.  The occupancy gauges feed the ["l2.<id>.mshr"]
+    / ["l2.<id>.parked"] trace counter tracks. *)
 
 val fingerprint : t -> Spandex_util.Fingerprint.t -> unit
 (** Append a canonical encoding of the client shim's state (per-line

@@ -51,8 +51,6 @@ type bank = {
   bk_req_keys : Stats.key array;  (* "req.<kind>" by [Msg.req_kind_index]. *)
   bk_trace : Trace.t;
   bk_n_replay : int;  (* interned trace names (0 on a disabled sink). *)
-  bk_n_pending : int;
-  bk_n_blocked : int;
 }
 
 type t = {
@@ -433,8 +431,6 @@ let create engine net dram (cfg : config) =
          keys);
       bk_trace = trace;
       bk_n_replay = Trace.name trace "dir.replay";
-      bk_n_pending = Trace.name trace "dir.pending";
-      bk_n_blocked = Trace.name trace "dir.blocked";
     }
   in
   let t =
@@ -487,44 +483,28 @@ let create engine net dram (cfg : config) =
 
 let bank_count t = t.cfg.banks
 
-let bank_trace_sample t b ~time =
-  let bk = t.banks.(b) in
-  let pending, blocked =
-    Frames.fold_bank t.frame b ~init:(0, 0) ~f:(fun (p, bl) ~line:_ m ->
-        ((if m.pending = None then p else p + 1), bl + List.length m.blocked))
-  in
-  Trace.counter bk.bk_trace ~time ~dev:(t.cfg.dir_id + b) ~name:bk.bk_n_pending
-    ~value:pending;
-  Trace.counter bk.bk_trace ~time ~dev:(t.cfg.dir_id + b) ~name:bk.bk_n_blocked
-    ~value:blocked
-
-let trace_sample t ~time =
-  for b = 0 to t.cfg.banks - 1 do
-    bank_trace_sample t b ~time
-  done
-
+(* The pending/blocked gauges feed the bank's trace counter tracks; dev is
+   the bank's network endpoint. *)
 let bank_register_metrics t ~device b reg =
   let module Metrics = Spandex_obs.Metrics in
   let bk = t.banks.(b) in
   let labels = [ ("bank", string_of_int b); ("device", device) ] in
+  let dev = t.cfg.dir_id + b in
   Metrics.gauge reg ~name:"spandex_dir_lines" ~labels
     ~help:"resident directory lines" (fun () -> Frames.count_bank t.frame b);
   Metrics.gauge reg ~name:"spandex_dir_pending" ~labels
+    ~track:(dev, "dir.pending")
     ~help:"lines with an in-flight directory transaction" (fun () ->
       Frames.fold_bank t.frame b ~init:0 ~f:(fun p ~line:_ m ->
           if m.pending = None then p else p + 1));
   Metrics.gauge reg ~name:"spandex_dir_blocked" ~labels
+    ~track:(dev, "dir.blocked")
     ~help:"requests parked behind a pending line" (fun () ->
       Frames.fold_bank t.frame b ~init:0 ~f:(fun bl ~line:_ m ->
           bl + List.length m.blocked));
   Metrics.counter reg ~name:"spandex_dir_replayed_total" ~labels
     ~help:"duplicate requests answered from the reply cache (fault runs)"
     (fun () -> Stats.get bk.bk_stats "replayed")
-
-let register_metrics t ~device reg =
-  for b = 0 to t.cfg.banks - 1 do
-    bank_register_metrics t ~device b reg
-  done
 
 let bank_quiescent t b =
   Frames.fold_bank t.frame b ~init:true ~f:(fun acc ~line:_ m ->

@@ -43,23 +43,13 @@ val bank_stats : t -> int -> Spandex_util.Stats.t
 (** Bank [b]'s counters; merge all banks under one prefix to reproduce
     the aggregate ({!Spandex_util.Stats.merge_into} sums). *)
 
-val trace_sample : t -> time:int -> unit
-(** Record every bank's pending-line and blocked-queue occupancy into its
-    trace sink (["dir.pending"] / ["dir.blocked"] counters, dev = the
-    bank endpoint); no-op when tracing is disabled. *)
-
-val bank_trace_sample : t -> int -> time:int -> unit
-(** One bank's occupancy counters ([Run] samples each bank as its own
-    component). *)
-
-val register_metrics : t -> device:string -> Spandex_obs.Metrics.t -> unit
-(** Register every bank's probes on one registry: resident-line, pending
-    and blocked gauges plus the reply-cache replay counter, labelled
-    [device] and [bank]. *)
-
 val bank_register_metrics :
   t -> device:string -> int -> Spandex_obs.Metrics.t -> unit
-(** One bank's probes ([Run] registers each bank as its own component). *)
+(** Register one bank's probes ([Run] registers each bank as its own
+    component): resident-line, pending and blocked gauges plus the
+    reply-cache replay counter, labelled [device] and [bank].  The
+    pending/blocked gauges feed the ["dir.pending"] / ["dir.blocked"]
+    trace counter tracks, dev = the bank endpoint. *)
 
 (** {2 Test introspection} *)
 

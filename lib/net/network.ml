@@ -43,7 +43,6 @@ type t = {
   in_flight : int ref;  (** shared by every endpoint; see [register]. *)
   mutable messages : int;
   trace : Trace.t;  (** the engine's sink; [Trace.disabled] when off. *)
-  n_in_flight : int;  (** interned trace counter name. *)
   n_fault_drop : int;
   n_fault_dup : int;
   n_fault_delay : int;
@@ -193,7 +192,6 @@ let create ?fault engine topo =
       in_flight = ref 0;
       messages = 0;
       trace;
-      n_in_flight = Trace.name trace "net.in_flight";
       n_fault_drop = Trace.name trace "fault.drop";
       n_fault_dup = Trace.name trace "fault.dup";
       n_fault_delay = Trace.name trace "fault.delay";
@@ -211,9 +209,6 @@ let create ?fault engine topo =
 
 let in_flight t = !(t.in_flight)
 
-let trace_sample t ~time =
-  Trace.counter t.trace ~time ~dev:0 ~name:t.n_in_flight ~value:!(t.in_flight)
-
 let traffic_flits t cat = t.traffic.(category_index cat)
 let total_flits t = Array.fold_left ( + ) 0 t.traffic
 let messages_sent t = t.messages
@@ -225,7 +220,7 @@ let register_metrics t reg =
   let module Metrics = Spandex_obs.Metrics in
   Metrics.counter reg ~name:"spandex_net_messages_total"
     ~help:"messages sent" (fun () -> t.messages);
-  Metrics.gauge reg ~name:"spandex_net_in_flight"
+  Metrics.gauge reg ~name:"spandex_net_in_flight" ~track:(0, "net.in_flight")
     ~help:"messages sent but not yet delivered" (fun () -> !(t.in_flight));
   List.iter
     (fun cat ->

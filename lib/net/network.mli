@@ -80,10 +80,6 @@ val wrap_handler :
 val in_flight : t -> int
 (** Messages sent but not yet delivered; used for quiescence checks. *)
 
-val trace_sample : t -> time:int -> unit
-(** Record the in-flight count into the engine's trace sink as a
-    ["net.in_flight"] counter sample; no-op when tracing is disabled. *)
-
 val traffic_flits : t -> Spandex_proto.Msg.category -> int
 val total_flits : t -> int
 val messages_sent : t -> int
@@ -93,7 +89,8 @@ val stats : t -> Spandex_util.Stats.t
 
 val register_metrics : t -> Spandex_obs.Metrics.t -> unit
 (** Register the network's probes: message and per-virtual-channel flit
-    counters, the in-flight gauge, and (fault runs) the fault-injection
+    counters, the in-flight gauge (which also feeds the ["net.in_flight"]
+    trace counter track, dev 0), and (fault runs) the fault-injection
     outcome counters. *)
 
 val enable_vc_depth_metrics : t -> Spandex_obs.Metrics.t -> unit

@@ -1,15 +1,21 @@
-(* Time-series metrics registry.
+(* Time-series metrics registry — the simulator's one probe registry.
 
    Probes are registered once at system-build time and read by the
-   engine's inline sampler on the lookahead/cycle grid — the same
-   zero-event trick as the trace sink's occupancy sampler, so sampling
-   never enqueues events and a metrics-on run is bit-identical to a
-   metrics-off run.  Every sample is (cycle, value) appended to a
-   growable column per series; export renders the columns as OpenMetrics
-   text, CSV, or Chrome trace-event counter tracks.
+   engine's inline sampler at the first event dispatched past each
+   multiple of the cadence — the sampler never enqueues events, so a
+   metrics-on run is bit-identical to a metrics-off run.  Every sample is
+   (cycle, value) appended to a growable column per series; export renders
+   the columns as OpenMetrics text, CSV, or Chrome trace-event counter
+   tracks.
+
+   The same registrations also feed the trace sink: a registry made by
+   [of_trace] keeps no series, and writes every gauge registered with a
+   [~track] into the trace as a counter event instead.
 
    A registry is single-domain state, owned by one simulation like every
    other component, so parallel sweep workers never share one. *)
+
+module Trace = Spandex_sim.Trace
 
 type spec = { sample_every : int }
 
@@ -34,22 +40,47 @@ type series = {
   mutable sr_len : int;
 }
 
+(* A gauge feeding a trace counter track: [tk_name] is interned in the
+   registry's trace sink. *)
+type track = { tk_dev : int; tk_name : int; tk_probe : unit -> int }
+
 type t = {
-  enabled : bool;
+  enabled : bool;  (* keeps time series *)
   spec : spec;
   mutable series : series array;
   mutable n_series : int;
+  trace : Trace.t;  (* receives the tracks; disabled for a series registry *)
+  mutable tracks : track array;
+  mutable n_tracks : int;
+  mutable next_due : int;  (* [sample_due]'s cursor *)
 }
 
 let no_series : series array = [||]
+let no_tracks : track array = [||]
 
-let disabled =
-  { enabled = false; spec = default_spec; series = no_series; n_series = 0 }
+let make ~enabled spec trace =
+  {
+    enabled;
+    spec;
+    series = no_series;
+    n_series = 0;
+    trace;
+    tracks = no_tracks;
+    n_tracks = 0;
+    next_due = 0;
+  }
+
+let disabled = make ~enabled:false default_spec Trace.disabled
 
 let create spec =
   if spec.sample_every < 1 then
     invalid_arg "Metrics.create: sample_every must be >= 1";
-  { enabled = true; spec; series = no_series; n_series = 0 }
+  make ~enabled:true spec Trace.disabled
+
+let of_trace trace =
+  if Trace.on trace then
+    make ~enabled:false { sample_every = Trace.sample_every trace } trace
+  else disabled
 
 let on t = t.enabled
 let sample_every t = t.spec.sample_every
@@ -97,8 +128,22 @@ let register t ~name ~labels ~help ~kind probe =
 let counter t ~name ?(labels = []) ?(help = "") probe =
   register t ~name ~labels ~help ~kind:Counter (fun () -> (probe (), 1))
 
-let gauge t ~name ?(labels = []) ?(help = "") probe =
-  register t ~name ~labels ~help ~kind:Gauge (fun () -> (probe (), 1))
+let add_track t tk =
+  if t.n_tracks = Array.length t.tracks then begin
+    let grown = Array.make (max 8 (2 * t.n_tracks)) tk in
+    Array.blit t.tracks 0 grown 0 t.n_tracks;
+    t.tracks <- grown
+  end;
+  t.tracks.(t.n_tracks) <- tk;
+  t.n_tracks <- t.n_tracks + 1
+
+let gauge t ~name ?(labels = []) ?(help = "") ?track probe =
+  register t ~name ~labels ~help ~kind:Gauge (fun () -> (probe (), 1));
+  match track with
+  | Some (dev, counter) when Trace.on t.trace ->
+    add_track t
+      { tk_dev = dev; tk_name = Trace.name t.trace counter; tk_probe = probe }
+  | _ -> ()
 
 let ratio t ~name ?(labels = []) ?(help = "") probe =
   register t ~name ~labels ~help ~kind:Ratio probe
@@ -129,7 +174,20 @@ let sample t ~time =
       s.sr_num.(l) <- num;
       s.sr_den.(l) <- den;
       s.sr_len <- l + 1
-    done
+    done;
+  for i = 0 to t.n_tracks - 1 do
+    let k = t.tracks.(i) in
+    Trace.counter t.trace ~time ~dev:k.tk_dev ~name:k.tk_name
+      ~value:(k.tk_probe ())
+  done
+
+(* The shared [disabled] registry has neither series nor tracks, so it is
+   never written here. *)
+let sample_due t ~time =
+  if (t.enabled || t.n_tracks > 0) && time >= t.next_due then begin
+    t.next_due <- time + t.spec.sample_every;
+    sample t ~time
+  end
 
 (* ----- introspection ------------------------------------------------------- *)
 

@@ -1,12 +1,17 @@
-(** Time-series metrics registry.
+(** Time-series metrics registry — the simulator's one probe registry.
 
     A registry holds typed series — counters (cumulative, exported with a
     per-interval delta view), gauges, and ratios — each backed by a probe
     closure registered at system-build time.  {!sample} reads every probe
-    and appends one (cycle, value) point per series; it is driven by the
-    engine's inline sampler on the lookahead/cycle grid, which never
+    and appends one (cycle, value) point per series.  It is driven by the
+    engine's inline sampler, which fires at the first event dispatched
+    past each multiple of the cadence (not on exact multiples) and never
     enqueues events, so event counts and results are bit-identical with
     metrics on or off.
+
+    The trace sink's occupancy counters come from the same probes: a
+    registry made by {!of_trace} keeps no series and instead writes every
+    gauge registered with a [~track] into the trace as a counter event.
 
     A registry is single-domain state, owned by one simulation like every
     other component.  The {!disabled} sentinel makes every operation a
@@ -28,7 +33,15 @@ val disabled : t
 
 val create : spec -> t
 
+val of_trace : Spandex_sim.Trace.t -> t
+(** A registry that keeps no series ({!on} is false): each {!gauge}
+    registered with a [~track] becomes a trace counter track, written by
+    {!sample} in registration order, at the trace's own cadence.  A
+    disabled sink gives {!disabled}. *)
+
 val on : t -> bool
+(** Whether the registry keeps time series. *)
+
 val sample_every : t -> int
 
 (* ----- registration -------------------------------------------------------- *)
@@ -49,9 +62,13 @@ val gauge :
   name:string ->
   ?labels:(string * string) list ->
   ?help:string ->
+  ?track:int * string ->
   (unit -> int) ->
   unit
-(** Register an instantaneous-level probe (occupancy, queue depth…). *)
+(** Register an instantaneous-level probe (occupancy, queue depth…).
+    [track] = (device id, counter name), e.g. [(3, "l1.3.mshr")], names
+    the trace counter track the probe feeds on an {!of_trace} registry;
+    series registries ignore it. *)
 
 val ratio :
   t ->
@@ -66,9 +83,16 @@ val ratio :
 (* ----- sampling ------------------------------------------------------------ *)
 
 val sample : t -> time:int -> unit
-(** Read every probe and append one point per series at cycle [time].
-    Called from the engine's inline sampler; allocation-light (amortized
+(** Read every probe and append one point per series at cycle [time];
+    write every track into the trace sink.  Allocation-light (amortized
     column growth only) and never schedules events. *)
+
+val sample_due : t -> time:int -> unit
+(** {!sample} if [time] has reached the registry's next due cycle, then
+    move that cycle to [time + sample_every].  The engine's inline sampler
+    calls this for each registry, so registries with different cadences
+    share one sampler.  A no-op on a registry with no series and no
+    tracks. *)
 
 (* ----- introspection ------------------------------------------------------- *)
 

@@ -1,5 +1,4 @@
 module Wheel = Spandex_util.Wheel
-module Pqueue = Spandex_util.Pqueue
 module Msg = Spandex_proto.Msg
 
 type endpoint = {
@@ -48,8 +47,7 @@ let fresh_ev () =
    The engine drains same-cycle component events before granting the
    cycle's deliveries, so the interleave of deliveries with component work
    is canonical — a function of the simulated machine, not of the order
-   the queue happened to be pushed — and the wheel and heap schedulers
-   share it exactly.
+   the queue happened to be pushed.
 
    Represented as a binary min-heap over parallel int arrays (no per-entry
    boxing; [msgs]/[eps] carry the payload).  Keys are unique — [tie]
@@ -158,16 +156,8 @@ module Netq = struct
     done
 end
 
-type backend = Wheel_backend | Heap_backend
-
-(* The heap backend is the pre-wheel engine, kept as a reference
-   implementation: component events go through a single (time, seq) binary
-   heap, so sweeps run on it reproduce the original scheduler bit-for-bit
-   and the test suite can assert the wheel engine matches it. *)
-type queue = Q_wheel of ev Wheel.t | Q_heap of ev Pqueue.t
-
 type t = {
-  queue : queue;
+  wheel : ev Wheel.t;
   netq : Netq.t;
   (* Per-source delivery sequence numbers (index = src device id): the
      low half of the canonical delivery tiebreak. *)
@@ -247,15 +237,9 @@ let pp_livelock fmt l =
   Format.fprintf fmt "livelock at cycle %d (no progress for %d cycles): %s"
     l.cycle l.stalled_for l.detail
 
-let create ?(backend = Wheel_backend) ?(trace = Trace.disabled) () =
-  let queue =
-    match backend with
-    | Wheel_backend ->
-      Q_wheel (Wheel.create ~horizon:512 ~dummy:(fresh_ev ()) ())
-    | Heap_backend -> Q_heap (Pqueue.create ~capacity:1024 ())
-  in
+let create ?(trace = Trace.disabled) () =
   {
-    queue;
+    wheel = Wheel.create ~horizon:512 ~dummy:(fresh_ev ()) ();
     netq = Netq.create ();
     dseq = Array.make 64 0;
     lookahead = 1;
@@ -304,11 +288,6 @@ let sample_now t =
   t.next_sample <- t.time + t.sample_every;
   t.sampler t.time
 
-let q_push q ~time ev =
-  match q with
-  | Q_wheel w -> Wheel.push w ~time ev
-  | Q_heap h -> Pqueue.push h ~time ev
-
 let ev_alloc t =
   if t.free_len > 0 then begin
     t.free_len <- t.free_len - 1;
@@ -339,14 +318,14 @@ let at t ~time f =
   let e = ev_alloc t in
   e.tag <- 0;
   e.fn <- f;
-  q_push t.queue ~time e
+  Wheel.push t.wheel ~time e
 
 let schedule t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   let e = ev_alloc t in
   e.tag <- 0;
   e.fn <- f;
-  q_push t.queue ~time:(t.time + delay) e
+  Wheel.push t.wheel ~time:(t.time + delay) e
 
 (* Delivery ties pack (src, per-src seq) into one int: src in the high
    bits, sequence below.  Device ids are small dense ints (< 2^22 with
@@ -373,7 +352,7 @@ let send_later t ~delay msg =
   let e = ev_alloc t in
   e.tag <- 3;
   e.msg <- msg;
-  q_push t.queue ~time:(t.time + delay) e
+  Wheel.push t.wheel ~time:(t.time + delay) e
 
 let apply_later t ~delay f v =
   if delay < 0 then invalid_arg "Engine.apply_later: negative delay";
@@ -381,25 +360,19 @@ let apply_later t ~delay f v =
   e.tag <- 4;
   e.af <- f;
   e.iarg <- v;
-  q_push t.queue ~time:(t.time + delay) e
+  Wheel.push t.wheel ~time:(t.time + delay) e
 
 let step_limit_hit t =
   raise
     (Deadlock
        (Printf.sprintf "step limit %d exceeded at cycle %d" t.step_limit t.time))
 
-(* The run loops below are specialized per backend so the hot path pays no
-   queue-variant dispatch per event: one match outside the loop instead of
-   one inside each of is-empty / min-time / pop / push.  The wheel loop
-   additionally reads the event time from the cursor after the pop,
-   avoiding a second cursor advance. *)
-
 (* Dispatch copies an event's fields into locals and recycles the record
    *before* acting, so the action's own pushes can reuse it immediately.
    After a [Handle]'s component handler returns, the message itself goes
    back to its pool unless the handler kept it (see {!Msg.recycle}). *)
 
-let wheel_dispatch t (e : ev) =
+let dispatch t (e : ev) =
   if t.time >= t.next_sample then sample_now t;
   match e.tag with
   | 0 ->
@@ -423,8 +396,6 @@ let wheel_dispatch t (e : ev) =
     ev_recycle t e;
     f v
 
-let heap_dispatch = wheel_dispatch
-
 (* Grant the best pending delivery: the one-message-per-cycle ingress
    drain assigns the port slot, and the handler invocation is scheduled as
    a [Handle] component event — which the run loops drain before granting
@@ -444,7 +415,7 @@ let netq_dispatch t =
   e.tag <- 2;
   e.msg <- msg;
   e.ep <- ep;
-  q_push t.queue ~time:deliver_at e
+  Wheel.push t.wheel ~time:deliver_at e
 
 (* A drained queue is only "done" if no component still holds live work:
    an L1 waiting on a reply that will never arrive would otherwise look
@@ -456,91 +427,25 @@ let drained ~strict t =
     | [] -> t.time
     | work -> raise (Stuck { stuck_cycle = t.time; stuck_work = work })
 
-(* Canonical pop rule, shared by every loop below: component events first
-   at equal times ([tq <= tn]), deliveries only when strictly earliest or
-   the component queue is idle at that cycle.  Combined with [Handle]
-   being a component event, this makes the merged order a pure function
-   of the simulated machine. *)
-
-let run_all ?(strict = true) t =
-  let nq = t.netq in
-  match t.queue with
-  | Q_wheel w ->
-    let rec loop () =
-      let wempty = Wheel.is_empty w in
-      if wempty && Netq.is_empty nq then drained ~strict t
-      else begin
-        let from_net =
-          (not (Netq.is_empty nq))
-          && (wempty
-             ||
-             match Wheel.peek_time w with
-             | Some tw -> tw > Netq.min_time nq
-             | None -> true)
-        in
-        t.steps <- t.steps + 1;
-        if t.steps > t.step_limit then step_limit_hit t;
-        if from_net then begin
-          t.time <- Netq.min_time nq;
-          netq_dispatch t
-        end
-        else begin
-          let ev = Wheel.pop_min w in
-          t.time <- Wheel.current_time w;
-          wheel_dispatch t ev
-        end;
-        loop ()
-      end
-    in
-    loop ()
-  | Q_heap h ->
-    let rec loop () =
-      let hempty = Pqueue.is_empty h in
-      if hempty && Netq.is_empty nq then drained ~strict t
-      else begin
-        let from_net =
-          (not (Netq.is_empty nq))
-          && (hempty || Pqueue.min_time h > Netq.min_time nq)
-        in
-        t.steps <- t.steps + 1;
-        if t.steps > t.step_limit then step_limit_hit t;
-        if from_net then begin
-          t.time <- Netq.min_time nq;
-          netq_dispatch t
-        end
-        else begin
-          t.time <- Pqueue.min_time h;
-          let ev = Pqueue.pop_min h in
-          heap_dispatch t ev
-        end;
-        loop ()
-      end
-    in
-    loop ()
-
 let next_event_time t =
   let tn = if Netq.is_empty t.netq then None else Some (Netq.min_time t.netq) in
-  let tq =
-    match t.queue with
-    | Q_wheel w -> Wheel.peek_time w
-    | Q_heap h -> Pqueue.peek_time h
-  in
-  match (tq, tn) with
+  match (Wheel.peek_time t.wheel, tn) with
   | None, x | x, None -> x
   | Some a, Some b -> Some (if a <= b then a else b)
 
-(* Dispatch the single next event under the canonical pop rule. *)
+(* Dispatch the single next event under the canonical pop rule: component
+   events first at equal times ([tq <= tn]), deliveries only when strictly
+   earliest or the component queue is idle at that cycle.  Combined with
+   [Handle] being a component event, this makes the merged order a pure
+   function of the simulated machine. *)
 let dispatch_one t =
-  let nq = t.netq in
+  let nq = t.netq and w = t.wheel in
   let from_net =
     (not (Netq.is_empty nq))
     &&
-    let tq =
-      match t.queue with
-      | Q_wheel w -> Wheel.peek_time w
-      | Q_heap h -> Pqueue.peek_time h
-    in
-    match tq with Some tq -> tq > Netq.min_time nq | None -> true
+    match Wheel.peek_time w with
+    | Some tq -> tq > Netq.min_time nq
+    | None -> true
   in
   t.steps <- t.steps + 1;
   if t.steps > t.step_limit then step_limit_hit t;
@@ -548,26 +453,22 @@ let dispatch_one t =
     t.time <- Netq.min_time nq;
     netq_dispatch t
   end
-  else
-    match t.queue with
-    | Q_wheel w ->
-      let ev = Wheel.pop_min w in
-      t.time <- Wheel.current_time w;
-      wheel_dispatch t ev
-    | Q_heap h ->
-      t.time <- Pqueue.min_time h;
-      let ev = Pqueue.pop_min h in
-      heap_dispatch t ev
+  else begin
+    let ev = Wheel.pop_min w in
+    t.time <- Wheel.current_time w;
+    dispatch t ev
+  end
+
+let has_events t = not (Wheel.is_empty t.wheel && Netq.is_empty t.netq)
+
+let run_all ?(strict = true) t =
+  while has_events t do
+    dispatch_one t
+  done;
+  drained ~strict t
 
 let step t =
-  let have =
-    (not (Netq.is_empty t.netq))
-    ||
-    match t.queue with
-    | Q_wheel w -> not (Wheel.is_empty w)
-    | Q_heap h -> not (Pqueue.is_empty h)
-  in
-  if have then begin
+  if has_events t then begin
     dispatch_one t;
     true
   end

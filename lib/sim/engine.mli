@@ -7,17 +7,15 @@
     source id, per-source sequence).  At every cycle the engine drains
     same-cycle component events before granting deliveries, so the merged
     order is a pure function of the simulated machine rather than of
-    queue push interleave: both component schedulers below see the same
-    delivery order, and the order the committed goldens pin does not
+    queue push interleave: the order the committed goldens pin does not
     depend on which component happened to send first within a cycle.
 
     The component queue is a hierarchical timing wheel
     ({!Spandex_util.Wheel}): almost every event lands 1–100 cycles ahead,
     so push/pop are O(1) with FIFO order per cycle preserved by
     construction; far-future events (retry backoff) spill to an overflow
-    heap.  The pre-wheel binary-heap scheduler is retained as
-    {!Heap_backend} so tests can assert the two produce bit-identical
-    simulations. *)
+    heap ({!Spandex_util.Pqueue}).  It is the only scheduler: the chassis
+    golden pins its event order on every workload and configuration. *)
 
 type t
 
@@ -85,13 +83,7 @@ type endpoint = {
     is returned to its pool unless the handler kept it
     ({!Spandex_proto.Msg.keep}). *)
 
-type backend =
-  | Wheel_backend  (** timing wheel + overflow heap (default). *)
-  | Heap_backend
-      (** the pre-wheel (time, seq) binary heap, kept as a reference
-          scheduler for bit-identity tests. *)
-
-val create : ?backend:backend -> ?trace:Trace.t -> unit -> t
+val create : ?trace:Trace.t -> unit -> t
 (** [trace] (default {!Trace.disabled}) is the simulation's trace sink;
     the engine only carries it so every component can reach the shared
     sink through its engine handle without signature changes. *)

@@ -30,9 +30,6 @@ type t = {
   (* Raise [Engine.Livelock] when no core retires an op for this many
      cycles; 0 disables the watchdog. *)
   watchdog_cycles : int;
-  (* Event-queue implementation; [Heap_backend] is the pre-wheel reference
-     scheduler used by bit-identity tests. *)
-  engine_backend : Spandex_sim.Engine.backend;
   (* Transaction-trace sink configuration; [None] (the default) runs with
      the shared disabled sink and is bit-identical to an untraced build. *)
   trace : Spandex_sim.Trace.spec option;
@@ -74,7 +71,6 @@ let default =
     reqs_policy = Spandex.Llc.Reqs_auto;
     fault = None;
     watchdog_cycles = 200_000;
-    engine_backend = Spandex_sim.Engine.Wheel_backend;
     trace = None;
     metrics = None;
   }

@@ -41,10 +41,6 @@ type t = {
   watchdog_cycles : int;
       (** raise [Engine.Livelock] when no core retires an op for this many
           cycles; 0 disables the watchdog. *)
-  engine_backend : Spandex_sim.Engine.backend;
-      (** event-queue implementation; [Wheel_backend] (the default) is the
-          timing wheel, [Heap_backend] the pre-wheel binary heap kept for
-          bit-identity cross-checks. *)
   trace : Spandex_sim.Trace.spec option;
       (** transaction-trace sink configuration; [None] (the default) uses
           the shared disabled sink — no events, no histograms, and results

@@ -42,7 +42,6 @@ type component = {
   c_quiescent : unit -> bool;
   c_pending : unit -> string;
   c_stats : Stats.t;
-  c_sample : time:int -> unit;
   c_metrics : Metrics.t -> unit;
   c_fingerprint : Spandex_util.Fingerprint.t -> unit;
 }
@@ -103,7 +102,6 @@ let build_denovo engine net (p : Params.t) ~id ~llc_id ~atomics_at_llc ~region_o
       c_quiescent = (fun () -> (Denovo_l1.port l1).Port.quiescent ());
       c_pending = (fun () -> (Denovo_l1.port l1).Port.describe_pending ());
       c_stats = Denovo_l1.stats l1;
-      c_sample = (fun ~time -> Denovo_l1.trace_sample l1 ~time);
       c_metrics =
         Denovo_l1.register_metrics l1
           ~device:(Printf.sprintf "denovo_l1.%d" id);
@@ -139,7 +137,6 @@ let build_mesi engine net (p : Params.t) ~id ~llc_id ~notify =
       c_quiescent = (fun () -> (Mesi_l1.port l1).Port.quiescent ());
       c_pending = (fun () -> (Mesi_l1.port l1).Port.describe_pending ());
       c_stats = Mesi_l1.stats l1;
-      c_sample = (fun ~time -> Mesi_l1.trace_sample l1 ~time);
       c_metrics =
         Mesi_l1.register_metrics l1 ~device:(Printf.sprintf "mesi_l1.%d" id);
       c_fingerprint = Mesi_l1.fingerprint l1;
@@ -174,7 +171,6 @@ let build_gpucoh engine net (p : Params.t) ~id ~llc_id =
       c_quiescent = (fun () -> (Gpu_l1.port l1).Port.quiescent ());
       c_pending = (fun () -> (Gpu_l1.port l1).Port.describe_pending ());
       c_stats = Gpu_l1.stats l1;
-      c_sample = (fun ~time -> Gpu_l1.trace_sample l1 ~time);
       c_metrics =
         Gpu_l1.register_metrics l1 ~device:(Printf.sprintf "gpu_l1.%d" id);
       c_fingerprint = Gpu_l1.fingerprint l1;
@@ -208,7 +204,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
     | None -> Trace.disabled
     | Some spec -> Trace.create spec
   in
-  let engine = Engine.create ~backend:p.Params.engine_backend ~trace () in
+  let engine = Engine.create ~trace () in
   let mreg =
     match p.Params.metrics with
     | None -> Metrics.disabled
@@ -304,7 +300,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
             c_quiescent = (fun () -> Llc.bank_quiescent llc b);
             c_pending = (fun () -> Llc.bank_describe_pending llc b);
             c_stats = Llc.bank_stats llc b;
-            c_sample = (fun ~time -> Llc.bank_trace_sample llc b ~time);
             c_metrics =
               (fun reg -> Llc.bank_register_metrics llc ~device:"spandex_llc" b reg);
             c_fingerprint =
@@ -333,7 +328,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
             c_quiescent = (fun () -> Mesi_dir.bank_quiescent dir b);
             c_pending = (fun () -> Mesi_dir.bank_describe_pending dir b);
             c_stats = Mesi_dir.bank_stats dir b;
-            c_sample = (fun ~time -> Mesi_dir.bank_trace_sample dir b ~time);
             c_metrics =
               (fun reg ->
                 Mesi_dir.bank_register_metrics dir ~device:"mesi_dir" b reg);
@@ -368,7 +362,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
             c_quiescent = (fun () -> Llc.bank_quiescent l2 b);
             c_pending = (fun () -> Llc.bank_describe_pending l2 b);
             c_stats = Llc.bank_stats l2 b;
-            c_sample = (fun ~time -> Llc.bank_trace_sample l2 b ~time);
             c_metrics =
               (fun reg -> Llc.bank_register_metrics l2 ~device:"gpu_l2" b reg);
             c_fingerprint = (if b = 0 then Llc.fingerprint l2 else fun _ -> ());
@@ -380,7 +373,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
           c_quiescent = (fun () -> (Mesi_client.backing client).Backing.quiescent ());
           c_pending = (fun () -> (Mesi_client.backing client).Backing.describe_pending ());
           c_stats = Mesi_client.stats client;
-          c_sample = (fun ~time -> Mesi_client.trace_sample client ~time);
           c_metrics =
             Mesi_client.register_metrics client ~device:"mesi_client";
           c_fingerprint = Mesi_client.fingerprint client;
@@ -460,12 +452,12 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
   let views = List.rev !views in
   let check_logs = List.rev !check_logs in
   List.iter Core.start cores;
-  (* Periodic occupancy sampling runs inline in the engine's dispatch loop —
-     it never enqueues events, so event counts and scheduling are identical
-     with tracing and metrics on or off.  One engine sampler serves both
-     sinks: it fires on the faster cadence and each sink keeps its own
-     next-due cursor (the engine samples at the first event past each
-     multiple, not on exact multiples, so modulo gating would misfire). *)
+  (* [Metrics] is the one probe registry.  Components register their
+     probes on the metrics registry in build order; when tracing, they
+     register again on the trace's registry, whose occupancy gauges become
+     the trace's counter tracks.  Those are written components most
+     recently built first, then the network: the traced goldens digest
+     the JSONL ring, whose contents depend on that order. *)
   let metrics_on = Metrics.on mreg in
   if metrics_on then begin
     List.iter (fun c -> c.c_metrics mreg) (List.rev !components);
@@ -478,27 +470,25 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
        all devices have registered. *)
     Network.enable_vc_depth_metrics net mreg
   end;
-  if Trace.on trace || metrics_on then begin
-    let trace_every = if Trace.on trace then Trace.sample_every trace else 0
-    and metrics_every = if metrics_on then Metrics.sample_every mreg else 0 in
-    let every =
-      match (trace_every, metrics_every) with
-      | 0, m -> m
-      | t, 0 -> t
-      | t, m -> min t m
-    in
-    let next_trace = ref 0 and next_metrics = ref 0 in
-    Engine.set_sampler engine ~every (fun time ->
-        if trace_every > 0 && time >= !next_trace then begin
-          next_trace := time + trace_every;
-          List.iter (fun c -> c.c_sample ~time) !components;
-          Network.trace_sample net ~time
-        end;
-        if metrics_every > 0 && time >= !next_metrics then begin
-          next_metrics := time + metrics_every;
-          Metrics.sample mreg ~time
-        end)
+  let tracks = Metrics.of_trace trace in
+  if Trace.on trace then begin
+    List.iter (fun c -> c.c_metrics tracks) !components;
+    Network.register_metrics net tracks
   end;
+  (* One sampler runs inline in the engine's dispatch loop at the faster
+     cadence; it never enqueues events, so event counts and scheduling are
+     identical with tracing and metrics on or off.  Each registry keeps its
+     own next-due cycle, because the engine samples at the first event past
+     each multiple, not on exact multiples. *)
+  let every =
+    min
+      (if Trace.on trace then Trace.sample_every trace else max_int)
+      (if metrics_on then Metrics.sample_every mreg else max_int)
+  in
+  if every < max_int then
+    Engine.set_sampler engine ~every (fun time ->
+        Metrics.sample_due tracks ~time;
+        Metrics.sample_due mreg ~time);
   (* --- run ----------------------------------------------------------------- *)
   let finished () =
     List.for_all Core.finished cores

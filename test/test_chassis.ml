@@ -9,6 +9,15 @@
    ordering, stats naming, trace emission or latency bucketing shows up as
    a digest mismatch on the exact (workload, config) cell that diverged.
 
+   Modes: [untraced] (every non-stress workload), [traced], [fault] (a
+   drop/dup/delay/reorder plan), [fault-far] (delays of 600-4096 cycles,
+   beyond the timing wheel's horizon, so deliveries ride its overflow
+   tier), [observed] (trace plus metrics on different cadences; the
+   digest also folds the OpenMetrics, CSV and merged Chrome exports) and
+   [metrics] (metrics alone, same exports).  The [untraced] and
+   [fault-far] lines were recorded while a binary-heap reference
+   scheduler still existed and agreed with the wheel on every one.
+
    Regenerate (only when a change is *meant* to alter simulation results):
 
      SPANDEX_CHASSIS_GOLDEN=$PWD/test/chassis_golden.expected \
@@ -18,6 +27,7 @@ module Msg = Spandex_proto.Msg
 module Stats = Spandex_util.Stats
 module Hist = Spandex_util.Hist
 module Trace = Spandex_sim.Trace
+module Metrics = Spandex_obs.Metrics
 module Config = Spandex_system.Config
 module Params = Spandex_system.Params
 module Run = Spandex_system.Run
@@ -73,22 +83,42 @@ let add_trace b (r : Run.result) =
     ~device_name:(fun id -> r.Run.device_names.(id))
     b
 
-let digest ~traced (r : Run.result) =
+(* Every observability export of a run: OpenMetrics, CSV, and the Chrome
+   document with the metric counter tracks merged in. *)
+let add_exports b (r : Run.result) =
+  Metrics.export_openmetrics r.Run.metrics b;
+  Metrics.export_csv r.Run.metrics b;
+  Trace.export_chrome
+    ~extra:(Metrics.chrome_counter_events r.Run.metrics)
+    r.Run.trace
+    ~device_name:(fun id -> r.Run.device_names.(id))
+    b
+
+(* What a digest folds in beyond the run's results. *)
+type fold = Results | Traced | Observed | Metered
+
+let digest ~fold (r : Run.result) =
   let b = Buffer.create 8192 in
   add_result b r;
-  if traced then begin
+  (match fold with
+  | Results -> ()
+  | Traced ->
     add_latency b r;
     add_trace b r
-  end;
+  | Observed ->
+    add_latency b r;
+    add_trace b r;
+    add_exports b r
+  | Metered -> add_exports b r);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* One golden line per cell: "<mode> <workload> <config> <md5>". *)
-let lines_for ~mode ~traced cells =
+let lines_for ~mode ~fold cells =
   let results = Sweep.simulate_all ~jobs:1 cells in
   List.map2
     (fun (j : Sweep.job) r ->
       Printf.sprintf "%s %s %s %s" mode j.Sweep.label j.Sweep.config.Config.name
-        (digest ~traced r))
+        (digest ~fold r))
     cells results
 
 let traced_params =
@@ -101,12 +131,35 @@ let fault_params =
   in
   { Params.bench with Params.fault = Some fault }
 
+(* Delay/reorder-only plan whose delays reach far beyond the wheel's
+   512-cycle horizon, so faulted deliveries ride its overflow tier. *)
+let fault_far_params =
+  let fault =
+    Spandex_net.Fault.uniform ~delay:0.2 ~reorder:0.1 ~delay_min:600
+      ~delay_max:4096 ~seed:11 ()
+  in
+  { Params.bench with Params.fault = Some fault }
+
+(* Trace and metrics together, on cadences (64 vs 48) that make the two
+   sinks sample at different cycles. *)
+let observed_params =
+  { traced_params with Params.metrics = Some { Metrics.sample_every = 48 } }
+
+let metered_params =
+  { Params.bench with Params.metrics = Some Metrics.default_spec }
+
 let all_lines () =
-  lines_for ~mode:"untraced" ~traced:false
+  lines_for ~mode:"untraced" ~fold:Results
     (matrix ~params:Params.bench non_stress_names)
-  @ lines_for ~mode:"traced" ~traced:true
+  @ lines_for ~mode:"traced" ~fold:Traced
       (matrix ~params:traced_params [ "rsct"; "tqh"; "bc" ])
-  @ lines_for ~mode:"fault" ~traced:false (matrix ~params:fault_params [ "tqh" ])
+  @ lines_for ~mode:"fault" ~fold:Results (matrix ~params:fault_params [ "tqh" ])
+  @ lines_for ~mode:"fault-far" ~fold:Results
+      (matrix ~params:fault_far_params [ "rsct"; "tqh" ])
+  @ lines_for ~mode:"observed" ~fold:Observed
+      (matrix ~params:observed_params [ "rsct"; "tqh"; "bc" ])
+  @ lines_for ~mode:"metrics" ~fold:Metered
+      (matrix ~params:metered_params [ "tqh" ])
 
 (* `dune runtest` runs the binary in the test directory; `dune exec` from
    the project root does not. *)

@@ -250,6 +250,32 @@ let simulated_run_collects_series () =
   check_bool "merged chrome export parses" true
     (Helpers.json_valid (String.trim (Buffer.contents buf)))
 
+(* Trace and metrics share one probe registry but stay separate sinks: a
+   trace-only run keeps no series and never arms the per-VC depth gauges
+   (whose handler wrappers only a metrics run may pay for), and a
+   metrics-only run records no trace. *)
+let sinks_stay_separate () =
+  let wl, config = bench_cell () in
+  let traced =
+    Run.simulate
+      ~params:{ Params.bench with Params.trace = Some Trace.default_spec }
+      ~config wl
+  in
+  check_bool "trace recorded" true (Trace.total traced.Run.trace > 0);
+  check_int "trace-only run keeps no series" 0
+    (Metrics.num_series traced.Run.metrics);
+  check_bool "no vc depth series" false
+    (List.exists
+       (fun (n, _, _, _) -> n = "spandex_net_vc_depth")
+       (Metrics.dump traced.Run.metrics));
+  let metered =
+    Run.simulate
+      ~params:{ Params.bench with Params.metrics = Some Metrics.default_spec }
+      ~config wl
+  in
+  check_bool "metrics-only run carries the disabled sink" true
+    (metered.Run.trace == Trace.disabled)
+
 (* ----- the identity gate: metrics-on ≡ metrics-off ---------------------------- *)
 
 let matrix ~params names =
@@ -305,5 +331,6 @@ let tests =
     test "csv_wellformed" csv_wellformed;
     test "chrome_counters_json_valid" chrome_counters_json_valid;
     test "simulated_run_collects_series" simulated_run_collects_series;
+    test "sinks_stay_separate" sinks_stay_separate;
     test "metrics_on_matches_off_all_cells" metrics_on_matches_off_all_cells;
   ]

@@ -53,53 +53,11 @@ let sweep_matches_sequential_under_faults () =
   let par = Sweep.simulate_all ~jobs:4 cells in
   check_identical cells seq par
 
-(* ----- wheel vs heap scheduler ---------------------------------------------- *)
-
-(* The timing-wheel engine must reproduce the pre-wheel binary-heap engine
-   bit-for-bit: same cycles, flits, traffic breakdown, messages, events,
-   checks and merged stats on every cell of the bench matrix.  This is the
-   end-to-end determinism guarantee behind making the wheel the default
-   backend. *)
-
-let heap_params (p : Params.t) =
-  { p with Params.engine_backend = Spandex_sim.Engine.Heap_backend }
-
 let non_stress_names =
   List.filter_map
     (fun e ->
       if e.Registry.kind = `Stress then None else Some e.Registry.name)
     Registry.entries
-
-let wheel_matches_heap_engine () =
-  let cells = matrix ~params:Params.bench non_stress_names in
-  let wheel = Sweep.simulate_all ~jobs:1 cells in
-  let heap =
-    Sweep.simulate_all ~jobs:1
-      (List.map
-         (fun j -> { j with Sweep.params = heap_params j.Sweep.params })
-         cells)
-  in
-  List.iter Run.assert_clean wheel;
-  check_identical cells wheel heap
-
-let wheel_matches_heap_under_faults () =
-  (* Delay/reorder-only plan whose delays reach far beyond the wheel's
-     512-cycle horizon, so faulted deliveries ride the overflow heap and
-     must still interleave exactly as the reference heap orders them. *)
-  let fault =
-    Spandex_net.Fault.uniform ~delay:0.2 ~reorder:0.1 ~delay_min:600
-      ~delay_max:4096 ~seed:11 ()
-  in
-  let params = { Params.bench with Params.fault = Some fault } in
-  let cells = matrix ~params [ "rsct"; "tqh" ] in
-  let wheel = Sweep.simulate_all ~jobs:1 cells in
-  let heap =
-    Sweep.simulate_all ~jobs:1
-      (List.map
-         (fun j -> { j with Sweep.params = heap_params j.Sweep.params })
-         cells)
-  in
-  check_identical cells wheel heap
 
 let sweep_matches_sequential_all_cells () =
   (* The full 60-cell bench matrix (every non-stress workload x every
@@ -156,6 +114,4 @@ let tests =
       sweep_matches_sequential_under_faults;
     test "sweep_repeated_run_is_stable" sweep_repeated_run_is_stable;
     test "sweep_matches_sequential_all_cells" sweep_matches_sequential_all_cells;
-    test "wheel_matches_heap_engine" wheel_matches_heap_engine;
-    test "wheel_matches_heap_under_faults" wheel_matches_heap_under_faults;
   ]

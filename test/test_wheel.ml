@@ -169,19 +169,19 @@ let wheel_interleaved () =
   done;
   check_bool "overflow exercised" true (Wheel.overflow_pushes q > 0)
 
-(* ----- engine backend equivalence ------------------------------------------ *)
+(* ----- engine vs reference scheduler --------------------------------------- *)
 
-(* Run the same self-expanding schedule on both engine backends and compare
-   the full execution traces (cycle, label).  Each handler deterministically
+(* A self-expanding schedule run on the engine and on an in-test reference
+   scheduler — a list kept sorted by (time, push order) — must produce the
+   same execution trace (cycle, label).  Each handler deterministically
    schedules follow-ups from its own seeded stream, including far-future
-   delays that only the overflow heap can serve. *)
+   delays that only the wheel's overflow heap can serve. *)
 let engine_backends_agree () =
-  let trace backend =
-    let e = Engine.create ~backend () in
+  let run ~now ~schedule ~drain =
     let rng = Rng.create ~seed:42 in
     let log = ref [] in
     let rec work depth label () =
-      log := (Engine.now e, label) :: !log;
+      log := (now (), label) :: !log;
       if depth < 4 then
         let fanout = Rng.int rng 3 in
         for i = 0 to fanout - 1 do
@@ -192,19 +192,49 @@ let engine_backends_agree () =
             | 2 -> Rng.int rng 100
             | _ -> 400 + Rng.int rng 2000  (* beyond the wheel horizon *)
           in
-          Engine.schedule e ~delay (work (depth + 1) ((label * 10) + i))
+          schedule ~delay (work (depth + 1) ((label * 10) + i))
         done
     in
     for root = 0 to 19 do
-      Engine.schedule e ~delay:(Rng.int rng 600) (work 0 root)
+      schedule ~delay:(Rng.int rng 600) (work 0 root)
     done;
-    ignore (Engine.run_all e : int);
+    drain ();
     List.rev !log
   in
-  let w = trace Engine.Wheel_backend in
-  let h = trace Engine.Heap_backend in
-  check_int "same event count" (List.length h) (List.length w);
-  check_bool "identical traces" true (w = h)
+  let engine =
+    let e = Engine.create () in
+    run
+      ~now:(fun () -> Engine.now e)
+      ~schedule:(fun ~delay f -> Engine.schedule e ~delay f)
+      ~drain:(fun () -> ignore (Engine.run_all e : int))
+  in
+  let reference =
+    (* Entries (time, push seq, thunk); insertion keeps the list sorted,
+       so the head is always the next event. *)
+    let time = ref 0 and seq = ref 0 and queue = ref [] in
+    let schedule ~delay f =
+      let key = (!time + delay, !seq) in
+      incr seq;
+      let rec insert = function
+        | ((k, _) as x) :: rest when compare k key < 0 -> x :: insert rest
+        | l -> (key, f) :: l
+      in
+      queue := insert !queue
+    in
+    let rec drain () =
+      match !queue with
+      | [] -> ()
+      | ((t, _), f) :: rest ->
+        queue := rest;
+        time := t;
+        f ();
+        drain ()
+    in
+    run ~now:(fun () -> !time) ~schedule ~drain
+  in
+  check_bool "schedule expanded" true (List.length reference > 100);
+  check_int "same event count" (List.length reference) (List.length engine);
+  check_bool "identical traces" true (engine = reference)
 
 let engine_overflow_order () =
   (* Far-future thunks (watchdog-beat distances) interleave correctly with
