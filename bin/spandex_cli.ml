@@ -5,7 +5,6 @@
      spandex_cli run -w bc -c SMD
      spandex_cli run -w indirection --all-configs --scale 0.5
      spandex_cli sweep --jobs 4   # every workload x every configuration
-     spandex_cli bench -o BENCH_sweep.json
      spandex_cli run -w stress -c SDD --stats --seed 7
      spandex_cli trace bc -c SMD -o bc.trace.json   # open in Perfetto
      spandex_cli explain bc --txn 42                # one txn's timeline *)
@@ -257,7 +256,9 @@ let sweep_cmd =
     let params = Params.bench in
     let entries = sweep_entries () in
     let cells = sweep_jobs ~params ~scale entries in
+    let t0 = Unix.gettimeofday () in
     let results = Array.of_list (Sweep.simulate_all ~jobs cells) in
+    let wall = Unix.gettimeofday () -. t0 in
     Array.iter Run.assert_clean results;
     let rows = rows_of_results entries results in
     List.iter
@@ -274,7 +275,27 @@ let sweep_cmd =
       (100.0 *. h.Report.time_avg)
       (100.0 *. h.Report.time_max)
       (100.0 *. h.Report.traffic_avg)
-      (100.0 *. h.Report.traffic_max)
+      (100.0 *. h.Report.traffic_max);
+    (* Fleet headline.  The paper-config total covers the six baseline
+       configurations only, so it stays comparable when extensions are
+       added or dropped. *)
+    let events = Array.fold_left (fun acc r -> acc + r.Run.events) 0 results in
+    let paper_events =
+      List.fold_left2
+        (fun acc (j : Sweep.job) r ->
+          if List.memq j.Sweep.config Config.all then acc + r.Run.events
+          else acc)
+        0 cells (Array.to_list results)
+    in
+    let minor_words =
+      Array.fold_left (fun acc r -> acc +. r.Run.minor_words) 0.0 results
+    in
+    Printf.printf
+      "fleet: %d cells, jobs %d, wall %.2fs, %d events (%d on the paper's six \
+       configs), %.0f events/s, %.1f minor words/event\n"
+      (Array.length results) jobs wall events paper_events
+      (float_of_int events /. max 1e-9 wall)
+      (minor_words /. float_of_int (max 1 events))
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Run every workload on every configuration")
@@ -791,358 +812,6 @@ let check_cmd =
       $ llc_banks_arg $ faults_arg $ fault_budget_arg $ max_states_arg
       $ budget_secs_arg $ no_reduce_arg $ seed_bug_arg $ out_arg $ replay_arg)
 
-(* --- bench: machine-readable perf harness ----------------------------------- *)
-
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-let bench_cmd =
-  let run scale jobs workloads out repeat =
-    let jobs = resolve_jobs jobs in
-    let repeat = max 1 repeat in
-    let recommended = Domain.recommended_domain_count () in
-    if jobs > recommended then
-      Printf.eprintf
-        "warning: --jobs %d exceeds recommended_domain_count %d; extra \
-         domains will contend for cores and the speedup will suffer\n%!"
-        jobs recommended;
-    (* Bench measures the hot path: per-message construction checks stay
-       off unless SPANDEX_CHECKS explicitly asks for them.  Flipped before
-       any worker domain spawns. *)
-    if Sys.getenv_opt "SPANDEX_CHECKS" = None then
-      Spandex_proto.Msg.set_checks false;
-    let params = Params.bench in
-    let entries =
-      match workloads with
-      | None -> sweep_entries ()
-      | Some names ->
-        String.split_on_char ',' names
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-        |> List.map (fun n ->
-               try Registry.find n
-               with Not_found ->
-                 Printf.eprintf "unknown workload %s (try: %s)\n" n
-                   (String.concat ", " Registry.names);
-                 exit 1)
-    in
-    let cells = sweep_jobs ~params ~scale entries in
-    let n = List.length cells in
-    Printf.printf "bench: %d simulations (%d workloads x %d configs), jobs=%d\n%!"
-      n (List.length entries) (List.length Config.extended) jobs;
-    (* Sequential reference pass: times each simulation individually and is
-       the --jobs 1 baseline for the speedup.  With --repeat N every timed
-       pass runs N times and the pass with the median total wall clock is
-       reported, so one descheduled run cannot skew the speedup. *)
-    let median_of ps =
-      let a = Array.of_list ps in
-      Array.sort (fun (_, w1) (_, w2) -> compare (w1 : float) w2) a;
-      a.(Array.length a / 2)
-    in
-    let seq_pass () =
-      let t0 = Unix.gettimeofday () in
-      let rs =
-        List.map
-          (fun (j : Sweep.job) ->
-            let t0 = Unix.gettimeofday () in
-            let r =
-              Run.simulate ~params:j.Sweep.params ~config:j.Sweep.config
-                j.Sweep.workload
-            in
-            let wall = Unix.gettimeofday () -. t0 in
-            Run.assert_clean r;
-            (j, r, wall))
-          cells
-      in
-      (rs, Unix.gettimeofday () -. t0)
-    in
-    let wall_min ps = List.fold_left (fun acc (_, w) -> min acc w) infinity ps
-    and wall_max ps = List.fold_left (fun acc (_, w) -> max acc w) 0.0 ps in
-    let seq_passes = List.init repeat (fun _ -> seq_pass ()) in
-    let seq, seq_wall = median_of seq_passes in
-    let seq_wall_min = wall_min seq_passes
-    and seq_wall_max = wall_max seq_passes in
-    (* Parallel pass over the same jobs, timed as one sweep. *)
-    let par_pass () =
-      let t0 = Unix.gettimeofday () in
-      let rs = Sweep.simulate_all_gc ~jobs cells in
-      (rs, Unix.gettimeofday () -. t0)
-    in
-    let par_passes = List.init repeat (fun _ -> par_pass ()) in
-    let (par, par_gc), par_wall = median_of par_passes in
-    let par_wall_min = wall_min par_passes
-    and par_wall_max = wall_max par_passes in
-    let divergences =
-      List.concat
-        (List.map2
-           (fun (j, r, _) p ->
-             match Report.diff_result r p with
-             | None -> []
-             | Some d ->
-               [
-                 Printf.sprintf "%s %s: %s" j.Sweep.label
-                   j.Sweep.config.Config.name d;
-               ])
-           seq par)
-    in
-    (* [total_events] counts the paper's six baseline configurations only,
-       so it stays comparable across baselines that add or drop extension
-       configurations; the extended total covers every swept cell. *)
-    let baseline_names = List.map (fun c -> c.Config.name) Config.all in
-    let total_events =
-      List.fold_left
-        (fun acc ((j : Sweep.job), (r : Run.result), _) ->
-          if List.mem j.Sweep.config.Config.name baseline_names then
-            acc + r.Run.events
-          else acc)
-        0 seq
-    in
-    let total_events_extended =
-      List.fold_left (fun acc (_, r, _) -> acc + r.Run.events) 0 seq
-    in
-    let total_minor_words =
-      List.fold_left (fun acc (_, r, _) -> acc +. r.Run.minor_words) 0.0 seq
-    in
-    let total_major_collections =
-      List.fold_left (fun acc (_, r, _) -> acc + r.Run.major_collections) 0 seq
-    in
-    let speedup = seq_wall /. max 1e-9 par_wall in
-    (* One traced re-run of the first cell: asserts tracing does not change
-       simulated results and supplies the per-class latency section. *)
-    let traced =
-      match (cells, seq) with
-      | (j : Sweep.job) :: _, (_, base, _) :: _ ->
-        let tparams =
-          { j.Sweep.params with Params.trace = Some Trace.default_spec }
-        in
-        let tr =
-          Run.simulate ~params:tparams ~config:j.Sweep.config j.Sweep.workload
-        in
-        Some (j, tr, Report.same_result base tr)
-      | _ -> None
-    in
-    (* One metrics-enabled re-run of the same cell: asserts the inline
-       metric sampler does not change simulated results either. *)
-    let metriced =
-      match (cells, seq) with
-      | (j : Sweep.job) :: _, (_, base, _) :: _ ->
-        let mparams =
-          { j.Sweep.params with Params.metrics = Some Metrics.default_spec }
-        in
-        let mr =
-          Run.simulate ~params:mparams ~config:j.Sweep.config j.Sweep.workload
-        in
-        Some (j, mr, Report.same_result base mr)
-      | _ -> None
-    in
-    let buf = Buffer.create 4096 in
-    Printf.bprintf buf "{\n";
-    Printf.bprintf buf "  \"schema\": \"spandex-bench-sweep/8\",\n";
-    Printf.bprintf buf "  \"scale\": %g,\n" scale;
-    Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
-    Printf.bprintf buf "  \"jobs_used\": %d,\n" jobs;
-    Printf.bprintf buf "  \"repeat\": %d,\n" repeat;
-    Printf.bprintf buf "  \"msg_checks\": %b,\n"
-      (Spandex_proto.Msg.checks_enabled ());
-    Printf.bprintf buf "  \"recommended_domains\": %d,\n" recommended;
-    Printf.bprintf buf "  \"simulations_total\": %d,\n" n;
-    Printf.bprintf buf "  \"sequential_wall_s\": %.6f,\n" seq_wall;
-    Printf.bprintf buf "  \"sequential_wall_min_s\": %.6f,\n" seq_wall_min;
-    Printf.bprintf buf "  \"sequential_wall_max_s\": %.6f,\n" seq_wall_max;
-    Printf.bprintf buf "  \"parallel_wall_s\": %.6f,\n" par_wall;
-    Printf.bprintf buf "  \"parallel_wall_min_s\": %.6f,\n" par_wall_min;
-    Printf.bprintf buf "  \"parallel_wall_max_s\": %.6f,\n" par_wall_max;
-    Printf.bprintf buf "  \"speedup\": %.3f,\n" speedup;
-    Printf.bprintf buf "  \"total_events\": %d,\n" total_events;
-    Printf.bprintf buf "  \"total_events_extended\": %d,\n"
-      total_events_extended;
-    let eps wall = float_of_int total_events_extended /. max 1e-9 wall in
-    Printf.bprintf buf "  \"events_per_sec_sequential\": %.0f,\n"
-      (eps seq_wall);
-    (* min events/sec comes from the slowest pass (max wall), and vice
-       versa — the spread the --repeat satellite asks for. *)
-    Printf.bprintf buf "  \"events_per_sec_sequential_min\": %.0f,\n"
-      (eps seq_wall_max);
-    Printf.bprintf buf "  \"events_per_sec_sequential_max\": %.0f,\n"
-      (eps seq_wall_min);
-    Printf.bprintf buf "  \"events_per_sec_parallel\": %.0f,\n" (eps par_wall);
-    Printf.bprintf buf "  \"events_per_sec_parallel_min\": %.0f,\n"
-      (eps par_wall_max);
-    Printf.bprintf buf "  \"events_per_sec_parallel_max\": %.0f,\n"
-      (eps par_wall_min);
-    (* Allocation metrics (sequential pass): catches allocation
-       regressions that wall-clock noise can hide. *)
-    Printf.bprintf buf "  \"minor_words_total\": %.0f,\n" total_minor_words;
-    Printf.bprintf buf "  \"minor_words_per_event\": %.2f,\n"
-      (total_minor_words /. float_of_int (max 1 total_events_extended));
-    Printf.bprintf buf "  \"major_collections_total\": %d,\n"
-      total_major_collections;
-    (* Per-worker-domain GC accounting for the reported parallel pass:
-       each worker runs with its own tuned GC (see Sweep), so imbalance
-       here is visible instead of averaged away. *)
-    Printf.bprintf buf "  \"parallel_workers\": [\n";
-    let ngc = List.length par_gc in
-    List.iteri
-      (fun i (g : Sweep.worker_gc) ->
-        Printf.bprintf buf
-          "    { \"jobs\": %d, \"minor_words\": %.0f, \
-           \"major_collections\": %d }%s\n"
-          g.Sweep.wg_jobs g.Sweep.wg_minor_words g.Sweep.wg_major_collections
-          (if i = ngc - 1 then "" else ","))
-      par_gc;
-    Printf.bprintf buf "  ],\n";
-    Printf.bprintf buf "  \"identical\": %b,\n" (divergences = []);
-    (match traced with
-    | None -> ()
-    | Some (j, tr, same) ->
-      Printf.bprintf buf "  \"trace_identical\": %b,\n" same;
-      Printf.bprintf buf "  \"latency_workload\": %s,\n"
-        (json_string j.Sweep.label);
-      Printf.bprintf buf "  \"latency_config\": %s,\n"
-        (json_string j.Sweep.config.Config.name);
-      Printf.bprintf buf "  \"latency\": {\n";
-      let rows = tr.Run.latency in
-      let nrows = List.length rows in
-      List.iteri
-        (fun i (name, (s : Hist.summary)) ->
-          Printf.bprintf buf
-            "    %s: { \"count\": %d, \"p50\": %d, \"p90\": %d, \"p99\": %d, \
-             \"max\": %d, \"mean\": %.2f }%s\n"
-            (json_string name) s.Hist.count s.Hist.p50 s.Hist.p90 s.Hist.p99
-            s.Hist.max s.Hist.mean
-            (if i = nrows - 1 then "" else ","))
-        rows;
-      Printf.bprintf buf "  },\n");
-    (match metriced with
-    | None -> ()
-    | Some (_, mr, same) ->
-      Printf.bprintf buf "  \"metrics_identical\": %b,\n" same;
-      Printf.bprintf buf "  \"metrics_series\": %d,\n"
-        (Metrics.num_series mr.Run.metrics);
-      Printf.bprintf buf "  \"metrics_samples\": %d,\n"
-        (Metrics.num_samples mr.Run.metrics));
-    Printf.bprintf buf "  \"simulations\": [\n";
-    List.iteri
-      (fun i ((j : Sweep.job), (r : Run.result), wall) ->
-        Printf.bprintf buf
-          "    { \"workload\": %s, \"config\": %s, \"cycles\": %d, \
-           \"events\": %d, \"flits\": %d, \"messages\": %d, \
-           \"wall_s\": %.6f, \"events_per_sec\": %.0f, \
-           \"minor_words_per_event\": %.2f, \"major_collections\": %d }%s\n"
-          (json_string j.Sweep.label)
-          (json_string j.Sweep.config.Config.name)
-          r.Run.cycles r.Run.events r.Run.total_flits r.Run.messages wall
-          (float_of_int r.Run.events /. max 1e-9 wall)
-          (r.Run.minor_words /. float_of_int (max 1 r.Run.events))
-          r.Run.major_collections
-          (if i = n - 1 then "" else ","))
-      seq;
-    Printf.bprintf buf "  ]\n}\n";
-    let oc = open_out out in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    Printf.printf
-      "  sequential: %.2fs | parallel (%d jobs): %.2fs | speedup: %.2fx\n"
-      seq_wall jobs par_wall speedup;
-    if repeat > 1 then
-      Printf.printf
-        "  spread over %d repeats: sequential %.2f-%.2fs | parallel \
-         %.2f-%.2fs\n"
-        repeat seq_wall_min seq_wall_max par_wall_min par_wall_max;
-    Printf.printf "  events/sec (sequential): %.0f%s\n"
-      (float_of_int total_events_extended /. max 1e-9 seq_wall)
-      (if repeat > 1 then
-         Printf.sprintf " (min %.0f, max %.0f)"
-           (float_of_int total_events_extended /. max 1e-9 seq_wall_max)
-           (float_of_int total_events_extended /. max 1e-9 seq_wall_min)
-       else "");
-    Printf.printf "  alloc: %.1f minor words/event | %d major collections\n"
-      (total_minor_words /. float_of_int (max 1 total_events_extended))
-      total_major_collections;
-    Printf.printf "  wrote %s\n" out;
-    if divergences <> [] then begin
-      Printf.eprintf
-        "FAIL: parallel sweep diverged from sequential on %d simulation(s):\n"
-        (List.length divergences);
-      List.iter (fun d -> Printf.eprintf "  %s\n" d) divergences;
-      exit 1
-    end;
-    (match traced with
-    | Some (j, tr, false) ->
-      Printf.eprintf "FAIL: traced run of %s %s diverged from untraced: %s\n"
-        j.Sweep.label j.Sweep.config.Config.name
-        (match
-           List.find_opt
-             (fun (j', _, _) ->
-               j'.Sweep.label = j.Sweep.label
-               && j'.Sweep.config.Config.name = j.Sweep.config.Config.name)
-             seq
-         with
-        | Some (_, base, _) ->
-          Option.value ~default:"(no field diff)" (Report.diff_result base tr)
-        | None -> "(baseline missing)");
-      exit 1
-    | _ -> ());
-    match metriced with
-    | Some (j, mr, false) ->
-      Printf.eprintf
-        "FAIL: metrics-enabled run of %s %s diverged from metrics-off: %s\n"
-        j.Sweep.label j.Sweep.config.Config.name
-        (match seq with
-        | (_, base, _) :: _ ->
-          Option.value ~default:"(no field diff)" (Report.diff_result base mr)
-        | [] -> "(baseline missing)");
-      exit 1
-    | _ -> ()
-  in
-  let workloads_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "workloads" ]
-          ~doc:
-            "Comma-separated workload subset to bench (default: every \
-             non-stress workload).")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_sweep.json"
-      & info [ "o"; "out" ] ~doc:"Output path for the JSON perf report.")
-  in
-  let repeat_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "repeat" ]
-          ~doc:
-            "Run each timed pass N times and report the pass with the \
-             median total wall clock (simulated results are identical \
-             across repeats; only timings vary).")
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Time the full sweep sequentially and in parallel, assert the \
-          results are bit-identical, and write a machine-readable \
-          BENCH_sweep.json (wall-clock, events/sec, allocation metrics, \
-          speedup).  Message-construction checks are disabled unless \
-          SPANDEX_CHECKS is set in the environment.")
-    Term.(
-      const run $ scale_arg $ jobs_arg $ workloads_arg $ out_arg $ repeat_arg)
-
 let soak_cmd =
   let run seeds jobs_geometry =
     let params, tiny, geom =
@@ -1225,6 +894,5 @@ let () =
             explain_cmd;
             metrics_cmd;
             check_cmd;
-            bench_cmd;
             soak_cmd;
           ]))

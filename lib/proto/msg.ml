@@ -42,10 +42,9 @@ type t = {
 }
 
 (* Per-message construction checks (payload length, demand ⊆ mask) run on
-   every send, so bench runs turn them off: default on (tests exercise
-   them under dune runtest), SPANDEX_CHECKS=0/false/off in the environment
-   or [set_checks false] (used by `spandex_cli bench`) disables them.
-   Read eagerly at module init and only mutated before domains spawn, so
+   every send.  They are on by default everywhere; SPANDEX_CHECKS=0/false/off
+   in the environment turns them off, and [set_checks] is for tests.  Read
+   eagerly at module init and only mutated before domains spawn, so
    parallel sweeps see a settled value. *)
 let checks =
   ref
@@ -75,7 +74,7 @@ let dummy =
   }
 
 (* Per-domain free-list of message records.  Pooling is opt-in
-   ([set_pooling true], done by [Run.simulate] and the bench driver):
+   ([set_pooling true], done by [Run.simulate]):
    hand-driven test harnesses stash delivered messages in inbox lists and
    must keep the allocate-per-message behaviour.  When enabled, [make]
    pops a recycled record and overwrites every field; the engine recycles

@@ -95,12 +95,10 @@ val make :
     [mask]. *)
 
 val set_checks : bool -> unit
-(** Enable or disable {!make}'s per-message validation.  Default: on, so
-    the checks run under [dune runtest]; [SPANDEX_CHECKS=0] (also [false]
+(** Enable or disable {!make}'s per-message validation, for tests.  The
+    checks are on by default everywhere; [SPANDEX_CHECKS=0] (also [false]
     / [off]) in the environment starts with them off, any other value
-    forces them on.  `spandex_cli bench` disables them unless
-    [SPANDEX_CHECKS] is set, keeping validation off the measured hot
-    path.  Only flip this before worker domains spawn. *)
+    leaves them on.  Only flip this before worker domains spawn. *)
 
 val checks_enabled : unit -> bool
 
@@ -108,9 +106,8 @@ val set_pooling : bool -> unit
 (** Enable or disable the per-domain message free-list (default: off).
     When on, {!make} reuses recycled records and the engine returns each
     delivered message to the pool after its handler runs, unless {!keep}
-    was called on it.  Only [Run.simulate] and the bench driver turn this
-    on: hand-driven harnesses that stash delivered messages must leave it
-    off.  The flag and the free-list are domain-local. *)
+    was called on it.  Only [Run.simulate] turns this on: hand-driven
+    harnesses that stash delivered messages must leave it off.  The flag and the free-list are domain-local. *)
 
 val pooling_enabled : unit -> bool
 

@@ -222,7 +222,7 @@ let iter t ~f =
 
 (* ----- export ---------------------------------------------------------------- *)
 
-let add_json_string buf s =
+let add_json_quoted buf s =
   Buffer.add_char buf '"';
   String.iter
     (fun ch ->
@@ -266,12 +266,12 @@ let export_chrome ?extra t ~device_name buf =
            "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":%s}}"
            d
            (let b = Buffer.create 16 in
-            add_json_string b (device_name d);
+            add_json_quoted b (device_name d);
             Buffer.contents b)))
     (devices_used t);
   let js s =
     let b = Buffer.create 16 in
-    add_json_string b s;
+    add_json_quoted b s;
     Buffer.contents b
   in
   iter t ~f:(fun ev ->
@@ -309,7 +309,7 @@ let export_chrome ?extra t ~device_name buf =
 let export_jsonl t ~device_name buf =
   let js s =
     let b = Buffer.create 16 in
-    add_json_string b s;
+    add_json_quoted b s;
     Buffer.contents b
   in
   Printf.bprintf buf

@@ -58,20 +58,8 @@ let headline rows =
     traffic_max = List.fold_left max neg_infinity traffics;
   }
 
-(* Bit-identical equality over everything a run reports, used to assert the
-   parallel sweep matches a sequential one.  Stats are compared as sorted
-   (name, value) assoc lists, so interning order does not matter. *)
-let same_result (a : Run.result) (b : Run.result) =
-  a.Run.cycles = b.Run.cycles
-  && a.Run.total_flits = b.Run.total_flits
-  && a.Run.traffic = b.Run.traffic
-  && a.Run.messages = b.Run.messages
-  && a.Run.events = b.Run.events
-  && a.Run.checks = b.Run.checks
-  && a.Run.failures = b.Run.failures
-  && Spandex_util.Stats.to_assoc a.Run.stats
-     = Spandex_util.Stats.to_assoc b.Run.stats
-
+(* Stats are compared as sorted (name, value) assoc lists, so interning
+   order does not matter. *)
 let diff_result (a : Run.result) (b : Run.result) =
   if a.Run.cycles <> b.Run.cycles then
     Some (Printf.sprintf "cycles %d <> %d" a.Run.cycles b.Run.cycles)

@@ -28,15 +28,11 @@ val headline : row list -> headline
 val cycles : Run.result -> int
 val flits : Run.result -> int
 
-val same_result : Run.result -> Run.result -> bool
-(** Bit-identical equality over everything a run reports — cycles, flits,
-    traffic breakdown, messages, events, checks, failures, and the full
-    sorted stats assoc.  Used to assert parallel sweeps match sequential
-    ones. *)
-
 val diff_result : Run.result -> Run.result -> string option
-(** [None] when {!same_result}; otherwise a one-line description of the
-    first differing field, for divergence diagnostics. *)
+(** [None] when the two runs are bit-identical in everything they report —
+    cycles, flits, traffic breakdown, messages, events, checks, failures,
+    and the full sorted stats assoc; otherwise a one-line description of
+    the first differing field, for divergence diagnostics. *)
 
 val traffic_share : Run.result -> (Spandex_proto.Msg.category * float) list
 (** Per-category fraction of total flits. *)

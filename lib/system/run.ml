@@ -29,7 +29,6 @@ type result = {
   failures : Check_log.failure list;
   stats : Stats.t;
   minor_words : float;
-  major_collections : int;
   latency : (string * Hist.summary) list;
   trace : Trace.t;
   device_names : string array;
@@ -568,7 +567,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
       failures = List.concat_map Check_log.failures check_logs;
       stats;
       minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
-      major_collections = gc1.Gc.major_collections - gc0.Gc.major_collections;
       latency = Trace.latency_summaries trace;
       trace;
       device_names;

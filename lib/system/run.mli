@@ -15,9 +15,6 @@ type result = {
       (** minor-heap words allocated over the whole simulation (build +
           run), from [Gc.quick_stat]; divide by [events] for a per-event
           allocation figure.  Excluded from bit-identity comparisons. *)
-  major_collections : int;
-      (** major GC cycles completed during the simulation; likewise
-          excluded from bit-identity. *)
   latency : (string * Spandex_util.Hist.summary) list;
       (** per-request-class issue-to-reply latency summaries (class name,
           {!Spandex_util.Hist.summary}), from the trace sink's histograms;

@@ -12,12 +12,6 @@ let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
 type 'b outcome = Value of 'b | Raised of exn * Printexc.raw_backtrace
 
-type worker_gc = {
-  wg_jobs : int;
-  wg_minor_words : float;
-  wg_major_collections : int;
-}
-
 (* Simulation allocates in a steady churn of short-lived records; a larger
    minor heap keeps that churn out of the major heap, and a raised
    space_overhead stops the (rare) major collections from compacting
@@ -53,86 +47,40 @@ let claim_order n = function
       order;
     order
 
-let map_gc ?jobs ?weights f items =
+let map ?jobs ?weights f items =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let input = Array.of_list items in
   let n = Array.length input in
   let jobs = max 1 (min jobs n) in
   let order = claim_order n weights in
-  if jobs <= 1 then begin
-    let results = Array.make n None in
-    let gc =
-      with_tuned_gc @@ fun () ->
-      let s0 = Gc.quick_stat () in
-      Array.iter
-        (fun i ->
-          results.(i) <-
-            Some
-              (try Value (f input.(i))
-               with e -> Raised (e, Printexc.get_raw_backtrace ())))
-        order;
-      let s1 = Gc.quick_stat () in
-      {
-        wg_jobs = n;
-        wg_minor_words = s1.Gc.minor_words -. s0.Gc.minor_words;
-        wg_major_collections =
-          s1.Gc.major_collections - s0.Gc.major_collections;
-      }
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let worker () =
+    with_tuned_gc @@ fun () ->
+    let rec loop () =
+      let k = Atomic.fetch_and_add next 1 in
+      if k < n then begin
+        let i = order.(k) in
+        results.(i) <-
+          Some
+            (try Value (f input.(i))
+             with e -> Raised (e, Printexc.get_raw_backtrace ()));
+        loop ()
+      end
     in
-    ( Array.to_list results
-      |> List.map (function
-           | Some (Value v) -> v
-           | Some (Raised (e, bt)) -> Printexc.raise_with_backtrace e bt
-           | None -> assert false),
-      [ gc ] )
-  end
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let gc_slots = Array.make jobs None in
-    let worker wid () =
-      with_tuned_gc @@ fun () ->
-      let s0 = Gc.quick_stat () in
-      let claimed = ref 0 in
-      let rec loop () =
-        let k = Atomic.fetch_and_add next 1 in
-        if k < n then begin
-          let i = order.(k) in
-          let r =
-            try Value (f input.(i))
-            with e -> Raised (e, Printexc.get_raw_backtrace ())
-          in
-          results.(i) <- Some r;
-          incr claimed;
-          loop ()
-        end
-      in
-      loop ();
-      let s1 = Gc.quick_stat () in
-      gc_slots.(wid) <-
-        Some
-          {
-            wg_jobs = !claimed;
-            wg_minor_words = s1.Gc.minor_words -. s0.Gc.minor_words;
-            wg_major_collections =
-              s1.Gc.major_collections - s0.Gc.major_collections;
-          }
-    in
-    (* The calling domain is one of the workers. *)
-    let spawned = Array.init (jobs - 1) (fun w -> Domain.spawn (worker (w + 1))) in
-    worker 0 ();
-    Array.iter Domain.join spawned;
-    (* Re-raise the first failure in submission order, as a sequential
-       List.map would have surfaced it (later jobs may have run anyway). *)
-    ( Array.to_list results
-      |> List.map (function
-           | Some (Value v) -> v
-           | Some (Raised (e, bt)) -> Printexc.raise_with_backtrace e bt
-           | None -> assert false),
-      Array.to_list gc_slots |> List.filter_map Fun.id )
-  end
-
-let map ?jobs ?weights f items = fst (map_gc ?jobs ?weights f items)
+    loop ()
+  in
+  (* The calling domain is one of the workers; [jobs <= 1] spawns none. *)
+  let spawned = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+  worker ();
+  Array.iter Domain.join spawned;
+  (* Re-raise the first failure in submission order, as a sequential
+     List.map would have surfaced it (later jobs may have run anyway). *)
+  Array.to_list results
+  |> List.map (function
+       | Some (Value v) -> v
+       | Some (Raised (e, bt)) -> Printexc.raise_with_backtrace e bt
+       | None -> assert false)
 
 (* ----- simulation jobs ------------------------------------------------------ *)
 
@@ -148,10 +96,8 @@ type job = {
    exact enough to keep the longest cells off the tail. *)
 let job_weight j = float_of_int (Workload.total_ops j.workload)
 
-let simulate_all_gc ?jobs js =
+let simulate_all ?jobs js =
   let weights = Array.of_list (List.map job_weight js) in
-  map_gc ?jobs ~weights
+  map ?jobs ~weights
     (fun j -> Run.simulate ~params:j.params ~config:j.config j.workload)
     js
-
-let simulate_all ?jobs js = fst (simulate_all_gc ?jobs js)

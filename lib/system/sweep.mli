@@ -17,13 +17,6 @@ val default_jobs : unit -> int
 (** [max 1 (Domain.recommended_domain_count () - 1)]: leave one core for
     the orchestrating domain's bookkeeping. *)
 
-type worker_gc = {
-  wg_jobs : int;  (** jobs this worker claimed. *)
-  wg_minor_words : float;  (** minor words it allocated across them. *)
-  wg_major_collections : int;  (** major collections it triggered. *)
-}
-(** Per-worker-domain GC accounting for one [map_gc] call. *)
-
 val map : ?jobs:int -> ?weights:float array -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f items] applies [f] to every item using [jobs] worker
     domains (the calling domain is one of them), returning results in
@@ -34,15 +27,6 @@ val map : ?jobs:int -> ?weights:float array -> ('a -> 'b) -> 'a list -> 'b list
     failure in submission order is re-raised after all workers have
     drained.  [f] must not touch domain-unsafe shared state; [Run.simulate]
     with per-job params/config/workload qualifies. *)
-
-val map_gc :
-  ?jobs:int ->
-  ?weights:float array ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list * worker_gc list
-(** {!map} plus per-worker GC accounting, one entry per worker domain
-    that ran (in worker order, not submission order). *)
 
 type job = {
   label : string;  (** for reports; not interpreted. *)
@@ -56,6 +40,3 @@ val simulate_all : ?jobs:int -> job list -> Run.result list
     results in submission order.  Jobs are claimed longest-first by
     expected op count.  Workloads may be shared between jobs — simulation
     reads but never mutates them. *)
-
-val simulate_all_gc : ?jobs:int -> job list -> Run.result list * worker_gc list
-(** {!simulate_all} plus per-worker GC accounting (cf. {!map_gc}). *)

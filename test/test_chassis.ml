@@ -14,7 +14,8 @@
    beyond the timing wheel's horizon, so deliveries ride its overflow
    tier), [observed] (trace plus metrics on different cadences; the
    digest also folds the OpenMetrics, CSV and merged Chrome exports) and
-   [metrics] (metrics alone, same exports).  The [untraced] and
+   [metrics] (metrics alone, same exports) and [saa] (every non-stress
+   workload on the adaptive SAA configuration).  The [untraced] and
    [fault-far] lines were recorded while a binary-heap reference
    scheduler still existed and agreed with the wheel on every one.
 
@@ -43,18 +44,19 @@ let non_stress_names =
 
 (* The seed configurations the goldens cover: the paper's six plus SDA,
    whose adaptive-write behaviour predates the policy layer and must be
-   reproduced by it exactly.  (SAA is new in the policy layer and has no
-   pre-refactor reference.) *)
+   reproduced by it exactly.  SAA is new in the policy layer and has no
+   pre-refactor reference; the [saa] lines pin its results as recorded
+   before the legacy bench harness, which gated them, was retired. *)
 let golden_configs = Config.all @ [ Config.sda ]
 
-let matrix ~params names =
+let matrix ?(configs = golden_configs) ~params names =
   let geom = Registry.geometry_of_params params in
   List.concat_map
     (fun n ->
       let wl = (Registry.find n).Registry.build ~scale:0.25 geom in
       List.map
         (fun config -> { Sweep.label = n; params; config; workload = wl })
-        golden_configs)
+        configs)
     names
 
 let add_result b (r : Run.result) =
@@ -160,6 +162,8 @@ let all_lines () =
       (matrix ~params:observed_params [ "rsct"; "tqh"; "bc" ])
   @ lines_for ~mode:"metrics" ~fold:Metered
       (matrix ~params:metered_params [ "tqh" ])
+  @ lines_for ~mode:"saa" ~fold:Results
+      (matrix ~configs:[ Config.saa ] ~params:Params.bench non_stress_names)
 
 (* `dune runtest` runs the binary in the test directory; `dune exec` from
    the project root does not. *)
