@@ -139,11 +139,10 @@ let horizon = 1024
 let stabilize ex =
   let eng = ex.sys.R.sys_engine in
   let rec go () =
-    match Engine.next_event_time eng with
-    | None -> ()
-    | Some t ->
-      if ex.pool <> [] && t - Engine.now eng > horizon then ()
-      else if Engine.step eng then go ()
+    let t = Engine.next_time eng in
+    if t = max_int then ()
+    else if ex.pool <> [] && t - Engine.now eng > horizon then ()
+    else if Engine.step eng then go ()
   in
   go ()
 

@@ -263,15 +263,6 @@ let find_wb_covering t ~line ~word =
       if b.b_line = line && Mask.mem b.b_mask word then Some b else acc)
     t.wb_records None
 
-(* Words a converted or promoted read (ReqO+data) is mid-granting: the LLC
-   already lists this cache as their owner, but the data is still on the
-   wire. *)
-let read_own_pending t ~line ~word =
-  Mshr.count t.ch.Chassis.outstanding > 0
-  && Mshr.exists t.ch.Chassis.outstanding ~f:(function
-       | Read m -> m.r_line = line && Mask.mem m.r_own_mask word
-       | _ -> false)
-
 (* Any write-side transaction alive for [line]: a promoted (ReqO+data) read
    issued beside one could be answered with a data-less self-grant. *)
 let line_write_pending t ~line =
@@ -505,6 +496,42 @@ let rec store t (addr : Addr.t) ~value ~k =
       Engine.schedule t.ch.Chassis.engine ~delay:t.cfg.hit_latency k
     | `Full -> Chassis.stall_store t.ch (fun () -> store t addr ~value ~k))
 
+(* ----- serving external requests ------------------------------------------- *)
+
+(* Answer [msg] for [words] with their data taken from [values]. *)
+let respond_words t (msg : Msg.t) ~kind ~dst ~words ~values =
+  if not (Mask.is_empty words) then
+    reply t msg ~kind ~dst ~mask:words
+      ~payload:(Msg.pooled_pack ~mask:words ~full:values)
+      ()
+
+(* Serve [words] held (or about to be held) Owned here, whose data is in
+   [values]; [downgrade] gives them up when the request takes ownership. *)
+let serve t (msg : Msg.t) ~words ~values ~downgrade =
+  if not (Mask.is_empty words) then begin
+    match msg.Msg.kind with
+    | Msg.Req Msg.ReqV ->
+      (* No state change (Table IV: expected O, next O). *)
+      respond_words t msg ~kind:Msg.RspV ~dst:msg.Msg.requestor ~words ~values
+    | Msg.Req Msg.ReqO ->
+      downgrade words;
+      reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:words ()
+    | Msg.Req Msg.ReqOdata ->
+      downgrade words;
+      respond_words t msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor ~words
+        ~values
+    | Msg.Req Msg.ReqS ->
+      (* DeNovo has no Shared state: surrender the data to both the
+         requestor and the LLC and fall to Invalid. *)
+      downgrade words;
+      respond_words t msg ~kind:Msg.RspS ~dst:msg.Msg.requestor ~words ~values;
+      respond_words t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~words ~values
+    | Msg.Probe Msg.RvkO ->
+      downgrade words;
+      respond_words t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~words ~values
+    | _ -> assert false
+  end
+
 (* ----- RMWs ----------------------------------------------------------------- *)
 
 let rec finish_rmw t ~txn (r : rmw_req) ~value =
@@ -592,39 +619,52 @@ and rmw t (addr : Addr.t) amo ~k =
 
 and external_req t (msg : Msg.t) =
   let { Msg.line; mask; _ } = msg in
-  let respond_words ~kind ~dst ~words ~values =
-    if not (Mask.is_empty words) then
-      reply t msg ~kind ~dst ~mask:words
-        ~payload:(Msg.pooled_pack ~mask:words ~full:values)
-        ()
-  in
-  (* Partition the requested words by where their truth currently lives. *)
-  let frame_line = Cache_frame.find t.frame ~line in
-  let remaining = ref mask in
-  let take p =
-    let words = Mask.fold !remaining ~init:Mask.empty ~f:(fun acc w ->
-        if p w then Mask.add acc w else acc)
-    in
-    remaining := Mask.diff !remaining words;
-    words
-  in
+  (* Partition the requested words by where their truth currently lives.
+     One pass over the MSHR file collects, for [line], the words of
+     pending write-side stores (not write-throughs, minus stolen words),
+     of unstolen RMWs, and of converted or promoted reads (ReqO+data)
+     mid-grant: the LLC already lists this cache as their owner, but the
+     data is still on the wire. *)
+  let own = ref Mask.empty and rmw = ref Mask.empty and read = ref Mask.empty in
+  if Mshr.count t.ch.Chassis.outstanding > 0 then
+    Mshr.iter t.ch.Chassis.outstanding ~f:(fun ~txn:_ -> function
+      | Own o when o.o_line = line && not o.o_through ->
+        own := Mask.union !own (Mask.diff o.o_mask o.o_stolen)
+      | Rmw r when r.w_line = line && not r.w_stolen ->
+        rmw := Mask.add !rmw r.w_word
+      | Read m when m.r_line = line -> read := Mask.union !read m.r_own_mask
+      | Own _ | Rmw _ | Read _ | Atomic _ -> ());
+  (* One pass over the write-backs: the words they cover on [line], and
+     the last record (in table order) holding a requested word, whose
+     retained data answers them. *)
+  let wb = ref Mask.empty and wb_rec = ref None in
+  if Hashtbl.length t.wb_records > 0 then
+    Hashtbl.iter
+      (fun _ (b : wb_req) ->
+        if b.b_line = line then begin
+          wb := Mask.union !wb b.b_mask;
+          if not (Mask.is_empty (Mask.inter b.b_mask mask)) then
+            wb_rec := Some b
+        end)
+      t.wb_records;
   (* The write-back record is consulted first: forwards arriving while it
      is alive were serialized before the write-back at the LLC and target
      the old ownership epoch (cf. Mesi_l1.external_req). *)
-  let in_wb = take (fun w -> find_wb_covering t ~line ~word:w <> None) in
+  let frame_line = Cache_frame.find t.frame ~line in
+  let in_wb = Mask.inter mask !wb in
+  let rest = Mask.diff mask in_wb in
   let owned_here =
-    take (fun w ->
-        match frame_line with
-        | Some l -> Mask.mem l.owned w
-        | None -> false)
+    match frame_line with
+    | Some l -> Mask.inter rest l.owned
+    | None -> Mask.empty
   in
-  let in_own =
-    take (fun w ->
-        find_own_covering ~include_through:false t ~line ~word:w <> None)
-  in
-  let in_rmw = take (fun w -> find_rmw_covering t ~line ~word:w <> None) in
-  let in_read = take (fun w -> read_own_pending t ~line ~word:w) in
-  let absent = !remaining in
+  let rest = Mask.diff rest owned_here in
+  let in_own = Mask.inter rest !own in
+  let rest = Mask.diff rest in_own in
+  let in_rmw = Mask.inter rest !rmw in
+  let rest = Mask.diff rest in_rmw in
+  let in_read = Mask.inter rest !read in
+  let absent = Mask.diff rest in_read in
   let kind_needs_data = Msg.kind_needs_data msg.Msg.kind in
   (* Words mid-RMW: data-needing requests wait for the fill; data-less
      downgrades steal immediately. *)
@@ -650,75 +690,43 @@ and external_req t (msg : Msg.t) =
               ~mask:(Mask.singleton w) ()
           | None -> assert false)
   end;
-  let serve ~words ~values ~downgrade =
-    if not (Mask.is_empty words) then begin
-      match msg.Msg.kind with
-      | Msg.Req Msg.ReqV ->
-        (* No state change (Table IV: expected O, next O). *)
-        respond_words ~kind:Msg.RspV ~dst:msg.Msg.requestor ~words ~values
-      | Msg.Req Msg.ReqO ->
-        downgrade words;
-        reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:words ()
-      | Msg.Req Msg.ReqOdata ->
-        downgrade words;
-        respond_words ~kind:Msg.RspOdata ~dst:msg.Msg.requestor ~words ~values
-      | Msg.Req Msg.ReqS ->
-        (* DeNovo has no Shared state: surrender the data to both the
-           requestor and the LLC and fall to Invalid. *)
-        downgrade words;
-        respond_words ~kind:Msg.RspS ~dst:msg.Msg.requestor ~words ~values;
-        respond_words ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~words ~values
-      | Msg.Probe Msg.RvkO ->
-        downgrade words;
-        respond_words ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~words ~values
-      | _ -> assert false
-    end
-  in
   (* Owned in the frame: the normal case. *)
   (match frame_line with
-  | Some l ->
-    serve ~words:owned_here ~values:l.data ~downgrade:(fun words ->
+  | Some l when not (Mask.is_empty owned_here) ->
+    serve t msg ~words:owned_here ~values:l.data ~downgrade:(fun words ->
         t.policy.Policy.on_downgrade ~line;
         l.owned <- Mask.diff l.owned words)
-  | None -> assert (Mask.is_empty owned_here));
+  | _ -> ());
   (* Granted-but-uncommitted stores: answer from the pending values. *)
   Mask.iter in_own ~f:(fun w ->
       match find_own_covering ~include_through:false t ~line ~word:w with
       | Some o ->
-        serve ~words:(Mask.singleton w) ~values:o.o_values
+        serve t msg ~words:(Mask.singleton w) ~values:o.o_values
           ~downgrade:(fun words -> o.o_stolen <- Mask.union o.o_stolen words)
       | None -> assert false);
   (* Pending write-back: respond with the retained data; the LLC treats the
      in-flight ReqWB as the data carrier (§III-C case 2). *)
-  (match
-     ( Mask.is_empty in_wb,
-       Hashtbl.fold
-         (fun _ (b : wb_req) acc ->
-           if b.b_line = line && not (Mask.is_empty (Mask.inter b.b_mask in_wb))
-           then Some b
-           else acc)
-         t.wb_records None )
-   with
-  | true, _ -> ()
-  | false, Some b -> (
+  (match !wb_rec with
+  | _ when Mask.is_empty in_wb -> ()
+  | Some b -> (
     match msg.Msg.kind with
     | Msg.Req Msg.ReqV ->
-      respond_words ~kind:Msg.RspV ~dst:msg.Msg.requestor ~words:in_wb
+      respond_words t msg ~kind:Msg.RspV ~dst:msg.Msg.requestor ~words:in_wb
         ~values:b.b_values
     | Msg.Req Msg.ReqO ->
       reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:in_wb ()
     | Msg.Req Msg.ReqOdata ->
-      respond_words ~kind:Msg.RspOdata ~dst:msg.Msg.requestor ~words:in_wb
-        ~values:b.b_values
+      respond_words t msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor
+        ~words:in_wb ~values:b.b_values
     | Msg.Req Msg.ReqS ->
-      respond_words ~kind:Msg.RspS ~dst:msg.Msg.requestor ~words:in_wb
+      respond_words t msg ~kind:Msg.RspS ~dst:msg.Msg.requestor ~words:in_wb
         ~values:b.b_values;
       (* Data already travels in the pending ReqWB (footnote 5). *)
       reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:in_wb ()
     | Msg.Probe Msg.RvkO ->
       reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:in_wb ()
     | _ -> assert false)
-  | false, _ -> assert false);
+  | None -> assert false);
   (* Words mid-grant to a converted or promoted read: the fill is in
      flight from the LLC (the response cannot be Nacked), so re-dispatch
      once it lands and the words are Owned in the frame. *)

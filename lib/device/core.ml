@@ -13,6 +13,9 @@ type context = {
      closure per context is enough. *)
   mutable wake : unit -> unit;
   mutable wake_int : int -> unit;  (* [wake] discarding a loaded value. *)
+  mutable check_k : int -> unit;
+      (* logs the loaded value against the in-flight [Check] at
+         [ops.(pc - 1)], then wakes. *)
 }
 
 type t = {
@@ -40,15 +43,16 @@ type t = {
   mutable issue_thunk : unit -> unit;  (* preallocated issue-slot event. *)
 }
 
-let next_ready t =
-  let n = Array.length t.contexts in
-  let rec scan i =
-    if i = n then None
-    else
-      let idx = (t.rr + i) mod n in
-      if t.contexts.(idx).state = Ready then Some idx else scan (i + 1)
-  in
-  scan 0
+(* Index of the next ready context in round-robin order, or -1.  A
+   top-level scan, so the per-op call builds neither an option nor a
+   closure. *)
+let rec scan_ready t n i =
+  if i = n then -1
+  else
+    let idx = (t.rr + i) mod n in
+    if t.contexts.(idx).state = Ready then idx else scan_ready t n (i + 1)
+
+let next_ready t = scan_ready t (Array.length t.contexts) 0
 
 let rec arm t =
   if not t.issue_armed then begin
@@ -59,9 +63,8 @@ let rec arm t =
   end
 
 and issue t =
-  match next_ready t with
-  | None -> ()
-  | Some idx ->
+  let idx = next_ready t in
+  if idx >= 0 then begin
     let ctx = t.contexts.(idx) in
     t.rr <- (idx + 1) mod Array.length t.contexts;
     t.next_slot <- Engine.now t.engine + t.clock;
@@ -74,20 +77,9 @@ and issue t =
     | Ops.Load a ->
       Stats.bump t.stats t.k_loads;
       t.port.Port.load a ~k:ctx.wake_int
-    | Ops.Check (a, expected) ->
+    | Ops.Check (a, _) ->
       Stats.bump t.stats t.k_loads;
-      t.port.Port.load a ~k:(fun actual ->
-          Check_log.incr_checks t.check_log;
-          if actual <> expected then
-            Check_log.record t.check_log
-              {
-                Check_log.core = t.core_id;
-                addr = a;
-                expected;
-                actual;
-                cycle = Engine.now t.engine;
-              };
-          wake ())
+      t.port.Port.load a ~k:ctx.check_k
     | Ops.Store (a, value) ->
       Stats.bump t.stats t.k_stores;
       t.port.Port.store a ~value ~k:wake
@@ -119,6 +111,7 @@ and issue t =
       Engine.schedule t.engine ~delay:(n * t.clock) wake);
     (* Keep issuing while other contexts are ready. *)
     arm t
+  end
 
 let create engine ~port ~barriers ~check_log ~core_id ~clock ~programs =
   assert (clock >= 1);
@@ -131,6 +124,7 @@ let create engine ~port ~barriers ~check_log ~core_id ~clock ~programs =
           state = (if Array.length ops = 0 then Finished else Ready);
           wake = ignore;
           wake_int = ignore;
+          check_k = ignore;
         })
       programs
   in
@@ -176,7 +170,23 @@ let create engine ~port ~barriers ~check_log ~core_id ~clock ~programs =
         arm t
       in
       ctx.wake <- wake;
-      ctx.wake_int <- (fun _v -> wake ()))
+      ctx.wake_int <- (fun _v -> wake ());
+      ctx.check_k <-
+        (fun actual ->
+          match ctx.ops.(ctx.pc - 1) with
+          | Ops.Check (a, expected) ->
+            Check_log.incr_checks t.check_log;
+            if actual <> expected then
+              Check_log.record t.check_log
+                {
+                  Check_log.core = t.core_id;
+                  addr = a;
+                  expected;
+                  actual;
+                  cycle = Engine.now t.engine;
+                };
+            wake ()
+          | _ -> assert false))
     t.contexts;
   t.issue_thunk <-
     (fun () ->

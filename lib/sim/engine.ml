@@ -427,11 +427,14 @@ let drained ~strict t =
     | [] -> t.time
     | work -> raise (Stuck { stuck_cycle = t.time; stuck_work = work })
 
-let next_event_time t =
-  let tn = if Netq.is_empty t.netq then None else Some (Netq.min_time t.netq) in
-  match (Wheel.peek_time t.wheel, tn) with
-  | None, x | x, None -> x
-  | Some a, Some b -> Some (if a <= b then a else b)
+(* The option-free peek every loop shares: the earliest queued event time,
+   or [max_int] when both queues are empty.  Does not advance time. *)
+let next_time t =
+  let tq = Wheel.next_time t.wheel in
+  if Netq.is_empty t.netq then tq
+  else
+    let tn = Netq.min_time t.netq in
+    if tn < tq then tn else tq
 
 (* Dispatch the single next event under the canonical pop rule: component
    events first at equal times ([tq <= tn]), deliveries only when strictly
@@ -441,11 +444,7 @@ let next_event_time t =
 let dispatch_one t =
   let nq = t.netq and w = t.wheel in
   let from_net =
-    (not (Netq.is_empty nq))
-    &&
-    match Wheel.peek_time w with
-    | Some tq -> tq > Netq.min_time nq
-    | None -> true
+    (not (Netq.is_empty nq)) && Wheel.next_time w > Netq.min_time nq
   in
   t.steps <- t.steps + 1;
   if t.steps > t.step_limit then step_limit_hit t;
@@ -459,7 +458,7 @@ let dispatch_one t =
     dispatch t ev
   end
 
-let has_events t = not (Wheel.is_empty t.wheel && Netq.is_empty t.netq)
+let has_events t = next_time t <> max_int
 
 let run_all ?(strict = true) t =
   while has_events t do
@@ -516,31 +515,25 @@ let watchdog_check t ~boundary =
    run depend on this grid. *)
 let run t ~until_done ~pending_desc =
   let l = t.lookahead in
-  let check_at = ref min_int in
-  let rec loop () =
-    match next_event_time t with
-    | None ->
+  let rec loop check_at =
+    let te = next_time t in
+    if te = max_int then
       if until_done () then t.time else raise (Deadlock (pending_desc ()))
-    | Some te ->
-      if te >= !check_at then
-        if until_done () then t.time
-        else begin
-          let b = l * (te / l) in
-          watchdog_check t ~boundary:b;
-          check_at := b + l;
-          dispatch_run t;
-          loop ()
-        end
+    else if te >= check_at then
+      if until_done () then t.time
       else begin
-        dispatch_run t;
-        loop ()
+        let b = l * (te / l) in
+        watchdog_check t ~boundary:b;
+        dispatch_one t;
+        loop (b + l)
       end
-  and dispatch_run t =
-    match dispatch_one t with
-    | () -> ()
-    | exception Deadlock msg ->
-      (* Step-limit overruns get the caller's pending description. *)
-      raise (Deadlock (Printf.sprintf "%s: %s" msg (pending_desc ())))
+    else begin
+      dispatch_one t;
+      loop check_at
+    end
   in
-  loop ()
-
+  match loop min_int with
+  | finish -> finish
+  | exception Deadlock msg when t.steps > t.step_limit ->
+    (* Step-limit overruns get the caller's pending description. *)
+    raise (Deadlock (Printf.sprintf "%s: %s" msg (pending_desc ())))

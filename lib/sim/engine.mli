@@ -155,9 +155,10 @@ val run_all : ?strict:bool -> t -> int
     deliberately pause a protocol mid-transaction to inspect
     intermediate state. *)
 
-val next_event_time : t -> int option
-(** Cycle of the earliest queued event, or [None] when the queue is
-    empty.  Does not advance time. *)
+val next_time : t -> int
+(** Cycle of the earliest queued event, or [max_int] when the queue is
+    empty.  Does not advance time and allocates nothing: [run], [run_all]
+    and [step] peek through it. *)
 
 val step : t -> bool
 (** Dispatch exactly one event (advancing time to it); [false] when the

@@ -137,14 +137,16 @@ let pop t =
    exactly what an event loop that peeks, declines to step, and then
    injects a present-time event (the model checker's stabilize/deliver
    cycle) needs to do.  [advance] only moves [cur], so restoring it
-   re-permits those pushes; the skipped slots are empty either way. *)
-let peek_time t =
-  if t.size = 0 then None
+   re-permits those pushes; the skipped slots are empty either way.
+   Returns [max_int] when empty, so the event loops' peek boxes nothing. *)
+let next_time t =
+  if t.size = 0 then max_int
   else begin
     let saved = t.cur in
-    let time = min_time t in
+    ignore (advance t : bool);
+    let time = t.cur in
     t.cur <- saved;
-    Some time
+    time
   end
 
 let clear t =

@@ -55,8 +55,9 @@ val pop : 'a t -> (int * 'a) option
 (** Remove and return the minimum element with its time, or [None] when
     empty.  Convenience wrapper over {!min_time}/{!pop_min}. *)
 
-val peek_time : 'a t -> int option
-(** Time of the minimum element without removing it. *)
+val next_time : 'a t -> int
+(** Time of the minimum element without removing it or moving the cursor,
+    or [max_int] when empty.  Allocates nothing. *)
 
 val overflow_pushes : 'a t -> int
 (** Total pushes routed to the overflow heap since creation — a cheap

@@ -298,6 +298,86 @@ let core_gpu_clock_scaling () =
   in
   check_bool "slow clock scales issue" true (finish >= 30)
 
+(* ----- Allocation pins ------------------------------------------------------------ *)
+
+(* The dispatch loop and the core's issue path allocate nothing per event
+   or per op.  Each pin measures the same scenario at [n] and [2n] and
+   compares the minor words the run allocated: fixed costs (the run
+   loop's closure, the measurement's own float) cancel, while any per-item
+   allocation would leave at least [n] words of difference. *)
+
+let pin_n = 2_000
+
+let check_flat what ~words =
+  let d = words (2 * pin_n) -. words pin_n in
+  if d >= float_of_int (pin_n / 10) then
+    Alcotest.failf "%s: %d more items allocated %.0f more minor words" what
+      pin_n d
+
+let run_until e until_done =
+  ignore (Engine.run e ~until_done ~pending_desc:(fun () -> "pin") : int)
+
+(* [Engine.run] over [n] pre-scheduled [apply_later] events sharing one
+   continuation.  Only the run is measured; a warm-up round first grows
+   the event free-list, so the measured round's recycling fits in it. *)
+let engine_run_words n =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let k (_ : int) = incr fired in
+  let schedule () =
+    fired := 0;
+    for i = 1 to n do
+      Engine.apply_later e ~delay:(i land 255) k i
+    done
+  in
+  let until_done () = !fired = n in
+  schedule ();
+  run_until e until_done;
+  schedule ();
+  let w0 = Gc.minor_words () in
+  run_until e until_done;
+  Gc.minor_words () -. w0
+
+let engine_run_allocation_flat () =
+  check_flat "Engine.run" ~words:engine_run_words
+
+(* A core running [n] [Check] ops against a port that answers every load
+   through [Engine.apply_later]. *)
+let core_check_words n =
+  let e = Engine.create () in
+  let fail _ = Alcotest.fail "unexpected port call" in
+  let port =
+    {
+      Spandex_device.Port.load = (fun _ ~k -> Engine.apply_later e ~delay:2 k 7);
+      store = (fun _ ~value:_ ~k:_ -> fail ());
+      rmw = (fun _ _ ~k:_ -> fail ());
+      acquire = (fun ~k:_ -> fail ());
+      acquire_region = (fun ~region:_ ~k:_ -> fail ());
+      release = (fun ~k:_ -> fail ());
+      quiescent = (fun () -> true);
+      describe_pending = (fun () -> "pin");
+    }
+  in
+  let check_log = Spandex_device.Check_log.create () in
+  let prog =
+    Array.init n (fun i ->
+        Spandex_device.Ops.Check (Spandex_proto.Addr.make ~line:i ~word:0, 7))
+  in
+  let core =
+    Spandex_device.Core.create e ~port ~barriers:[||] ~check_log ~core_id:0
+      ~clock:1 ~programs:[| prog |]
+  in
+  let w0 = Gc.minor_words () in
+  Spandex_device.Core.start core;
+  run_until e (fun () -> Spandex_device.Core.finished core);
+  let words = Gc.minor_words () -. w0 in
+  check_int "every check counted" n (Spandex_device.Check_log.checks check_log);
+  check_bool "every check clean" true (Spandex_device.Check_log.is_clean check_log);
+  words
+
+let core_check_allocation_flat () =
+  check_flat "Core issuing Check ops" ~words:core_check_words
+
 let tests =
   [
     test "engine_ordering" engine_ordering;
@@ -318,4 +398,6 @@ let tests =
     test "core_warp_interleaving" core_warp_interleaving;
     test "core_single_context_blocks" core_single_context_blocks;
     test "core_gpu_clock_scaling" core_gpu_clock_scaling;
+    test "engine_run_allocation_flat" engine_run_allocation_flat;
+    test "core_check_allocation_flat" core_check_allocation_flat;
   ]

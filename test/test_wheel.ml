@@ -22,12 +22,13 @@ let wheel_ordering () =
   Wheel.push q ~time:5 "c";
   Wheel.push q ~time:1 "a";
   Wheel.push q ~time:3 "b";
-  Alcotest.(check (option int)) "peek" (Some 1) (Wheel.peek_time q);
+  Alcotest.(check int) "peek" 1 (Wheel.next_time q);
   let pop () = Option.map snd (Wheel.pop q) in
   Alcotest.(check (option string)) "first" (Some "a") (pop ());
   Alcotest.(check (option string)) "second" (Some "b") (pop ());
   Alcotest.(check (option string)) "third" (Some "c") (pop ());
-  Alcotest.(check (option string)) "empty" None (pop ())
+  Alcotest.(check (option string)) "empty" None (pop ());
+  Alcotest.(check int) "idle peek" max_int (Wheel.next_time q)
 
 let wheel_fifo_ties () =
   let q = Wheel.create ~dummy:0 () in
