@@ -1,6 +1,6 @@
 (* The experiment harness: regenerates every table and figure of the
-   paper's evaluation (see DESIGN.md §5 for the index), then runs Bechamel
-   microbenchmarks of the protocol primitives (§III-F overheads).
+   paper's evaluation (see DESIGN.md §5 for the index), then the §III-F
+   storage accounting and the ablations.
 
    Absolute numbers come from our event-driven model, not the authors'
    Simics/GEMS/GPGPU-Sim testbed; the comparisons are normalized to HMG as
@@ -158,82 +158,33 @@ let table7 () =
 
 (* ----- Figures 2 and 3 ------------------------------------------------------- *)
 
-(* One job per (workload x config) cell, fanned out across domains; the
-   flat result list is regrouped into rows in submission order. *)
-let run_rows benches =
-  let cells =
-    List.concat_map
-      (fun (name, build) ->
-        let wl = build ?scale:(Some 1.0) geometry in
-        List.map
-          (fun config ->
-            { Sweep.label = name; params; config; workload = wl })
-          Config.all)
-      benches
-  in
-  let results = Array.of_list (Sweep.simulate_all ~jobs:!jobs cells) in
-  Array.iter Run.assert_clean results;
-  let ncfg = List.length Config.all in
-  List.mapi
-    (fun i (name, _) ->
-      let cells =
-        List.mapi
-          (fun j config ->
-            {
-              Report.config = config.Config.name;
-              result = results.((i * ncfg) + j);
-            })
-          Config.all
-      in
-      { Report.workload = name; cells })
-    benches
-
-let print_row (row : Report.row) =
-  let times = Report.normalized row ~metric:Report.cycles in
-  let traffics = Report.normalized row ~metric:Report.flits in
-  Printf.printf "%-12s time    " row.Report.workload;
-  List.iter (fun (c, v) -> Printf.printf "%s=%.2f " c v) times;
-  Printf.printf "\n%-12s traffic " "";
-  List.iter (fun (c, v) -> Printf.printf "%s=%.2f " c v) traffics;
-  Printf.printf "\n";
-  List.iter
-    (fun (cell : Report.cell) ->
-      Printf.printf "  %s flits by category: " cell.Report.config;
-      List.iter
-        (fun (cat, share) ->
-          if share > 0.005 then
-            Printf.printf "%s=%.0f%% " (Msg.category_name cat)
-              (100.0 *. share))
-        (Report.traffic_share cell.Report.result);
-      Printf.printf "(total %d)\n" cell.Report.result.Run.total_flits)
-    row.Report.cells
-
-let figure benches title =
+(* The rows and headline come from [Report.simulate_rows], the same path
+   test/figures.ml pins; only the per-category traffic shares are local. *)
+let figure ~title ~paper benches =
   section title;
-  let rows = run_rows benches in
-  List.iter print_row rows;
-  rows
-
-let summary ~label ~paper rows =
-  section (Printf.sprintf "%s (paper: %s)" label paper);
-  let h = Report.headline rows in
-  Printf.printf
-    "execution time reduction: avg %.0f%% (max %.0f%%)\n\
-     network traffic reduction: avg %.0f%% (max %.0f%%)\n"
-    (100.0 *. h.Report.time_avg)
-    (100.0 *. h.Report.time_max)
-    (100.0 *. h.Report.traffic_avg)
-    (100.0 *. h.Report.traffic_max);
+  let rows =
+    Report.simulate_rows ~jobs:!jobs ~params ~configs:Config.all
+      (List.map
+         (fun (name, build) -> (name, build ?scale:(Some 1.0) geometry))
+         benches)
+  in
   List.iter
     (fun (row : Report.row) ->
-      let is c name = String.length name > 0 && name.[0] = c in
-      let hb = Report.best row ~among:(is 'H') ~metric:Report.cycles in
-      let sb = Report.best row ~among:(is 'S') ~metric:Report.cycles in
-      Printf.printf "  %-12s Hbest=%s (%d cyc, %d flits)  Sbest=%s (%d cyc, %d flits)\n"
-        row.Report.workload hb.Report.config hb.Report.result.Run.cycles
-        hb.Report.result.Run.total_flits sb.Report.config
-        sb.Report.result.Run.cycles sb.Report.result.Run.total_flits)
-    rows
+      Format.printf "%a@." Report.pp_row row;
+      List.iter
+        (fun (cell : Report.cell) ->
+          Printf.printf "  %s flits by category: " cell.Report.config;
+          List.iter
+            (fun (cat, share) ->
+              if share > 0.005 then
+                Printf.printf "%s=%.0f%% " (Msg.category_name cat)
+                  (100.0 *. share))
+            (Report.traffic_share cell.Report.result);
+          Printf.printf "(total %d)\n" cell.Report.result.Run.total_flits)
+        row.Report.cells)
+    rows;
+  Printf.printf "headline (paper: %s)\n" paper;
+  Format.printf "%a@." Report.pp_headline (Report.headline rows)
 
 (* ----- III-F: storage-overhead accounting ------------------------------------- *)
 
@@ -444,78 +395,6 @@ let ablations () =
   ablation_coalescing ();
   extension_adaptive ()
 
-(* ----- Bechamel microbenchmarks of protocol primitives ----------------------- *)
-
-let bechamel_suite () =
-  section "Bechamel: protocol-primitive costs (Spandex overheads, cf. III-F)";
-  let open Bechamel in
-  let tests =
-    [
-      Test.make ~name:"mask_fold_owner_words"
-        (Staged.stage (fun () ->
-             Spandex_util.Mask.fold 0b1010_1100_0011_0101 ~init:0
-               ~f:(fun acc w -> acc + w)));
-      Test.make ~name:"tu_absorb_two_partial_rsps"
-        (Staged.stage (fun () ->
-             let t = Spandex.Tu.create ~demand:Spandex_proto.Addr.full_mask in
-             let mk mask =
-               Msg.make ~txn:1 ~kind:(Msg.Rsp Msg.RspV) ~line:0 ~mask
-                 ~payload:
-                   (Msg.Data (Array.make (Spandex_util.Mask.count mask) 7))
-                 ~src:0 ~dst:1 ()
-             in
-             ignore (Spandex.Tu.absorb t (mk 0x00FF));
-             ignore (Spandex.Tu.absorb t (mk 0xFF00))));
-      Test.make ~name:"cache_frame_fill_and_probe"
-        (Staged.stage (fun () ->
-             let f = Spandex_mem.Cache_frame.create ~sets:16 ~ways:4 in
-             for i = 0 to 63 do
-               ignore
-                 (Spandex_mem.Cache_frame.insert f ~line:i i
-                    ~can_evict:(fun ~line:_ _ -> true))
-             done;
-             ignore (Spandex_mem.Cache_frame.find f ~line:42)));
-      Test.make ~name:"one_phase_system_run"
-        (Staged.stage (fun () ->
-             let wl =
-               Spandex_workloads.Stress.generate
-                 {
-                   Spandex_workloads.Stress.default_spec with
-                   phases = 1;
-                   words = 64;
-                 }
-                 { Microbench.cpus = 2; cus = 1; warps = 2 }
-             in
-             let p =
-               {
-                 Params.small with
-                 Params.cpu_cores = 2;
-                 gpu_cus = 1;
-                 warps_per_cu = 2;
-               }
-             in
-             ignore (Run.simulate ~params:p ~config:Config.sdd wl)));
-    ]
-  in
-  let clock = Toolkit.Instance.monotonic_clock in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all
-          (Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) ~kde:None ())
-          [ clock ] test
-      in
-      Hashtbl.iter
-        (fun name raw ->
-          match Analyze.OLS.estimates (Analyze.one ols clock raw) with
-          | Some [ est ] -> Printf.printf "  %-30s %14.1f ns/run\n" name est
-          | Some _ | None -> Printf.printf "  %-30s (no estimate)\n" name)
-        results)
-    tests
-
 let () =
   Printf.printf "Spandex reproduction harness (Alsop, Sinclair, Adve - ISCA 2018)\n";
   table1 ();
@@ -525,17 +404,10 @@ let () =
   table5 ();
   table6 ();
   table7 ();
-  let micro_rows =
-    figure Microbench.all "Figure 2: synthetic microbenchmarks (normalized to HMG)"
-  in
-  let app_rows =
-    figure Apps.all "Figure 3: collaborative applications (normalized to HMG)"
-  in
-  summary micro_rows ~label:"Microbenchmark headline"
-    ~paper:"Sbest vs Hbest avg 18% time / 40% traffic";
-  summary app_rows ~label:"Application headline"
-    ~paper:"Sbest vs Hbest avg 16% time / 27% traffic";
+  figure ~title:"Figure 2: synthetic microbenchmarks (normalized to HMG)"
+    ~paper:"Sbest vs Hbest avg 18% time / 40% traffic" Microbench.all;
+  figure ~title:"Figure 3: collaborative applications (normalized to HMG)"
+    ~paper:"Sbest vs Hbest avg 16% time / 27% traffic" Apps.all;
   overheads ();
   ablations ();
-  bechamel_suite ();
   Printf.printf "\ndone.\n"

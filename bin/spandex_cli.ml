@@ -217,83 +217,53 @@ let run_cmd =
       $ fault_dup_arg $ fault_delay_arg $ fault_reorder_arg $ fault_seed_arg
       $ watchdog_arg $ trace_flag_arg)
 
-(* The (workload x config) job matrix: every non-stress registry entry on
-   every swept cache configuration (the paper's six plus the adaptive
-   extensions), in registry order. *)
-let sweep_jobs ~params ~scale entries =
-  let geom = Registry.geometry_of_params params in
-  List.concat_map
-    (fun e ->
-      let wl = e.Registry.build ~scale geom in
-      List.map
-        (fun config ->
-          { Sweep.label = e.Registry.name; params; config; workload = wl })
-        Config.extended)
-    entries
-
-let rows_of_results entries results =
-  let ncfg = List.length Config.extended in
-  List.mapi
-    (fun i e ->
-      let cells =
-        List.mapi
-          (fun j config ->
-            {
-              Report.config = config.Config.name;
-              result = results.((i * ncfg) + j);
-            })
-          Config.extended
-      in
-      { Report.workload = e.Registry.name; cells })
-    entries
-
-let sweep_entries () =
-  List.filter (fun e -> e.Registry.kind <> `Stress) Registry.entries
-
+(* Every non-stress registry entry on every swept cache configuration
+   (the paper's six plus the adaptive extensions), in registry order. *)
 let sweep_cmd =
   let run scale jobs =
     let jobs = resolve_jobs jobs in
     let params = Params.bench in
-    let entries = sweep_entries () in
-    let cells = sweep_jobs ~params ~scale entries in
+    let geom = Registry.geometry_of_params params in
+    let workloads =
+      List.filter_map
+        (fun e ->
+          if e.Registry.kind = `Stress then None
+          else Some (e.Registry.name, e.Registry.build ~scale geom))
+        Registry.entries
+    in
     let t0 = Unix.gettimeofday () in
-    let results = Array.of_list (Sweep.simulate_all ~jobs cells) in
+    let rows =
+      Report.simulate_rows ~jobs ~params ~configs:Config.extended workloads
+    in
     let wall = Unix.gettimeofday () -. t0 in
-    Array.iter Run.assert_clean results;
-    let rows = rows_of_results entries results in
-    List.iter
-      (fun (row : Report.row) ->
-        Printf.printf "%-12s " row.Report.workload;
-        List.iter
-          (fun (c, v) -> Printf.printf "%s=%.2f " c v)
-          (Report.normalized row ~metric:Report.cycles);
-        Printf.printf "\n")
-      rows;
-    let h = Report.headline rows in
-    Printf.printf
-      "Sbest vs Hbest: time avg %.0f%% (max %.0f%%), traffic avg %.0f%% (max %.0f%%)\n"
-      (100.0 *. h.Report.time_avg)
-      (100.0 *. h.Report.time_max)
-      (100.0 *. h.Report.traffic_avg)
-      (100.0 *. h.Report.traffic_max);
+    List.iter (Format.printf "%a@." Report.pp_row) rows;
     (* Fleet headline.  The paper-config total covers the six baseline
        configurations only, so it stays comparable when extensions are
        added or dropped. *)
-    let events = Array.fold_left (fun acc r -> acc + r.Run.events) 0 results in
-    let paper_events =
-      List.fold_left2
-        (fun acc (j : Sweep.job) r ->
-          if List.memq j.Sweep.config Config.all then acc + r.Run.events
-          else acc)
-        0 cells (Array.to_list results)
+    let is_paper name =
+      List.exists (fun (c : Config.t) -> c.Config.name = name) Config.all
     in
+    let cells =
+      List.concat_map (fun (row : Report.row) -> row.Report.cells) rows
+    in
+    let events_if keep =
+      List.fold_left
+        (fun acc (c : Report.cell) ->
+          let r = c.Report.result in
+          if keep c.Report.config then acc + r.Run.events else acc)
+        0 cells
+    in
+    let events = events_if (fun _ -> true) in
+    let paper_events = events_if is_paper in
     let minor_words =
-      Array.fold_left (fun acc r -> acc +. r.Run.minor_words) 0.0 results
+      List.fold_left
+        (fun acc (c : Report.cell) -> acc +. c.Report.result.Run.minor_words)
+        0.0 cells
     in
     Printf.printf
       "fleet: %d cells, jobs %d, wall %.2fs, %d events (%d on the paper's six \
        configs), %.0f events/s, %.1f minor words/event\n"
-      (Array.length results) jobs wall events paper_events
+      (List.length cells) jobs wall events paper_events
       (float_of_int events /. max 1e-9 wall)
       (minor_words /. float_of_int (max 1 events))
   in

@@ -9,38 +9,19 @@
 
 module Config = Spandex_system.Config
 module Params = Spandex_system.Params
-module Run = Spandex_system.Run
 module Report = Spandex_system.Report
 module Registry = Spandex_workloads.Registry
 
 let () =
   let params = Params.bench in
   let geom = Registry.geometry_of_params params in
-  List.iter
-    (fun name ->
-      let entry = Registry.find name in
-      let wl = entry.Registry.build ~scale:0.5 geom in
-      let cells =
-        List.map
-          (fun config ->
-            let result = Run.simulate ~params ~config wl in
-            Run.assert_clean result;
-            { Report.config = config.Config.name; result })
-          Config.all
-      in
-      let row = { Report.workload = name; cells } in
-      Printf.printf "%s  (normalized to HMG)\n" (String.uppercase_ascii name);
-      Printf.printf "  %-8s %8s %8s\n" "config" "time" "traffic";
-      List.iter2
-        (fun (c, t) (_, f) -> Printf.printf "  %-8s %8.2f %8.2f\n" c t f)
-        (Report.normalized row ~metric:Report.cycles)
-        (Report.normalized row ~metric:Report.flits);
-      let sb = Report.best row ~among:(fun n -> n.[0] = 'S') ~metric:Report.cycles in
-      let hb = Report.best row ~among:(fun n -> n.[0] = 'H') ~metric:Report.cycles in
-      Printf.printf "  best Spandex %s vs best hierarchical %s: %.0f%% faster\n\n"
-        sb.Report.config hb.Report.config
-        (100.0
-        *. (1.0
-           -. float_of_int sb.Report.result.Run.cycles
-              /. float_of_int hb.Report.result.Run.cycles)))
-    [ "bc"; "pr" ]
+  let rows =
+    Report.simulate_rows ~params ~configs:Config.all
+      (List.map
+         (fun name ->
+           (name, (Registry.find name).Registry.build ~scale:0.5 geom))
+         [ "bc"; "pr" ])
+  in
+  print_endline "normalized to HMG:";
+  List.iter (Format.printf "%a@." Report.pp_row) rows;
+  Format.printf "%a@." Report.pp_headline (Report.headline rows)

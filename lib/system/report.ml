@@ -58,6 +58,51 @@ let headline rows =
     traffic_max = List.fold_left max neg_infinity traffics;
   }
 
+let simulate_rows ?jobs ~params ~configs workloads =
+  let sims =
+    List.concat_map
+      (fun (label, workload) ->
+        List.map
+          (fun config -> { Sweep.label; params; config; workload })
+          configs)
+      workloads
+  in
+  let results = Array.of_list (Sweep.simulate_all ?jobs sims) in
+  Array.iter Run.assert_clean results;
+  let ncfg = List.length configs in
+  List.mapi
+    (fun i (workload, _) ->
+      let cells =
+        List.mapi
+          (fun j (config : Config.t) ->
+            { config = config.Config.name; result = results.((i * ncfg) + j) })
+          configs
+      in
+      { workload; cells })
+    workloads
+
+let pp_row fmt row =
+  let line name label metric =
+    Printf.sprintf "%-12s %-7s %s" name label
+      (String.concat " "
+         (List.map
+            (fun (c, v) -> Printf.sprintf "%s=%.2f" c v)
+            (normalized row ~metric)))
+  in
+  Format.fprintf fmt "@[<v>%s@,%s@]"
+    (line row.workload "time" cycles)
+    (line "" "traffic" flits)
+
+let pp_headline fmt h =
+  let pct avg mx =
+    Printf.sprintf "avg %.0f%% (max %.0f%%)" (100.0 *. avg) (100.0 *. mx)
+  in
+  Format.fprintf fmt
+    "@[<v>Sbest vs Hbest, execution time: %s@,\
+     Sbest vs Hbest, network traffic: %s@]"
+    (pct h.time_avg h.time_max)
+    (pct h.traffic_avg h.traffic_max)
+
 (* Stats are compared as sorted (name, value) assoc lists, so interning
    order does not matter. *)
 let diff_result (a : Run.result) (b : Run.result) =

@@ -28,6 +28,25 @@ val headline : row list -> headline
 val cycles : Run.result -> int
 val flits : Run.result -> int
 
+val simulate_rows :
+  ?jobs:int ->
+  params:Params.t ->
+  configs:Config.t list ->
+  (string * Workload.t) list ->
+  row list
+(** Run every (workload x config) cell through {!Sweep.simulate_all},
+    {!Run.assert_clean} each result, and return one row per named
+    workload, rows and cells in submission order.  This is the one path
+    from workloads to the Figure 2/3 rows. *)
+
+val pp_row : Format.formatter -> row -> unit
+(** Two lines: the workload's time and traffic normalized to HMG, two
+    decimals per config ("bc           time    HMG=1.00 HMD=0.47 ..."). *)
+
+val pp_headline : Format.formatter -> headline -> unit
+(** Two lines, "Sbest vs Hbest, execution time: avg N% (max M%)" and the
+    same for network traffic. *)
+
 val diff_result : Run.result -> Run.result -> string option
 (** [None] when the two runs are bit-identical in everything they report —
     cycles, flits, traffic breakdown, messages, events, checks, failures,
