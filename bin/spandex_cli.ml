@@ -45,9 +45,10 @@ let run_one ~params ~config ~scale ~stats entry =
   let t0 = Unix.gettimeofday () in
   let r =
     try Run.simulate ~params ~config wl with
-    | Spandex_sim.Engine.Livelock l ->
-      Format.eprintf "%s %s: %a@." entry.Registry.name config.Config.name
-        Spandex_sim.Engine.pp_livelock l;
+    | ( Spandex_sim.Engine.Stuck _ | Spandex_sim.Engine.Livelock _
+      | Spandex_sim.Engine.Deadlock _ ) as e ->
+      Printf.eprintf "%s %s: %s\n" entry.Registry.name config.Config.name
+        (Printexc.to_string e);
       exit 2
     | Spandex_util.Retry.Exhausted what ->
       Printf.eprintf "%s %s: retries exhausted: %s\n" entry.Registry.name
@@ -783,20 +784,18 @@ let check_cmd =
       $ budget_secs_arg $ no_reduce_arg $ seed_bug_arg $ out_arg $ replay_arg)
 
 let soak_cmd =
-  let run seeds jobs_geometry =
-    let params, tiny, geom =
-      match jobs_geometry with
-      | _ ->
-        ( { Params.bench with Params.cpu_cores = 2; gpu_cus = 2; warps_per_cu = 2 },
-          {
-            Params.small with
-            Params.cpu_cores = 2;
-            gpu_cus = 2;
-            warps_per_cu = 2;
-            mem_latency = 15;
-          },
-          { Spandex_workloads.Microbench.cpus = 2; cus = 2; warps = 2 } )
-    in
+  let run seeds =
+    let params =
+      { Params.bench with Params.cpu_cores = 2; gpu_cus = 2; warps_per_cu = 2 }
+    and tiny =
+      {
+        Params.small with
+        Params.cpu_cores = 2;
+        gpu_cus = 2;
+        warps_per_cu = 2;
+        mem_latency = 15;
+      }
+    and geom = { Spandex_workloads.Microbench.cpus = 2; cus = 2; warps = 2 } in
     let fails = ref 0 and runs = ref 0 in
     for seed = 1 to seeds do
       List.iter
@@ -846,7 +845,7 @@ let soak_cmd =
          "Randomized SC-for-DRF litmus soak: every seed builds a fresh \
           data-race-free program whose checked loads verify the protocols \
           on all configurations (contended and capacity-pressure variants)")
-    Term.(const run $ seeds_arg $ const ())
+    Term.(const run $ seeds_arg)
 
 let () =
   let info =

@@ -123,7 +123,6 @@ let () =
         !finished && cpu_port.Port.quiescent () && gpu_port.Port.quiescent ()
         && Llc.quiescent llc
         && Network.in_flight net = 0)
-      ~pending_desc:(fun () -> "producer/consumer demo")
   in
   Printf.printf "\nfinished in %d cycles; network messages by kind:\n" cycles;
   List.iter

@@ -171,7 +171,6 @@ let () =
         !finished && acc_p.Port.quiescent () && gpu_p.Port.quiescent ()
         && mesi_p.Port.quiescent ()
         && Network.in_flight net = 0)
-      ~pending_desc:(fun () -> "protocol trace demo")
   in
   let pending_banners = ref (List.rev !banners) in
   let flush_banners upto =

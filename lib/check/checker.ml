@@ -27,14 +27,14 @@ let all_bugs = [ Skip_inv_ack; Ack_no_inv ]
 (* ----- violations ---------------------------------------------------------------- *)
 
 type violation =
-  | Deadlock of string
+  | Deadlock of Engine.pending_work list
   | Swmr of { line : int; word : int; owners : string list }
   | Llc_mismatch of string
   | Data_mismatch of string
   | Crash of string
 
 let violation_descr = function
-  | Deadlock d -> "deadlock: " ^ d
+  | Deadlock work -> Format.asprintf "deadlock: %a" Engine.pp_work work
   | Swmr { line; word; owners } ->
     Printf.sprintf "SWMR violation: line %d word %d owned by [%s]" line word
       (String.concat "; " owners)
@@ -251,7 +251,7 @@ let violation_at ex lines =
       if ex.pool = [] then
         (* Terminal: stabilize drained the whole event queue. *)
         if not (ex.sys.R.sys_finished ()) then
-          Some (Deadlock (ex.sys.R.sys_pending ()))
+          Some (Deadlock (Engine.live_work ex.sys.R.sys_engine))
         else check_llc_registration ex lines
       else None)
 

@@ -30,7 +30,8 @@ val bug_of_name : string -> bug
 val all_bugs : bug list
 
 type violation =
-  | Deadlock of string
+  | Deadlock of Spandex_sim.Engine.pending_work list
+      (** terminal state not finished: the engine's live work. *)
   | Swmr of { line : int; word : int; owners : string list }
   | Llc_mismatch of string
   | Data_mismatch of string

@@ -13,7 +13,6 @@ type t = {
   writeback : line:int -> data:int array -> dirty:bool -> k:(unit -> unit) -> unit;
   set_recall_handler : recall_handler -> unit;
   quiescent : unit -> bool;
-  describe_pending : unit -> string;
 }
 
 let dram engine dram =
@@ -29,5 +28,4 @@ let dram engine dram =
         Engine.schedule engine ~delay:0 k);
     set_recall_handler = (fun _ -> ());
     quiescent = (fun () -> true);
-    describe_pending = (fun () -> "dram: none");
   }

@@ -29,7 +29,8 @@ type t = {
       (** Surrender the line on eviction. *)
   set_recall_handler : recall_handler -> unit;
   quiescent : unit -> bool;
-  describe_pending : unit -> string;
+      (** nothing in flight; a backing that can hold work reports it
+          through its own engine pending source. *)
 }
 
 val dram : Spandex_sim.Engine.t -> Spandex_mem.Dram.t -> t

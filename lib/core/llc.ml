@@ -860,7 +860,7 @@ let arrival t (msg : Msg.t) =
 (* Fold over one bank's resident lines, with global line numbers. *)
 let fold_bank t b ~init ~f = Frames.fold_bank t.frame b ~init ~f
 
-let create engine net backing (cfg : config) =
+let create ?(name = "llc") engine net backing (cfg : config) =
   let make_bank b =
     let stats = Stats.create () in
     let trace = Engine.trace engine in
@@ -899,14 +899,16 @@ let create engine net backing (cfg : config) =
   (* Every bank shares the backing; the recall dispatcher routes by line. *)
   backing.Backing.set_recall_handler (fun ~line ~kind ~k ->
       handle_recall t ~line ~kind ~k);
+  (* One source per bank, reporting what [bank_quiescent] checks of its
+     lines (the backing reports its own work). *)
   Array.iteri
     (fun b _ ->
+      let device = Printf.sprintf "%s.b%d" name b in
       Engine.register_pending_source engine (fun () ->
           fold_bank t b ~init:[] ~f:(fun acc ~line m ->
               let item what =
                 {
-                  Engine.pw_device =
-                    Printf.sprintf "llc.%d" (bank_of t.cfg line);
+                  Engine.pw_device = device;
                   pw_txn = -1;
                   pw_line = line;
                   pw_what = what;
@@ -920,14 +922,27 @@ let create engine net backing (cfg : config) =
                 | Some (Collecting_acks c) ->
                   item (Printf.sprintf "collecting %d inv ack(s)" c.acks_left)
                   :: acc
-                | Some (Awaiting_wb _) -> item "awaiting write-back" :: acc
+                | Some (Awaiting_wb { awaited; _ }) ->
+                  item
+                    (Printf.sprintf "awaiting %d write-back(s)"
+                       (List.length
+                          (List.filter (fun a -> not (aw_satisfied a)) awaited)))
+                  :: acc
                 | Some (Purging _) -> item "purging" :: acc
               in
-              if m.blocked = [] then acc
+              let acc =
+                if m.blocked = [] then acc
+                else
+                  item
+                    (Printf.sprintf "%d blocked request(s)"
+                       (List.length m.blocked))
+                  :: acc
+              in
+              if m.recalls = [] then acc
               else
                 item
-                  (Printf.sprintf "%d blocked request(s)"
-                     (List.length m.blocked))
+                  (Printf.sprintf "%d queued recall(s)"
+                     (List.length m.recalls))
                 :: acc)))
     t.banks;
   t
@@ -973,34 +988,6 @@ let quiescent t =
     ok := !ok && bank_quiescent t b
   done;
   !ok
-
-let bank_describe_pending t b =
-  let busy =
-    fold_bank t b ~init:[] ~f:(fun acc ~line m ->
-        match m.pending with
-        | None -> acc
-        | Some p ->
-          let what =
-            match p with
-            | Fetching _ -> "fetching"
-            | Upgrading -> "upgrading"
-            | Collecting_acks c -> Printf.sprintf "acks(%d)" c.acks_left
-            | Awaiting_wb { awaited; _ } ->
-              Printf.sprintf "wb(%d)"
-                (List.length
-                   (List.filter (fun a -> not (aw_satisfied a)) awaited))
-            | Purging _ -> "purging"
-          in
-          Printf.sprintf "line %d %s (+%d blocked)" line what
-            (List.length m.blocked)
-          :: acc)
-  in
-  if busy = [] then Printf.sprintf "llc.%d: idle" (t.cfg.llc_id + b)
-  else Printf.sprintf "llc.%d: %s" (t.cfg.llc_id + b) (String.concat "; " busy)
-
-let describe_pending t =
-  String.concat "; "
-    (List.init t.cfg.banks (fun b -> bank_describe_pending t b))
 
 let bank_stats t b = t.banks.(b).bk_stats
 

@@ -57,6 +57,7 @@ type config = {
 type t
 
 val create :
+  ?name:string ->
   Spandex_sim.Engine.t ->
   Spandex_net.Network.t ->
   Backing.t ->
@@ -65,16 +66,16 @@ val create :
 (** Registers the LLC on the network under [llc_id .. llc_id + banks - 1]
     and installs the recall handler on the backing.  Each bank keeps its
     own probe-txn allocator, stats and trace names, and touches only the
-    lines that interleave to it. *)
+    lines that interleave to it.  Each bank also registers an engine
+    pending source named ["<name>.b<bank>"] ([name] defaults to ["llc"];
+    the hierarchical GPU L2 passes ["gpu_l2"]) reporting its pending,
+    blocked and recall-queued lines. *)
 
 val bank_count : t -> int
 
 val quiescent : t -> bool
 val bank_quiescent : t -> int -> bool
 (** Bank [b]'s lines are settled and its backing is quiescent. *)
-
-val describe_pending : t -> string
-val bank_describe_pending : t -> int -> string
 
 val bank_stats : t -> int -> Spandex_util.Stats.t
 (** Bank [b]'s counters; merge all banks under one prefix to reproduce

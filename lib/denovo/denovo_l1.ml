@@ -867,30 +867,18 @@ let handle t (msg : Msg.t) =
 
 let quiescent t = Chassis.quiescent t.ch && Hashtbl.length t.wb_records = 0
 
-let describe_pending t =
-  let extra =
-    Hashtbl.fold
-      (fun txn (b : wb_req) acc ->
-        (txn, Printf.sprintf "Wb line %d" b.b_line) :: acc)
-      t.wb_records []
-  in
-  Chassis.describe_pending t.ch ~name:"denovo_l1"
-    ~describe:(function
-      | Read m -> Printf.sprintf "Read line %d" m.r_line
-      | Own o -> Printf.sprintf "Own line %d" o.o_line
-      | Rmw r -> Printf.sprintf "Rmw line %d.%d" r.w_line r.w_word
-      | Atomic _ -> "Atomic")
-    ~extra
-
 let register_metrics t ~device reg =
   Chassis.register_metrics t.ch ~device reg
 
-let create engine net cfg =
+let create ?name engine net cfg =
+  let name =
+    Option.value name ~default:(Printf.sprintf "denovo_l1.%d" cfg.id)
+  in
   let ch =
     Chassis.create engine net ~id:cfg.id ~home_id:cfg.llc_id
       ~home_banks:cfg.llc_banks ~hit_latency:cfg.hit_latency
       ~coalesce_window:cfg.coalesce_window ~mshrs:cfg.mshrs
-      ~sb_capacity:cfg.sb_capacity ~level:"l1"
+      ~sb_capacity:cfg.sb_capacity ~level:"l1" ~device:name
   in
   let t =
     {
@@ -928,7 +916,7 @@ let create engine net cfg =
       Hashtbl.fold
         (fun txn (b : wb_req) acc ->
           {
-            Engine.pw_device = Printf.sprintf "denovo_l1.%d" cfg.id;
+            Engine.pw_device = name;
             pw_txn = txn;
             pw_line = b.b_line;
             pw_what = "write-back awaiting RspWB";
@@ -947,7 +935,6 @@ let port t =
     acquire_region = (fun ~region ~k -> acquire_region t ~region ~k);
     release = (fun ~k -> release t ~k);
     quiescent = (fun () -> quiescent t);
-    describe_pending = (fun () -> describe_pending t);
   }
 
 let stats t = t.ch.Chassis.stats

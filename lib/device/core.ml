@@ -194,13 +194,14 @@ let create engine ~port ~barriers ~check_log ~core_id ~clock ~programs =
       issue t);
   t
 
+(* Every unfinished context: a Waiting one names the op it issued, a
+   Ready one the op it will issue next. *)
 let start t =
   Engine.register_pending_source t.engine (fun () ->
       Array.to_list t.contexts
       |> List.mapi (fun i c ->
-             if c.state <> Waiting then None
-             else
-               let op = c.ops.(c.pc - 1) in
+             let item verb pc =
+               let op = c.ops.(pc) in
                Some
                  {
                    Engine.pw_device = Printf.sprintf "core.%d" t.core_id;
@@ -212,30 +213,18 @@ let start t =
                        a.Spandex_proto.Addr.line
                      | _ -> -1);
                    pw_what =
-                     Format.asprintf "ctx%d waiting on %a" i Ops.pp op;
-                 })
+                     Format.asprintf "ctx%d %s op %d: %a" i verb pc Ops.pp op;
+                 }
+             in
+             match c.state with
+             | Finished -> None
+             | Ready -> item "ready at" c.pc
+             | Waiting -> item "waiting on" (c.pc - 1))
       |> List.filter_map Fun.id);
   arm t
 
 let finished t =
   t.done_count = Array.length t.contexts && t.port.Port.quiescent ()
-
-let describe_pending t =
-  let ctxs =
-    Array.to_list t.contexts
-    |> List.mapi (fun i c ->
-           match c.state with
-           | Finished -> None
-           | Ready -> Some (Printf.sprintf "ctx%d ready@%d" i c.pc)
-           | Waiting ->
-             Some
-               (Format.asprintf "ctx%d waiting@%d on %a" i (c.pc - 1) Ops.pp
-                  c.ops.(c.pc - 1)))
-    |> List.filter_map Fun.id
-  in
-  Printf.sprintf "core %d: %s; port: %s" t.core_id
-    (if ctxs = [] then "all ctx done" else String.concat ", " ctxs)
-    (t.port.Port.describe_pending ())
 
 let stats t = t.stats
 let core_id t = t.core_id

@@ -28,12 +28,13 @@ val create :
     array per context. *)
 
 val start : t -> unit
-(** Arm the issue loop; contexts begin executing at the current cycle. *)
+(** Arm the issue loop; contexts begin executing at the current cycle.
+    Registers the core's engine pending source, which reports every
+    unfinished context (["core.<id>"]: ready at / waiting on op N). *)
 
 val finished : t -> bool
 (** All contexts ran to completion and the L1 port is quiescent. *)
 
-val describe_pending : t -> string
 val stats : t -> Spandex_util.Stats.t
 val core_id : t -> int
 

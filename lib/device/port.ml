@@ -6,5 +6,4 @@ type t = {
   acquire_region : region:int -> k:(unit -> unit) -> unit;
   release : k:(unit -> unit) -> unit;
   quiescent : unit -> bool;
-  describe_pending : unit -> string;
 }

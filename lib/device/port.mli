@@ -22,6 +22,6 @@ type t = {
   release : k:(unit -> unit) -> unit;
       (** DRF release: complete all buffered/pending writes. *)
   quiescent : unit -> bool;
-      (** no outstanding misses or buffered stores. *)
-  describe_pending : unit -> string;  (** for deadlock diagnostics. *)
+      (** no outstanding misses or buffered stores; the L1 reports what
+          it still holds through its engine pending source. *)
 }

@@ -336,23 +336,17 @@ let handle t (msg : Msg.t) =
 
 let quiescent t = Chassis.quiescent t.ch
 
-let describe_pending t =
-  Chassis.describe_pending t.ch ~name:"gpu_l1"
-    ~describe:(function
-      | Miss m -> Printf.sprintf "Miss line %d" m.m_line
-      | Wt w -> Printf.sprintf "Wt line %d" w.wt_line
-      | Atomic a -> Printf.sprintf "Atomic word %d" a.a_word)
-    ~extra:[]
-
 let register_metrics t ~device reg =
   Chassis.register_metrics t.ch ~device reg
 
-let create engine net cfg =
+let create ?name engine net cfg =
   let ch =
     Chassis.create engine net ~id:cfg.id ~home_id:cfg.llc_id
       ~home_banks:cfg.llc_banks ~hit_latency:cfg.hit_latency
       ~coalesce_window:cfg.coalesce_window ~mshrs:cfg.mshrs
       ~sb_capacity:cfg.sb_capacity ~level:"l1"
+      ~device:
+        (Option.value name ~default:(Printf.sprintf "gpu_l1.%d" cfg.id))
   in
   let t =
     {
@@ -391,7 +385,6 @@ let port t =
     acquire_region = (fun ~region:_ ~k -> acquire t ~k);
     release = (fun ~k -> release t ~k);
     quiescent = (fun () -> quiescent t);
-    describe_pending = (fun () -> describe_pending t);
   }
 
 let stats t = t.ch.Chassis.stats

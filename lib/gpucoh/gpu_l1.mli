@@ -28,7 +28,11 @@ type config = {
 
 type t
 
-val create : Spandex_sim.Engine.t -> Spandex_net.Network.t -> config -> t
+val create :
+  ?name:string -> Spandex_sim.Engine.t -> Spandex_net.Network.t -> config -> t
+(** [name] (default ["gpu_l1.<id>"]) names the L1's work in its engine
+    pending source; [Run] passes its device name. *)
+
 val port : t -> Spandex_device.Port.t
 val stats : t -> Spandex_util.Stats.t
 

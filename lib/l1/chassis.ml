@@ -46,7 +46,7 @@ type 'o t = {
 }
 
 let create engine net ~id ~home_id ~home_banks ~hit_latency ~coalesce_window
-    ~mshrs ~sb_capacity ~level =
+    ~mshrs ~sb_capacity ~level ~device =
   let stats = Stats.create () in
   let trace = Engine.trace engine in
   let retry =
@@ -98,14 +98,14 @@ let create engine net ~id ~home_id ~home_banks ~hit_latency ~coalesce_window
     (fun () ->
       t.drain_armed <- false;
       t.drain ());
-  (* Anything still held here when the event queue drains is a silent
-     deadlock; let [Engine.run_all] report it as [Stuck]. *)
+  (* Everything [quiescent] checks, reported under the device's [Run]
+     name. *)
   Engine.register_pending_source engine (fun () ->
       let acc = ref [] in
       Mshr.iter t.outstanding ~f:(fun ~txn o ->
           acc :=
             {
-              Engine.pw_device = t.name;
+              Engine.pw_device = device;
               pw_txn = txn;
               pw_line = t.source_line o;
               pw_what = t.source_what o;
@@ -114,7 +114,7 @@ let create engine net ~id ~home_id ~home_banks ~hit_latency ~coalesce_window
       Store_buffer.iter t.sb ~f:(fun e ->
           acc :=
             {
-              Engine.pw_device = t.name;
+              Engine.pw_device = device;
               pw_txn = -1;
               pw_line = e.Store_buffer.line;
               pw_what = "buffered store";
@@ -123,7 +123,7 @@ let create engine net ~id ~home_id ~home_banks ~hit_latency ~coalesce_window
       if t.stalled_stores <> [] then
         acc :=
           {
-            Engine.pw_device = t.name;
+            Engine.pw_device = device;
             pw_txn = -1;
             pw_line = -1;
             pw_what =
@@ -131,7 +131,7 @@ let create engine net ~id ~home_id ~home_banks ~hit_latency ~coalesce_window
                 (List.length t.stalled_stores);
           }
           :: !acc;
-      !acc);
+      List.rev !acc);
   t
 
 let fresh_txn t = Txn.next t.txns
@@ -257,23 +257,6 @@ let register_metrics t ~device ?aux reg =
   Metrics.counter reg ~name:"spandex_l1_retries_total" ~labels
     ~help:"timeout-driven request resends (fault runs)" (fun () ->
       Stats.get t.stats "retry.resend")
-
-let pending_summary t ~describe ~extra =
-  let pend = ref [] in
-  Mshr.iter t.outstanding ~f:(fun ~txn o -> pend := (txn, describe o) :: !pend);
-  List.iter (fun p -> pend := p :: !pend) extra;
-  let shown =
-    List.filteri (fun i _ -> i < 4) (List.sort compare !pend)
-    |> List.map (fun (txn, d) -> Printf.sprintf "txn %d %s" txn d)
-  in
-  if shown = [] then "" else " [" ^ String.concat "; " shown ^ "]"
-
-let describe_pending t ~name ~describe ~extra =
-  Printf.sprintf "%s %d: sb=%d outstanding=%d stalled=%d%s" name t.id
-    (Store_buffer.count t.sb)
-    (Mshr.count t.outstanding)
-    (List.length t.stalled_stores)
-    (pending_summary t ~describe ~extra)
 
 let quiescent t =
   Store_buffer.is_empty t.sb

@@ -63,7 +63,7 @@ type 'o t = {
       (** preallocated tick closure so {!arm_drain} allocates nothing. *)
   mutable source_line : 'o -> int;
       (** installed by the protocol: line an outstanding entry targets,
-          for {!Engine.Stuck} reports ([-1] when unknown). *)
+          for the pending source ([-1] when unknown). *)
   mutable source_what : 'o -> string;
       (** installed by the protocol: short kind of an outstanding entry. *)
 }
@@ -79,9 +79,13 @@ val create :
   mshrs:int ->
   sb_capacity:int ->
   level:string ->
+  device:string ->
   'o t
-(** [level] names the device (["<level>.<id>"]) in stuck reports and
-    occupancy trace counters.  Does not register a network handler: the
+(** [level] names the occupancy trace counter tracks
+    (["<level>.<id>.mshr"]); [device] names the L1's work in the engine
+    pending source the chassis registers (MSHR entries, buffered and
+    stalled stores — what {!quiescent} checks), and should be the L1's
+    [Run] device name.  Does not register a network handler: the
     protocol owns message dispatch. *)
 
 val fresh_txn : 'o t -> int
@@ -174,17 +178,6 @@ val register_metrics :
     and retry counters — all labelled [device].  The two occupancy gauges
     feed the ["<level>.<id>.mshr"] and ["<level>.<id>.sb"] (or
     ["<level>.<id>.<suffix>"]) trace counter tracks. *)
-
-val pending_summary :
-  'o t -> describe:('o -> string) -> extra:(int * string) list -> string
-(** The sorted top-4 outstanding transactions as a [" [txn ...]"] suffix
-    (empty string when idle).  [extra] adds entries tracked outside the
-    MSHR file. *)
-
-val describe_pending :
-  'o t -> name:string -> describe:('o -> string) -> extra:(int * string) list -> string
-(** The standard one-line watchdog report
-    ["<name> <id>: sb=.. outstanding=.. stalled=..[ ...]"]. *)
 
 val quiescent : 'o t -> bool
 (** Store buffer empty, MSHR file empty, no stalled stores.  Protocols

@@ -237,7 +237,7 @@ let create engine net cfg =
        stays empty; the parent caches do the buffering. *)
     Chassis.create engine net ~id:cfg.id ~home_id:cfg.dir_id
       ~home_banks:cfg.dir_banks ~hit_latency:cfg.hit_latency ~coalesce_window:0
-      ~mshrs:256 ~sb_capacity:1 ~level:"l2"
+      ~mshrs:256 ~sb_capacity:1 ~level:"l2" ~device:"mesi_client"
   in
   let t =
     {
@@ -255,19 +255,22 @@ let create engine net cfg =
     (function Acq a -> a.a_line | Wb w -> w.w_line);
   ch.Chassis.source_what <-
     (function Acq _ -> "acquire (GetS/GetM)" | Wb _ -> "write-back (PutM)");
+  Engine.register_pending_source engine (fun () ->
+      if t.parked = 0 then []
+      else
+        [
+          {
+            Engine.pw_device = "mesi_client";
+            pw_txn = -1;
+            pw_line = -1;
+            pw_what =
+              Printf.sprintf "%d request(s) parked for an MSHR" t.parked;
+          };
+        ]);
   Network.register net ~id:cfg.id (fun msg -> handle t msg);
   t
 
 let quiescent t = Mshr.count t.ch.Chassis.outstanding = 0 && t.parked = 0
-
-let describe_pending t =
-  Printf.sprintf "mesi_client %d: outstanding=%d%s" t.cfg.id
-    (Mshr.count t.ch.Chassis.outstanding)
-    (Chassis.pending_summary t.ch
-       ~describe:(function
-         | Acq a -> Printf.sprintf "Acq line %d" a.a_line
-         | Wb b -> Printf.sprintf "Wb line %d" b.w_line)
-       ~extra:[])
 
 let backing t =
   {
@@ -276,7 +279,6 @@ let backing t =
     writeback = (fun ~line ~data ~dirty ~k -> writeback t ~line ~data ~dirty ~k);
     set_recall_handler = (fun h -> t.recall_handler <- h);
     quiescent = (fun () -> quiescent t);
-    describe_pending = (fun () -> describe_pending t);
   }
 
 let stats t = t.ch.Chassis.stats

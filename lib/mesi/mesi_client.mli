@@ -19,6 +19,9 @@ type config = {
 type t
 
 val create : Spandex_sim.Engine.t -> Spandex_net.Network.t -> config -> t
+(** Registers an engine pending source named ["mesi_client"]: MSHR
+    entries and requests parked for an MSHR. *)
+
 val backing : t -> Spandex.Backing.t
 val stats : t -> Spandex_util.Stats.t
 

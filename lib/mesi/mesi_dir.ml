@@ -451,12 +451,12 @@ let create engine net dram (cfg : config) =
   done;
   Array.iteri
     (fun b _ ->
+      let device = Printf.sprintf "dir.b%d" b in
       Engine.register_pending_source engine (fun () ->
           Frames.fold_bank t.frame b ~init:[] ~f:(fun acc ~line m ->
               let item what =
                 {
-                  Engine.pw_device =
-                    Printf.sprintf "dir.%d" (bank_of t.cfg line);
+                  Engine.pw_device = device;
                   pw_txn = -1;
                   pw_line = line;
                   pw_what = what;
@@ -516,23 +516,6 @@ let quiescent t =
     ok := !ok && bank_quiescent t b
   done;
   !ok
-
-let bank_describe_pending t b =
-  let busy =
-    Frames.fold_bank t.frame b ~init:[] ~f:(fun acc ~line m ->
-        match m.pending with
-        | None -> acc
-        | Some _ ->
-          Printf.sprintf "line %d busy (+%d blocked)" line
-            (List.length m.blocked)
-          :: acc)
-  in
-  if busy = [] then Printf.sprintf "dir.%d: idle" (t.cfg.dir_id + b)
-  else Printf.sprintf "dir.%d: %s" (t.cfg.dir_id + b) (String.concat "; " busy)
-
-let describe_pending t =
-  String.concat "; "
-    (List.init t.cfg.banks (fun b -> bank_describe_pending t b))
 
 let bank_stats t b = t.banks.(b).bk_stats
 

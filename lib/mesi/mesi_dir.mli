@@ -29,15 +29,13 @@ val create :
     [dir_id .. dir_id + banks - 1].  Each bank keeps its own probe-txn
     allocator, stats and trace names, and touches only lines ≡ bank (mod
     banks) — whose DRAM accesses route to the matching
-    {!Spandex_mem.Dram} channel.  Requires [banks] to divide [sets]. *)
+    {!Spandex_mem.Dram} channel, and registers an engine pending source
+    named ["dir.b<bank>"].  Requires [banks] to divide [sets]. *)
 
 val bank_count : t -> int
 
 val quiescent : t -> bool
 val bank_quiescent : t -> int -> bool
-
-val describe_pending : t -> string
-val bank_describe_pending : t -> int -> string
 
 val bank_stats : t -> int -> Spandex_util.Stats.t
 (** Bank [b]'s counters; merge all banks under one prefix to reproduce

@@ -620,28 +620,16 @@ let handle t (msg : Msg.t) =
 
 let quiescent t = Chassis.quiescent t.ch && Hashtbl.length t.wb_records = 0
 
-let describe_pending t =
-  let extra =
-    Hashtbl.fold
-      (fun txn (b : wb_req) acc ->
-        (txn, Printf.sprintf "Wb line %d" b.b_line) :: acc)
-      t.wb_records []
-  in
-  Chassis.describe_pending t.ch ~name:"mesi_l1"
-    ~describe:(function
-      | Read m -> Printf.sprintf "Read line %d" m.r_line
-      | Write w -> Printf.sprintf "Write line %d" w.m_line)
-    ~extra
-
 let register_metrics t ~device reg =
   Chassis.register_metrics t.ch ~device reg
 
 let create engine net cfg =
+  let name = Printf.sprintf "mesi_l1.%d" cfg.id in
   let ch =
     Chassis.create engine net ~id:cfg.id ~home_id:cfg.llc_id
       ~home_banks:cfg.llc_banks ~hit_latency:cfg.hit_latency
       ~coalesce_window:cfg.coalesce_window ~mshrs:cfg.mshrs
-      ~sb_capacity:cfg.sb_capacity ~level:"l1"
+      ~sb_capacity:cfg.sb_capacity ~level:"l1" ~device:name
   in
   let t =
     {
@@ -669,7 +657,7 @@ let create engine net cfg =
       Hashtbl.fold
         (fun txn (b : wb_req) acc ->
           {
-            Engine.pw_device = Printf.sprintf "mesi_l1.%d" cfg.id;
+            Engine.pw_device = name;
             pw_txn = txn;
             pw_line = b.b_line;
             pw_what = "write-back awaiting RspWB";
@@ -689,7 +677,6 @@ let port t =
     acquire_region = (fun ~region:_ ~k -> acquire t ~k);
     release = (fun ~k -> release t ~k);
     quiescent = (fun () -> quiescent t);
-    describe_pending = (fun () -> describe_pending t);
   }
 
 let stats t = t.ch.Chassis.stats

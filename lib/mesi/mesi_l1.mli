@@ -34,6 +34,9 @@ type config = {
 type t
 
 val create : Spandex_sim.Engine.t -> Spandex_net.Network.t -> config -> t
+(** Names its work ["mesi_l1.<id>"] in its engine pending source, as [Run]
+    names a MESI CPU L1. *)
+
 val port : t -> Spandex_device.Port.t
 val stats : t -> Spandex_util.Stats.t
 

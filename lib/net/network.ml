@@ -205,6 +205,18 @@ let create ?fault engine topo =
      ({!Engine.send_later}) instead of per-message closures; install the
      dispatch target once. *)
   Engine.set_egress engine (send t);
+  Engine.register_pending_source engine (fun () ->
+      let n = !(t.in_flight) in
+      if n = 0 then []
+      else
+        [
+          {
+            Engine.pw_device = "net";
+            pw_txn = -1;
+            pw_line = -1;
+            pw_what = Printf.sprintf "%d message(s) in flight" n;
+          };
+        ]);
   t
 
 let in_flight t = !(t.in_flight)

@@ -32,7 +32,8 @@ type t
 val create : ?fault:Fault.spec -> Spandex_sim.Engine.t -> topology -> t
 (** [?fault] arms a fault-injection plan (see {!Fault}); when absent the
     network is reliable and delivery behavior is bit-identical to before
-    fault injection existed. *)
+    fault injection existed.  Registers an engine pending source named
+    ["net"] that reports the {!in_flight} count while it is nonzero. *)
 
 val fault : t -> Fault.t option
 (** The live fault-injection state, when a plan was armed at [create]. *)

@@ -191,7 +191,6 @@ type t = {
   mutable wd_last : int;
   mutable wd_last_change : int;
   mutable wd_progress : unit -> int;
-  mutable wd_describe : unit -> string;
   (* Event free-list: records recycled at dispatch, popped by the push
      helpers.  Engine-local, so no synchronization. *)
   mutable free_evs : ev array;
@@ -218,24 +217,32 @@ let pp_pending_work fmt p =
   Format.fprintf fmt "%s: %s (txn %d, line %d)" p.pw_device p.pw_what p.pw_txn
     p.pw_line
 
+let pp_work fmt work =
+  Format.fprintf fmt "%d live work item(s):" (List.length work);
+  List.iter (fun p -> Format.fprintf fmt "@\n  %a" pp_pending_work p) work
+
 let pp_stuck fmt s =
-  Format.fprintf fmt
-    "event queue drained at cycle %d with %d live work item(s):" s.stuck_cycle
-    (List.length s.stuck_work);
-  List.iter (fun p -> Format.fprintf fmt "@\n  %a" pp_pending_work p)
-    s.stuck_work
+  Format.fprintf fmt "event queue drained at cycle %d with %a" s.stuck_cycle
+    pp_work s.stuck_work
 
 type livelock = {
   cycle : int;  (** cycle at which the watchdog gave up. *)
   stalled_for : int;  (** cycles since the last observed progress. *)
-  detail : string;  (** pending work of the stuck components. *)
+  work : pending_work list;  (** live work at the trip. *)
 }
 
 exception Livelock of livelock
 
 let pp_livelock fmt l =
-  Format.fprintf fmt "livelock at cycle %d (no progress for %d cycles): %s"
-    l.cycle l.stalled_for l.detail
+  Format.fprintf fmt "livelock at cycle %d (no progress for %d cycles): %a"
+    l.cycle l.stalled_for pp_work l.work
+
+let () =
+  Printexc.register_printer (function
+    | Deadlock m -> Some ("deadlock: " ^ m)
+    | Stuck s -> Some (Format.asprintf "stuck: %a" pp_stuck s)
+    | Livelock l -> Some (Format.asprintf "%a" pp_livelock l)
+    | _ -> None)
 
 let create ?(trace = Trace.disabled) () =
   {
@@ -258,7 +265,6 @@ let create ?(trace = Trace.disabled) () =
     wd_last = 0;
     wd_last_change = 0;
     wd_progress = (fun () -> 0);
-    wd_describe = (fun () -> "");
     free_evs = Array.init 64 (fun _ -> fresh_ev ());
     free_len = 64;
   }
@@ -365,7 +371,8 @@ let apply_later t ~delay f v =
 let step_limit_hit t =
   raise
     (Deadlock
-       (Printf.sprintf "step limit %d exceeded at cycle %d" t.step_limit t.time))
+       (Format.asprintf "step limit %d exceeded at cycle %d with %a"
+          t.step_limit t.time pp_work (live_work t)))
 
 (* Dispatch copies an event's fields into locals and recycles the record
    *before* acting, so the action's own pushes can reuse it immediately.
@@ -417,15 +424,14 @@ let netq_dispatch t =
   e.ep <- ep;
   Wheel.push t.wheel ~time:deliver_at e
 
+let stuck t work = raise (Stuck { stuck_cycle = t.time; stuck_work = work })
+
 (* A drained queue is only "done" if no component still holds live work:
    an L1 waiting on a reply that will never arrive would otherwise look
    like a completed simulation. *)
 let drained ~strict t =
   if not strict then t.time
-  else
-    match live_work t with
-    | [] -> t.time
-    | work -> raise (Stuck { stuck_cycle = t.time; stuck_work = work })
+  else match live_work t with [] -> t.time | work -> stuck t work
 
 (* The option-free peek every loop shares: the earliest queued event time,
    or [max_int] when both queues are empty.  Does not advance time. *)
@@ -480,13 +486,12 @@ let events_processed t = t.steps
    events.  [boundary] values form a deterministic sequence (derived from
    event times), so stall decisions are reproducible; the beat throttle
    keeps the progress census off the per-window path. *)
-let set_watchdog t ~interval ~progress ~describe =
+let set_watchdog t ~interval ~progress =
   if interval <= 0 then invalid_arg "Engine.set_watchdog: interval";
   t.wd_interval <- interval;
   t.wd_beat <- max 1 (interval / 4);
   t.wd_next <- 0;
   t.wd_progress <- progress;
-  t.wd_describe <- describe;
   t.wd_last <- progress ();
   t.wd_last_change <- t.time
 
@@ -504,7 +509,7 @@ let watchdog_check t ~boundary =
            {
              cycle = boundary;
              stalled_for = boundary - t.wd_last_change;
-             detail = t.wd_describe ();
+             work = live_work t;
            })
   end
 
@@ -513,12 +518,12 @@ let watchdog_check t ~boundary =
    one, completion (and the watchdog) are evaluated on the settled state
    of everything before [b].  The finish cycle and event count of every
    run depend on this grid. *)
-let run t ~until_done ~pending_desc =
+let run t ~until_done =
   let l = t.lookahead in
   let rec loop check_at =
     let te = next_time t in
     if te = max_int then
-      if until_done () then t.time else raise (Deadlock (pending_desc ()))
+      if until_done () then t.time else stuck t (live_work t)
     else if te >= check_at then
       if until_done () then t.time
       else begin
@@ -532,8 +537,4 @@ let run t ~until_done ~pending_desc =
       loop check_at
     end
   in
-  match loop min_int with
-  | finish -> finish
-  | exception Deadlock msg when t.steps > t.step_limit ->
-    (* Step-limit overruns get the caller's pending description. *)
-    raise (Deadlock (Printf.sprintf "%s: %s" msg (pending_desc ())))
+  loop min_int

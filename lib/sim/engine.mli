@@ -15,13 +15,21 @@
     so push/pop are O(1) with FIFO order per cycle preserved by
     construction; far-future events (retry backoff) spill to an overflow
     heap ({!Spandex_util.Pqueue}).  It is the only scheduler: the chassis
-    golden pins its event order on every workload and configuration. *)
+    golden pins its event order on every workload and configuration.
+
+    Stuck work has one description: components register pending sources
+    ({!register_pending_source}) that report their live work as
+    {!pending_work} items, and every failure the engine raises carries
+    what {!live_work} returns at that moment — {!Stuck} when the queue
+    drains early, {!Livelock} when the watchdog trips, {!Deadlock} when
+    the step limit is exceeded.  The three exceptions have
+    [Printexc] printers, so [Printexc.to_string] shows the report. *)
 
 type t
 
 exception Deadlock of string
-(** Raised by [run] when the queue drains while some registered completion
-    condition is still unmet — a lost message or a protocol deadlock. *)
+(** Raised when the step limit ({!set_step_limit}) is exceeded; the
+    message names the limit and the cycle, then prints {!live_work}. *)
 
 type pending_work = {
   pw_device : string;  (** component name, e.g. ["denovo_l1.2"]. *)
@@ -38,31 +46,42 @@ type stuck = {
 }
 
 exception Stuck of stuck
-(** Raised by [run_all] when the event queue drains while a registered
-    pending source still reports live work — a silent deadlock that would
-    otherwise return as if the simulation completed. *)
+(** Raised when the event queue drains before the work is done: by [run]
+    when [until_done] is still false, and by [run_all] when a registered
+    pending source still reports live work — a lost message or a
+    protocol deadlock that would otherwise return as if the simulation
+    completed. *)
 
 val pp_pending_work : Format.formatter -> pending_work -> unit
+(** ["<device>: <what> (txn N, line L)"]. *)
+
+val pp_work : Format.formatter -> pending_work list -> unit
+(** The item count, then one indented line per item. *)
+
 val pp_stuck : Format.formatter -> stuck -> unit
 
 val register_pending_source : t -> (unit -> pending_work list) -> unit
 (** Register a closure reporting a component's still-live work.
-    Components call this once at build time; the engine polls every
-    source when the queue drains (and from {!live_work}). *)
+    Components call this once at build time.  A source must report at
+    least one item exactly when its component is not quiescent, naming
+    the component as [Run] does (["mesi_l1.0"], ["llc.b1"], ...), so that
+    a system is finished exactly when {!live_work} is empty. *)
 
 val live_work : t -> pending_work list
-(** Poll every registered pending source, in registration order. *)
+(** Poll every registered pending source, in registration order.  The
+    one description of live work: {!Stuck}, {!Livelock}, {!Deadlock} and
+    the model checker's deadlock verdict all carry it. *)
 
 type livelock = {
   cycle : int;  (** cycle at which the watchdog gave up. *)
   stalled_for : int;  (** cycles since the last observed progress. *)
-  detail : string;  (** pending work of the stuck components. *)
+  work : pending_work list;  (** {!live_work} when the watchdog tripped. *)
 }
 
 exception Livelock of livelock
 (** Raised by the watchdog configured with {!set_watchdog} when the event
     queue keeps churning but no forward progress is observed — e.g. a
-    retry storm that never completes.  Complements {!Deadlock}, which only
+    retry storm that never completes.  Complements {!Stuck}, which only
     fires on an empty queue. *)
 
 val pp_livelock : Format.formatter -> livelock -> unit
@@ -137,13 +156,12 @@ val apply_later : t -> delay:int -> (int -> unit) -> int -> unit
 (** Closure-free form of [schedule t ~delay (fun () -> k v)] for integer
     completion values. *)
 
-val run : t -> until_done:(unit -> bool) -> pending_desc:(unit -> string) -> int
+val run : t -> until_done:(unit -> bool) -> int
 (** Drain events until [until_done ()] is true; returns the finish cycle.
     Completion (and the watchdog) are evaluated at lookahead-grid window
     boundaries (see {!set_lookahead}), not between every event.  Raises
-    {!Deadlock} (with
-    [pending_desc ()] in the message) if the queue empties first.  A step
-    limit guards against livelock. *)
+    {!Stuck} (with {!live_work}) if the queue empties first, and
+    {!Deadlock} if the step limit is exceeded. *)
 
 val run_all : ?strict:bool -> t -> int
 (** Drain every queued event and return the final cycle.  For unit tests
@@ -165,19 +183,14 @@ val step : t -> bool
     queue is empty.  The model checker's execution driver — interleave
     with delivery choices between steps. *)
 
-val set_watchdog :
-  t ->
-  interval:int ->
-  progress:(unit -> int) ->
-  describe:(unit -> string) ->
-  unit
+val set_watchdog : t -> interval:int -> progress:(unit -> int) -> unit
 (** Configure the livelock watchdog: {!run} polls [progress ()] — any
     monotone counter of forward progress, e.g. retired ops — at
-    lookahead-grid boundaries,
-    throttled to every [interval / 4] cycles, and raises {!Livelock} when
-    it has not changed for [interval] cycles.  Polling happens from the
-    run loop, never via heartbeat events, so the watchdog perturbs
-    neither event counts nor simulated timing. *)
+    lookahead-grid boundaries, throttled to every [interval / 4] cycles,
+    and raises {!Livelock} (with {!live_work}) when it has not changed
+    for [interval] cycles.  Polling happens from the run loop, never via
+    heartbeat events, so the watchdog perturbs neither event counts nor
+    simulated timing. *)
 
 val set_step_limit : t -> int -> unit
 (** Override the default step limit (events processed) of [run]. *)

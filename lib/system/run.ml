@@ -39,7 +39,6 @@ type result = {
 type component = {
   c_name : string;
   c_quiescent : unit -> bool;
-  c_pending : unit -> string;
   c_stats : Stats.t;
   c_metrics : Metrics.t -> unit;
   c_fingerprint : Spandex_util.Fingerprint.t -> unit;
@@ -64,7 +63,6 @@ type system = {
   sys_check_logs : Check_log.t list;
   sys_device_names : string array;
   sys_finished : unit -> bool;
-  sys_pending : unit -> string;
   sys_fingerprint : unit -> string;
   sys_views : view list;
   sys_llc : llc_view option;
@@ -74,11 +72,11 @@ type system = {
 let cache_geometry ~bytes ~ways =
   Spandex_mem.Cache_frame.size_lines ~bytes ~ways
 
-let build_denovo engine net (p : Params.t) ~id ~llc_id ~atomics_at_llc ~region_of
-    ~policy =
+let build_denovo engine net (p : Params.t) ~name ~id ~llc_id ~atomics_at_llc
+    ~region_of ~policy =
   let sets, ways = cache_geometry ~bytes:p.Params.l1_bytes ~ways:p.Params.l1_ways in
   let l1 =
-    Denovo_l1.create engine net
+    Denovo_l1.create ~name engine net
       {
         Denovo_l1.id;
         llc_id;
@@ -99,7 +97,6 @@ let build_denovo engine net (p : Params.t) ~id ~llc_id ~atomics_at_llc ~region_o
     {
       c_name = Printf.sprintf "denovo_l1.%d" id;
       c_quiescent = (fun () -> (Denovo_l1.port l1).Port.quiescent ());
-      c_pending = (fun () -> (Denovo_l1.port l1).Port.describe_pending ());
       c_stats = Denovo_l1.stats l1;
       c_metrics =
         Denovo_l1.register_metrics l1
@@ -134,7 +131,6 @@ let build_mesi engine net (p : Params.t) ~id ~llc_id ~notify =
     {
       c_name = Printf.sprintf "mesi_l1.%d" id;
       c_quiescent = (fun () -> (Mesi_l1.port l1).Port.quiescent ());
-      c_pending = (fun () -> (Mesi_l1.port l1).Port.describe_pending ());
       c_stats = Mesi_l1.stats l1;
       c_metrics =
         Mesi_l1.register_metrics l1 ~device:(Printf.sprintf "mesi_l1.%d" id);
@@ -147,10 +143,10 @@ let build_mesi engine net (p : Params.t) ~id ~llc_id ~notify =
       view_peek = Mesi_l1.peek_word l1;
     } )
 
-let build_gpucoh engine net (p : Params.t) ~id ~llc_id =
+let build_gpucoh engine net (p : Params.t) ~name ~id ~llc_id =
   let sets, ways = cache_geometry ~bytes:p.Params.l1_bytes ~ways:p.Params.l1_ways in
   let l1 =
-    Gpu_l1.create engine net
+    Gpu_l1.create ~name engine net
       {
         Gpu_l1.id;
         llc_id;
@@ -168,7 +164,6 @@ let build_gpucoh engine net (p : Params.t) ~id ~llc_id =
     {
       c_name = Printf.sprintf "gpu_l1.%d" id;
       c_quiescent = (fun () -> (Gpu_l1.port l1).Port.quiescent ());
-      c_pending = (fun () -> (Gpu_l1.port l1).Port.describe_pending ());
       c_stats = Gpu_l1.stats l1;
       c_metrics =
         Gpu_l1.register_metrics l1 ~device:(Printf.sprintf "gpu_l1.%d" id);
@@ -209,7 +204,8 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
     | None -> Metrics.disabled
     | Some spec -> Metrics.create spec
   in
-  (* Human-readable endpoint names for trace export ("who is track 12?"). *)
+  (* Human-readable endpoint names for trace export ("who is track 12?");
+     components name their engine pending-source reports the same way. *)
   let device_names =
     Array.init (l2_back_id + 1) (fun id ->
         if id < p.Params.cpu_cores then
@@ -297,7 +293,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
           {
             c_name = "spandex_llc";
             c_quiescent = (fun () -> Llc.bank_quiescent llc b);
-            c_pending = (fun () -> Llc.bank_describe_pending llc b);
             c_stats = Llc.bank_stats llc b;
             c_metrics =
               (fun reg -> Llc.bank_register_metrics llc ~device:"spandex_llc" b reg);
@@ -325,7 +320,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
           {
             c_name = "mesi_dir";
             c_quiescent = (fun () -> Mesi_dir.bank_quiescent dir b);
-            c_pending = (fun () -> Mesi_dir.bank_describe_pending dir b);
             c_stats = Mesi_dir.bank_stats dir b;
             c_metrics =
               (fun reg ->
@@ -343,7 +337,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
         cache_geometry ~bytes:p.Params.gpu_l2_bytes ~ways:p.Params.gpu_l2_ways
       in
       let l2 =
-        Llc.create engine net (Mesi_client.backing client)
+        Llc.create ~name:"gpu_l2" engine net (Mesi_client.backing client)
           {
             Llc.llc_id = l2_front_id;
             banks;
@@ -359,7 +353,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
           {
             c_name = "gpu_l2";
             c_quiescent = (fun () -> Llc.bank_quiescent l2 b);
-            c_pending = (fun () -> Llc.bank_describe_pending l2 b);
             c_stats = Llc.bank_stats l2 b;
             c_metrics =
               (fun reg -> Llc.bank_register_metrics l2 ~device:"gpu_l2" b reg);
@@ -370,7 +363,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
         {
           c_name = "mesi_client";
           c_quiescent = (fun () -> (Mesi_client.backing client).Backing.quiescent ());
-          c_pending = (fun () -> (Mesi_client.backing client).Backing.describe_pending ());
           c_stats = Mesi_client.stats client;
           c_metrics =
             Mesi_client.register_metrics client ~device:"mesi_client";
@@ -385,16 +377,20 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
       build_mesi engine net p ~id:(cpu_id i) ~llc_id:cpu_home
         ~notify:(config.Config.llc = Config.H_mesi)
     | Config.Cpu_denovo ->
-      build_denovo engine net p ~id:(cpu_id i) ~llc_id:cpu_home
+      build_denovo engine net p ~name:device_names.(cpu_id i) ~id:(cpu_id i)
+        ~llc_id:cpu_home
         ~atomics_at_llc:config.Config.cpu_atomics_at_llc
         ~region_of:w.Workload.region_of
         ~policy:Spandex_l1.Spandex_policy.Static_own
   in
   let gpu_port j =
     match config.Config.gpu with
-    | Config.Gpu_coh -> build_gpucoh engine net p ~id:(gpu_id j) ~llc_id:gpu_home
+    | Config.Gpu_coh ->
+      build_gpucoh engine net p ~name:device_names.(gpu_id j) ~id:(gpu_id j)
+        ~llc_id:gpu_home
     | Config.Gpu_denovo | Config.Gpu_adaptive | Config.Gpu_adaptive_rw ->
-      build_denovo engine net p ~id:(gpu_id j) ~llc_id:gpu_home
+      build_denovo engine net p ~name:device_names.(gpu_id j) ~id:(gpu_id j)
+        ~llc_id:gpu_home
         ~atomics_at_llc:false ~region_of:w.Workload.region_of
         ~policy:
           (match config.Config.gpu with
@@ -494,21 +490,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
     && List.for_all (fun c -> c.c_quiescent ()) !components
     && Network.in_flight net = 0
   in
-  let pending_desc () =
-    let core_desc =
-      List.filter_map
-        (fun c -> if Core.finished c then None else Some (Core.describe_pending c))
-        cores
-    in
-    let comp_desc =
-      List.filter_map
-        (fun c -> if c.c_quiescent () then None else Some (c.c_pending ()))
-        !components
-    in
-    String.concat " | "
-      (core_desc @ comp_desc
-      @ [ Printf.sprintf "net in-flight=%d" (Network.in_flight net) ])
-  in
   (* Canonical architectural-state fingerprint: components in build order,
      then cores, barriers, and in-flight message count.  One fresh
      accumulator per call so transaction-id remapping is first-encounter
@@ -540,9 +521,8 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
         ~progress:(fun () ->
           List.fold_left
             (fun acc c -> acc + Stats.get (Core.stats c) "ops")
-            0 cores)
-        ~describe:pending_desc;
-    let cycles = Engine.run engine ~until_done:finished ~pending_desc in
+            0 cores);
+    let cycles = Engine.run engine ~until_done:finished in
     let stats = Stats.create () in
     List.iter
       (fun c -> Stats.merge_into ~dst:stats ~prefix:c.c_name c.c_stats)
@@ -581,7 +561,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
     sys_check_logs = check_logs;
     sys_device_names = device_names;
     sys_finished = finished;
-    sys_pending = pending_desc;
     sys_fingerprint = fingerprint;
     sys_views = views;
     sys_llc = llc_view;

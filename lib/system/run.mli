@@ -61,8 +61,10 @@ type system = {
           concatenate. *)
   sys_device_names : string array;
   sys_finished : unit -> bool;
-      (** all cores done, all components quiescent, nothing in flight. *)
-  sys_pending : unit -> string;  (** human description of live work. *)
+      (** all cores done, all components quiescent, nothing in flight —
+          exactly when [Engine.live_work sys_engine] is empty, whose items
+          name the cores (["core.<id>"]), the network (["net"]) and
+          otherwise [sys_device_names] entries. *)
   sys_fingerprint : unit -> string;
       (** canonical digest of all architectural state (cache lines, MSHRs,
           store buffers, directory/LLC registration, core pcs, barriers,
@@ -86,8 +88,10 @@ val build : ?params:Params.t -> config:Config.t -> Workload.t -> system
 
 val simulate :
   ?params:Params.t -> config:Config.t -> Workload.t -> result
-(** Raises {!Spandex_sim.Engine.Deadlock} if the system wedges, and
-    [Failure] on protocol invariant violations.  Runs are deterministic.
+(** Raises {!Spandex_sim.Engine.Stuck} if the system wedges,
+    {!Spandex_sim.Engine.Livelock} if the watchdog trips,
+    {!Spandex_sim.Engine.Deadlock} past the step limit, and [Failure] on
+    protocol invariant violations.  Runs are deterministic.
     Each call owns all of its state and resets the domain-local transaction
     counter, so simulations must not be interleaved within one domain, but
     independent calls may run on separate domains in parallel — see

@@ -90,10 +90,3 @@ let complete t ~txn =
   | Some e ->
     if e.attempts > 0 then Stats.incr t.stats "retry.recovered";
     Hashtbl.remove t.entries txn
-
-let describe_pending t =
-  Hashtbl.fold
-    (fun txn e acc ->
-      Printf.sprintf "txn %d (%d resends) %s" txn e.attempts e.describe :: acc)
-    t.entries []
-  |> List.sort compare

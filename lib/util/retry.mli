@@ -47,6 +47,3 @@ val arm : t -> txn:int -> describe:string -> resend:(unit -> unit) -> unit
 val complete : t -> txn:int -> unit
 (** Mark [txn] finished; idempotent.  Timers are never cancelled — a
     stale timer firing after completion is a no-op. *)
-
-val describe_pending : t -> string list
-(** One sorted line per live transaction, for livelock diagnostics. *)

@@ -28,6 +28,12 @@ let check_all_configs ?params wl =
 
 let test name f = Alcotest.test_case name `Quick f
 
+(* [contains ~sub s]: naive substring test, enough for error messages. *)
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 (* A minimal JSON syntax checker: validates structure without building
    values, enough to catch escaping and comma/bracket bugs in exporters
    without a JSON dependency. *)

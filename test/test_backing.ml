@@ -41,7 +41,6 @@ let scripted_backing () =
           k ());
       set_recall_handler = (fun h -> s.recall <- h);
       quiescent = (fun () -> true);
-      describe_pending = (fun () -> "scripted");
     }
   in
   (s, backing)

@@ -6,6 +6,8 @@ module Engine = Spandex_sim.Engine
 module Network = Spandex_net.Network
 module Msg = Spandex_proto.Msg
 module Config = Spandex_system.Config
+module Params = Spandex_system.Params
+module Run = Spandex_system.Run
 module Litmus = Spandex_check.Litmus
 module Checker = Spandex_check.Checker
 module Schedule = Spandex_check.Schedule
@@ -47,10 +49,72 @@ let stuck_on_swallowed_reply () =
   | exception Engine.Stuck s ->
     check_bool "names the device" true
       (List.exists
-         (fun w -> w.Engine.pw_device = "l1.0" && w.Engine.pw_line = 3)
+         (fun w -> w.Engine.pw_device = "mesi_l1.0" && w.Engine.pw_line = 3)
          s.Engine.stuck_work);
     (* Permissive mode must still drain quietly. *)
     ignore (Engine.run_all ~strict:false engine)
+
+(* ----- live work agrees with the finished predicate ------------------------------ *)
+
+(* The engine's pending sources are the only report of stuck work, so they
+   must be empty exactly when the system is finished — before the first
+   event and after every one — and name every device as [Run] does.
+   Soak's tiny cell on every configuration, plus one fault-armed cell. *)
+let tiny_params =
+  {
+    Params.small with
+    Params.cpu_cores = 2;
+    gpu_cus = 2;
+    warps_per_cu = 2;
+    mem_latency = 15;
+  }
+
+let live_work_agrees params config =
+  let wl =
+    Spandex_workloads.Stress.generate
+      {
+        Spandex_workloads.Stress.default_spec with
+        Spandex_workloads.Stress.seed = 1;
+        phases = 4;
+        words = 1536;
+      }
+      { Spandex_workloads.Microbench.cpus = 2; cus = 2; warps = 2 }
+  in
+  let sys = Run.build ~params ~config wl in
+  let engine = sys.Run.sys_engine in
+  let named w =
+    let d = w.Engine.pw_device in
+    d = "net"
+    || String.starts_with ~prefix:"core." d
+    || Array.mem d sys.Run.sys_device_names
+  in
+  let check step =
+    let work = Engine.live_work engine in
+    let finished = sys.Run.sys_finished () in
+    if finished <> (work = []) then
+      Alcotest.failf "%s step %d: finished=%b with %a" config.Config.name step
+        finished Engine.pp_work work;
+    List.iter
+      (fun w ->
+        if not (named w) then
+          Alcotest.failf "%s step %d: unknown device in %a" config.Config.name
+            step Engine.pp_pending_work w)
+      work
+  in
+  check 0;
+  let steps = ref 0 in
+  while Engine.step engine do
+    incr steps;
+    check !steps
+  done;
+  check_bool "finished after draining" true (sys.Run.sys_finished ())
+
+let live_work_agrees_all_configs () =
+  List.iter (live_work_agrees tiny_params) Config.extended
+
+let live_work_agrees_with_faults () =
+  let fault = Spandex_net.Fault.uniform ~drop:0.02 ~dup:0.02 ~seed:1 () in
+  live_work_agrees { tiny_params with Params.fault = Some fault } Config.sdd
 
 (* ----- clean exploration --------------------------------------------------------- *)
 
@@ -119,7 +183,7 @@ let seeded_bug_caught bug expected_kind () =
     | None -> Alcotest.fail "replay of the counterexample found no violation");
     Sys.remove out
 
-let deadlock_kind = function Checker.Deadlock _ -> true | _ -> false
+let deadlock_kind = function Checker.Deadlock (_ :: _) -> true | _ -> false
 
 let stale_kind = function Checker.Data_mismatch _ -> true | _ -> false
 
@@ -161,6 +225,10 @@ let tests =
   [
     Alcotest.test_case "stuck_on_swallowed_reply" `Quick
       stuck_on_swallowed_reply;
+    Alcotest.test_case "live_work_agrees_all_configs" `Quick
+      live_work_agrees_all_configs;
+    Alcotest.test_case "live_work_agrees_with_faults" `Quick
+      live_work_agrees_with_faults;
     Alcotest.test_case "schedule_roundtrip" `Quick schedule_roundtrip;
     Alcotest.test_case "mesi_ww_clean" `Quick
       (explore_clean Config.smd ~cpus:2 ~gpus:0 ~faults:false Litmus.ww);

@@ -47,9 +47,7 @@ let run h = ignore (Engine.run_all ~strict:false h.engine)
 
 (* Bounded run for scenarios whose deferred-retry polling only quiesces
    after the test injects a response. *)
-let run_until h pred =
-  ignore
-    (Engine.run h.engine ~until_done:pred ~pending_desc:(fun () -> "test"))
+let run_until h pred = ignore (Engine.run h.engine ~until_done:pred)
 
 let llc_msgs h = List.rev !(h.llc_inbox)
 
@@ -379,7 +377,6 @@ let core_barrier_is_release_acquire () =
           log := `Release :: !log;
           Engine.schedule e ~delay:1 k);
       quiescent = (fun () -> true);
-      describe_pending = (fun () -> "stub");
     }
   in
   let check_log = Spandex_device.Check_log.create () in
@@ -391,8 +388,7 @@ let core_barrier_is_release_acquire () =
   Spandex_device.Core.start core;
   ignore
     (Engine.run e
-       ~until_done:(fun () -> Spandex_device.Core.finished core)
-       ~pending_desc:(fun () -> "core"));
+       ~until_done:(fun () -> Spandex_device.Core.finished core));
   Alcotest.(check (list string))
     "release before acquire"
     [ "release"; "acquire" ]

@@ -17,12 +17,6 @@ module Stats = Spandex_util.Stats
 module Registry = Spandex_workloads.Registry
 module Report = Spandex_system.Report
 
-(* [contains ~sub s]: naive substring test, enough for error messages. *)
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
-  at 0
-
 let store i v = Ops.Store (w i, v)
 let check i v = Ops.Check (w i, v)
 
@@ -231,25 +225,26 @@ let watchdog_raises_livelock () =
   let engine = Engine.create () in
   let rec churn () = Engine.schedule engine ~delay:10 churn in
   churn ();
-  Engine.set_watchdog engine ~interval:1_000
-    ~progress:(fun () -> 0)
-    ~describe:(fun () -> "stuck component txn 42");
-  match Engine.run engine ~until_done:(fun () -> false) ~pending_desc:(fun () -> "") with
+  let item =
+    { Engine.pw_device = "comp.0"; pw_txn = 42; pw_line = 5; pw_what = "stuck" }
+  in
+  Engine.register_pending_source engine (fun () -> [ item ]);
+  Engine.set_watchdog engine ~interval:1_000 ~progress:(fun () -> 0);
+  match Engine.run engine ~until_done:(fun () -> false) with
   | _ -> Alcotest.fail "expected Livelock"
-  | exception Engine.Livelock l ->
+  | exception (Engine.Livelock l as e) ->
     Alcotest.(check bool) "stall measured" true (l.Engine.stalled_for >= 1_000);
-    Alcotest.(check bool) "detail names the component" true
-      (contains ~sub:"stuck component txn 42" l.Engine.detail)
+    Alcotest.(check bool) "carries the live work" true (l.Engine.work = [ item ]);
+    Alcotest.(check bool) "printer shows the work" true
+      (contains ~sub:"comp.0: stuck (txn 42, line 5)" (Printexc.to_string e))
 
 let watchdog_quiet_when_progressing () =
   let engine = Engine.create () in
   let ops = ref 0 in
   let rec work n = if n > 0 then Engine.schedule engine ~delay:100 (fun () -> incr ops; work (n - 1)) in
   work 200;
-  Engine.set_watchdog engine ~interval:1_000
-    ~progress:(fun () -> !ops)
-    ~describe:(fun () -> "unused");
-  let cycles = Engine.run engine ~until_done:(fun () -> !ops = 200) ~pending_desc:(fun () -> "") in
+  Engine.set_watchdog engine ~interval:1_000 ~progress:(fun () -> !ops);
+  let cycles = Engine.run engine ~until_done:(fun () -> !ops = 200) in
   Alcotest.(check int) "ran to completion" 20_000 cycles
 
 (* ----- end-to-end recovery -------------------------------------------------- *)
@@ -322,11 +317,11 @@ let total_loss_trips_watchdog () =
   | exception Engine.Livelock l ->
     Alcotest.(check bool) "stalled at least the interval" true
       (l.Engine.stalled_for >= 20_000);
-    Alcotest.(check bool) "names a component" true
-      (contains ~sub:"l1" l.Engine.detail
-      || contains ~sub:"core" l.Engine.detail);
-    Alcotest.(check bool) "names a pending txn" true
-      (contains ~sub:"txn" l.Engine.detail)
+    Alcotest.(check bool) "names an L1 and a pending txn" true
+      (List.exists
+         (fun w ->
+           contains ~sub:"l1." w.Engine.pw_device && w.Engine.pw_txn >= 0)
+         l.Engine.work)
 
 let total_loss_exhausts_retries () =
   (* With the watchdog off and a small attempt cap, the retry table itself

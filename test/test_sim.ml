@@ -34,24 +34,36 @@ let engine_nested_scheduling () =
   ignore (Engine.run_all e);
   check_int "both ran" 2 !hits
 
+let stuck_item =
+  { Engine.pw_device = "dev.0"; pw_txn = 7; pw_line = 3; pw_what = "stuck!" }
+
+(* A queue that drains before [until_done] raises [Stuck] carrying the
+   registered sources' live work. *)
 let engine_deadlock_detection () =
   let e = Engine.create () in
+  Engine.register_pending_source e (fun () -> [ stuck_item ]);
   Engine.schedule e ~delay:1 ignore;
-  match
-    Engine.run e ~until_done:(fun () -> false) ~pending_desc:(fun () -> "stuck!")
-  with
-  | _ -> Alcotest.fail "expected Deadlock"
-  | exception Engine.Deadlock msg ->
-    check_bool "message propagated" true (msg = "stuck!")
+  match Engine.run e ~until_done:(fun () -> false) with
+  | _ -> Alcotest.fail "expected Stuck"
+  | exception Engine.Stuck s ->
+    check_int "drained at" 1 s.Engine.stuck_cycle;
+    check_bool "live work propagated" true (s.Engine.stuck_work = [ stuck_item ])
 
+(* The step limit raises [Deadlock] naming the limit and printing the live
+   work. *)
 let engine_step_limit () =
   let e = Engine.create () in
+  Engine.register_pending_source e (fun () -> [ stuck_item ]);
   Engine.set_step_limit e 10;
   let rec spin () = Engine.schedule e ~delay:1 spin in
   spin ();
-  match Engine.run e ~until_done:(fun () -> false) ~pending_desc:(fun () -> "x") with
+  match Engine.run e ~until_done:(fun () -> false) with
   | _ -> Alcotest.fail "expected Deadlock from step limit"
-  | exception Engine.Deadlock _ -> ()
+  | exception Engine.Deadlock m ->
+    let has sub = Helpers.contains ~sub m in
+    check_bool "names the limit" true (has "step limit 10");
+    check_bool "prints the live work" true
+      (has "dev.0: stuck! (txn 7, line 3)")
 
 let engine_no_past_scheduling () =
   let e = Engine.create () in
@@ -234,7 +246,6 @@ let stub_port engine ~mem_delay log =
     acquire_region = (fun ~region:_ ~k -> Engine.schedule engine ~delay:1 k);
     release = (fun ~k -> Engine.schedule engine ~delay:1 k);
     quiescent = (fun () -> !pending = 0);
-    describe_pending = (fun () -> "stub");
   }
 
 let core_warp_interleaving () =
@@ -254,7 +265,6 @@ let core_warp_interleaving () =
   let finish =
     Engine.run e
       ~until_done:(fun () -> Spandex_device.Core.finished core)
-      ~pending_desc:(fun () -> Spandex_device.Core.describe_pending core)
   in
   (* 4 loads of 50 cycles: serial execution would be ~200; interleaving two
      warps halves it. *)
@@ -276,7 +286,6 @@ let core_single_context_blocks () =
   let finish =
     Engine.run e
       ~until_done:(fun () -> Spandex_device.Core.finished core)
-      ~pending_desc:(fun () -> "core")
   in
   check_bool "blocking loads serialize" true (finish >= 100)
 
@@ -294,7 +303,6 @@ let core_gpu_clock_scaling () =
   let finish =
     Engine.run e
       ~until_done:(fun () -> Spandex_device.Core.finished core)
-      ~pending_desc:(fun () -> "core")
   in
   check_bool "slow clock scales issue" true (finish >= 30)
 
@@ -315,7 +323,7 @@ let check_flat what ~words =
       pin_n d
 
 let run_until e until_done =
-  ignore (Engine.run e ~until_done ~pending_desc:(fun () -> "pin") : int)
+  ignore (Engine.run e ~until_done : int)
 
 (* [Engine.run] over [n] pre-scheduled [apply_later] events sharing one
    continuation.  Only the run is measured; a warm-up round first grows
@@ -355,7 +363,6 @@ let core_check_words n =
       acquire_region = (fun ~region:_ ~k:_ -> fail ());
       release = (fun ~k:_ -> fail ());
       quiescent = (fun () -> true);
-      describe_pending = (fun () -> "pin");
     }
   in
   let check_log = Spandex_device.Check_log.create () in
