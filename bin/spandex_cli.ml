@@ -86,7 +86,10 @@ let workload_arg =
   Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~doc)
 
 let config_arg =
-  let doc = "Cache configuration (HMG, HMD, SMG, SMD, SDG or SDD)." in
+  let doc =
+    Printf.sprintf "Cache configuration; one of: %s."
+      (String.concat ", " (List.map (fun c -> c.Config.name) Config.extended))
+  in
   Arg.(value & opt (some string) None & info [ "c"; "config" ] ~doc)
 
 let all_configs_arg =

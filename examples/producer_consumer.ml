@@ -119,10 +119,7 @@ let () =
                                   finished := true))))))));
   let cycles =
     Engine.run engine
-      ~until_done:(fun () ->
-        !finished && cpu_port.Port.quiescent () && gpu_port.Port.quiescent ()
-        && Llc.quiescent llc
-        && Network.in_flight net = 0)
+      ~until_done:(fun () -> !finished && Engine.live_work engine = [])
   in
   Printf.printf "\nfinished in %d cycles; network messages by kind:\n" cycles;
   List.iter

@@ -167,10 +167,7 @@ let () =
   run_steps steps;
   let cycles =
     Engine.run engine
-      ~until_done:(fun () ->
-        !finished && acc_p.Port.quiescent () && gpu_p.Port.quiescent ()
-        && mesi_p.Port.quiescent ()
-        && Network.in_flight net = 0)
+      ~until_done:(fun () -> !finished && Engine.live_work engine = [])
   in
   let pending_banners = ref (List.rev !banners) in
   let flush_banners upto =

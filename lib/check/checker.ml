@@ -247,13 +247,12 @@ let violation_at ex lines =
   | None -> (
     match check_data ex with
     | Some v -> Some v
-    | None ->
-      if ex.pool = [] then
-        (* Terminal: stabilize drained the whole event queue. *)
-        if not (ex.sys.R.sys_finished ()) then
-          Some (Deadlock (Engine.live_work ex.sys.R.sys_engine))
-        else check_llc_registration ex lines
-      else None)
+    | None when ex.pool <> [] -> None
+    | None -> (
+      (* Terminal: stabilize drained the whole event queue. *)
+      match Engine.live_work ex.sys.R.sys_engine with
+      | [] -> check_llc_registration ex lines
+      | w -> Some (Deadlock w)))
 
 (* ----- schedule execution -------------------------------------------------------- *)
 

@@ -12,7 +12,6 @@ type t = {
   acquire : line:int -> excl:bool -> k:(int array option -> excl:bool -> unit) -> unit;
   writeback : line:int -> data:int array -> dirty:bool -> k:(unit -> unit) -> unit;
   set_recall_handler : recall_handler -> unit;
-  quiescent : unit -> bool;
 }
 
 let dram engine dram =
@@ -27,5 +26,4 @@ let dram engine dram =
           Dram.write_words dram ~line ~mask:Addr.full_mask ~values:data;
         Engine.schedule engine ~delay:0 k);
     set_recall_handler = (fun _ -> ());
-    quiescent = (fun () -> true);
   }

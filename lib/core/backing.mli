@@ -3,7 +3,9 @@
     A flat Spandex system backs the LLC with DRAM.  The hierarchical
     baseline's intermediate GPU L2 is the same Spandex engine backed by a
     MESI client port to the directory LLC (DESIGN.md §4); that
-    implementation lives in [spandex_mesi] and produces this record. *)
+    implementation lives in [spandex_mesi] and produces this record.  A
+    backing that can hold work reports it through its own engine pending
+    source; DRAM holds none (an in-flight fetch is the LLC line's). *)
 
 type recall_kind =
   | Recall_shared
@@ -28,9 +30,6 @@ type t = {
   writeback : line:int -> data:int array -> dirty:bool -> k:(unit -> unit) -> unit;
       (** Surrender the line on eviction. *)
   set_recall_handler : recall_handler -> unit;
-  quiescent : unit -> bool;
-      (** nothing in flight; a backing that can hold work reports it
-          through its own engine pending source. *)
 }
 
 val dram : Spandex_sim.Engine.t -> Spandex_mem.Dram.t -> t

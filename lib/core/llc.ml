@@ -899,8 +899,8 @@ let create ?(name = "llc") engine net backing (cfg : config) =
   (* Every bank shares the backing; the recall dispatcher routes by line. *)
   backing.Backing.set_recall_handler (fun ~line ~kind ~k ->
       handle_recall t ~line ~kind ~k);
-  (* One source per bank, reporting what [bank_quiescent] checks of its
-     lines (the backing reports its own work). *)
+  (* One source per bank, reporting its pending, blocked and
+     recall-queued lines (the backing reports its own work). *)
   Array.iteri
     (fun b _ ->
       let device = Printf.sprintf "%s.b%d" name b in
@@ -976,18 +976,6 @@ let bank_register_metrics t ~device b reg =
   Metrics.counter reg ~name:"spandex_llc_replayed_total" ~labels
     ~help:"duplicate requests answered from the reply cache (fault runs)"
     (fun () -> Stats.get bk.bk_stats "replayed")
-
-let bank_quiescent t b =
-  fold_bank t b ~init:true ~f:(fun acc ~line:_ m ->
-      acc && m.pending = None && m.blocked = [] && m.recalls = [])
-  && t.backing.Backing.quiescent ()
-
-let quiescent t =
-  let ok = ref true in
-  for b = 0 to t.cfg.banks - 1 do
-    ok := !ok && bank_quiescent t b
-  done;
-  !ok
 
 let bank_stats t b = t.banks.(b).bk_stats
 

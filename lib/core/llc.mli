@@ -73,10 +73,6 @@ val create :
 
 val bank_count : t -> int
 
-val quiescent : t -> bool
-val bank_quiescent : t -> int -> bool
-(** Bank [b]'s lines are settled and its backing is quiescent. *)
-
 val bank_stats : t -> int -> Spandex_util.Stats.t
 (** Bank [b]'s counters; merge all banks under one prefix to reproduce
     the aggregate ({!Spandex_util.Stats.merge_into} sums). *)

@@ -45,4 +45,11 @@ let absorb t (msg : Msg.t) =
   end
   else None
 
-let peek t = t.acc
+module Fp = Spandex_util.Fingerprint
+
+let fingerprint fp t =
+  let r = t.acc in
+  Fp.int fp (r.data_mask :> int);
+  Fp.int fp (r.acked :> int);
+  Fp.int fp (r.nacked :> int);
+  Fp.masked_array fp ~mask:r.data_mask r.values

@@ -32,5 +32,6 @@ val absorb : t -> Spandex_proto.Msg.t -> result option
     is fully covered.  Responses covering extra (opportunistic) words are
     folded in. *)
 
-val peek : t -> result
-(** Current accumulation, before completion. *)
+val fingerprint : Spandex_util.Fingerprint.t -> t -> unit
+(** Append the accumulation so far (masks, then the data words) — used by
+    the L1s' model-checker fingerprints. *)

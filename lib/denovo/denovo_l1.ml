@@ -865,8 +865,6 @@ let handle t (msg : Msg.t) =
 
 (* ----- construction --------------------------------------------------------- *)
 
-let quiescent t = Chassis.quiescent t.ch && Hashtbl.length t.wb_records = 0
-
 let register_metrics t ~device reg =
   Chassis.register_metrics t.ch ~device reg
 
@@ -934,7 +932,6 @@ let port t =
     acquire = (fun ~k -> acquire t ~k);
     acquire_region = (fun ~region ~k -> acquire_region t ~region ~k);
     release = (fun ~k -> release t ~k);
-    quiescent = (fun () -> quiescent t);
   }
 
 let stats t = t.ch.Chassis.stats
@@ -963,31 +960,6 @@ let valid_words t = count_words t (fun l -> l.valid)
 (* ----- model-checker introspection ----------------------------------------- *)
 
 module Fp = Spandex_util.Fingerprint
-
-let fp_collector fp c =
-  let r = Tu.peek c in
-  Fp.int fp (r.Tu.data_mask :> int);
-  Fp.int fp (r.Tu.acked :> int);
-  Fp.int fp (r.Tu.nacked :> int);
-  Fp.masked_array fp ~mask:r.Tu.data_mask r.Tu.values
-
-let fp_waiters fp ws = Fp.list fp Fp.int (List.sort compare (List.map fst ws))
-
-let fp_amo fp = function
-  | Amo.Read -> Fp.int fp 0
-  | Amo.Exch v ->
-    Fp.int fp 1;
-    Fp.int fp v
-  | Amo.Add v ->
-    Fp.int fp 2;
-    Fp.int fp v
-  | Amo.Max v ->
-    Fp.int fp 3;
-    Fp.int fp v
-  | Amo.Cas { expected; desired } ->
-    Fp.int fp 4;
-    Fp.int fp expected;
-    Fp.int fp desired
 
 let fingerprint t fp =
   Fp.tag fp "denovo";
@@ -1018,8 +990,8 @@ let fingerprint t fp =
         Fp.int fp (m.r_own_mask :> int);
         Fp.int fp m.r_retries;
         Fp.int fp (t.epoch - m.r_epoch);
-        fp_waiters fp m.r_waiters;
-        fp_collector fp m.r_collector
+        Chassis.fingerprint_waiters fp m.r_waiters;
+        Tu.fingerprint fp m.r_collector
       | Own o ->
         Fp.tag fp "O";
         Fp.int fp o.o_line;
@@ -1027,15 +999,15 @@ let fingerprint t fp =
         Fp.masked_array fp ~mask:o.o_mask o.o_values;
         Fp.int fp (o.o_stolen :> int);
         Fp.bool fp o.o_through;
-        fp_collector fp o.o_collector
+        Tu.fingerprint fp o.o_collector
       | Rmw r ->
         Fp.tag fp "W";
         Fp.int fp r.w_line;
         Fp.int fp r.w_word;
-        fp_amo fp r.w_amo;
+        Amo.fingerprint fp r.w_amo;
         Fp.bool fp r.w_stolen;
         Fp.list fp Msg.fingerprint r.w_queued;
-        fp_collector fp r.w_collector
+        Tu.fingerprint fp r.w_collector
       | Atomic _ -> Fp.tag fp "A");
   let wbs =
     Hashtbl.fold (fun txn b acc -> (txn, b) :: acc) t.wb_records []

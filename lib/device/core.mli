@@ -33,7 +33,9 @@ val start : t -> unit
     unfinished context (["core.<id>"]: ready at / waiting on op N). *)
 
 val finished : t -> bool
-(** All contexts ran to completion and the L1 port is quiescent. *)
+(** Every context ran to completion — exactly when the core's pending
+    source reports nothing.  An int compare, so [Run] polls it before
+    {!Spandex_sim.Engine.live_work}, whose core items are formatted. *)
 
 val stats : t -> Spandex_util.Stats.t
 val core_id : t -> int

@@ -5,5 +5,4 @@ type t = {
   acquire : k:(unit -> unit) -> unit;
   acquire_region : region:int -> k:(unit -> unit) -> unit;
   release : k:(unit -> unit) -> unit;
-  quiescent : unit -> bool;
 }

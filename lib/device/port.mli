@@ -2,7 +2,9 @@
 
     Each protocol library (MESI, GPU coherence, DeNovo) builds one of these
     records; the core model is protocol-agnostic.  All callbacks fire as
-    simulation events — possibly in the same cycle for hits. *)
+    simulation events — possibly in the same cycle for hits.  What the L1
+    still holds (misses, buffered stores) it reports through its engine
+    pending source, not through the port. *)
 
 type t = {
   load : Spandex_proto.Addr.t -> k:(int -> unit) -> unit;
@@ -21,7 +23,4 @@ type t = {
           region's stale data; defaults to a full acquire. *)
   release : k:(unit -> unit) -> unit;
       (** DRF release: complete all buffered/pending writes. *)
-  quiescent : unit -> bool;
-      (** no outstanding misses or buffered stores; the L1 reports what
-          it still holds through its engine pending source. *)
 }

@@ -334,8 +334,6 @@ let handle t (msg : Msg.t) =
 
 (* ----- construction --------------------------------------------------------- *)
 
-let quiescent t = Chassis.quiescent t.ch
-
 let register_metrics t ~device reg =
   Chassis.register_metrics t.ch ~device reg
 
@@ -384,7 +382,6 @@ let port t =
        regions to DeNovo). *)
     acquire_region = (fun ~region:_ ~k -> acquire t ~k);
     release = (fun ~k -> release t ~k);
-    quiescent = (fun () -> quiescent t);
   }
 
 let stats t = t.ch.Chassis.stats
@@ -400,13 +397,6 @@ let valid_lines t = Cache_frame.count t.frame
 (* ----- model-checker introspection ----------------------------------------- *)
 
 module Fp = Spandex_util.Fingerprint
-
-let fp_collector fp c =
-  let r = Tu.peek c in
-  Fp.int fp (r.Tu.data_mask :> int);
-  Fp.int fp (r.Tu.acked :> int);
-  Fp.int fp (r.Tu.nacked :> int);
-  Fp.masked_array fp ~mask:r.Tu.data_mask r.Tu.values
 
 let fingerprint t fp =
   Fp.tag fp "gpu_l1";
@@ -433,8 +423,8 @@ let fingerprint t fp =
         Fp.int fp m.m_line;
         Fp.int fp (t.epoch - m.epoch);
         Fp.int fp m.retries;
-        Fp.list fp Fp.int (List.sort compare (List.map fst m.waiters));
-        fp_collector fp m.collector
+        Chassis.fingerprint_waiters fp m.waiters;
+        Tu.fingerprint fp m.collector
       | Wt w ->
         Fp.tag fp "W";
         Fp.int fp w.wt_line

@@ -98,8 +98,8 @@ let create engine net ~id ~home_id ~home_banks ~hit_latency ~coalesce_window
     (fun () ->
       t.drain_armed <- false;
       t.drain ());
-  (* Everything [quiescent] checks, reported under the device's [Run]
-     name. *)
+  (* MSHR entries, buffered and stalled stores, reported under the
+     device's [Run] name. *)
   Engine.register_pending_source engine (fun () ->
       let acc = ref [] in
       Mshr.iter t.outstanding ~f:(fun ~txn o ->
@@ -258,11 +258,6 @@ let register_metrics t ~device ?aux reg =
     ~help:"timeout-driven request resends (fault runs)" (fun () ->
       Stats.get t.stats "retry.resend")
 
-let quiescent t =
-  Store_buffer.is_empty t.sb
-  && Mshr.count t.outstanding = 0
-  && t.stalled_stores = []
-
 module Fp = Spandex_util.Fingerprint
 
 (* Canonical encoding of the shared transaction state.  MSHR entries are
@@ -303,3 +298,6 @@ let fingerprint t fp ~key ~payload =
       Fp.txn fp txn;
       payload fp o)
     ms
+
+let fingerprint_waiters fp ws =
+  Fp.list fp Fp.int (List.sort compare (List.map fst ws))

@@ -84,9 +84,10 @@ val create :
 (** [level] names the occupancy trace counter tracks
     (["<level>.<id>.mshr"]); [device] names the L1's work in the engine
     pending source the chassis registers (MSHR entries, buffered and
-    stalled stores — what {!quiescent} checks), and should be the L1's
-    [Run] device name.  Does not register a network handler: the
-    protocol owns message dispatch. *)
+    stalled stores; protocols register their own records, such as
+    write-backs, separately), and should be the L1's [Run] device name.
+    Does not register a network handler: the protocol owns message
+    dispatch. *)
 
 val fresh_txn : 'o t -> int
 (** Draw a transaction id from the device's allocator — for transactions
@@ -179,10 +180,6 @@ val register_metrics :
     feed the ["<level>.<id>.mshr"] and ["<level>.<id>.sb"] (or
     ["<level>.<id>.<suffix>"]) trace counter tracks. *)
 
-val quiescent : 'o t -> bool
-(** Store buffer empty, MSHR file empty, no stalled stores.  Protocols
-    conjoin their own records (write-backs, parked requests). *)
-
 val fingerprint :
   'o t ->
   Spandex_util.Fingerprint.t ->
@@ -193,3 +190,8 @@ val fingerprint :
     buffer sorted by line, MSHR entries sorted by [key] — the protocol
     supplies a content key, typically [line * k + kind-tag] — then
     encoded by [payload]).  Used by the model checker. *)
+
+val fingerprint_waiters :
+  Spandex_util.Fingerprint.t -> (int * 'k) list -> unit
+(** Append the sorted words of a miss record's parked loads (word,
+    continuation); the continuations are not state. *)

@@ -6,7 +6,7 @@
     [s / banks]): conflict sets and per-set LRU order are unchanged, so
     banking is behaviour-neutral — what it buys is structural.  Each bank
     owns a disjoint slice of the tag/state arrays, so per-bank occupancy
-    and per-bank quiescence are direct reads.  Shared by the Spandex LLC
+    and per-bank pending work are direct reads.  Shared by the Spandex LLC
     and the MESI directory. *)
 
 type 'a t

@@ -270,15 +270,12 @@ let create engine net cfg =
   Network.register net ~id:cfg.id (fun msg -> handle t msg);
   t
 
-let quiescent t = Mshr.count t.ch.Chassis.outstanding = 0 && t.parked = 0
-
 let backing t =
   {
     Backing.name = "mesi_client";
     acquire = (fun ~line ~excl ~k -> acquire t ~line ~excl ~k);
     writeback = (fun ~line ~data ~dirty ~k -> writeback t ~line ~data ~dirty ~k);
     set_recall_handler = (fun h -> t.recall_handler <- h);
-    quiescent = (fun () -> quiescent t);
   }
 
 let stats t = t.ch.Chassis.stats

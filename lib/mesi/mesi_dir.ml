@@ -506,17 +506,6 @@ let bank_register_metrics t ~device b reg =
     ~help:"duplicate requests answered from the reply cache (fault runs)"
     (fun () -> Stats.get bk.bk_stats "replayed")
 
-let bank_quiescent t b =
-  Frames.fold_bank t.frame b ~init:true ~f:(fun acc ~line:_ m ->
-      acc && m.pending = None && m.blocked = [])
-
-let quiescent t =
-  let ok = ref true in
-  for b = 0 to t.cfg.banks - 1 do
-    ok := !ok && bank_quiescent t b
-  done;
-  !ok
-
 let bank_stats t b = t.banks.(b).bk_stats
 
 let line_state t ~line =

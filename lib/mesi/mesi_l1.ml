@@ -618,8 +618,6 @@ let handle t (msg : Msg.t) =
 
 (* ----- construction ---------------------------------------------------------------- *)
 
-let quiescent t = Chassis.quiescent t.ch && Hashtbl.length t.wb_records = 0
-
 let register_metrics t ~device reg =
   Chassis.register_metrics t.ch ~device reg
 
@@ -676,7 +674,6 @@ let port t =
     (* Writer-initiated invalidation: nothing to self-invalidate. *)
     acquire_region = (fun ~region:_ ~k -> acquire t ~k);
     release = (fun ~k -> release t ~k);
-    quiescent = (fun () -> quiescent t);
   }
 
 let stats t = t.ch.Chassis.stats
@@ -697,36 +694,11 @@ let cached_lines t = Cache_frame.count t.frame
 
 module Fp = Spandex_util.Fingerprint
 
-let fp_collector fp c =
-  let r = Tu.peek c in
-  Fp.int fp (r.Tu.data_mask :> int);
-  Fp.int fp (r.Tu.acked :> int);
-  Fp.int fp (r.Tu.nacked :> int);
-  Fp.masked_array fp ~mask:r.Tu.data_mask r.Tu.values
-
-let fp_waiters fp ws = Fp.list fp Fp.int (List.sort compare (List.map fst ws))
-
 let mesi_tag = function
   | State.M_I -> 0
   | State.M_S -> 1
   | State.M_E -> 2
   | State.M_M -> 3
-
-let fp_amo fp = function
-  | Amo.Read -> Fp.int fp 0
-  | Amo.Exch v ->
-    Fp.int fp 1;
-    Fp.int fp v
-  | Amo.Add v ->
-    Fp.int fp 2;
-    Fp.int fp v
-  | Amo.Max v ->
-    Fp.int fp 3;
-    Fp.int fp v
-  | Amo.Cas { expected; desired } ->
-    Fp.int fp 4;
-    Fp.int fp expected;
-    Fp.int fp desired
 
 let fingerprint t fp =
   Fp.tag fp "mesi_l1";
@@ -760,9 +732,9 @@ let fingerprint t fp =
         Fp.bool fp m.r_valid_only;
         Fp.bool fp m.r_inv;
         Fp.int fp (m.r_downgraded :> int);
-        fp_waiters fp m.r_waiters;
+        Chassis.fingerprint_waiters fp m.r_waiters;
         Fp.list fp Msg.fingerprint m.r_queued;
-        fp_collector fp m.r_collector
+        Tu.fingerprint fp m.r_collector
       | Write w ->
         Fp.tag fp "W";
         Fp.int fp w.m_line;
@@ -775,11 +747,11 @@ let fingerprint t fp =
         | None -> Fp.int fp (-1)
         | Some (word, amo, _) ->
           Fp.int fp word;
-          fp_amo fp amo);
+          Amo.fingerprint fp amo);
         Fp.int fp (w.m_downgraded :> int);
         Fp.list fp Msg.fingerprint w.m_queued;
-        fp_waiters fp w.m_loads;
-        fp_collector fp w.m_collector);
+        Chassis.fingerprint_waiters fp w.m_loads;
+        Tu.fingerprint fp w.m_collector);
   let wbs =
     Hashtbl.fold (fun txn b acc -> (txn, b) :: acc) t.wb_records []
     |> List.sort (fun (t1, b1) (t2, b2) ->

@@ -79,7 +79,8 @@ val wrap_handler :
     without touching protocol code. *)
 
 val in_flight : t -> int
-(** Messages sent but not yet delivered; used for quiescence checks. *)
+(** Messages sent but not yet delivered; the network's engine pending
+    source reports it as one ["net"] item while nonzero. *)
 
 val traffic_flits : t -> Spandex_proto.Msg.category -> int
 val total_flits : t -> int

@@ -20,3 +20,21 @@ let pp fmt = function
   | Add v -> Format.fprintf fmt "add(%d)" v
   | Max v -> Format.fprintf fmt "max(%d)" v
   | Cas { expected; desired } -> Format.fprintf fmt "cas(%d,%d)" expected desired
+
+module Fp = Spandex_util.Fingerprint
+
+let fingerprint fp = function
+  | Read -> Fp.int fp 0
+  | Exch v ->
+    Fp.int fp 1;
+    Fp.int fp v
+  | Add v ->
+    Fp.int fp 2;
+    Fp.int fp v
+  | Max v ->
+    Fp.int fp 3;
+    Fp.int fp v
+  | Cas { expected; desired } ->
+    Fp.int fp 4;
+    Fp.int fp expected;
+    Fp.int fp desired

@@ -17,3 +17,6 @@ val apply : t -> int -> int * int
     of the data before the update"). *)
 
 val pp : Format.formatter -> t -> unit
+
+val fingerprint : Spandex_util.Fingerprint.t -> t -> unit
+(** Append a canonical encoding (constructor tag, then operands). *)

@@ -62,10 +62,11 @@ val pp_stuck : Format.formatter -> stuck -> unit
 
 val register_pending_source : t -> (unit -> pending_work list) -> unit
 (** Register a closure reporting a component's still-live work.
-    Components call this once at build time.  A source must report at
-    least one item exactly when its component is not quiescent, naming
-    the component as [Run] does (["mesi_l1.0"], ["llc.b1"], ...), so that
-    a system is finished exactly when {!live_work} is empty. *)
+    Components call this once at build time.  This is the definition of
+    finished: a component is done exactly when its source reports no
+    items, and a system exactly when {!live_work} is empty — components
+    keep no other completion predicate.  Items name the component as
+    [Run] does (["mesi_l1.0"], ["llc.b1"], ...). *)
 
 val live_work : t -> pending_work list
 (** Poll every registered pending source, in registration order.  The

@@ -38,7 +38,6 @@ type result = {
 
 type component = {
   c_name : string;
-  c_quiescent : unit -> bool;
   c_stats : Stats.t;
   c_metrics : Metrics.t -> unit;
   c_fingerprint : Spandex_util.Fingerprint.t -> unit;
@@ -96,7 +95,6 @@ let build_denovo engine net (p : Params.t) ~name ~id ~llc_id ~atomics_at_llc
   ( Denovo_l1.port l1,
     {
       c_name = Printf.sprintf "denovo_l1.%d" id;
-      c_quiescent = (fun () -> (Denovo_l1.port l1).Port.quiescent ());
       c_stats = Denovo_l1.stats l1;
       c_metrics =
         Denovo_l1.register_metrics l1
@@ -130,7 +128,6 @@ let build_mesi engine net (p : Params.t) ~id ~llc_id ~notify =
   ( Mesi_l1.port l1,
     {
       c_name = Printf.sprintf "mesi_l1.%d" id;
-      c_quiescent = (fun () -> (Mesi_l1.port l1).Port.quiescent ());
       c_stats = Mesi_l1.stats l1;
       c_metrics =
         Mesi_l1.register_metrics l1 ~device:(Printf.sprintf "mesi_l1.%d" id);
@@ -163,7 +160,6 @@ let build_gpucoh engine net (p : Params.t) ~name ~id ~llc_id =
   ( Gpu_l1.port l1,
     {
       c_name = Printf.sprintf "gpu_l1.%d" id;
-      c_quiescent = (fun () -> (Gpu_l1.port l1).Port.quiescent ());
       c_stats = Gpu_l1.stats l1;
       c_metrics =
         Gpu_l1.register_metrics l1 ~device:(Printf.sprintf "gpu_l1.%d" id);
@@ -292,7 +288,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
         add
           {
             c_name = "spandex_llc";
-            c_quiescent = (fun () -> Llc.bank_quiescent llc b);
             c_stats = Llc.bank_stats llc b;
             c_metrics =
               (fun reg -> Llc.bank_register_metrics llc ~device:"spandex_llc" b reg);
@@ -319,7 +314,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
         add
           {
             c_name = "mesi_dir";
-            c_quiescent = (fun () -> Mesi_dir.bank_quiescent dir b);
             c_stats = Mesi_dir.bank_stats dir b;
             c_metrics =
               (fun reg ->
@@ -352,7 +346,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
         add
           {
             c_name = "gpu_l2";
-            c_quiescent = (fun () -> Llc.bank_quiescent l2 b);
             c_stats = Llc.bank_stats l2 b;
             c_metrics =
               (fun reg -> Llc.bank_register_metrics l2 ~device:"gpu_l2" b reg);
@@ -362,7 +355,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
       add
         {
           c_name = "mesi_client";
-          c_quiescent = (fun () -> (Mesi_client.backing client).Backing.quiescent ());
           c_stats = Mesi_client.stats client;
           c_metrics =
             Mesi_client.register_metrics client ~device:"mesi_client";
@@ -485,10 +477,10 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
         Metrics.sample_due tracks ~time;
         Metrics.sample_due mreg ~time);
   (* --- run ----------------------------------------------------------------- *)
+  (* Finished means no live work.  The cores' int compare guards the poll:
+     their pending source formats every unfinished context. *)
   let finished () =
-    List.for_all Core.finished cores
-    && List.for_all (fun c -> c.c_quiescent ()) !components
-    && Network.in_flight net = 0
+    List.for_all Core.finished cores && Engine.live_work engine = []
   in
   (* Canonical architectural-state fingerprint: components in build order,
      then cores, barriers, and in-flight message count.  One fresh

@@ -2,7 +2,7 @@
     completion. *)
 
 type result = {
-  cycles : int;  (** execution time: cycle at which the system quiesced. *)
+  cycles : int;  (** execution time: cycle at which the system finished. *)
   total_flits : int;  (** network traffic in flit-hops. *)
   traffic : (Spandex_proto.Msg.category * int) list;  (** Fig. 2/3 breakdown. *)
   messages : int;
@@ -61,10 +61,10 @@ type system = {
           concatenate. *)
   sys_device_names : string array;
   sys_finished : unit -> bool;
-      (** all cores done, all components quiescent, nothing in flight —
-          exactly when [Engine.live_work sys_engine] is empty, whose items
-          name the cores (["core.<id>"]), the network (["net"]) and
-          otherwise [sys_device_names] entries. *)
+      (** every core has retired its programs and
+          [Engine.live_work sys_engine] is empty; its items name the cores
+          (["core.<id>"]), the network (["net"]) and otherwise
+          [sys_device_names] entries. *)
   sys_fingerprint : unit -> string;
       (** canonical digest of all architectural state (cache lines, MSHRs,
           store buffers, directory/LLC registration, core pcs, barriers,

@@ -40,7 +40,6 @@ let scripted_backing () =
           s.writebacks <- s.writebacks @ [ (line, data, dirty) ];
           k ());
       set_recall_handler = (fun h -> s.recall <- h);
-      quiescent = (fun () -> true);
     }
   in
   (s, backing)

@@ -56,10 +56,14 @@ let stuck_on_swallowed_reply () =
 
 (* ----- live work agrees with the finished predicate ------------------------------ *)
 
-(* The engine's pending sources are the only report of stuck work, so they
-   must be empty exactly when the system is finished — before the first
-   event and after every one — and name every device as [Run] does.
-   Soak's tiny cell on every configuration, plus one fault-armed cell. *)
+(* A system is finished when every core is [Core.finished] and
+   [Engine.live_work] is empty; the cores' guard only spares formatting
+   their items.  Before
+   the first event and after every one, this pins two things: the guard
+   agrees with the cores' own pending items (finished exactly when the
+   live work is empty), and every item names a [Run.device_names] entry,
+   ["core.N"] or ["net"].  Soak's tiny cell on every configuration, plus
+   one fault-armed cell. *)
 let tiny_params =
   {
     Params.small with

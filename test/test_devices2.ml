@@ -376,7 +376,6 @@ let core_barrier_is_release_acquire () =
         (fun ~k ->
           log := `Release :: !log;
           Engine.schedule e ~delay:1 k);
-      quiescent = (fun () -> true);
     }
   in
   let check_log = Spandex_device.Check_log.create () in

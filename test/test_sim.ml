@@ -222,30 +222,22 @@ let barrier_cyclic_reuse () =
 (* A stub port that answers everything after a fixed delay and records the
    op sequence; lets us test warp interleaving in isolation. *)
 let stub_port engine ~mem_delay log =
-  let pending = ref 0 in
   {
     Spandex_device.Port.load =
       (fun a ~k ->
-        incr pending;
         log := `Load a :: !log;
-        Engine.schedule engine ~delay:mem_delay (fun () ->
-            decr pending;
-            k 0));
+        Engine.schedule engine ~delay:mem_delay (fun () -> k 0));
     store =
       (fun a ~value:_ ~k ->
         log := `Store a :: !log;
         Engine.schedule engine ~delay:1 k);
     rmw =
       (fun a _ ~k ->
-        incr pending;
         log := `Rmw a :: !log;
-        Engine.schedule engine ~delay:mem_delay (fun () ->
-            decr pending;
-            k 0));
+        Engine.schedule engine ~delay:mem_delay (fun () -> k 0));
     acquire = (fun ~k -> Engine.schedule engine ~delay:1 k);
     acquire_region = (fun ~region:_ ~k -> Engine.schedule engine ~delay:1 k);
     release = (fun ~k -> Engine.schedule engine ~delay:1 k);
-    quiescent = (fun () -> !pending = 0);
   }
 
 let core_warp_interleaving () =
@@ -362,7 +354,6 @@ let core_check_words n =
       acquire = (fun ~k:_ -> fail ());
       acquire_region = (fun ~region:_ ~k:_ -> fail ());
       release = (fun ~k:_ -> fail ());
-      quiescent = (fun () -> true);
     }
   in
   let check_log = Spandex_device.Check_log.create () in
