@@ -1,6 +1,8 @@
 (* The experiment harness: regenerates every table and figure of the
    paper's evaluation (see DESIGN.md §5 for the index), then the §III-F
-   storage accounting and the ablations.
+   storage accounting and the ablations.  It is a printer: every simulated
+   number comes from [Report.simulate_jobs] (the figures through
+   [Report.simulate_rows]), the path test/figures.ml pins.
 
    Absolute numbers come from our event-driven model, not the authors'
    Simics/GEMS/GPGPU-Sim testbed; the comparisons are normalized to HMG as
@@ -16,13 +18,14 @@ module Report = Spandex_system.Report
 module Registry = Spandex_workloads.Registry
 module Microbench = Spandex_workloads.Microbench
 module Apps = Spandex_workloads.Apps
+module Studies = Spandex_workloads.Studies
 
 let params = Params.bench
 let geometry = Registry.geometry_of_params params
 
-(* Worker domains for the sweeps below; every simulation is independent and
-   [Sweep.map] returns results in submission order, so the printed tables
-   are identical for any value (test/test_sweep.ml asserts this). *)
+(* Worker domains for the simulations below; every simulation is
+   independent and results come back in submission order, so the printed
+   tables are identical for any value (test/test_sweep.ml asserts this). *)
 let jobs = ref (Sweep.default_jobs ())
 
 let () =
@@ -53,46 +56,12 @@ let table1 () =
 
 (* ----- Table II: observed request generation per device protocol ----------- *)
 
-(* Not a static table: run one tiny single-device scenario per protocol and
-   report the request kinds its L1 actually put on the network. *)
+(* Not a static table: one tiny single-device scenario per protocol, and the
+   request kinds its L1 actually put on the network. *)
 let table2 () =
   section "Table II: Requests generated per device protocol (observed)";
-  let program =
-    [|
-      Spandex_device.Ops.Load (Spandex_proto.Addr.make ~line:1 ~word:0);
-      Spandex_device.Ops.Store (Spandex_proto.Addr.make ~line:2 ~word:3, 42);
-      Spandex_device.Ops.Rmw
-        (Spandex_proto.Addr.make ~line:3 ~word:1, Spandex_proto.Amo.Add 1);
-      Spandex_device.Ops.Release;
-    |]
-  in
-  let observe ~name ~config ~gpu_side =
-    let wl =
-      {
-        Spandex_system.Workload.name = "table2";
-        cpu_programs = (if gpu_side then [||] else [| program |]);
-        gpu_programs = (if gpu_side then [| [| program |] |] else [||]);
-        barrier_parties = [||];
-        region_of = (fun _ -> 0);
-      }
-    in
-    let r = Run.simulate ~params ~config wl in
-    let reqs =
-      Spandex_util.Stats.to_assoc r.Run.stats
-      |> List.filter_map (fun (k, v) ->
-             if v > 0 && String.length k > 7 && String.sub k 0 4 = "net." then
-               let s = String.sub k 4 (String.length k - 4) in
-               if String.length s >= 3 && String.sub s 0 3 = "Req" then Some s
-               else None
-             else None)
-      |> List.sort_uniq String.compare
-    in
-    Printf.printf "%-14s load/store/RMW/eviction emit: %s\n" name
-      (String.concat ", " reqs)
-  in
-  observe ~name:"GPU coherence" ~config:Config.smg ~gpu_side:true;
-  observe ~name:"DeNovo" ~config:Config.sdd ~gpu_side:true;
-  observe ~name:"MESI" ~config:Config.smg ~gpu_side:false
+  Format.printf "%a@." Studies.pp_table2
+    (Report.simulate_jobs ~jobs:!jobs (Studies.table2 ()))
 
 (* ----- Tables III & IV: implemented transition logic ----------------------- *)
 
@@ -223,177 +192,14 @@ let overheads () =
 
 (* ----- Ablations of the design choices DESIGN.md calls out -------------------- *)
 
-let run_with ~params ~config wl =
-  let r = Run.simulate ~params ~config wl in
-  Run.assert_clean r;
-  r
-
-(* Run an ablation's simulations across domains, keeping the print loop
-   sequential: [points] describes each simulation, [show] consumes the
-   results in submission order. *)
-let sweep_with points ~sim ~show =
-  let results = Array.of_list (Sweep.map ~jobs:!jobs sim points) in
-  show results
-
-let ablation_regions () =
-  section "Ablation: DeNovo regions (paper II-C selective self-invalidation)";
-  Printf.printf
-    "region-selective acquires preserve read-only data in self-invalidating\n\
-     caches; writer-invalidated (MESI) configurations are unaffected.\n";
-  let configs = [ Config.smg; Config.sdg; Config.sdd ] in
-  let points =
-    List.concat_map
-      (fun config -> [ (config, true); (config, false) ])
-      configs
-  in
-  sweep_with points
-    ~sim:(fun (config, use_regions) ->
-      run_with ~params ~config
-        (Microbench.region_reuse ~scale:1.0 ~use_regions geometry))
-    ~show:(fun results ->
-      List.iteri
-        (fun i config ->
-          let with_r = results.(2 * i) in
-          let without = results.((2 * i) + 1) in
-          Printf.printf
-            "  %-4s full-flush: %7d cyc %8d flits | regions: %7d cyc %8d flits \
-             (%.0f%% time, %.0f%% traffic)\n"
-            config.Config.name without.Run.cycles without.Run.total_flits
-            with_r.Run.cycles with_r.Run.total_flits
-            (100.0
-            *. (1.0 -. float_of_int with_r.Run.cycles /. float_of_int without.Run.cycles))
-            (100.0
-            *. (1.0
-               -. float_of_int with_r.Run.total_flits
-                  /. float_of_int without.Run.total_flits)))
-        configs)
-
-let ablation_reqs_policy () =
-  section "Ablation: ReqS handling options (1)/(2)/(3) (paper III-B, Table III)";
-  Printf.printf
-    "ReuseS on SMD, where MESI CPU reads hit the flat Spandex LLC:\n";
-  let wl = Microbench.reuses ~scale:1.0 geometry in
-  let points =
-    [
-      ("auto (paper's evaluation)", Spandex.Llc.Reqs_auto);
-      ("always option 1 (Shared)", Spandex.Llc.Reqs_shared);
-      ("always option 2 (Valid)", Spandex.Llc.Reqs_valid);
-      ("always option 3 (Owned)", Spandex.Llc.Reqs_owned);
-    ]
-  in
-  sweep_with points
-    ~sim:(fun (_, policy) ->
-      let p = { params with Params.reqs_policy = policy } in
-      run_with ~params:p ~config:Config.smd wl)
-    ~show:(fun results ->
-      List.iteri
-        (fun i (name, _) ->
-          let r = results.(i) in
-          Printf.printf "  %-28s %7d cyc %8d flits\n" name r.Run.cycles
-            r.Run.total_flits)
-        points)
-
-let ablation_llc_banks () =
-  section "Ablation: LLC bank-level parallelism (Table VI NUCA banks)";
-  Printf.printf "indirection on SMG: all 40 cores hammer the flat LLC.\n";
-  let wl = Microbench.indirection ~scale:1.0 geometry in
-  let points = [ 1; 2; 4; 8 ] in
-  sweep_with points
-    ~sim:(fun banks ->
-      let p = { params with Params.llc_banks = banks } in
-      run_with ~params:p ~config:Config.smg wl)
-    ~show:(fun results ->
-      List.iteri
-        (fun i banks ->
-          let r = results.(i) in
-          Printf.printf "  %2d bank(s): %8d cyc %9d flits\n" banks r.Run.cycles
-            r.Run.total_flits)
-        points)
-
-let ablation_coalescing () =
-  section "Ablation: store-buffer coalescing window (paper II-B coalescing)";
-  Printf.printf "reuseo on SMG: streaming write-throughs from the GPU.\n";
-  let wl = Microbench.reuseo ~scale:1.0 geometry in
-  let points = [ 1; 6; 16 ] in
-  sweep_with points
-    ~sim:(fun window ->
-      let p = { params with Params.coalesce_window = window } in
-      run_with ~params:p ~config:Config.smg wl)
-    ~show:(fun results ->
-      List.iteri
-        (fun i window ->
-          let r = results.(i) in
-          Printf.printf "  window %2d: %8d cyc %9d flits\n" window r.Run.cycles
-            r.Run.total_flits)
-        points)
-
-let extension_adaptive () =
-  section "Extension: adaptive write policy (paper V's dynamically-adapting caches)";
-  Printf.printf
-    "SDA = SDD with a per-line reuse predictor choosing ReqO vs ReqWT per\n\
-     store; SAA adds read-side adaptation (repeatedly missed lines promote\n\
-     ReqV to ReqO+data).  The goal is to track the better static policy\n\
-     per workload.\n";
-  let wnames = [ "reuseo"; "bc"; "indirection" ] in
-  let configs = [ Config.sdg; Config.sdd; Config.sda; Config.saa ] in
-  let points =
-    List.concat_map
-      (fun wname ->
-        let wl = (Registry.find wname).Registry.build ~scale:1.0 geometry in
-        List.map (fun config -> (wname, config, wl)) configs)
-      wnames
-  in
-  sweep_with points
-    ~sim:(fun (_, config, wl) -> run_with ~params ~config wl)
-    ~show:(fun results ->
-      let ncfg = List.length configs in
-      List.iteri
-        (fun i wname ->
-          Printf.printf "  %-12s" wname;
-          List.iteri
-            (fun j config ->
-              let r = results.((i * ncfg) + j) in
-              Printf.printf " %s: %7d cyc %8d flits |" config.Config.name
-                r.Run.cycles r.Run.total_flits)
-            configs;
-          Printf.printf "\n")
-        wnames)
-
-let ablation_hierarchy_distance () =
-  section "Ablation: hierarchy distance (cross-cluster hop latency)";
-  Printf.printf
-    "indirection, HMG vs SMG: the hierarchical penalty grows with the\n\
-     CPU<->GPU distance its indirection must round-trip.\n";
-  let wl = Microbench.indirection ~scale:0.5 geometry in
-  let crosses = [ 8; 16; 32; 64 ] in
-  let points =
-    List.concat_map
-      (fun cross -> [ (cross, Config.hmg); (cross, Config.smg) ])
-      crosses
-  in
-  sweep_with points
-    ~sim:(fun (cross, config) ->
-      let p = { params with Params.cross_net_latency = cross } in
-      run_with ~params:p ~config wl)
-    ~show:(fun results ->
-      List.iteri
-        (fun i cross ->
-          let h = results.(2 * i) in
-          let s = results.((2 * i) + 1) in
-          Printf.printf
-            "  cross=%2d: HMG %7d cyc | SMG %7d cyc | Spandex %.0f%% faster\n"
-            cross h.Run.cycles s.Run.cycles
-            (100.0
-            *. (1.0 -. float_of_int s.Run.cycles /. float_of_int h.Run.cycles)))
-        crosses)
-
 let ablations () =
-  ablation_regions ();
-  ablation_hierarchy_distance ();
-  ablation_reqs_policy ();
-  ablation_llc_banks ();
-  ablation_coalescing ();
-  extension_adaptive ()
+  List.iter
+    (fun (study : Studies.t) ->
+      section study.Studies.title;
+      print_endline study.Studies.note;
+      Format.printf "%a@." Studies.pp_cells
+        (Report.simulate_jobs ~jobs:!jobs study.Studies.jobs))
+    (Studies.ablations ())
 
 let () =
   Printf.printf "Spandex reproduction harness (Alsop, Sinclair, Adve - ISCA 2018)\n";

@@ -39,6 +39,26 @@ let fault_spec_of ~drop ~dup ~delay ~reorder ~seed =
     Some
       (Spandex_net.Fault.uniform ~drop ~dup ~delay ~reorder ~seed ())
 
+let find_entry name =
+  try Registry.find name
+  with Not_found ->
+    Printf.eprintf "unknown workload %s (try: %s)\n" name
+      (String.concat ", " Registry.names);
+    exit 1
+
+let find_config = function
+  | None -> Config.smd
+  | Some name -> (
+    try Config.by_name name
+    with Not_found ->
+      Printf.eprintf "unknown configuration %s\n" name;
+      exit 1)
+
+(* [names] is a run's [device_names]; ids outside it print as "devN". *)
+let device_name names id =
+  if id >= 0 && id < Array.length names then names.(id)
+  else Printf.sprintf "dev%d" id
+
 let run_one ~params ~config ~scale ~stats entry =
   let geom = Registry.geometry_of_params params in
   let wl = entry.Registry.build ~scale geom in
@@ -190,27 +210,11 @@ let list_cmd =
 let run_cmd =
   let run workload config all_configs scale stats cpus cus warps drop dup delay
       reorder fault_seed watchdog trace =
-    let entry =
-      try Registry.find workload
-      with Not_found ->
-        Printf.eprintf "unknown workload %s (try: %s)\n" workload
-          (String.concat ", " Registry.names);
-        exit 1
-    in
+    let entry = find_entry workload in
     let fault = fault_spec_of ~drop ~dup ~delay ~reorder ~seed:fault_seed in
     let trace = if trace then Some Trace.default_spec else None in
     let params = params_of ~cpus ~cus ~warps ~fault ~watchdog ~trace in
-    let configs =
-      if all_configs then Config.all
-      else
-        match config with
-        | Some name -> (
-          try [ Config.by_name name ]
-          with Not_found ->
-            Printf.eprintf "unknown configuration %s\n" name;
-            exit 1)
-        | None -> [ Config.smd ]
-    in
+    let configs = if all_configs then Config.all else [ find_config config ] in
     List.iter (fun config -> run_one ~params ~config ~scale ~stats entry) configs
   in
   Cmd.v
@@ -277,32 +281,12 @@ let sweep_cmd =
 
 (* --- trace / explain: transaction-level observability ------------------------ *)
 
-let find_entry name =
-  try Registry.find name
-  with Not_found ->
-    Printf.eprintf "unknown workload %s (try: %s)\n" name
-      (String.concat ", " Registry.names);
-    exit 1
-
-let find_config = function
-  | None -> Config.smd
-  | Some name -> (
-    try Config.by_name name
-    with Not_found ->
-      Printf.eprintf "unknown configuration %s\n" name;
-      exit 1)
-
 let simulate_traced ~params ~config entry ~scale =
   let geom = Registry.geometry_of_params params in
   let wl = entry.Registry.build ~scale geom in
   let r = Run.simulate ~params ~config wl in
   Run.assert_clean r;
   r
-
-let device_name_of (r : Run.result) id =
-  if id >= 0 && id < Array.length r.Run.device_names then
-    r.Run.device_names.(id)
-  else Printf.sprintf "dev%d" id
 
 let workload_pos_arg =
   let doc =
@@ -329,9 +313,10 @@ let trace_cmd =
           (if format = "jsonl" then "jsonl" else "json")
     in
     let buf = Buffer.create (1 lsl 16) in
+    let device_name = device_name r.Run.device_names in
     (match format with
-    | "chrome" -> Trace.export_chrome tr ~device_name:(device_name_of r) buf
-    | "jsonl" -> Trace.export_jsonl tr ~device_name:(device_name_of r) buf
+    | "chrome" -> Trace.export_chrome tr ~device_name buf
+    | "jsonl" -> Trace.export_jsonl tr ~device_name buf
     | f ->
       Printf.eprintf "unknown trace format %s (chrome or jsonl)\n" f;
       exit 1);
@@ -398,7 +383,7 @@ let explain_cmd =
     let params = { Params.bench with Params.trace = Some spec; fault } in
     let r = simulate_traced ~params ~config entry ~scale in
     let tr = r.Run.trace in
-    let dev = device_name_of r in
+    let dev = device_name r.Run.device_names in
     (* The transaction family: the requested txn plus every successor
        linked by a txn.chain instant (timeout re-issues reuse the same txn
        id; protocol-level retries and conversions allocate a new one and
@@ -506,7 +491,7 @@ let metrics_cmd =
       Trace.export_chrome
         ~extra:(Metrics.chrome_counter_events m)
         r.Run.trace
-        ~device_name:(device_name_of r)
+        ~device_name:(device_name r.Run.device_names)
         buf
     | f ->
       Printf.eprintf "unknown metrics format %s (openmetrics, csv or chrome)\n"
@@ -590,13 +575,10 @@ let check_replay ~path ~out =
   | None -> ()
   | Some sys ->
     let tr = Spandex_sim.Engine.trace sys.Run.sys_engine in
-    let names = sys.Run.sys_device_names in
-    let dev id =
-      if id >= 0 && id < Array.length names then names.(id)
-      else Printf.sprintf "dev%d" id
-    in
     let buf = Buffer.create (1 lsl 16) in
-    Trace.export_chrome tr ~device_name:dev buf;
+    Trace.export_chrome tr
+      ~device_name:(device_name sys.Run.sys_device_names)
+      buf;
     let oc = open_out out in
     Buffer.output_buffer oc buf;
     close_out oc;

@@ -58,17 +58,22 @@ let headline rows =
     traffic_max = List.fold_left max neg_infinity traffics;
   }
 
+let simulate_jobs ?jobs js =
+  let results = Sweep.simulate_all ?jobs js in
+  List.iter Run.assert_clean results;
+  List.map2 (fun (j : Sweep.job) r -> (j.Sweep.label, r)) js results
+
 let simulate_rows ?jobs ~params ~configs workloads =
-  let sims =
-    List.concat_map
-      (fun (label, workload) ->
-        List.map
-          (fun config -> { Sweep.label; params; config; workload })
-          configs)
-      workloads
+  let results =
+    simulate_jobs ?jobs
+      (List.concat_map
+         (fun (label, workload) ->
+           List.map
+             (fun config -> { Sweep.label; params; config; workload })
+             configs)
+         workloads)
+    |> List.map snd |> Array.of_list
   in
-  let results = Array.of_list (Sweep.simulate_all ?jobs sims) in
-  Array.iter Run.assert_clean results;
   let ncfg = List.length configs in
   List.mapi
     (fun i (workload, _) ->

@@ -28,16 +28,21 @@ val headline : row list -> headline
 val cycles : Run.result -> int
 val flits : Run.result -> int
 
+val simulate_jobs : ?jobs:int -> Sweep.job list -> (string * Run.result) list
+(** Run every job through {!Sweep.simulate_all}, {!Run.assert_clean} each
+    result, and pair it with its job's label, in submission order.  This
+    is the one path from workloads to recorded numbers: the figures, the
+    ablations and Table II. *)
+
 val simulate_rows :
   ?jobs:int ->
   params:Params.t ->
   configs:Config.t list ->
   (string * Workload.t) list ->
   row list
-(** Run every (workload x config) cell through {!Sweep.simulate_all},
-    {!Run.assert_clean} each result, and return one row per named
-    workload, rows and cells in submission order.  This is the one path
-    from workloads to the Figure 2/3 rows. *)
+(** Run every (workload x config) cell through {!simulate_jobs} and
+    return one row per named workload, rows and cells in submission
+    order: the Figure 2/3 rows. *)
 
 val pp_row : Format.formatter -> row -> unit
 (** Two lines: the workload's time and traffic normalized to HMG, two

@@ -29,7 +29,9 @@ val map : ?jobs:int -> ?weights:float array -> ('a -> 'b) -> 'a list -> 'b list
     with per-job params/config/workload qualifies. *)
 
 type job = {
-  label : string;  (** for reports; not interpreted. *)
+  label : string;
+      (** the cell's name in {!Report.simulate_jobs}'s output: the label
+          a study prints and the key its predicates look cells up by. *)
   params : Params.t;
   config : Config.t;
   workload : Workload.t;

@@ -1,23 +1,27 @@
 (* The paper contract, executable: Figures 2 and 3 and their Sbest-vs-Hbest
-   headlines, 9 workloads x the six Table V configurations at scale 1 on
-   [Params.bench], through the same [Report.simulate_rows] path as
+   headlines (9 workloads x the six Table V configurations at scale 1 on
+   [Params.bench]), the observed Table II and the six ablation and
+   extension studies, all through [Report.simulate_jobs] as in
    bench/main.exe.
 
      figures.exe EXPERIMENTS.md
 
-   Prints each figure's rows and headline, then one line per shape
-   predicate.  `dune runtest` diffs the output against figures.expected;
-   `dune promote` accepts an intended move.  Exits 1, naming what failed,
-   when a shape predicate does not hold or when EXPERIMENTS.md does not
-   carry a printed figure block verbatim (the Headlines table's Measured
-   column included), so the record cannot drift from the code. *)
+   Prints each figure's rows and headline, one line per shape predicate,
+   then Table II, each study's cells and one line per ablation predicate.
+   `dune runtest` diffs the output against figures.expected; `dune
+   promote` accepts an intended move.  Exits 1, naming what failed, when a
+   predicate does not hold or when EXPERIMENTS.md does not carry a printed
+   block verbatim (the Headlines table's Measured column included), so the
+   record cannot drift from the code. *)
 
 module Config = Spandex_system.Config
 module Params = Spandex_system.Params
 module Report = Spandex_system.Report
+module Run = Spandex_system.Run
 module Registry = Spandex_workloads.Registry
 module Microbench = Spandex_workloads.Microbench
 module Apps = Spandex_workloads.Apps
+module Studies = Spandex_workloads.Studies
 
 let params = Params.bench
 let geometry = Registry.geometry_of_params params
@@ -97,6 +101,52 @@ let shapes rows =
     ("tqh.flat_wins_both", both "tqh" s h);
   ]
 
+(* Each ✓ bullet under EXPERIMENTS.md's "Ablations and extensions", over
+   the cells of every study, looked up by their printed labels. *)
+let ablation_checks cells =
+  let cell label =
+    match List.filter (fun (l, _) -> l = label) cells with
+    | [ (_, r) ] -> r
+    | _ -> failwith ("no unique ablation cell " ^ label)
+  in
+  let time l = (cell l).Run.cycles and traffic l = (cell l).Run.total_flits in
+  (* m(a) within pct% of m(b). *)
+  let within pct m a b = 100 * abs (m a - m b) <= pct * m b in
+  (* [ok a b] for every adjacent pair. *)
+  let rec chain ok = function
+    | a :: (b :: _ as rest) -> ok a b && chain ok rest
+    | _ -> true
+  in
+  let penalty cross =
+    let at c = float_of_int (time (Printf.sprintf "cross=%d %s" cross c)) in
+    1.0 -. (at "SMG" /. at "HMG")
+  in
+  [
+    ( "reqs.auto_within_1pct_of_option1",
+      within 1 time "auto" "always (1) Shared" );
+    ( "reqs.option2_traffic_ge_5x_auto",
+      traffic "always (2) Valid" >= 5 * traffic "auto" );
+    ( "reqs.options_2_3_slower_than_auto",
+      time "auto" < time "always (2) Valid"
+      && time "auto" < time "always (3) Owned" );
+    ( "regions.sdd_traffic_cut_ge_60pct",
+      10 * traffic "SDD regions" <= 4 * traffic "SDD full-flush" );
+    ( "regions.smg_unchanged",
+      time "SMG regions" = time "SMG full-flush"
+      && traffic "SMG regions" = traffic "SMG full-flush" );
+    ( "hierarchy.penalty_grows_with_cross",
+      chain ( < ) (List.map penalty [ 8; 16; 32; 64 ]) );
+    ( "banks.more_banks_never_slower",
+      chain ( >= )
+        (List.map (fun b -> time (Printf.sprintf "banks=%d" b)) [ 1; 2; 4; 8 ])
+    );
+    ( "coalescing.window16_cuts_traffic_ge_30pct",
+      10 * traffic "window=16" <= 7 * traffic "window=1" );
+    ("adaptive.sda_equals_sdd_on_bc", time "bc SDA" = time "bc SDD");
+    ( "adaptive.sda_within_3pct_of_sdd_on_reuseo",
+      within 3 time "reuseo SDA" "reuseo SDD" );
+  ]
+
 (* ----- the record: EXPERIMENTS.md ------------------------------------- *)
 
 let contains hay needle =
@@ -132,6 +182,25 @@ let record_errors doc ~label ~block ~headline =
             (Printf.sprintf "EXPERIMENTS.md Headlines lacks %s %s" label line))
       (String.split_on_char '\n' headline)
 
+(* Print [cells] under [title] and [note]; an error unless EXPERIMENTS.md
+   carries the printed cell lines verbatim. *)
+let print_block doc ~title ?note pp cells =
+  let block = Format.asprintf "%a" pp cells in
+  print_endline title;
+  Option.iter print_endline note;
+  Printf.printf "%s\n\n" block;
+  if contains doc block then []
+  else [ Printf.sprintf "EXPERIMENTS.md lacks the block of %s" title ]
+
+(* "holds NAME" or "FAILS NAME" per predicate; the failures' names. *)
+let verdicts ~kind checks =
+  List.filter_map
+    (fun (name, holds) ->
+      Printf.printf "%s %s\n" (if holds then "holds" else "FAILS") name;
+      if holds then None
+      else Some (Printf.sprintf "%s predicate failed: %s" kind name))
+    checks
+
 let () =
   let doc = In_channel.with_open_bin Sys.argv.(1) In_channel.input_all in
   let results =
@@ -156,14 +225,27 @@ let () =
   in
   let rows = List.concat_map fst results in
   let errors = List.concat_map snd results in
-  let failed =
-    List.filter_map
-      (fun (name, holds) ->
-        Printf.printf "%s %s\n" (if holds then "holds" else "FAILS") name;
-        if holds then None else Some ("shape predicate failed: " ^ name))
-      (shapes rows)
+  let failed = verdicts ~kind:"shape" (shapes rows) in
+  print_newline ();
+  let table2 =
+    print_block doc ~title:"Table II: Requests generated per device protocol"
+      Studies.pp_table2
+      (Report.simulate_jobs (Studies.table2 ()))
   in
-  match failed @ errors with
+  let studies =
+    List.map
+      (fun (study : Studies.t) ->
+        let cells = Report.simulate_jobs study.Studies.jobs in
+        ( cells,
+          print_block doc ~title:study.Studies.title ~note:study.Studies.note
+            Studies.pp_cells cells ))
+      (Studies.ablations ())
+  in
+  let ablations =
+    verdicts ~kind:"ablation"
+      (ablation_checks (List.concat_map fst studies))
+  in
+  match failed @ errors @ table2 @ List.concat_map snd studies @ ablations with
   | [] -> ()
   | problems ->
     List.iter prerr_endline problems;
