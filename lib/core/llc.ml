@@ -64,12 +64,11 @@ type meta = {
   mutable recalls : recall_req list;
 }
 
-(* The address-interleaved banked tag array lives in
-   {!Spandex_mem.Banked_frame} (shared with the MESI directory): bank [b]
-   holds the lines ≡ b (mod banks), conflict sets and LRU order are
-   unchanged, and each bank owns a disjoint slice of the tag/state
-   arrays. *)
-module Frames = Spandex_mem.Banked_frame
+(* One tag array for all banks.  [create] requires [banks] to divide
+   [sets], so set [s] holds only lines of bank [s mod banks]: each bank
+   owns a disjoint slice of the sets, and its conflict sets and LRU order
+   are the unbanked ones. *)
+module Frames = Spandex_mem.Cache_frame
 
 (* Everything mutable a bank touches while processing a request lives in
    its own [bank] record: probe-txn allocator, stats, trace sink and
@@ -858,9 +857,12 @@ let arrival t (msg : Msg.t) =
   | _ -> handle t msg
 
 (* Fold over one bank's resident lines, with global line numbers. *)
-let fold_bank t b ~init ~f = Frames.fold_bank t.frame b ~init ~f
+let fold_bank t b ~init ~f =
+  Frames.fold_bank t.frame ~banks:t.cfg.banks b ~init ~f
 
 let create ?(name = "llc") engine net backing (cfg : config) =
+  if cfg.banks < 1 || cfg.sets mod cfg.banks <> 0 then
+    invalid_arg "Llc.create: banks must divide sets";
   let make_bank b =
     let stats = Stats.create () in
     let trace = Engine.trace engine in
@@ -885,7 +887,7 @@ let create ?(name = "llc") engine net backing (cfg : config) =
       cfg;
       engine;
       backing;
-      frame = Frames.create ~banks:cfg.banks ~sets:cfg.sets ~ways:cfg.ways;
+      frame = Frames.create ~sets:cfg.sets ~ways:cfg.ways;
       banks = Array.init cfg.banks make_bank;
       replay =
         (if Network.faults_enabled net then
@@ -962,7 +964,7 @@ let bank_register_metrics t ~device b reg =
   let dev = t.cfg.llc_id + b in
   Metrics.gauge reg ~name:"spandex_llc_bank_lines" ~labels
     ~help:"resident lines per LLC bank" (fun () ->
-      Frames.count_bank t.frame b);
+      Frames.count_bank t.frame ~banks:t.cfg.banks b);
   Metrics.gauge reg ~name:"spandex_llc_pending" ~labels
     ~track:(dev, "llc.pending")
     ~help:"lines with an in-flight home transaction" (fun () ->

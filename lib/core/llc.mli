@@ -69,7 +69,8 @@ val create :
     lines that interleave to it.  Each bank also registers an engine
     pending source named ["<name>.b<bank>"] ([name] defaults to ["llc"];
     the hierarchical GPU L2 passes ["gpu_l2"]) reporting its pending,
-    blocked and recall-queued lines. *)
+    blocked and recall-queued lines.  Raises [Invalid_argument] unless
+    [banks ≥ 1] and [banks] divides [sets]. *)
 
 val bank_count : t -> int
 

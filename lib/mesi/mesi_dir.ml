@@ -7,7 +7,7 @@ module Addr = Spandex_proto.Addr
 module Linedata = Spandex_proto.Linedata
 module Txn = Spandex_proto.Txn
 module Network = Spandex_net.Network
-module Frames = Spandex_mem.Banked_frame
+module Frames = Spandex_mem.Cache_frame
 module Dram = Spandex_mem.Dram
 
 type config = {
@@ -414,7 +414,12 @@ let arrival t (msg : Msg.t) =
         handle t msg)
     | _ -> handle t msg)
 
+let fold_bank t b ~init ~f =
+  Frames.fold_bank t.frame ~banks:t.cfg.banks b ~init ~f
+
 let create engine net dram (cfg : config) =
+  if cfg.banks < 1 || cfg.sets mod cfg.banks <> 0 then
+    invalid_arg "Mesi_dir.create: banks must divide sets";
   let make_bank b =
     let stats = Stats.create () in
     let trace = Engine.trace engine in
@@ -438,7 +443,7 @@ let create engine net dram (cfg : config) =
       cfg;
       engine;
       dram;
-      frame = Frames.create ~banks:cfg.banks ~sets:cfg.sets ~ways:cfg.ways;
+      frame = Frames.create ~sets:cfg.sets ~ways:cfg.ways;
       banks = Array.init cfg.banks make_bank;
       replay =
         (if Network.faults_enabled net then
@@ -453,7 +458,7 @@ let create engine net dram (cfg : config) =
     (fun b _ ->
       let device = Printf.sprintf "dir.b%d" b in
       Engine.register_pending_source engine (fun () ->
-          Frames.fold_bank t.frame b ~init:[] ~f:(fun acc ~line m ->
+          fold_bank t b ~init:[] ~f:(fun acc ~line m ->
               let item what =
                 {
                   Engine.pw_device = device;
@@ -491,16 +496,17 @@ let bank_register_metrics t ~device b reg =
   let labels = [ ("bank", string_of_int b); ("device", device) ] in
   let dev = t.cfg.dir_id + b in
   Metrics.gauge reg ~name:"spandex_dir_lines" ~labels
-    ~help:"resident directory lines" (fun () -> Frames.count_bank t.frame b);
+    ~help:"resident directory lines" (fun () ->
+      Frames.count_bank t.frame ~banks:t.cfg.banks b);
   Metrics.gauge reg ~name:"spandex_dir_pending" ~labels
     ~track:(dev, "dir.pending")
     ~help:"lines with an in-flight directory transaction" (fun () ->
-      Frames.fold_bank t.frame b ~init:0 ~f:(fun p ~line:_ m ->
+      fold_bank t b ~init:0 ~f:(fun p ~line:_ m ->
           if m.pending = None then p else p + 1));
   Metrics.gauge reg ~name:"spandex_dir_blocked" ~labels
     ~track:(dev, "dir.blocked")
     ~help:"requests parked behind a pending line" (fun () ->
-      Frames.fold_bank t.frame b ~init:0 ~f:(fun bl ~line:_ m ->
+      fold_bank t b ~init:0 ~f:(fun bl ~line:_ m ->
           bl + List.length m.blocked));
   Metrics.counter reg ~name:"spandex_dir_replayed_total" ~labels
     ~help:"duplicate requests answered from the reply cache (fault runs)"

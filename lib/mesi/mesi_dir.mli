@@ -30,7 +30,8 @@ val create :
     allocator, stats and trace names, and touches only lines ≡ bank (mod
     banks) — whose DRAM accesses route to the matching
     {!Spandex_mem.Dram} channel, and registers an engine pending source
-    named ["dir.b<bank>"].  Requires [banks] to divide [sets]. *)
+    named ["dir.b<bank>"].  Raises [Invalid_argument] unless [banks ≥ 1]
+    and [banks] divides [sets]. *)
 
 val bank_count : t -> int
 

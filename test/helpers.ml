@@ -139,3 +139,17 @@ let quick_params =
     warps_per_cu = 2;
     mem_latency = 40;
   }
+
+(* An allocation pin measures one scenario at [n] and [2n] items and
+   compares the minor words each run allocated: fixed costs (the run
+   loop's closure, the measurement's own float) cancel, and what is left
+   is [n] times the per-item cost.  [check_flat] wants that cost to be
+   [per_item] words (default 0) to within a tenth of a word. *)
+let pin_n = 2_000
+
+let check_flat ?(per_item = 0) what ~words =
+  let d = words (2 * pin_n) -. words pin_n in
+  if Float.abs (d -. float_of_int (per_item * pin_n)) >= float_of_int (pin_n / 10)
+  then
+    Alcotest.failf "%s: %d more items allocated %.0f more minor words, not %d"
+      what pin_n d (per_item * pin_n)

@@ -7,6 +7,10 @@ module Dram = Spandex_mem.Dram
 module Addr = Spandex_proto.Addr
 module Mask = Spandex_util.Mask
 module Engine = Spandex_sim.Engine
+module Network = Spandex_net.Network
+module Llc = Spandex.Llc
+module Backing = Spandex.Backing
+module Mesi_dir = Spandex_mesi.Mesi_dir
 
 let test = Helpers.test
 let check_int = Alcotest.(check int)
@@ -88,6 +92,221 @@ let frame_size_lines () =
   let sets, ways = Cache_frame.size_lines ~bytes:(32 * 1024) ~ways:8 in
   check_int "sets" 64 sets;
   check_int "ways" 8 ways
+
+(* A list-based LRU model of a frame, the oracle for [frame_matches_model]:
+   each set is a list of (line, metadata), most recently used first. *)
+module Model = struct
+  type t = { sets : int; ways : int; members : (int * int) list array }
+
+  let create ~sets ~ways = { sets; ways; members = Array.make sets [] }
+  let find m ~line = List.assoc_opt line m.members.(line mod m.sets)
+
+  let remove m ~line =
+    let s = line mod m.sets in
+    m.members.(s) <- List.remove_assoc line m.members.(s)
+
+  let add m ~line v =
+    let s = line mod m.sets in
+    m.members.(s) <- (line, v) :: m.members.(s)
+
+  let touch m ~line =
+    Option.iter (fun v -> remove m ~line; add m ~line v) (find m ~line)
+
+  let lru m ~set_line ~f =
+    List.fold_left
+      (fun lru (line, v) -> if f ~line v then Some (line, v) else lru)
+      None m.members.(set_line mod m.sets)
+
+  let insert m ~line v ~can_evict : int Cache_frame.insert_result =
+    if List.length m.members.(line mod m.sets) < m.ways then begin
+      add m ~line v;
+      Inserted
+    end
+    else
+      match lru m ~set_line:line ~f:can_evict with
+      | None -> No_room
+      | Some (victim, vv) ->
+        remove m ~line:victim;
+        add m ~line v;
+        Evicted (victim, vv)
+
+  let resident m = List.sort compare (List.concat (Array.to_list m.members))
+end
+
+type frame_op =
+  | Insert of int * int list  (** line, and the lines [can_evict] pins *)
+  | Touch of int
+  | Remove of int
+  | Lru of int * int  (** set line, and [k] in the predicate below *)
+
+let max_line = 15
+
+let show_frame_op = function
+  | Insert (l, pins) ->
+    Printf.sprintf "insert %d pins [%s]" l
+      (String.concat "," (List.map string_of_int pins))
+  | Touch l -> Printf.sprintf "touch %d" l
+  | Remove l -> Printf.sprintf "remove %d" l
+  | Lru (l, k) -> Printf.sprintf "lru %d k=%d" l k
+
+let gen_frame_case =
+  let open QCheck2.Gen in
+  let line = int_bound max_line in
+  let op =
+    frequency
+      [
+        (3, map2 (fun l pins -> Insert (l, pins)) line (list_size (int_bound 3) line));
+        (1, map (fun l -> Touch l) line);
+        (1, map (fun l -> Remove l) line);
+        (1, map2 (fun l k -> Lru (l, k)) line (int_range 1 3));
+      ]
+  in
+  triple (int_range 1 4) (int_range 1 4) (list_size (int_bound 80) op)
+
+(* After every operation, every result and every observation of the frame
+   (find, find_exn, fold, count, and each bank's fold and count for the
+   bank counts dividing [sets]) equals the model's. *)
+let frame_matches_model (sets, ways, ops) =
+  let f = Cache_frame.create ~sets ~ways and m = Model.create ~sets ~ways in
+  let agree what got want =
+    if got <> want then QCheck2.Test.fail_reportf "%s differs from the model" what
+  in
+  let meta = ref 0 in
+  let observe () =
+    for line = 0 to max_line do
+      let want = Model.find m ~line in
+      agree "find" (Cache_frame.find f ~line) want;
+      agree "find_exn"
+        (match Cache_frame.find_exn f ~line with
+        | v -> Some v
+        | exception Not_found -> None)
+        want
+    done;
+    let resident = Model.resident m in
+    let sorted_fold fold =
+      List.sort compare (fold ~init:[] ~f:(fun acc ~line v -> (line, v) :: acc))
+    in
+    agree "fold" (sorted_fold (Cache_frame.fold f)) resident;
+    agree "count" (Cache_frame.count f) (List.length resident);
+    List.iter
+      (fun banks ->
+        if sets mod banks = 0 then
+          for b = 0 to banks - 1 do
+            let want = List.filter (fun (line, _) -> line mod banks = b) resident in
+            agree "fold_bank" (sorted_fold (Cache_frame.fold_bank f ~banks b)) want;
+            agree "count_bank" (Cache_frame.count_bank f ~banks b) (List.length want)
+          done)
+      [ 1; 2; 3; 4 ]
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Insert (line, pins) ->
+        if Model.find m ~line = None then begin
+          incr meta;
+          let can_evict ~line _ = not (List.mem line pins) in
+          agree "insert"
+            (Cache_frame.insert f ~line !meta ~can_evict)
+            (Model.insert m ~line !meta ~can_evict)
+        end
+      | Touch line ->
+        Cache_frame.touch f ~line;
+        Model.touch m ~line
+      | Remove line ->
+        Cache_frame.remove f ~line;
+        Model.remove m ~line
+      | Lru (set_line, k) ->
+        let p ~line v = (line + v) mod k = 0 in
+        agree "lru_matching"
+          (Cache_frame.lru_matching f ~set_line ~f:p)
+          (Model.lru m ~set_line ~f:p));
+      observe ())
+    ops;
+  true
+
+let frame_model_prop =
+  QCheck2.Test.make ~name:"frame_matches_model" ~count:500
+    ~print:(fun (sets, ways, ops) ->
+      Printf.sprintf "sets %d ways %d: %s" sets ways
+        (String.concat "; " (List.map show_frame_op ops)))
+    gen_frame_case frame_matches_model
+
+(* The banked homes share one frame, so they refuse a bank count that
+   does not divide the set count. *)
+let frame_banks_must_divide_sets () =
+  let engine = Engine.create () in
+  let net = Network.create engine (Network.flat_topology ~latency:2) in
+  let dram = Dram.create engine ~latency:5 ~service_interval:0 in
+  let refused what create =
+    match create () with
+    | () -> Alcotest.failf "%s accepted a bad bank count" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun banks ->
+      refused "Llc.create" (fun () ->
+          ignore
+            (Llc.create engine net (Backing.dram engine dram)
+               {
+                 Llc.llc_id = 10;
+                 banks;
+                 sets = 16;
+                 ways = 4;
+                 access_latency = 1;
+                 kind_of = (fun _ -> Llc.Kind_denovo);
+                 reqs_policy = Llc.Reqs_auto;
+               }));
+      refused "Mesi_dir.create" (fun () ->
+          ignore
+            (Mesi_dir.create engine net dram
+               { Mesi_dir.dir_id = 20; banks; sets = 16; ways = 4; access_latency = 1 })))
+    [ 0; 3; 32 ]
+
+(* Allocation pins ({!Helpers.check_flat}) on a full 64-set, 4-way frame
+   holding lines 0..255. *)
+let always ~line:_ _ = true
+
+let full_frame () =
+  let f = Cache_frame.create ~sets:64 ~ways:4 in
+  for line = 0 to 255 do
+    ignore (Cache_frame.insert f ~line 0 ~can_evict:always : int Cache_frame.insert_result)
+  done;
+  f
+
+(* [n] rounds of find_exn, touch, remove, and insert into the freed way. *)
+let frame_hit_words n =
+  let f = full_frame () in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    let line = i land 255 in
+    ignore (Cache_frame.find_exn f ~line : int);
+    Cache_frame.touch f ~line;
+    Cache_frame.remove f ~line;
+    match Cache_frame.insert f ~line i ~can_evict:always with
+    | Cache_frame.Inserted -> ()
+    | Cache_frame.Evicted _ | Cache_frame.No_room -> Alcotest.fail "expected a free way"
+  done;
+  Gc.minor_words () -. w0
+
+(* [n] inserts of new lines, each evicting its set's LRU line. *)
+let frame_evict_words n =
+  let f = full_frame () in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    match Cache_frame.insert f ~line:(255 + i) i ~can_evict:always with
+    | Cache_frame.Evicted _ -> ()
+    | Cache_frame.Inserted | Cache_frame.No_room -> Alcotest.fail "expected an eviction"
+  done;
+  Gc.minor_words () -. w0
+
+let frame_hits_allocation_free () =
+  Helpers.check_flat "find_exn/touch/remove/insert into a free way"
+    ~words:frame_hit_words
+
+(* An eviction allocates its [Evicted] block (header and two fields) and
+   nothing else. *)
+let frame_eviction_allocates_result_only () =
+  Helpers.check_flat ~per_item:3 "insert with eviction" ~words:frame_evict_words
 
 (* ----- Mshr --------------------------------------------------------------------- *)
 
@@ -194,6 +413,10 @@ let tests =
     test "frame_sets_disjoint" frame_sets_disjoint;
     test "frame_remove_iter" frame_remove_iter;
     test "frame_size_lines" frame_size_lines;
+    QCheck_alcotest.to_alcotest ~long:false frame_model_prop;
+    test "frame_banks_must_divide_sets" frame_banks_must_divide_sets;
+    test "frame_hits_allocation_free" frame_hits_allocation_free;
+    test "frame_eviction_allocates_result_only" frame_eviction_allocates_result_only;
     test "mshr_alloc_free" mshr_alloc_free;
     test "mshr_find_first_oldest" mshr_find_first_oldest;
     test "sb_coalesce" sb_coalesce;

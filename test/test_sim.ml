@@ -301,18 +301,7 @@ let core_gpu_clock_scaling () =
 (* ----- Allocation pins ------------------------------------------------------------ *)
 
 (* The dispatch loop and the core's issue path allocate nothing per event
-   or per op.  Each pin measures the same scenario at [n] and [2n] and
-   compares the minor words the run allocated: fixed costs (the run
-   loop's closure, the measurement's own float) cancel, while any per-item
-   allocation would leave at least [n] words of difference. *)
-
-let pin_n = 2_000
-
-let check_flat what ~words =
-  let d = words (2 * pin_n) -. words pin_n in
-  if d >= float_of_int (pin_n / 10) then
-    Alcotest.failf "%s: %d more items allocated %.0f more minor words" what
-      pin_n d
+   or per op ({!Helpers.check_flat}). *)
 
 let run_until e until_done =
   ignore (Engine.run e ~until_done : int)
@@ -339,7 +328,7 @@ let engine_run_words n =
   Gc.minor_words () -. w0
 
 let engine_run_allocation_flat () =
-  check_flat "Engine.run" ~words:engine_run_words
+  Helpers.check_flat "Engine.run" ~words:engine_run_words
 
 (* A core running [n] [Check] ops against a port that answers every load
    through [Engine.apply_later]. *)
@@ -374,7 +363,7 @@ let core_check_words n =
   words
 
 let core_check_allocation_flat () =
-  check_flat "Core issuing Check ops" ~words:core_check_words
+  Helpers.check_flat "Core issuing Check ops" ~words:core_check_words
 
 let tests =
   [
