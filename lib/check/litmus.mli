@@ -31,10 +31,6 @@ val workload : case -> cpus:int -> gpus:int -> Spandex_system.Workload.t
     then [gpus] single-warp GPU CUs.  Raises [Invalid_argument] when
     [cpus + gpus < min_devices]. *)
 
-val checker_retry : Spandex_util.Retry.config
-(** Jitter-free retry tuning used when fault actions are explored: one
-    far-future deterministic timeout per request. *)
-
 val params : cpus:int -> gpus:int -> faults:bool -> Spandex_system.Params.t
 (** {!Spandex_system.Params.small} specialised for exhaustive search:
     matching core counts, a single LLC bank, no watchdog, no tracing, and

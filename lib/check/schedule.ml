@@ -14,7 +14,6 @@ let action_of_name name seq =
   | "dup" -> Dup seq
   | _ -> failwith (Printf.sprintf "counterexample: unknown action %S" name)
 
-let pp_action ppf a = Format.fprintf ppf "%s seq=%d" (action_name a) (seq_of a)
 
 type header = {
   h_case : string;

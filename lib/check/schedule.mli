@@ -19,7 +19,6 @@ type action =
 
 val seq_of : action -> int
 val action_name : action -> string
-val pp_action : Format.formatter -> action -> unit
 
 type header = {
   h_case : string;

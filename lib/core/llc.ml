@@ -7,9 +7,7 @@ module Addr = Spandex_proto.Addr
 module State = Spandex_proto.State
 module Amo = Spandex_proto.Amo
 module Linedata = Spandex_proto.Linedata
-module Txn = Spandex_proto.Txn
-module Network = Spandex_net.Network
-module Cache_frame = Spandex_mem.Cache_frame
+module Frames = Spandex_mem.Cache_frame
 
 type device_kind = Kind_mesi | Kind_denovo | Kind_gpu
 type reqs_policy = Reqs_auto | Reqs_shared | Reqs_valid | Reqs_owned
@@ -24,8 +22,6 @@ type config = {
   kind_of : Msg.device_id -> device_kind;
   reqs_policy : reqs_policy;
 }
-
-let bank_of cfg line = cfg.llc_id + (line mod cfg.banks)
 
 (* A revocation in flight: [owner] was sent a RvkO / forwarded ReqS covering
    some words; each word is satisfied by a RspRvkO or a crossing ReqWB.
@@ -64,46 +60,19 @@ type meta = {
   mutable recalls : recall_req list;
 }
 
-(* One tag array for all banks.  [create] requires [banks] to divide
-   [sets], so set [s] holds only lines of bank [s mod banks]: each bank
-   owns a disjoint slice of the sets, and its conflict sets and LRU order
-   are the unbanked ones. *)
-module Frames = Spandex_mem.Cache_frame
-
-(* Everything mutable a bank touches while processing a request lives in
-   its own [bank] record: probe-txn allocator, stats, trace sink and
-   interned names.  The handlers derive the bank from the line ([line mod
-   banks]), so a bank never reads or writes another bank's state.  Each
-   bank draws probe ids from its own allocator, in its own arrival order;
-   the committed goldens pin those ids. *)
-type bank = {
-  bk_txns : Txn.allocator;  (* probe ids: drawn in bank arrival order. *)
-  bk_stats : Stats.t;
-  bk_req_keys : Stats.key array;  (* "req.<kind>" by [Msg.req_kind_index]. *)
-  bk_trace : Trace.t;
-  bk_n_replay : int;  (* interned trace names (0 on a disabled sink). *)
-  bk_n_recall : int;
-}
-
+(* Banks, probe ids, stats and the reply cache are the {!Home} layer's;
+   [frame] is its tag frame. *)
 type t = {
   cfg : config;
   engine : Engine.t;
   backing : Backing.t;
+  home : meta Home.t;
   frame : meta Frames.t;
-  banks : bank array;
-  (* At-most-once reply cache, armed only under fault injection.  For
-     request kinds whose processing is not idempotent (ownership+data
-     grants, LLC-performed atomics), the responses sent for a txn are
-     recorded; a duplicate or retried arrival of the same txn replays them
-     instead of reprocessing — so a retried ReqWTdata cannot apply its AMO
-     twice and a retried ReqOdata gets the original data grant back.  One
-     table per bank (a line maps to exactly one bank, so a txn's entries
-     live in one table): the reply cache partitions along the same
-     boundary as the tag array. *)
-  replay : (int, Msg.t list ref) Hashtbl.t array option;
+  trace : Trace.t;
+  n_recall : int;  (* interned trace name (0 on a disabled sink). *)
 }
 
-let bank t line = t.banks.(line mod t.cfg.banks)
+let stats t line = Home.stats t.home ~line
 
 let fresh_meta () =
   {
@@ -121,54 +90,16 @@ let fresh_meta () =
 
 (* ----- messaging helpers -------------------------------------------------- *)
 
-(* State transitions happen at arrival (the serialization point); outgoing
-   messages are charged the LLC access latency. *)
-let send t (msg : Msg.t) =
-  Engine.send_later t.engine ~delay:t.cfg.access_latency msg
-
+(* Responses to word subsets: an empty mask sends nothing. *)
 let respond t (req : Msg.t) ~kind ~mask ?payload () =
-  if not (Mask.is_empty mask) then begin
-    let msg =
-      Msg.make ~txn:req.Msg.txn ~kind:(Msg.Rsp kind) ~line:req.Msg.line ~mask
-        ?payload ~src:(bank_of t.cfg req.Msg.line) ~dst:req.Msg.requestor ()
-    in
-    (match t.replay with
-    | Some tables -> (
-      match
-        Hashtbl.find_opt tables.(req.Msg.line mod t.cfg.banks) req.Msg.txn
-      with
-      | Some sent -> sent := msg :: !sent
-      | None -> ())
-    | None -> ());
-    send t msg
-  end
+  if not (Mask.is_empty mask) then
+    Home.respond t.home req ~kind ~mask ?payload ()
 
 let respond_data t (req : Msg.t) meta ~kind ~mask =
   if not (Mask.is_empty mask) then
     let payload = Msg.pooled_pack ~mask ~full:meta.data in
     respond t req ~kind ~mask ~payload ()
 
-let forward t (req : Msg.t) ~kind ~dst ~mask ?demand ?amo () =
-  let msg =
-    Msg.make ~txn:req.Msg.txn ~kind:(Msg.Req kind) ~line:req.Msg.line ~mask
-      ?demand ~src:(bank_of t.cfg req.Msg.line) ~dst
-      ~requestor:req.Msg.requestor ~fwd:true ?amo ()
-  in
-  (* Forwards are never recorded for replay.  The response they solicit
-     (a data transfer or a data-less RspO grant) rides the lossless
-     channel, so it cannot need recovery — and a model-checker
-     counterexample shows that re-sending a forward is unsound: a
-     duplicate of the original request can arrive while the registration
-     still matches, and the re-sent revocation then races into a later
-     registration epoch at the old owner, which relinquishes words the
-     directory still registers to it. *)
-  send t msg
-
-let probe t ~kind ~dst ~line ~mask =
-  send t
-    (Msg.make
-       ~txn:(Txn.next (bank t line).bk_txns)
-       ~kind:(Msg.Probe kind) ~line ~mask ~src:(bank_of t.cfg line) ~dst ())
 
 (* ----- per-word owner bookkeeping ----------------------------------------- *)
 
@@ -202,11 +133,6 @@ let needs_excl = function
   | Msg.ReqS | Msg.ReqWT | Msg.ReqO | Msg.ReqWTdata | Msg.ReqOdata | Msg.ReqWB
     -> true
 
-let payload_values (msg : Msg.t) =
-  match msg.Msg.payload with
-  | Msg.Data v | Msg.Data_pooled v -> v
-  | Msg.No_data -> invalid_arg "Llc: request missing data payload"
-
 (* ----- main handler -------------------------------------------------------- *)
 
 let rec handle t (msg : Msg.t) =
@@ -216,18 +142,18 @@ let rec handle t (msg : Msg.t) =
   | Msg.Probe _ -> failwith "Llc: received a probe"
 
 and handle_req t (msg : Msg.t) kind =
-  let bk = bank t msg.Msg.line in
-  Stats.bump bk.bk_stats bk.bk_req_keys.(Msg.req_kind_index kind);
+  let st = stats t msg.Msg.line in
+  Home.count_req t.home ~line:msg.Msg.line kind;
   match Frames.find_exn t.frame ~line:msg.Msg.line with
   | exception Not_found ->
     if kind = Msg.ReqWB then begin
       (* A write-back racing with a completed purge: the sender is no longer
          the owner (Table III: "ReqWB from non-owner"). Acknowledge, drop. *)
-      Stats.incr bk.bk_stats "wb_stale";
+      Stats.incr st "wb_stale";
       respond t msg ~kind:Msg.RspWB ~mask:msg.Msg.mask ()
     end
     else begin
-      Stats.incr bk.bk_stats "miss";
+      Stats.incr st "miss";
       allocate_and_fetch t msg kind
     end
   | meta -> (
@@ -241,12 +167,12 @@ and handle_req t (msg : Msg.t) kind =
         mark_satisfied t msg.Msg.line meta pending msg.Msg.src
           ~mask:msg.Msg.mask
       | _ ->
-        Stats.incr bk.bk_stats "blocked";
+        Stats.incr st "blocked";
         Msg.keep msg;
         meta.blocked <- meta.blocked @ [ msg ])
     | None ->
       if needs_excl kind && not meta.backing_excl then begin
-        Stats.incr bk.bk_stats "backing_upgrade";
+        Stats.incr st "backing_upgrade";
         meta.pending <- Some Upgrading;
         Msg.keep msg;
         meta.blocked <- meta.blocked @ [ msg ];
@@ -266,7 +192,7 @@ and handle_req t (msg : Msg.t) kind =
             after_pending t msg.Msg.line)
       end
       else begin
-        Stats.incr bk.bk_stats "hit";
+        Stats.incr st "hit";
         dispatch t meta msg kind
       end)
 
@@ -295,7 +221,7 @@ and with_no_sharers t meta (msg : Msg.t) next =
     meta.lstate <- State.L_V;
     if targets = [] then next ()
     else begin
-      Stats.incr (bank t msg.Msg.line).bk_stats "inv_bursts";
+      Stats.incr (stats t msg.Msg.line) "inv_bursts";
       (* [next] captures [msg] and runs after the ack collection. *)
       Msg.keep msg;
       meta.pending <-
@@ -310,8 +236,9 @@ and with_no_sharers t meta (msg : Msg.t) next =
              });
       List.iter
         (fun d ->
-          Stats.incr (bank t msg.Msg.line).bk_stats "inv_sent";
-          probe t ~kind:Msg.Inv ~dst:d ~line:msg.Msg.line ~mask:Addr.full_mask)
+          Stats.incr (stats t msg.Msg.line) "inv_sent";
+          Home.probe t.home ~kind:Msg.Inv ~dst:d ~line:msg.Msg.line
+            ~mask:Addr.full_mask)
         targets
     end
   end
@@ -332,20 +259,21 @@ and do_reqv t meta (msg : Msg.t) =
            contexts) after issuing this ReqV; the LLC has no data to give.
            Nack so its TU retries and hits locally. *)
         if not (Mask.is_empty demanded) then begin
-          Stats.incr (bank t msg.Msg.line).bk_stats "reqv_self_nack";
+          Stats.incr (stats t msg.Msg.line) "reqv_self_nack";
           respond t msg ~kind:Msg.Nack ~mask:demanded ()
         end
       end
       else begin
-        Stats.incr (bank t msg.Msg.line).bk_stats "fwd_reqv";
-        forward t msg ~kind:Msg.ReqV ~dst:o ~mask:sub ~demand:demanded ()
+        Stats.incr (stats t msg.Msg.line) "fwd_reqv";
+        Home.forward t.home msg ~kind:Msg.ReqV ~dst:o ~mask:sub
+          ~demand:demanded ()
       end)
     (owner_groups meta fwd_words)
 
 (* ReqS: option (1) when the line is Shared or a MESI device owns target
    words, option (3) otherwise (§III-B "Supporting Shared State"). *)
 and do_reqs t meta (msg : Msg.t) =
-  let bk = bank t msg.Msg.line in
+  let st = stats t msg.Msg.line in
   let owned_in = Mask.inter msg.Msg.mask meta.owned in
   let groups = owner_groups meta owned_in in
   let any_mesi_owner =
@@ -360,11 +288,11 @@ and do_reqs t meta (msg : Msg.t) =
   if t.cfg.reqs_policy = Reqs_valid then begin
     (* Option (2): serve like a ReqV; the requestor's TU downgrades the
        data to Invalid after the read, precluding any reuse (§III-B). *)
-    Stats.incr bk.bk_stats "reqs_opt2";
+    Stats.incr st "reqs_opt2";
     do_reqv t meta msg
   end
   else if choose_opt1 then begin
-    Stats.incr bk.bk_stats "reqs_opt1";
+    Stats.incr st "reqs_opt1";
     respond_data t msg meta ~kind:Msg.RspS ~mask:(Mask.diff msg.Msg.mask meta.owned);
     if Mask.is_empty owned_in then begin
       meta.lstate <- State.L_S;
@@ -380,7 +308,7 @@ and do_reqs t meta (msg : Msg.t) =
          read.  Await the crossing ReqWB instead — it is the data carrier
          — and serve those words from the merged LLC data at resume. *)
       let self = words_owned_by meta ~mask:owned_in ~owner:msg.Msg.requestor in
-      if not (Mask.is_empty self) then Stats.incr bk.bk_stats "reqs_self_wb";
+      if not (Mask.is_empty self) then Stats.incr st "reqs_self_wb";
       let fwd_groups =
         List.filter (fun (o, _) -> o <> msg.Msg.requestor) groups
       in
@@ -413,13 +341,13 @@ and do_reqs t meta (msg : Msg.t) =
              });
       List.iter
         (fun (o, sub) ->
-          Stats.incr bk.bk_stats "fwd_reqs";
-          forward t msg ~kind:Msg.ReqS ~dst:o ~mask:sub ())
+          Stats.incr st "fwd_reqs";
+          Home.forward t.home msg ~kind:Msg.ReqS ~dst:o ~mask:sub ())
         fwd_groups
     end
   end
   else begin
-    Stats.incr bk.bk_stats "reqs_opt3";
+    Stats.incr st "reqs_opt3";
     with_no_sharers t meta msg (fun () ->
         do_grant_with_data t meta msg ~rsp:Msg.RspOdata)
   end
@@ -428,7 +356,7 @@ and do_reqs t meta (msg : Msg.t) =
    are told to downgrade via a forwarded ReqO and respond directly to the
    requestor (Fig. 1d).  No blocking state, no data responses. *)
 and do_reqwt t meta (msg : Msg.t) =
-  let values = payload_values msg in
+  let values = Home.payload msg in
   let self = words_owned_by meta ~mask:msg.Msg.mask ~owner:msg.Msg.requestor in
   let groups =
     List.filter
@@ -443,8 +371,8 @@ and do_reqwt t meta (msg : Msg.t) =
   in
   List.iter
     (fun (o, sub) ->
-      Stats.incr (bank t msg.Msg.line).bk_stats "fwd_wt_revoke";
-      forward t msg ~kind:Msg.ReqO ~dst:o ~mask:sub ())
+      Stats.incr (stats t msg.Msg.line) "fwd_wt_revoke";
+      Home.forward t.home msg ~kind:Msg.ReqO ~dst:o ~mask:sub ())
     groups;
   respond t msg ~kind:Msg.RspWT
     ~mask:(Mask.union (Mask.diff msg.Msg.mask fwd_mask) self)
@@ -464,8 +392,8 @@ and do_reqo t meta (msg : Msg.t) =
   grant_ownership meta ~mask:msg.Msg.mask ~to_:msg.Msg.requestor;
   List.iter
     (fun (o, sub) ->
-      Stats.incr (bank t msg.Msg.line).bk_stats "fwd_reqo";
-      forward t msg ~kind:Msg.ReqO ~dst:o ~mask:sub ())
+      Stats.incr (stats t msg.Msg.line) "fwd_reqo";
+      Home.forward t.home msg ~kind:Msg.ReqO ~dst:o ~mask:sub ())
     groups;
   respond t msg ~kind:Msg.RspO
     ~mask:(Mask.union (Mask.diff msg.Msg.mask fwd_mask) self)
@@ -488,8 +416,8 @@ and do_grant_with_data t meta (msg : Msg.t) ~rsp =
   respond_data t msg meta ~kind:rsp ~mask:local;
   List.iter
     (fun (o, sub) ->
-      Stats.incr (bank t msg.Msg.line).bk_stats "fwd_reqodata";
-      forward t msg ~kind:Msg.ReqOdata ~dst:o ~mask:sub ())
+      Stats.incr (stats t msg.Msg.line) "fwd_reqodata";
+      Home.forward t.home msg ~kind:Msg.ReqOdata ~dst:o ~mask:sub ())
     groups;
   grant_ownership meta ~mask:msg.Msg.mask ~to_:msg.Msg.requestor
 
@@ -519,8 +447,8 @@ and do_reqwtdata t meta (msg : Msg.t) =
            });
     List.iter
       (fun aw ->
-        Stats.incr (bank t msg.Msg.line).bk_stats "rvko_sent";
-        probe t ~kind:Msg.RvkO ~dst:aw.aw_owner ~line:msg.Msg.line
+        Stats.incr (stats t msg.Msg.line) "rvko_sent";
+        Home.probe t.home ~kind:Msg.RvkO ~dst:aw.aw_owner ~line:msg.Msg.line
           ~mask:aw.aw_remaining)
       awaited
   end
@@ -536,7 +464,7 @@ and apply_wtdata t meta (msg : Msg.t) =
       meta.data.(w) <- next;
       Msg.pooled_single ret
     | None ->
-      let values = payload_values msg in
+      let values = Home.payload msg in
       let old = Msg.pooled_pack ~mask:msg.Msg.mask ~full:meta.data in
       Linedata.unpack_into ~mask:msg.Msg.mask ~values ~full:meta.data;
       old
@@ -547,10 +475,10 @@ and apply_wtdata t meta (msg : Msg.t) =
 (* ReqWB: accept data for words still owned by the sender, drop the rest. *)
 and apply_wb t meta (msg : Msg.t) =
   let live = words_owned_by meta ~mask:msg.Msg.mask ~owner:msg.Msg.src in
-  if Mask.is_empty live then Stats.incr (bank t msg.Msg.line).bk_stats "wb_stale"
+  if Mask.is_empty live then Stats.incr (stats t msg.Msg.line) "wb_stale"
   else begin
-    Stats.incr (bank t msg.Msg.line).bk_stats "wb_live";
-    let values = payload_values msg in
+    Stats.incr (stats t msg.Msg.line) "wb_live";
+    let values = Home.payload msg in
     Linedata.iter ~mask:msg.Msg.mask ~values ~f:(fun ~word ~value ->
         if Mask.mem live word then meta.data.(word) <- value);
     clear_ownership meta ~mask:live;
@@ -595,7 +523,7 @@ and mark_satisfied _t line meta pending src ~mask =
 and handle_rsp t (msg : Msg.t) kind =
   match Frames.find_exn t.frame ~line:msg.Msg.line with
   | exception Not_found ->
-    Stats.incr (bank t msg.Msg.line).bk_stats "rsp_orphan"
+    Stats.incr (stats t msg.Msg.line) "rsp_orphan"
   | meta -> (
     match (kind, meta.pending) with
     | Msg.Ack, Some (Collecting_acks c) ->
@@ -618,7 +546,7 @@ and handle_rsp t (msg : Msg.t) kind =
           (fun a -> a.aw_owner = msg.Msg.src && not (aw_satisfied a))
           awaited
       with
-      | None -> Stats.incr (bank t msg.Msg.line).bk_stats "rvko_dup"
+      | None -> Stats.incr (stats t msg.Msg.line) "rvko_dup"
       | Some a ->
         (match msg.Msg.payload with
         | Msg.Data values | Msg.Data_pooled values ->
@@ -636,7 +564,7 @@ and handle_rsp t (msg : Msg.t) kind =
                ~owner:a.aw_owner);
         mark_satisfied t msg.Msg.line meta p msg.Msg.src ~mask:msg.Msg.mask)
     | (Msg.Ack | Msg.RspRvkO), _ ->
-      Stats.incr (bank t msg.Msg.line).bk_stats "rsp_orphan"
+      Stats.incr (stats t msg.Msg.line) "rsp_orphan"
     | _ -> failwith "Llc: unexpected response kind")
 
 (* After a pending state clears: serve queued recalls first, then replay
@@ -666,7 +594,7 @@ and can_evict ~line:_ meta =
 
 and allocate_and_fetch t (msg : Msg.t) kind =
   let line = msg.Msg.line in
-  let bk = bank t line in
+  let st = stats t line in
   let meta = fresh_meta () in
   let insert () = Frames.insert t.frame ~line meta ~can_evict in
   let start_fetch () =
@@ -684,23 +612,23 @@ and allocate_and_fetch t (msg : Msg.t) kind =
         after_pending t line)
   in
   match insert () with
-  | Cache_frame.Inserted ->
-    Stats.incr bk.bk_stats "fill";
+  | Frames.Inserted ->
+    Stats.incr st "fill";
     start_fetch ()
-  | Cache_frame.Evicted (vline, vmeta) ->
-    Stats.incr bk.bk_stats "evict";
+  | Frames.Evicted (vline, vmeta) ->
+    Stats.incr st "evict";
     (* [vline] shares the bank with [line]: evictions stay in-set. *)
     t.backing.Backing.writeback ~line:vline ~data:(Array.copy vmeta.data)
       ~dirty:vmeta.dirty
       ~k:(fun () -> ());
-    Stats.incr bk.bk_stats "fill";
+    Stats.incr st "fill";
     start_fetch ()
-  | Cache_frame.No_room -> begin
+  | Frames.No_room -> begin
     (* Every clean way is pinned: purge a busy-but-stable victim in the same
        set (revoking owners / invalidating sharers), then retry. *)
     match find_purge_victim t line with
     | Some (vline, vmeta) ->
-      Stats.incr bk.bk_stats "evict_purge";
+      Stats.incr st "evict_purge";
       Msg.keep msg;
       purge t vline vmeta ~keep_line:false ~inv_sharers:true
         ~k:(fun (data, dirty) ->
@@ -708,7 +636,7 @@ and allocate_and_fetch t (msg : Msg.t) kind =
             ~k:(fun () -> ());
           handle t msg)
     | None ->
-      Stats.incr bk.bk_stats "alloc_stall";
+      Stats.incr st "alloc_stall";
       Msg.keep msg;
       Engine.schedule t.engine ~delay:8 (fun () -> handle t msg)
   end
@@ -760,19 +688,20 @@ and purge t line meta ~keep_line ~inv_sharers ~k =
         (Purging { acks_left = List.length sharers; awaited; resume = finish });
     List.iter
       (fun d ->
-        Stats.incr (bank t line).bk_stats "inv_sent";
-        probe t ~kind:Msg.Inv ~dst:d ~line ~mask:Addr.full_mask)
+        Stats.incr (stats t line) "inv_sent";
+        Home.probe t.home ~kind:Msg.Inv ~dst:d ~line ~mask:Addr.full_mask)
       sharers;
     List.iter
       (fun a ->
-        Stats.incr (bank t line).bk_stats "rvko_sent";
-        probe t ~kind:Msg.RvkO ~dst:a.aw_owner ~line ~mask:a.aw_remaining)
+        Stats.incr (stats t line) "rvko_sent";
+        Home.probe t.home ~kind:Msg.RvkO ~dst:a.aw_owner ~line
+          ~mask:a.aw_remaining)
       awaited
   end
 
 (* Parent recall (hierarchical GPU L2 use only). *)
 and start_recall t line meta (r : recall_req) =
-  Stats.incr (bank t line).bk_stats "recall";
+  Stats.incr (stats t line) "recall";
   match r.rkind with
   | Backing.Recall_shared ->
     (* Surrender internal ownership but keep a (now clean, shared) copy;
@@ -787,21 +716,20 @@ and start_recall t line meta (r : recall_req) =
       ~k:(fun (data, dirty) -> r.rk (Some (data, dirty)))
 
 and handle_recall t ~line ~kind ~k =
-  let bk = bank t line in
   match Frames.find_exn t.frame ~line with
   | exception Not_found ->
     (* arg -1: the line is absent (answered from a write-back record). *)
-    if Trace.on bk.bk_trace then
-      Trace.instant bk.bk_trace ~time:(Engine.now t.engine)
-        ~dev:(bank_of t.cfg line) ~name:bk.bk_n_recall ~txn:(-1) ~arg:(-1);
+    if Trace.on t.trace then
+      Trace.instant t.trace ~time:(Engine.now t.engine)
+        ~dev:(Home.endpoint t.home ~line) ~name:t.n_recall ~txn:(-1) ~arg:(-1);
     k None
   | meta ->
     let r = { rkind = kind; rk = k } in
     (* arg encodes the pending state the recall found: 0 idle, then the
        1-based constructor index of [pending]. *)
-    if Trace.on bk.bk_trace then
-      Trace.instant bk.bk_trace ~time:(Engine.now t.engine)
-        ~dev:(bank_of t.cfg line) ~name:bk.bk_n_recall ~txn:(-1)
+    if Trace.on t.trace then
+      Trace.instant t.trace ~time:(Engine.now t.engine)
+        ~dev:(Home.endpoint t.home ~line) ~name:t.n_recall ~txn:(-1)
         ~arg:
           (match meta.pending with
           | None -> 0
@@ -815,12 +743,14 @@ and handle_recall t ~line ~kind ~k =
 
 (* ----- construction and introspection -------------------------------------- *)
 
-(* Requests whose processing must be exactly-once (see [replay] above).
-   Everything that mutates ownership registration or LLC data is guarded:
-   reprocessing a stale duplicate of a completed ReqO would re-register
-   the old requestor (rolling back a later transfer and routing future
-   forwards to an L1 that already relinquished the words), and a
-   duplicate racing its own forward would take the retry-recovery
+(* Requests whose processing must be exactly-once, so the reply cache
+   ({!Home.listen}) answers their duplicates: a retried ReqWTdata cannot
+   apply its AMO twice and a retried ReqOdata gets the original data grant
+   back.  Everything that mutates ownership registration or LLC data is
+   guarded: reprocessing a stale duplicate of a completed ReqO would
+   re-register the old requestor (rolling back a later transfer and
+   routing future forwards to an L1 that already relinquished the words),
+   and a duplicate racing its own forward would take the retry-recovery
    "requestor already registered" path and grant ownership while the
    forwarded revocation is still in flight to the old owner.  ReqWB is
    ownership-checked in [apply_wb], but that check is epoch-blind: if the
@@ -834,152 +764,75 @@ let replay_guarded = function
     true
   | Msg.ReqV -> false
 
-(* Network-facing entry: the at-most-once filter sits here so internal
-   re-dispatches (unblocking, allocation retries) bypass it. *)
-let arrival t (msg : Msg.t) =
-  match (t.replay, msg.Msg.kind) with
-  | Some tables, Msg.Req k when replay_guarded k -> (
-    let bk = bank t msg.Msg.line in
-    let table = tables.(msg.Msg.line mod t.cfg.banks) in
-    match Hashtbl.find_opt table msg.Msg.txn with
-    | Some sent ->
-      (* Duplicate or retried request: replay what we already answered
-         (possibly nothing yet, if the original is still blocked). *)
-      Stats.incr bk.bk_stats "replayed";
-      if Trace.on bk.bk_trace then
-        Trace.instant bk.bk_trace ~time:(Engine.now t.engine)
-          ~dev:(bank_of t.cfg msg.Msg.line) ~name:bk.bk_n_replay
-          ~txn:msg.Msg.txn ~arg:(List.length !sent);
-      List.iter (fun m -> send t m) (List.rev !sent)
-    | None ->
-      Hashtbl.add table msg.Msg.txn (ref []);
-      handle t msg)
-  | _ -> handle t msg
+(* A line's live work for the engine's pending-source reports: its
+   pending, blocked and recall-queued state (the backing reports its own
+   work). *)
+let describe m item acc =
+  let acc =
+    match m.pending with
+    | None -> acc
+    | Some (Fetching _) -> item "fetching from backing" :: acc
+    | Some Upgrading -> item "upgrading at backing" :: acc
+    | Some (Collecting_acks c) ->
+      item (Printf.sprintf "collecting %d inv ack(s)" c.acks_left) :: acc
+    | Some (Awaiting_wb { awaited; _ }) ->
+      item
+        (Printf.sprintf "awaiting %d write-back(s)"
+           (List.length (List.filter (fun a -> not (aw_satisfied a)) awaited)))
+      :: acc
+    | Some (Purging _) -> item "purging" :: acc
+  in
+  let acc =
+    if m.blocked = [] then acc
+    else
+      item (Printf.sprintf "%d blocked request(s)" (List.length m.blocked))
+      :: acc
+  in
+  if m.recalls = [] then acc
+  else
+    item (Printf.sprintf "%d queued recall(s)" (List.length m.recalls)) :: acc
 
-(* Fold over one bank's resident lines, with global line numbers. *)
-let fold_bank t b ~init ~f =
-  Frames.fold_bank t.frame ~banks:t.cfg.banks b ~init ~f
+let probes =
+  {
+    Home.tag = "llc";
+    lines_metric = "spandex_llc_bank_lines";
+    lines_help = "resident lines per LLC bank";
+    pending_help = "lines with an in-flight home transaction";
+  }
+
+let view =
+  {
+    Home.busy = (fun m -> m.pending <> None);
+    blocked = (fun m -> List.length m.blocked);
+    describe;
+  }
 
 let create ?(name = "llc") engine net backing (cfg : config) =
-  if cfg.banks < 1 || cfg.sets mod cfg.banks <> 0 then
-    invalid_arg "Llc.create: banks must divide sets";
-  let make_bank b =
-    let stats = Stats.create () in
-    let trace = Engine.trace engine in
-    {
-      bk_txns = Txn.allocator ~id:(cfg.llc_id + b);
-      bk_stats = stats;
-      bk_req_keys =
-        (let keys = Array.make 7 (Stats.key stats "req.ReqV") in
-         List.iter
-           (fun k ->
-             keys.(Msg.req_kind_index k) <-
-               Stats.key stats ("req." ^ Msg.req_kind_name k))
-           Msg.all_req_kinds;
-         keys);
-      bk_trace = trace;
-      bk_n_replay = Trace.name trace "llc.replay";
-      bk_n_recall = Trace.name trace "llc.recall";
-    }
+  let home =
+    Home.create engine net ~name ~first_id:cfg.llc_id ~banks:cfg.banks
+      ~sets:cfg.sets ~ways:cfg.ways ~access_latency:cfg.access_latency
+      ~guarded:replay_guarded probes view
   in
+  let trace = Engine.trace engine in
   let t =
     {
       cfg;
       engine;
       backing;
-      frame = Frames.create ~sets:cfg.sets ~ways:cfg.ways;
-      banks = Array.init cfg.banks make_bank;
-      replay =
-        (if Network.faults_enabled net then
-           Some (Array.init cfg.banks (fun _ -> Hashtbl.create 256))
-         else None);
+      home;
+      frame = Home.frame home;
+      trace;
+      n_recall = Trace.name trace "llc.recall";
     }
   in
-  for b = 0 to cfg.banks - 1 do
-    Network.register net ~id:(cfg.llc_id + b) (fun msg -> arrival t msg)
-  done;
+  Home.listen home (handle t);
   (* Every bank shares the backing; the recall dispatcher routes by line. *)
   backing.Backing.set_recall_handler (fun ~line ~kind ~k ->
       handle_recall t ~line ~kind ~k);
-  (* One source per bank, reporting its pending, blocked and
-     recall-queued lines (the backing reports its own work). *)
-  Array.iteri
-    (fun b _ ->
-      let device = Printf.sprintf "%s.b%d" name b in
-      Engine.register_pending_source engine (fun () ->
-          fold_bank t b ~init:[] ~f:(fun acc ~line m ->
-              let item what =
-                {
-                  Engine.pw_device = device;
-                  pw_txn = -1;
-                  pw_line = line;
-                  pw_what = what;
-                }
-              in
-              let acc =
-                match m.pending with
-                | None -> acc
-                | Some (Fetching _) -> item "fetching from backing" :: acc
-                | Some Upgrading -> item "upgrading at backing" :: acc
-                | Some (Collecting_acks c) ->
-                  item (Printf.sprintf "collecting %d inv ack(s)" c.acks_left)
-                  :: acc
-                | Some (Awaiting_wb { awaited; _ }) ->
-                  item
-                    (Printf.sprintf "awaiting %d write-back(s)"
-                       (List.length
-                          (List.filter (fun a -> not (aw_satisfied a)) awaited)))
-                  :: acc
-                | Some (Purging _) -> item "purging" :: acc
-              in
-              let acc =
-                if m.blocked = [] then acc
-                else
-                  item
-                    (Printf.sprintf "%d blocked request(s)"
-                       (List.length m.blocked))
-                  :: acc
-              in
-              if m.recalls = [] then acc
-              else
-                item
-                  (Printf.sprintf "%d queued recall(s)"
-                     (List.length m.recalls))
-                :: acc)))
-    t.banks;
   t
 
-let bank_count t = t.cfg.banks
-
-(* Metrics probes, registered per bank: resident-line occupancy,
-   transaction pressure (lines with a pending op / requests parked behind
-   one), and the at-most-once reply cache's replay counter.  [device]
-   distinguishes the flat LLC from the hierarchical GPU L2, which are both
-   this module.  The pending/blocked gauges feed the bank's trace counter
-   tracks; dev is the bank's network endpoint. *)
-let bank_register_metrics t ~device b reg =
-  let module Metrics = Spandex_obs.Metrics in
-  let bk = t.banks.(b) in
-  let labels = [ ("bank", string_of_int b); ("device", device) ] in
-  let dev = t.cfg.llc_id + b in
-  Metrics.gauge reg ~name:"spandex_llc_bank_lines" ~labels
-    ~help:"resident lines per LLC bank" (fun () ->
-      Frames.count_bank t.frame ~banks:t.cfg.banks b);
-  Metrics.gauge reg ~name:"spandex_llc_pending" ~labels
-    ~track:(dev, "llc.pending")
-    ~help:"lines with an in-flight home transaction" (fun () ->
-      fold_bank t b ~init:0 ~f:(fun p ~line:_ m ->
-          if m.pending = None then p else p + 1));
-  Metrics.gauge reg ~name:"spandex_llc_blocked" ~labels
-    ~track:(dev, "llc.blocked")
-    ~help:"requests parked behind a pending line" (fun () ->
-      fold_bank t b ~init:0 ~f:(fun bl ~line:_ m ->
-          bl + List.length m.blocked));
-  Metrics.counter reg ~name:"spandex_llc_replayed_total" ~labels
-    ~help:"duplicate requests answered from the reply cache (fault runs)"
-    (fun () -> Stats.get bk.bk_stats "replayed")
-
-let bank_stats t b = t.banks.(b).bk_stats
+let home t = t.home
+let bank_stats t b = Home.bank_stats t.home b
 
 let line_state t ~line =
   Option.map (fun m -> m.lstate) (Frames.find t.frame ~line)
@@ -999,8 +852,6 @@ let sharers t ~line =
 
 let peek_word t { Addr.line; word } =
   Option.map (fun m -> m.data.(word)) (Frames.find t.frame ~line)
-
-let resident_lines t = Frames.count t.frame
 
 (* ----- model-checker introspection ----------------------------------------- *)
 
@@ -1035,43 +886,17 @@ let fp_pending fp = function
     fp_awaited fp awaited
 
 let fingerprint t fp =
-  Fp.tag fp "llc";
-  let lines =
-    Frames.fold t.frame ~init:[] ~f:(fun acc ~line m -> (line, m) :: acc)
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  Fp.int fp (List.length lines);
-  List.iter
-    (fun (line, m) ->
-      Fp.int fp line;
+  Home.fingerprint t.home fp ~line:(fun fp m ->
       Fp.int fp
         (match m.lstate with State.L_I -> 0 | State.L_V -> 1 | State.L_S -> 2);
       Fp.int fp (m.owned :> int);
       Mask.iter m.owned ~f:(fun w -> Fp.int fp m.owner.(w));
       (* Words owned remotely are stale here; exclude them so the
          fingerprint tracks only authoritative data. *)
-      Fp.masked_array fp
-        ~mask:(Mask.diff Addr.full_mask m.owned)
-        m.data;
+      Fp.masked_array fp ~mask:(Mask.diff Addr.full_mask m.owned) m.data;
       Fp.list fp Fp.int (List.sort compare m.sharers);
       Fp.bool fp m.dirty;
       Fp.bool fp m.backing_excl;
       fp_pending fp m.pending;
       Fp.list fp Msg.fingerprint m.blocked;
       Fp.int fp (List.length m.recalls))
-    lines;
-  match t.replay with
-  | None -> ()
-  | Some tables ->
-    let entries =
-      Array.fold_left
-        (fun acc table ->
-          Hashtbl.fold (fun txn msgs acc -> (txn, !msgs) :: acc) table acc)
-        [] tables
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    Fp.list fp
-      (fun fp (txn, msgs) ->
-        Fp.txn fp txn;
-        Fp.list fp Msg.fingerprint msgs)
-      entries

@@ -22,7 +22,9 @@
 
     Allocation is at line granularity; fills and evictions go through a
     pluggable {!Backing.t}, which also delivers parent recalls when the
-    engine is used as the hierarchical GPU L2. *)
+    engine is used as the hierarchical GPU L2.  Bank routing, probe ids,
+    per-bank stats, the reply cache and the pending/metric probes are the
+    shared banked-home layer, {!Home} (see home.mli). *)
 
 type device_kind = Kind_mesi | Kind_denovo | Kind_gpu
 (** Attached-device classification, used by the [Reqs_auto] policy
@@ -55,6 +57,8 @@ type config = {
 }
 
 type t
+type meta
+(** A resident line's state. *)
 
 val create :
   ?name:string ->
@@ -64,29 +68,20 @@ val create :
   config ->
   t
 (** Registers the LLC on the network under [llc_id .. llc_id + banks - 1]
-    and installs the recall handler on the backing.  Each bank keeps its
-    own probe-txn allocator, stats and trace names, and touches only the
-    lines that interleave to it.  Each bank also registers an engine
-    pending source named ["<name>.b<bank>"] ([name] defaults to ["llc"];
-    the hierarchical GPU L2 passes ["gpu_l2"]) reporting its pending,
-    blocked and recall-queued lines.  Raises [Invalid_argument] unless
+    ({!Home.create}, {!Home.listen}) and installs the recall handler on
+    the backing.  Each bank registers an engine pending source named
+    ["<name>.b<bank>"] ([name] defaults to ["llc"]; the hierarchical GPU
+    L2 passes ["gpu_l2"]) reporting its pending, blocked and
+    recall-queued lines; its metrics are named ["spandex_llc_*"] and its
+    trace names ["llc.*"] under either name.  Every kind but ReqV is
+    covered by the reply cache.  Raises [Invalid_argument] unless
     [banks ≥ 1] and [banks] divides [sets]. *)
 
-val bank_count : t -> int
+val home : t -> meta Home.t
+(** The banked home: per-bank stats and metric probes. *)
 
 val bank_stats : t -> int -> Spandex_util.Stats.t
-(** Bank [b]'s counters; merge all banks under one prefix to reproduce
-    the aggregate ({!Spandex_util.Stats.merge_into} sums). *)
-
-val bank_register_metrics :
-  t -> device:string -> int -> Spandex_obs.Metrics.t -> unit
-(** Register one bank's probes ([Run] registers each bank as its own
-    component): the resident-line gauge, pending/blocked
-    transaction-pressure gauges, and the reply-cache replay counter —
-    labelled [device] and [bank] (the flat LLC and the hierarchical GPU
-    L2 are both this module).  The pending/blocked gauges feed the
-    ["llc.pending"] / ["llc.blocked"] trace counter tracks, dev = the
-    bank endpoint. *)
+(** [Home.bank_stats (home t)]. *)
 
 (** {2 Introspection for tests} *)
 
@@ -99,8 +94,6 @@ val sharers : t -> line:int -> Spandex_proto.Msg.device_id list
 val peek_word : t -> Spandex_proto.Addr.t -> int option
 (** LLC's current copy of a word ([None] if not resident); stale for words
     owned remotely. *)
-
-val resident_lines : t -> int
 
 val fingerprint : t -> Spandex_util.Fingerprint.t -> unit
 (** Append a canonical encoding of the full architectural state (resident

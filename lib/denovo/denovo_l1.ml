@@ -950,12 +950,9 @@ let peek_word t (addr : Addr.t) =
     Some l.data.(addr.Addr.word)
   | _ -> None
 
-let count_words t f =
+let owned_words t =
   Cache_frame.fold t.frame ~init:0 ~f:(fun acc ~line:_ l ->
-      acc + Mask.count (f l))
-
-let owned_words t = count_words t (fun l -> l.owned)
-let valid_words t = count_words t (fun l -> l.valid)
+      acc + Mask.count l.owned)
 
 (* ----- model-checker introspection ----------------------------------------- *)
 

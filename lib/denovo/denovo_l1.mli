@@ -62,7 +62,6 @@ val register_metrics : t -> device:string -> Spandex_obs.Metrics.t -> unit
 val word_state : t -> Spandex_proto.Addr.t -> Spandex_proto.State.device
 val peek_word : t -> Spandex_proto.Addr.t -> int option
 val owned_words : t -> int
-val valid_words : t -> int
 
 val owned_mask : t -> line:int -> Spandex_util.Mask.t
 (** Words of [line] held in Owned state — the cache's write-permission

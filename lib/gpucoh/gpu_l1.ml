@@ -385,7 +385,6 @@ let port t =
   }
 
 let stats t = t.ch.Chassis.stats
-let holds_line t ~line = Cache_frame.find t.frame ~line <> None
 
 let peek_word t (addr : Addr.t) =
   Option.map

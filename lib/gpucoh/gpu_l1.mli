@@ -43,7 +43,6 @@ val register_metrics : t -> device:string -> Spandex_obs.Metrics.t -> unit
 
 (** {2 Test introspection} *)
 
-val holds_line : t -> line:int -> bool
 val peek_word : t -> Spandex_proto.Addr.t -> int option
 val valid_lines : t -> int
 

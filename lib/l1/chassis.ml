@@ -5,6 +5,7 @@ module Engine = Spandex_sim.Engine
 module Trace = Spandex_sim.Trace
 module Msg = Spandex_proto.Msg
 module Txn = Spandex_proto.Txn
+module Addr = Spandex_proto.Addr
 module Linedata = Spandex_proto.Linedata
 module Network = Spandex_net.Network
 module Fault = Spandex_net.Fault
@@ -140,7 +141,7 @@ let send t msg = Engine.send_later t.engine ~delay:t.hit_latency msg
 let request t ~txn ~kind ~line ~mask ?demand ?payload ?amo () =
   let msg =
     Msg.make ~txn ~kind:(Msg.Req kind) ~line ~mask ?demand ?payload ~src:t.id
-      ~dst:(t.home_id + (line mod t.home_banks)) ?amo ()
+      ~dst:(t.home_id + Addr.bank_of ~banks:t.home_banks line) ?amo ()
   in
   if Trace.on t.trace then
     Trace.span_begin t.trace ~time:(Engine.now t.engine) ~dev:t.id ~txn

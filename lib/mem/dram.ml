@@ -96,7 +96,8 @@ let create ?(channels = 1) engine ~latency ~service_interval =
   }
 
 let channels t = t.channels
-let channel_of_line t ~line = t.channels.(line mod Array.length t.channels)
+let channel_of_line t ~line =
+  t.channels.(Spandex_proto.Addr.bank_of ~banks:(Array.length t.channels) line)
 
 let read_line t ~line ~k = Channel.read_line (channel_of_line t ~line) ~line ~k
 

@@ -7,7 +7,9 @@
     {e blocking} transient state until the transfer is confirmed — the
     overhead Spandex's non-blocking word-granularity transfers avoid.
     Clients are MESI L1 caches ({!Mesi_l1}) and the hierarchical GPU L2's
-    backside port ({!Mesi_client}). *)
+    backside port ({!Mesi_client}).  Bank routing, probe ids, per-bank
+    stats, the reply cache and the pending/metric probes are the shared
+    banked-home layer, {!Spandex.Home} (see home.mli). *)
 
 type config = {
   dir_id : Spandex_proto.Msg.device_id;  (** first bank endpoint. *)
@@ -18,6 +20,8 @@ type config = {
 }
 
 type t
+type meta
+(** A resident line's directory entry. *)
 
 val create :
   Spandex_sim.Engine.t ->
@@ -26,26 +30,19 @@ val create :
   config ->
   t
 (** Registers the directory on the network under
-    [dir_id .. dir_id + banks - 1].  Each bank keeps its own probe-txn
-    allocator, stats and trace names, and touches only lines ≡ bank (mod
-    banks) — whose DRAM accesses route to the matching
-    {!Spandex_mem.Dram} channel, and registers an engine pending source
-    named ["dir.b<bank>"].  Raises [Invalid_argument] unless [banks ≥ 1]
-    and [banks] divides [sets]. *)
+    [dir_id .. dir_id + banks - 1] ({!Spandex.Home.create},
+    {!Spandex.Home.listen}).  A bank touches only lines ≡ bank (mod
+    banks), whose DRAM accesses route to the matching {!Spandex_mem.Dram}
+    channel, and registers an engine pending source named
+    ["dir.b<bank>"]; metrics are named ["spandex_dir_*"] and trace names
+    ["dir.*"].  The reply cache covers ReqS and ReqOdata.  Raises
+    [Invalid_argument] unless [banks ≥ 1] and [banks] divides [sets]. *)
 
-val bank_count : t -> int
+val home : t -> meta Spandex.Home.t
+(** The banked home: per-bank stats and metric probes. *)
 
 val bank_stats : t -> int -> Spandex_util.Stats.t
-(** Bank [b]'s counters; merge all banks under one prefix to reproduce
-    the aggregate ({!Spandex_util.Stats.merge_into} sums). *)
-
-val bank_register_metrics :
-  t -> device:string -> int -> Spandex_obs.Metrics.t -> unit
-(** Register one bank's probes ([Run] registers each bank as its own
-    component): resident-line, pending and blocked gauges plus the
-    reply-cache replay counter, labelled [device] and [bank].  The
-    pending/blocked gauges feed the ["dir.pending"] / ["dir.blocked"]
-    trace counter tracks, dev = the bank endpoint. *)
+(** [Home.bank_stats (home t)]. *)
 
 (** {2 Test introspection} *)
 

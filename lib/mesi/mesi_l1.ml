@@ -688,7 +688,6 @@ let peek_word t (addr : Addr.t) =
   | Some l when l.mstate <> State.M_I -> Some l.data.(addr.Addr.word)
   | _ -> None
 
-let cached_lines t = Cache_frame.count t.frame
 
 (* ----- model-checker introspection ----------------------------------------- *)
 

@@ -49,7 +49,6 @@ val register_metrics : t -> device:string -> Spandex_obs.Metrics.t -> unit
 
 val line_state : t -> line:int -> Spandex_proto.State.mesi
 val peek_word : t -> Spandex_proto.Addr.t -> int option
-val cached_lines : t -> int
 
 val owned_mask : t -> line:int -> Spandex_util.Mask.t
 (** Full mask when the line is held E/M (MESI write permission is

@@ -45,8 +45,6 @@ module Retry = Spandex_util.Retry
 
 type probs = { drop : float; dup : float; delay : float; reorder : float }
 
-let no_faults = { drop = 0.0; dup = 0.0; delay = 0.0; reorder = 0.0 }
-
 type spec = {
   seed : int;
   per_category : probs array;  (** indexed by [category_index], length 6. *)

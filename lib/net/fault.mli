@@ -17,8 +17,6 @@ module Retry = Spandex_util.Retry
 
 type probs = { drop : float; dup : float; delay : float; reorder : float }
 
-val no_faults : probs
-
 type spec = {
   seed : int;
   per_category : probs array;  (** indexed by [category_index], length 6. *)

@@ -161,7 +161,6 @@ let send t (msg : Msg.t) =
         delays))
 
 let set_delivery_hook t hook = t.delivery_hook <- Some hook
-let clear_delivery_hook t = t.delivery_hook <- None
 
 let deliver_held t (msg : Msg.t) =
   let ep = endpoint t msg.dst in

@@ -62,8 +62,6 @@ val set_delivery_hook :
     order via {!deliver_held}, making message-delivery order a checker
     choice point instead of wheel FIFO. *)
 
-val clear_delivery_hook : t -> unit
-
 val deliver_held : t -> Spandex_proto.Msg.t -> unit
 (** Deliver a message previously captured by the delivery hook: counts it
     in flight and enqueues delivery with zero additional latency (the

@@ -24,3 +24,4 @@ let line_of_word_index i =
   { line = i / words_per_line; word = i mod words_per_line }
 
 let full_mask = Spandex_util.Mask.full ~words:words_per_line
+let bank_of ~banks line = line mod banks

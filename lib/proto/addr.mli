@@ -29,3 +29,8 @@ val line_of_word_index : int -> t
 
 val full_mask : Spandex_util.Mask.t
 (** Mask covering every word of a line. *)
+
+val bank_of : banks:int -> int -> int
+(** [bank_of ~banks line] is the bank line [line] interleaves to,
+    [line mod banks]: the home bank endpoint's offset and, with one DRAM
+    channel per bank, the channel. *)

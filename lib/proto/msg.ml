@@ -85,8 +85,6 @@ type pool = {
   mutable slots : t array;
   mutable len : int;
   mutable enabled : bool;
-  mutable reused : int;  (* makes served from the free-list *)
-  mutable minted : int;  (* makes that fell through to a fresh record *)
   arrs : int array array array;
       (* payload arrays bucketed by length (index 1..words_per_line). *)
   arr_len : int array;
@@ -98,8 +96,6 @@ let pool_key : pool Domain.DLS.key =
         slots = [||];
         len = 0;
         enabled = false;
-        reused = 0;
-        minted = 0;
         arrs = Array.make (Addr.words_per_line + 1) [||];
         arr_len = Array.make (Addr.words_per_line + 1) 0;
       })
@@ -163,10 +159,6 @@ let set_pooling on =
 
 let pooling_enabled () = (Domain.DLS.get pool_key).enabled
 
-let pool_stats () =
-  let p = Domain.DLS.get pool_key in
-  (p.reused, p.minted, p.len)
-
 let keep t = t.pooled <- false
 
 let recycle t =
@@ -211,7 +203,6 @@ let make ~txn ~kind ~line ~mask ?demand ?(payload = No_data) ~src ~dst
       p.len <- p.len - 1;
       let t = p.slots.(p.len) in
       p.slots.(p.len) <- dummy;
-      p.reused <- p.reused + 1;
       if !checks && t.pooled then
         invalid_arg "Msg pool: free slot still marked live";
       t.txn <- txn;
@@ -228,8 +219,7 @@ let make ~txn ~kind ~line ~mask ?demand ?(payload = No_data) ~src ~dst
       t.pooled <- true;
       t
     end
-    else begin
-      p.minted <- p.minted + 1;
+    else
       {
         txn;
         kind;
@@ -244,7 +234,6 @@ let make ~txn ~kind ~line ~mask ?demand ?(payload = No_data) ~src ~dst
         amo;
         pooled = true;
       }
-    end
   else
     {
       txn;
@@ -269,9 +258,6 @@ let rsp_of_req = function
   | ReqWTdata -> RspWTdata
   | ReqOdata -> RspOdata
   | ReqWB -> RspWB
-
-let carries_data t =
-  match t.payload with No_data -> false | Data _ | Data_pooled _ -> true
 
 let kind_needs_data = function
   | Req (ReqV | ReqOdata | ReqS) | Probe RvkO -> true

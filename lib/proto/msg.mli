@@ -137,16 +137,9 @@ val dummy : t
 (** A settled placeholder record (never delivered, never mutated) for
     pre-sizing event pools. *)
 
-val pool_stats : unit -> int * int * int
-(** [(reused, minted, free)] counters for the current domain's pool:
-    makes served from the free-list, makes that allocated fresh while
-    pooling was on, and records currently parked. *)
-
 val rsp_of_req : req_kind -> rsp_kind
 (** The response kind paired with each request kind (paper: "Every Spandex
     request (Req) type has an associated response (Rsp) type"). *)
-
-val carries_data : t -> bool
 
 val kind_needs_data : kind -> bool
 (** True when serving this request (or probe) at a remote owner requires
@@ -171,8 +164,6 @@ val kind_name : kind -> string
 (** Constant string for a kind; allocation-free, unlike formatting. *)
 
 val req_kind_name : req_kind -> string
-val rsp_kind_name : rsp_kind -> string
-val probe_kind_name : probe_kind -> string
 
 val req_kind_index : req_kind -> int
 (** Dense index in [0, 7); matches the order of {!all_req_kinds}. *)

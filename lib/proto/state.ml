@@ -7,13 +7,4 @@ let device_readable = function V | O | S -> true | I -> false
 let device_writable = function O -> true | I | V | S -> false
 let device_to_string = function I -> "I" | V -> "V" | O -> "O" | S -> "S"
 
-let mesi_to_string = function
-  | M_I -> "I"
-  | M_S -> "S"
-  | M_E -> "E"
-  | M_M -> "M"
-
 let llc_line_to_string = function L_I -> "I" | L_V -> "V" | L_S -> "S"
-let pp_device fmt s = Format.pp_print_string fmt (device_to_string s)
-let pp_mesi fmt s = Format.pp_print_string fmt (mesi_to_string s)
-let pp_llc_line fmt s = Format.pp_print_string fmt (llc_line_to_string s)

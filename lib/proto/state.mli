@@ -23,9 +23,5 @@ val device_readable : device -> bool
 val device_writable : device -> bool
 (** A write hits without a request only in O. *)
 
-val pp_device : Format.formatter -> device -> unit
-val pp_mesi : Format.formatter -> mesi -> unit
-val pp_llc_line : Format.formatter -> llc_line -> unit
 val device_to_string : device -> string
-val mesi_to_string : mesi -> string
 val llc_line_to_string : llc_line -> string

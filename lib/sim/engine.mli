@@ -58,8 +58,6 @@ val pp_pending_work : Format.formatter -> pending_work -> unit
 val pp_work : Format.formatter -> pending_work list -> unit
 (** The item count, then one indented line per item. *)
 
-val pp_stuck : Format.formatter -> stuck -> unit
-
 val register_pending_source : t -> (unit -> pending_work list) -> unit
 (** Register a closure reporting a component's still-live work.
     Components call this once at build time.  This is the definition of
@@ -84,8 +82,6 @@ exception Livelock of livelock
     queue keeps churning but no forward progress is observed — e.g. a
     retry storm that never completes.  Complements {!Stuck}, which only
     fires on an empty queue. *)
-
-val pp_livelock : Format.formatter -> livelock -> unit
 
 type endpoint = {
   mutable handler : Spandex_proto.Msg.t -> unit;

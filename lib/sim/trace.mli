@@ -73,7 +73,6 @@ val recorded : t -> int
 
 val dropped : t -> int
 
-val num_classes : int
 val cls_name : int -> string
 (** Request-class display name by {!Spandex_proto.Msg.req_kind_index}. *)
 

@@ -13,6 +13,7 @@ module Check_log = Spandex_device.Check_log
 module Metrics = Spandex_obs.Metrics
 module Llc = Spandex.Llc
 module Backing = Spandex.Backing
+module Home = Spandex.Home
 module Mesi_l1 = Spandex_mesi.Mesi_l1
 module Mesi_dir = Spandex_mesi.Mesi_dir
 module Mesi_client = Spandex_mesi.Mesi_client
@@ -251,6 +252,20 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
   (* Components, most recently built first. *)
   let components = ref [] in
   let add c = components := c :: !components in
+  (* One component per home bank, all named [name]: the merged stats sum
+     back to the aggregate.  The fingerprint is emitted once, from bank 0's
+     slot. *)
+  let add_home name home ~fingerprint =
+    for b = 0 to banks - 1 do
+      add
+        {
+          c_name = name;
+          c_stats = Home.bank_stats home b;
+          c_metrics = Home.register_metrics home ~device:name b;
+          c_fingerprint = (if b = 0 then fingerprint else fun _ -> ());
+        }
+    done
+  in
   let kind_of id =
     if id < p.Params.cpu_cores then
       match config.Config.cpu with
@@ -281,20 +296,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
             reqs_policy = p.Params.reqs_policy;
           }
       in
-      (* One component per bank, all named "spandex_llc": the merged stats
-         sum back to the aggregate.  The fingerprint is emitted once, from
-         bank 0's slot. *)
-      for b = 0 to banks - 1 do
-        add
-          {
-            c_name = "spandex_llc";
-            c_stats = Llc.bank_stats llc b;
-            c_metrics =
-              (fun reg -> Llc.bank_register_metrics llc ~device:"spandex_llc" b reg);
-            c_fingerprint =
-              (if b = 0 then Llc.fingerprint llc else fun _ -> ());
-          }
-      done;
+      add_home "spandex_llc" (Llc.home llc) ~fingerprint:(Llc.fingerprint llc);
       ( home_id,
         home_id,
         Some
@@ -310,18 +312,8 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
           { Mesi_dir.dir_id = home_id; banks; sets = dsets; ways = dways;
             access_latency = p.Params.llc_access }
       in
-      for b = 0 to banks - 1 do
-        add
-          {
-            c_name = "mesi_dir";
-            c_stats = Mesi_dir.bank_stats dir b;
-            c_metrics =
-              (fun reg ->
-                Mesi_dir.bank_register_metrics dir ~device:"mesi_dir" b reg);
-            c_fingerprint =
-              (if b = 0 then Mesi_dir.fingerprint dir else fun _ -> ());
-          }
-      done;
+      add_home "mesi_dir" (Mesi_dir.home dir)
+        ~fingerprint:(Mesi_dir.fingerprint dir);
       let client =
         Mesi_client.create engine net
           { Mesi_client.id = l2_back_id; dir_id = home_id; dir_banks = banks;
@@ -342,16 +334,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
             reqs_policy = p.Params.reqs_policy;
           }
       in
-      for b = 0 to banks - 1 do
-        add
-          {
-            c_name = "gpu_l2";
-            c_stats = Llc.bank_stats l2 b;
-            c_metrics =
-              (fun reg -> Llc.bank_register_metrics l2 ~device:"gpu_l2" b reg);
-            c_fingerprint = (if b = 0 then Llc.fingerprint l2 else fun _ -> ());
-          }
-      done;
+      add_home "gpu_l2" (Llc.home l2) ~fingerprint:(Llc.fingerprint l2);
       add
         {
           c_name = "mesi_client";

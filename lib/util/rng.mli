@@ -25,9 +25,6 @@ val bool : t -> bool
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 

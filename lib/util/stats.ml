@@ -45,10 +45,12 @@ let grow t =
   t.touched <- touched;
   t.is_max <- is_max
 
+(* [Hashtbl.find] rather than [find_opt]: a string-keyed bump must not
+   allocate an option. *)
 let key t name =
-  match Hashtbl.find_opt t.index name with
-  | Some k -> k
-  | None ->
+  match Hashtbl.find t.index name with
+  | k -> k
+  | exception Not_found ->
     if t.n = Array.length t.counts then grow t;
     let k = t.n in
     t.n <- k + 1;
@@ -66,8 +68,6 @@ let max_key t k n =
   if n > t.counts.(k) then t.counts.(k) <- n;
   t.touched.(k) <- true;
   t.is_max.(k) <- true
-
-let get_key t k = t.counts.(k)
 
 (* ----- string-keyed wrappers ------------------------------------------------ *)
 

@@ -30,7 +30,6 @@ val bump : t -> key -> unit
 
 val bump_by : t -> key -> int -> unit
 val max_key : t -> key -> int -> unit
-val get_key : t -> key -> int
 
 (** {1 String-keyed API} *)
 

@@ -51,7 +51,6 @@ let emit_store b m a v =
   emit b (Ops.Store (a, v))
 
 let emit_check b m a = emit b (Ops.Check (a, read m a))
-let emit_load b a = emit b (Ops.Load a)
 
 let emit_rmw_add b m a delta =
   ignore (add m a delta);

@@ -43,7 +43,6 @@ val emit_store : builder -> mem -> Spandex_proto.Addr.t -> int -> unit
 val emit_check : builder -> mem -> Spandex_proto.Addr.t -> unit
 (** Emit a Check against the current expected value. *)
 
-val emit_load : builder -> Spandex_proto.Addr.t -> unit
 val emit_rmw_add : builder -> mem -> Spandex_proto.Addr.t -> int -> unit
 (** Emit an atomic add and track it. *)
 

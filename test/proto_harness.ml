@@ -26,10 +26,10 @@ let llc_id = 10
 (* Three fake devices (0, 1, 2); device kinds are configurable to steer the
    ReqS policy. *)
 let setup_with_policy ?(kind_of = fun _ -> Llc.Kind_denovo) ?(sets = 16)
-    ?(ways = 4) ?(reqs_policy = Llc.Reqs_auto) () =
+    ?(ways = 4) ?(reqs_policy = Llc.Reqs_auto) ?fault () =
   Spandex_proto.Txn.reset ();
   let engine = Engine.create () in
-  let net = Network.create engine (Network.flat_topology ~latency:2) in
+  let net = Network.create ?fault engine (Network.flat_topology ~latency:2) in
   let dram = Dram.create engine ~latency:5 ~service_interval:0 in
   let llc =
     Llc.create engine net
@@ -44,7 +44,8 @@ let setup_with_policy ?(kind_of = fun _ -> Llc.Kind_denovo) ?(sets = 16)
   in
   { engine; net; dram; llc; devices }
 
-let setup ?kind_of ?sets ?ways () = setup_with_policy ?kind_of ?sets ?ways ()
+let setup ?kind_of ?sets ?ways ?fault () =
+  setup_with_policy ?kind_of ?sets ?ways ?fault ()
 
 let run t = ignore (Engine.run_all ~strict:false t.engine)
 

@@ -26,10 +26,10 @@ type h = {
   inboxes : Msg.t list ref array;
 }
 
-let harness ?(sets = 16) ?(ways = 4) () =
+let harness ?(sets = 16) ?(ways = 4) ?fault () =
   Spandex_proto.Txn.reset ();
   let engine = Engine.create () in
-  let net = Network.create engine (Network.flat_topology ~latency:2) in
+  let net = Network.create ?fault engine (Network.flat_topology ~latency:2) in
   let dram = Dram.create engine ~latency:5 ~service_interval:0 in
   let dir =
     Mesi_dir.create engine net dram
@@ -232,6 +232,26 @@ let hierarchy_recalls_under_pressure () =
         [ Spandex_system.Config.hmg; Spandex_system.Config.hmd ])
     [ 1; 2; 3 ]
 
+(* The at-most-once reply cache, armed by any fault plan (here one that
+   never fires): a second arrival of a guarded request's txn re-sends the
+   recorded responses instead of re-running the transition. *)
+let dir_reply_cache_replays_guarded () =
+  let h = harness ~fault:(Spandex_net.Fault.uniform ~seed:1 ()) () in
+  let txn = send h ~from:0 ~kind:(Msg.Req Msg.ReqOdata) ~line:3 () in
+  let first = msgs h 0 in
+  ignore (expect ~what:"grant" first (Msg.Rsp Msg.RspOdata));
+  let before = Mesi_dir.line_state h.dir ~line:3 in
+  clear h;
+  ignore (send h ~txn ~from:0 ~kind:(Msg.Req Msg.ReqOdata) ~line:3 ());
+  let again = msgs h 0 in
+  check_int "same response count" (List.length first) (List.length again);
+  check_bool "recorded responses re-sent" true (List.for_all2 ( == ) first again);
+  check_int "replayed once" 1
+    (Spandex_util.Stats.get (Mesi_dir.bank_stats h.dir 0) "replayed");
+  check_bool "state unchanged" true (Mesi_dir.line_state h.dir ~line:3 = before);
+  check_bool "still owned by 0" true
+    (Mesi_dir.line_state h.dir ~line:3 = Some (Mesi_dir.D_M 0))
+
 let tests =
   [
     test "dir_e_grant_then_fwd_gets" dir_e_grant_then_fwd_gets;
@@ -242,4 +262,5 @@ let tests =
     test "dir_crossing_putm_unblocks_fwd" dir_crossing_putm_unblocks_fwd;
     test "dir_eviction_recalls_owner" dir_eviction_recalls_owner;
     test "hierarchy_recalls_under_pressure" hierarchy_recalls_under_pressure;
+    test "dir_reply_cache_replays_guarded" dir_reply_cache_replays_guarded;
   ]

@@ -391,6 +391,47 @@ let partial_rvko_responses_accumulate () =
     (Llc.peek_word t.llc (Addr.make ~line:14 ~word:1) = Some 100
     && Llc.peek_word t.llc (Addr.make ~line:14 ~word:0) = Some 201)
 
+(* --- at-most-once reply cache ---------------------------------------------- *)
+
+(* Any fault plan arms the reply cache; this one never fires.  A second
+   arrival of a guarded request's txn re-sends the recorded responses
+   instead of re-running the transition; an unguarded ReqV is reprocessed. *)
+let reply_cache_replays_guarded () =
+  let t = setup ~fault:(Spandex_net.Fault.uniform ~seed:1 ()) () in
+  let replayed () =
+    Spandex_util.Stats.get (Llc.bank_stats t.llc 0) "replayed"
+  in
+  let txn = req t ~from:0 ~kind:Msg.ReqOdata ~line:3 ~mask:full () in
+  let first = inbox t 0 in
+  ignore (expect_kind ~what:"grant" first (Msg.Rsp Msg.RspOdata));
+  let state () =
+    ( Llc.line_state t.llc ~line:3,
+      Llc.owned_mask t.llc ~line:3,
+      Llc.owner_of t.llc (Addr.make ~line:3 ~word:0),
+      Llc.sharers t.llc ~line:3 )
+  in
+  let before = state () in
+  clear_inboxes t;
+  ignore (req t ~txn ~from:0 ~kind:Msg.ReqOdata ~line:3 ~mask:full ());
+  let again = inbox t 0 in
+  check_int "same response count" (List.length first) (List.length again);
+  check_bool "recorded responses re-sent" true (List.for_all2 ( == ) first again);
+  check_int "replayed once" 1 (replayed ());
+  check_bool "state unchanged" true (state () = before);
+  clear_inboxes t;
+  let reqv_count () =
+    Spandex_util.Stats.get (Llc.bank_stats t.llc 0) "req.ReqV"
+  in
+  let txn = req t ~from:1 ~kind:Msg.ReqV ~line:4 ~mask:full () in
+  ignore (expect_kind ~what:"first ReqV" (inbox t 1) (Msg.Rsp Msg.RspV));
+  let seen = reqv_count () in
+  clear_inboxes t;
+  ignore (req t ~txn ~from:1 ~kind:Msg.ReqV ~line:4 ~mask:full ());
+  let m = expect_kind ~what:"ReqV processed again" (inbox t 1) (Msg.Rsp Msg.RspV) in
+  check_int "fresh data response" 16 (List.length (payload_list m));
+  check_int "ReqV not replayed" 1 (replayed ());
+  check_int "ReqV handled again" (seen + 1) (reqv_count ())
+
 let tests =
   [
     test "reqv_fills_from_memory" reqv_fills_from_memory;
@@ -418,4 +459,5 @@ let tests =
     test "blocked_requests_replay_in_order" blocked_requests_replay_in_order;
     test "crossing_wb_satisfies_revocation" crossing_wb_satisfies_revocation;
     test "partial_rvko_responses_accumulate" partial_rvko_responses_accumulate;
+    test "reply_cache_replays_guarded" reply_cache_replays_guarded;
   ]
