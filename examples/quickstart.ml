@@ -8,6 +8,7 @@
 
 module Addr = Spandex_proto.Addr
 module Ops = Spandex_device.Ops
+module Program = Spandex_device.Program
 module Config = Spandex_system.Config
 module Run = Spandex_system.Run
 module Workload = Spandex_system.Workload
@@ -38,8 +39,8 @@ let () =
   let workload =
     {
       Workload.name = "quickstart";
-      cpu_programs = [| cpu_program |];
-      gpu_programs = [| [| gpu_program |] |];
+      cpu_programs = [| Program.of_ops cpu_program |];
+      gpu_programs = [| [| Program.of_ops gpu_program |] |];
       barrier_parties = [| 2; 2 |];
       region_of = (fun _ -> 0);
     }

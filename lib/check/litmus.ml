@@ -1,4 +1,5 @@
 module Ops = Spandex_device.Ops
+module Program = Spandex_device.Program
 module Addr = Spandex_proto.Addr
 module Amo = Spandex_proto.Amo
 module Params = Spandex_system.Params
@@ -133,9 +134,9 @@ let workload case ~cpus ~gpus =
   let programs, barrier_parties = case.programs ~devices in
   {
     Workload.name = Printf.sprintf "litmus-%s" case.case_name;
-    cpu_programs = Array.sub programs 0 cpus;
+    cpu_programs = Array.init cpus (fun i -> Program.of_ops programs.(i));
     gpu_programs =
-      Array.init gpus (fun j -> [| programs.(cpus + j) |]);
+      Array.init gpus (fun j -> [| Program.of_ops programs.(cpus + j) |]);
     barrier_parties;
     region_of = (fun _ -> 0);
   }

@@ -4,7 +4,7 @@ module Stats = Spandex_util.Stats
 type ctx_state = Ready | Waiting | Finished
 
 type context = {
-  ops : Ops.t array;
+  prog : Program.t;
   mutable pc : int;
   mutable state : ctx_state;
   (* Preallocated continuations (wired in [create]): issuing an op is the
@@ -15,7 +15,7 @@ type context = {
   mutable wake_int : int -> unit;  (* [wake] discarding a loaded value. *)
   mutable check_k : int -> unit;
       (* logs the loaded value against the in-flight [Check] at
-         [ops.(pc - 1)], then wakes. *)
+         [pc - 1], then wakes. *)
 }
 
 type t = {
@@ -68,47 +68,51 @@ and issue t =
     let ctx = t.contexts.(idx) in
     t.rr <- (idx + 1) mod Array.length t.contexts;
     t.next_slot <- Engine.now t.engine + t.clock;
-    let op = ctx.ops.(ctx.pc) in
-    ctx.pc <- ctx.pc + 1;
+    let p = ctx.prog and pc = ctx.pc in
+    let c = p.Program.code.(pc) in
+    ctx.pc <- pc + 1;
     Stats.bump t.stats t.k_ops;
     let wake = ctx.wake in
     ctx.state <- Waiting;
-    (match op with
-    | Ops.Load a ->
+    (match Program.kind c with
+    | Program.Load ->
       Stats.bump t.stats t.k_loads;
-      t.port.Port.load a ~k:ctx.wake_int
-    | Ops.Check (a, _) ->
+      t.port.Port.load p.Program.addrs.(Program.operand c) ~k:ctx.wake_int
+    | Program.Check ->
       Stats.bump t.stats t.k_loads;
-      t.port.Port.load a ~k:ctx.check_k
-    | Ops.Store (a, value) ->
+      t.port.Port.load p.Program.addrs.(Program.operand c) ~k:ctx.check_k
+    | Program.Store ->
       Stats.bump t.stats t.k_stores;
-      t.port.Port.store a ~value ~k:wake
-    | Ops.Rmw (a, amo) ->
+      t.port.Port.store p.Program.addrs.(Program.operand c)
+        ~value:p.Program.args.(pc) ~k:wake
+    | Program.Rmw ->
       Stats.bump t.stats t.k_rmws;
-      t.port.Port.rmw a amo ~k:ctx.wake_int
-    | Ops.Acquire ->
+      t.port.Port.rmw p.Program.addrs.(Program.operand c)
+        p.Program.amos.(p.Program.args.(pc)) ~k:ctx.wake_int
+    | Program.Acquire ->
       Stats.bump t.stats t.k_acquires;
       t.port.Port.acquire ~k:wake
-    | Ops.Acquire_region region ->
+    | Program.Acquire_region ->
       Stats.bump t.stats t.k_acquires;
-      t.port.Port.acquire_region ~region ~k:wake
-    | Ops.Release ->
+      t.port.Port.acquire_region ~region:(Program.operand c) ~k:wake
+    | Program.Release ->
       Stats.bump t.stats t.k_releases;
       t.port.Port.release ~k:wake
-    | Ops.Barrier b ->
+    | Program.Barrier ->
       Stats.bump t.stats t.k_barriers;
-      let barrier = t.barriers.(b) in
+      let barrier = t.barriers.(Program.operand c) in
       t.port.Port.release ~k:(fun () ->
           Barrier.arrive barrier ~k:(fun () -> t.port.Port.acquire ~k:wake))
-    | Ops.Barrier_region (b, region) ->
+    | Program.Barrier_region ->
       Stats.bump t.stats t.k_barriers;
-      let barrier = t.barriers.(b) in
+      let barrier = t.barriers.(Program.operand c) in
+      let region = p.Program.args.(pc) in
       t.port.Port.release ~k:(fun () ->
           Barrier.arrive barrier ~k:(fun () ->
               t.port.Port.acquire_region ~region ~k:wake))
-    | Ops.Compute n ->
+    | Program.Compute ->
       Stats.bump t.stats t.k_compute;
-      Engine.schedule t.engine ~delay:(n * t.clock) wake);
+      Engine.schedule t.engine ~delay:(Program.operand c * t.clock) wake);
     (* Keep issuing while other contexts are ready. *)
     arm t
   end
@@ -117,11 +121,11 @@ let create engine ~port ~barriers ~check_log ~core_id ~clock ~programs =
   assert (clock >= 1);
   let contexts =
     Array.map
-      (fun ops ->
+      (fun prog ->
         {
-          ops;
+          prog;
           pc = 0;
-          state = (if Array.length ops = 0 then Finished else Ready);
+          state = (if Program.length prog = 0 then Finished else Ready);
           wake = ignore;
           wake_int = ignore;
           check_k = ignore;
@@ -162,7 +166,7 @@ let create engine ~port ~barriers ~check_log ~core_id ~clock ~programs =
   Array.iter
     (fun ctx ->
       let wake () =
-        if ctx.pc >= Array.length ctx.ops then begin
+        if ctx.pc >= Program.length ctx.prog then begin
           ctx.state <- Finished;
           t.done_count <- t.done_count + 1
         end
@@ -173,20 +177,21 @@ let create engine ~port ~barriers ~check_log ~core_id ~clock ~programs =
       ctx.wake_int <- (fun _v -> wake ());
       ctx.check_k <-
         (fun actual ->
-          match ctx.ops.(ctx.pc - 1) with
-          | Ops.Check (a, expected) ->
-            Check_log.incr_checks t.check_log;
-            if actual <> expected then
-              Check_log.record t.check_log
-                {
-                  Check_log.core = t.core_id;
-                  addr = a;
-                  expected;
-                  actual;
-                  cycle = Engine.now t.engine;
-                };
-            wake ()
-          | _ -> assert false))
+          let p = ctx.prog and pc = ctx.pc - 1 in
+          let c = p.Program.code.(pc) in
+          assert (Program.kind c = Program.Check);
+          let expected = p.Program.args.(pc) in
+          Check_log.incr_checks t.check_log;
+          if actual <> expected then
+            Check_log.record t.check_log
+              {
+                Check_log.core = t.core_id;
+                addr = p.Program.addrs.(Program.operand c);
+                expected;
+                actual;
+                cycle = Engine.now t.engine;
+              };
+          wake ()))
     t.contexts;
   t.issue_thunk <-
     (fun () ->
@@ -201,7 +206,7 @@ let start t =
       Array.to_list t.contexts
       |> List.mapi (fun i c ->
              let item verb pc =
-               let op = c.ops.(pc) in
+               let op = Program.get c.prog pc in
                Some
                  {
                    Engine.pw_device = Printf.sprintf "core.%d" t.core_id;

@@ -1,6 +1,6 @@
 (** Unified execution-context model for CPUs and GPU compute units.
 
-    A core owns one or more contexts, each running an op array in order.
+    A core owns one or more contexts, each running a {!Program.t} in order.
     One context issues per issue slot ([clock] engine cycles apart),
     rotating round-robin among ready contexts — with a single context this
     is an in-order CPU core with blocking loads; with many it is a GPU CU
@@ -21,11 +21,11 @@ val create :
   check_log:Check_log.t ->
   core_id:int ->
   clock:int ->
-  programs:Ops.t array array ->
+  programs:Program.t array ->
   t
 (** [clock] is engine cycles per issue slot (1 for a 2 GHz CPU core, 3 for
-    a 700 MHz GPU CU with the LLC clock at 2 GHz).  [programs] gives one op
-    array per context. *)
+    a 700 MHz GPU CU with the LLC clock at 2 GHz).  [programs] gives one
+    program per context. *)
 
 val start : t -> unit
 (** Arm the issue loop; contexts begin executing at the current cycle.

@@ -24,8 +24,3 @@ let pp fmt = function
   | Barrier_region (b, r) -> Format.fprintf fmt "barrier %d (region %d)" b r
   | Compute n -> Format.fprintf fmt "compute %d" n
   | Check (a, v) -> Format.fprintf fmt "check %a = %d" Addr.pp a v
-
-let count p ops = Array.fold_left (fun acc op -> if p op then acc + 1 else acc) 0 ops
-let loads = count (function Load _ | Check _ -> true | _ -> false)
-let stores = count (function Store _ -> true | _ -> false)
-let rmws = count (function Rmw _ -> true | _ -> false)

@@ -1,8 +1,9 @@
 (** Abstract core operations.
 
-    Workload generators compile each benchmark down to per-thread /
-    per-warp arrays of these; the protocols only ever observe the memory
-    operations and DRF synchronization points (paper §III-E). *)
+    Workload generators compile each benchmark down to one {!Program.t}
+    per thread / per warp, the packed form of an array of these; the
+    protocols only ever observe the memory operations and DRF
+    synchronization points (paper §III-E). *)
 
 type t =
   | Load of Spandex_proto.Addr.t
@@ -27,9 +28,3 @@ type t =
       (** load and verify the value — the workloads' built-in oracle. *)
 
 val pp : Format.formatter -> t -> unit
-
-val loads : t array -> int
-(** Number of Load/Check ops, for workload statistics. *)
-
-val stores : t array -> int
-val rmws : t array -> int

@@ -4,10 +4,10 @@
 
 type t = {
   name : string;
-  cpu_programs : Spandex_device.Ops.t array array;
+  cpu_programs : Spandex_device.Program.t array;
       (** indexed by CPU core; may be shorter than the configured core
           count (extra cores idle). *)
-  gpu_programs : Spandex_device.Ops.t array array array;
+  gpu_programs : Spandex_device.Program.t array array;
       (** indexed by CU, then warp. *)
   barrier_parties : int array;
       (** parties for each barrier id used in the programs. *)
@@ -20,4 +20,5 @@ type t = {
 val total_ops : t -> int
 
 val validate : t -> unit
-(** Checks every barrier id is in range; raises [Invalid_argument]. *)
+(** Checks every barrier id is in range; raises [Invalid_argument].
+    Allocates nothing per op. *)

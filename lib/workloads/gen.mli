@@ -1,6 +1,6 @@
 (** Workload-construction utilities.
 
-    Generators build per-thread op arrays while tracking the expected value
+    Generators build per-thread programs while tracking the expected value
     of every word (initial contents follow
     {!Spandex_proto.Linedata.init_word}), so data-race-free reads can be
     emitted as [Check] ops — every experiment doubles as a coherence test. *)
@@ -34,8 +34,11 @@ val add : mem -> Spandex_proto.Addr.t -> int -> int
 (** {2 Program builders} *)
 
 type builder
+(** One thread's or warp's program under construction.  It writes the
+    packed {!Spandex_device.Program.t} directly: an address is stored as
+    its flat word index, and every builder of one {!t} shares one AMO
+    table. *)
 
-val builder : unit -> builder
 val emit : builder -> Spandex_device.Ops.t -> unit
 val emit_store : builder -> mem -> Spandex_proto.Addr.t -> int -> unit
 (** Emit a store and record the expectation. *)
@@ -46,14 +49,16 @@ val emit_check : builder -> mem -> Spandex_proto.Addr.t -> unit
 val emit_rmw_add : builder -> mem -> Spandex_proto.Addr.t -> int -> unit
 (** Emit an atomic add and track it. *)
 
-val ops : builder -> Spandex_device.Ops.t array
-
 (** {2 Whole-workload assembly} *)
+
+type tables
+(** The address and AMO tables the workload's programs share. *)
 
 type t = {
   cpus : builder array;
   gpus : builder array array;  (** per CU, per warp. *)
   mutable barriers : int list;  (** parties per allocated barrier, reversed. *)
+  tables : tables;
 }
 
 val create : cpus:int -> cus:int -> warps:int -> t
@@ -66,5 +71,8 @@ val barrier_among : t -> members:[ `Cpu of int | `Warp of int * int ] list -> un
 
 val finish :
   ?region_of:(int -> int) -> t -> name:string -> Spandex_system.Workload.t
-(** [region_of] classifies lines into software regions for
-    region-selective acquires; defaults to a single region. *)
+(** Seals every builder over the shared tables.  The address table holds
+    one entry per flat word index up to the highest one emitted, which is
+    dense because {!region} allocates from line 0.  [region_of] classifies
+    lines into software regions for region-selective acquires; defaults to
+    a single region. *)

@@ -132,8 +132,9 @@ let table2 () =
   let open Spandex_proto in
   let at line word = Addr.make ~line ~word in
   let program =
-    Spandex_device.Ops.
-      [| Load (at 1 0); Store (at 2 3, 42); Rmw (at 3 1, Amo.Add 1); Release |]
+    Spandex_device.Program.of_ops
+      Spandex_device.Ops.
+        [| Load (at 1 0); Store (at 2 3, 42); Rmw (at 3 1, Amo.Add 1); Release |]
   in
   let scenario label config ~gpu_side =
     job label config

@@ -3,6 +3,7 @@
 module Addr = Spandex_proto.Addr
 module Amo = Spandex_proto.Amo
 module Ops = Spandex_device.Ops
+module Program = Spandex_device.Program
 module Config = Spandex_system.Config
 module Params = Spandex_system.Params
 module Run = Spandex_system.Run
@@ -10,10 +11,15 @@ module Workload = Spandex_system.Workload
 
 let w i = Addr.line_of_word_index i
 
-(* A workload touching word indices offset by [base] so tests don't collide
-   in interesting ways unless they mean to. *)
+(* A workload of hand-built op arrays, one per CPU core and per warp. *)
 let workload ?(name = "test") ?(barriers = [||]) ~cpu ~gpu () =
-  { Workload.name; cpu_programs = cpu; gpu_programs = gpu; barrier_parties = barriers; region_of = (fun _ -> 0) }
+  {
+    Workload.name;
+    cpu_programs = Array.map Program.of_ops cpu;
+    gpu_programs = Array.map (Array.map Program.of_ops) gpu;
+    barrier_parties = barriers;
+    region_of = (fun _ -> 0);
+  }
 
 let simulate ?params config wl =
   let r = Run.simulate ?params ~config wl in

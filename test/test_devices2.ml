@@ -382,7 +382,7 @@ let core_barrier_is_release_acquire () =
   let barriers = [| Spandex_device.Barrier.create e ~parties:1 |] in
   let core =
     Spandex_device.Core.create e ~port ~barriers ~check_log ~core_id:0 ~clock:1
-      ~programs:[| [| Spandex_device.Ops.Barrier 0 |] |]
+      ~programs:[| Spandex_device.Program.of_ops [| Spandex_device.Ops.Barrier 0 |] |]
   in
   Spandex_device.Core.start core;
   ignore

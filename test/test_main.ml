@@ -13,6 +13,7 @@ let () =
       ("dir", Test_dir.tests);
       ("devices2", Test_devices2.tests);
       ("workloads", Test_workloads.tests);
+      ("program", Test_program.tests);
       ("system", Test_system.tests);
       ("smoke", Test_smoke.tests);
       ("properties", Test_properties.tests);

@@ -251,7 +251,8 @@ let core_warp_interleaving () =
   let prog i = [| Spandex_device.Ops.Load (addr i); Spandex_device.Ops.Load (addr (10 + i)) |] in
   let core =
     Spandex_device.Core.create e ~port ~barriers:[||] ~check_log ~core_id:0
-      ~clock:1 ~programs:[| prog 0; prog 1 |]
+      ~clock:1
+      ~programs:[| Spandex_device.Program.of_ops (prog 0); Spandex_device.Program.of_ops (prog 1) |]
   in
   Spandex_device.Core.start core;
   let finish =
@@ -272,7 +273,11 @@ let core_single_context_blocks () =
   let core =
     Spandex_device.Core.create e ~port ~barriers:[||] ~check_log ~core_id:0
       ~clock:1
-      ~programs:[| [| Spandex_device.Ops.Load (addr 0); Spandex_device.Ops.Load (addr 1) |] |]
+      ~programs:
+        [|
+          Spandex_device.Program.of_ops
+            [| Spandex_device.Ops.Load (addr 0); Spandex_device.Ops.Load (addr 1) |];
+        |]
   in
   Spandex_device.Core.start core;
   let finish =
@@ -286,7 +291,9 @@ let core_gpu_clock_scaling () =
   let log = ref [] in
   let port = stub_port e ~mem_delay:1 log in
   let check_log = Spandex_device.Check_log.create () in
-  let compute = Array.make 10 (Spandex_device.Ops.Compute 1) in
+  let compute =
+    Spandex_device.Program.of_ops (Array.make 10 (Spandex_device.Ops.Compute 1))
+  in
   let core =
     Spandex_device.Core.create e ~port ~barriers:[||] ~check_log ~core_id:0
       ~clock:3 ~programs:[| compute |]
@@ -330,15 +337,17 @@ let engine_run_words n =
 let engine_run_allocation_flat () =
   Helpers.check_flat "Engine.run" ~words:engine_run_words
 
-(* A core running [n] [Check] ops against a port that answers every load
-   through [Engine.apply_later]. *)
-let core_check_words n =
+(* A core running the packed program of [n] ops [op i] against a port
+   that answers every load through [Engine.apply_later] and accepts every
+   store through [Engine.schedule]; the program is built before the
+   measurement. *)
+let core_words ~op n =
   let e = Engine.create () in
   let fail _ = Alcotest.fail "unexpected port call" in
   let port =
     {
       Spandex_device.Port.load = (fun _ ~k -> Engine.apply_later e ~delay:2 k 7);
-      store = (fun _ ~value:_ ~k:_ -> fail ());
+      store = (fun _ ~value:_ ~k -> Engine.schedule e ~delay:2 k);
       rmw = (fun _ _ ~k:_ -> fail ());
       acquire = (fun ~k:_ -> fail ());
       acquire_region = (fun ~region:_ ~k:_ -> fail ());
@@ -346,10 +355,7 @@ let core_check_words n =
     }
   in
   let check_log = Spandex_device.Check_log.create () in
-  let prog =
-    Array.init n (fun i ->
-        Spandex_device.Ops.Check (Spandex_proto.Addr.make ~line:i ~word:0, 7))
-  in
+  let prog = Spandex_device.Program.of_ops (Array.init n op) in
   let core =
     Spandex_device.Core.create e ~port ~barriers:[||] ~check_log ~core_id:0
       ~clock:1 ~programs:[| prog |]
@@ -358,12 +364,51 @@ let core_check_words n =
   Spandex_device.Core.start core;
   run_until e (fun () -> Spandex_device.Core.finished core);
   let words = Gc.minor_words () -. w0 in
-  check_int "every check counted" n (Spandex_device.Check_log.checks check_log);
   check_bool "every check clean" true (Spandex_device.Check_log.is_clean check_log);
+  (words, check_log)
+
+let line i = Spandex_proto.Addr.make ~line:i ~word:0
+
+let core_check_words n =
+  let words, check_log =
+    core_words ~op:(fun i -> Spandex_device.Ops.Check (line i, 7)) n
+  in
+  check_int "every check counted" n (Spandex_device.Check_log.checks check_log);
   words
 
 let core_check_allocation_flat () =
   Helpers.check_flat "Core issuing Check ops" ~words:core_check_words
+
+let core_load_store_allocation_flat () =
+  Helpers.check_flat "Core issuing Load ops"
+    ~words:(fun n -> fst (core_words ~op:(fun i -> Spandex_device.Ops.Load (line i)) n));
+  Helpers.check_flat "Core issuing Store ops"
+    ~words:(fun n ->
+      fst (core_words ~op:(fun i -> Spandex_device.Ops.Store (line i, i)) n))
+
+(* [Run.build] validates the workload in every cell, so validation walks
+   the code words without decoding them. *)
+let validate_words n =
+  let op i =
+    if i mod 2 = 0 then Spandex_device.Ops.Barrier_region (0, 1)
+    else Spandex_device.Ops.Check (line i, 7)
+  in
+  let program = Spandex_device.Program.of_ops (Array.init n op) in
+  let wl =
+    {
+      Spandex_system.Workload.name = "validate";
+      cpu_programs = [| program |];
+      gpu_programs = [| [| program |] |];
+      barrier_parties = [| 2 |];
+      region_of = (fun _ -> 0);
+    }
+  in
+  let w0 = Gc.minor_words () in
+  Spandex_system.Workload.validate wl;
+  Gc.minor_words () -. w0
+
+let validate_allocation_flat () =
+  Helpers.check_flat "Workload.validate" ~words:validate_words
 
 let tests =
   [
@@ -387,4 +432,6 @@ let tests =
     test "core_gpu_clock_scaling" core_gpu_clock_scaling;
     test "engine_run_allocation_flat" engine_run_allocation_flat;
     test "core_check_allocation_flat" core_check_allocation_flat;
+    test "core_load_store_allocation_flat" core_load_store_allocation_flat;
+    test "validate_allocation_flat" validate_allocation_flat;
   ]

@@ -99,11 +99,12 @@ let geometry_subsets_work () =
       Workload.name = "cpu-only";
       cpu_programs =
         [|
-          [|
-            Spandex_device.Ops.Store (Spandex_proto.Addr.make ~line:0 ~word:0, 1);
-            Spandex_device.Ops.Release;
-            Spandex_device.Ops.Check (Spandex_proto.Addr.make ~line:0 ~word:0, 1);
-          |];
+          Spandex_device.Program.of_ops
+            [|
+              Spandex_device.Ops.Store (Spandex_proto.Addr.make ~line:0 ~word:0, 1);
+              Spandex_device.Ops.Release;
+              Spandex_device.Ops.Check (Spandex_proto.Addr.make ~line:0 ~word:0, 1);
+            |];
         |];
       gpu_programs = [||];
       barrier_parties = [||];
@@ -139,11 +140,12 @@ let checks_catch_wrong_data () =
       Workload.name = "bad-check";
       cpu_programs =
         [|
-          [|
-            Spandex_device.Ops.Store (Spandex_proto.Addr.make ~line:0 ~word:0, 1);
-            Spandex_device.Ops.Release;
-            Spandex_device.Ops.Check (Spandex_proto.Addr.make ~line:0 ~word:0, 999);
-          |];
+          Spandex_device.Program.of_ops
+            [|
+              Spandex_device.Ops.Store (Spandex_proto.Addr.make ~line:0 ~word:0, 1);
+              Spandex_device.Ops.Release;
+              Spandex_device.Ops.Check (Spandex_proto.Addr.make ~line:0 ~word:0, 999);
+            |];
         |];
       gpu_programs = [||];
       barrier_parties = [||];
@@ -160,7 +162,7 @@ let workload_too_big_rejected () =
   let wl =
     {
       Workload.name = "too-many-cpus";
-      cpu_programs = Array.make 9 [||];
+      cpu_programs = Array.make 9 (Spandex_device.Program.of_ops [||]);
       gpu_programs = [||];
       barrier_parties = [||];
       region_of = (fun _ -> 0);

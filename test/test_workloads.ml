@@ -2,6 +2,7 @@
    the communication-pattern properties the paper's evaluation relies on. *)
 
 module Ops = Spandex_device.Ops
+module Program = Spandex_device.Program
 module Workload = Spandex_system.Workload
 module Registry = Spandex_workloads.Registry
 module Microbench = Spandex_workloads.Microbench
@@ -54,7 +55,7 @@ let barrier_participation_consistent () =
           (function
             | Ops.Barrier b | Ops.Barrier_region (b, _) -> uses.(b) <- uses.(b) + 1
             | _ -> ())
-          p
+          (Program.to_ops p)
       in
       Array.iter count wl.Workload.cpu_programs;
       Array.iter (fun cu -> Array.iter count cu) wl.Workload.gpu_programs;
@@ -128,18 +129,18 @@ let mem_tracks_expectations () =
   check_int "add returns new" 8 (Gen.add m a 3);
   check_int "accumulated" 8 (Gen.read m a)
 
-let stress_reads_are_race_free () =
-  (* Within a phase, no Check may target a word any thread stores to. *)
-  let wl = Stress.generate Stress.default_spec geom in
+(* Within a phase, no Check may target a word any thread stores to. *)
+let race_free (wl : Workload.t) =
   let programs =
-    Array.to_list wl.Workload.cpu_programs
-    @ List.concat_map Array.to_list (Array.to_list wl.Workload.gpu_programs)
+    List.map Program.to_ops
+      (Array.to_list wl.Workload.cpu_programs
+      @ List.concat_map Array.to_list (Array.to_list wl.Workload.gpu_programs))
   in
   let positions = List.map (fun p -> (p, ref 0)) programs in
-  let n_barriers = Array.length wl.Workload.barrier_parties in
+  let ok = ref true in
   (* Walk phase by phase: collect ops of each program up to its next
      barrier, check write/read disjointness, advance. *)
-  for _phase = 0 to n_barriers - 1 do
+  for _phase = 0 to Array.length wl.Workload.barrier_parties - 1 do
     let writes = Hashtbl.create 64 and reads = Hashtbl.create 64 in
     List.iter
       (fun (p, pos) ->
@@ -153,10 +154,20 @@ let stress_reads_are_race_free () =
           incr pos
         done)
       positions;
-    Hashtbl.iter
-      (fun a () ->
-        check_bool "no read-write race in a phase" false (Hashtbl.mem writes a))
-      reads
+    Hashtbl.iter (fun a () -> if Hashtbl.mem writes a then ok := false) reads
+  done;
+  !ok
+
+let stress_reads_are_race_free () =
+  check_bool "no read-write race in a phase" true
+    (race_free (Stress.generate Stress.default_spec geom))
+
+(* Held-out seeds: every stress program validates and stays race free. *)
+let stress_seeds_validate () =
+  for seed = 1 to 50 do
+    let wl = Stress.generate { Stress.default_spec with Stress.seed } geom in
+    Workload.validate wl;
+    check_bool (Printf.sprintf "seed %d race free" seed) true (race_free wl)
   done
 
 let tests =
@@ -170,4 +181,5 @@ let tests =
     test "regions_disjoint" regions_disjoint;
     test "mem_tracks_expectations" mem_tracks_expectations;
     test "stress_reads_are_race_free" stress_reads_are_race_free;
+    test "stress_seeds_validate" stress_seeds_validate;
   ]
