@@ -27,7 +27,7 @@ let () =
   let net = Network.create engine (Network.flat_topology ~latency:8) in
   let dram = Dram.create engine ~latency:100 ~service_interval:2 in
   let llc =
-    Llc.create engine net
+    Llc.create ~name:"llc" engine net
       (Backing.dram engine dram)
       {
         Llc.llc_id;
@@ -35,12 +35,12 @@ let () =
         sets = 256;
         ways = 8;
         access_latency = 8;
-        kind_of = (fun id -> if id = cpu_id then Llc.Kind_denovo else Llc.Kind_gpu);
+        is_mesi = (fun _ -> false);
         reqs_policy = Llc.Reqs_auto;
       }
   in
   let cpu =
-    Denovo_l1.create engine net
+    Denovo_l1.create ~name:"cpu" engine net
       {
         Denovo_l1.id = cpu_id;
         llc_id;
@@ -58,7 +58,7 @@ let () =
       }
   in
   let gpu =
-    Gpu_l1.create engine net
+    Gpu_l1.create ~name:"gpu" engine net
       {
         Gpu_l1.id = gpu_id;
         llc_id;

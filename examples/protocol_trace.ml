@@ -45,7 +45,7 @@ let () =
   let net = Network.create engine (Network.flat_topology ~latency:4) in
   let dram = Dram.create engine ~latency:20 ~service_interval:1 in
   let _llc =
-    Llc.create engine net
+    Llc.create ~name:(device_name llc_id) engine net
       (Backing.dram engine dram)
       {
         Llc.llc_id;
@@ -53,16 +53,12 @@ let () =
         sets = 64;
         ways = 4;
         access_latency = 2;
-        kind_of =
-          (fun id ->
-            if id = mesi_id then Llc.Kind_mesi
-            else if id = gpu_id then Llc.Kind_gpu
-            else Llc.Kind_denovo);
+        is_mesi = (fun id -> id = mesi_id);
         reqs_policy = Llc.Reqs_auto;
       }
   in
   let acc =
-    Spandex_denovo.Denovo_l1.create engine net
+    Spandex_denovo.Denovo_l1.create ~name:(device_name acc_id) engine net
       {
         Spandex_denovo.Denovo_l1.id = acc_id;
         llc_id;
@@ -80,7 +76,7 @@ let () =
       }
   in
   let gpu =
-    Spandex_gpucoh.Gpu_l1.create engine net
+    Spandex_gpucoh.Gpu_l1.create ~name:(device_name gpu_id) engine net
       {
         Spandex_gpucoh.Gpu_l1.id = gpu_id;
         llc_id;
@@ -95,7 +91,7 @@ let () =
       }
   in
   let mesi =
-    Spandex_mesi.Mesi_l1.create engine net
+    Spandex_mesi.Mesi_l1.create ~name:(device_name mesi_id) engine net
       {
         Spandex_mesi.Mesi_l1.id = mesi_id;
         llc_id;

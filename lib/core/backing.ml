@@ -8,7 +8,6 @@ type recall_handler =
   line:int -> kind:recall_kind -> k:((int array * bool) option -> unit) -> unit
 
 type t = {
-  name : string;
   acquire : line:int -> excl:bool -> k:(int array option -> excl:bool -> unit) -> unit;
   writeback : line:int -> data:int array -> dirty:bool -> k:(unit -> unit) -> unit;
   set_recall_handler : recall_handler -> unit;
@@ -16,7 +15,6 @@ type t = {
 
 let dram engine dram =
   {
-    name = "dram";
     acquire =
       (fun ~line ~excl:_ ~k ->
         Dram.read_line dram ~line ~k:(fun data -> k (Some data) ~excl:true));

@@ -22,7 +22,6 @@ type recall_handler =
     write-back crossed the recall in flight). *)
 
 type t = {
-  name : string;
   acquire : line:int -> excl:bool -> k:(int array option -> excl:bool -> unit) -> unit;
       (** Obtain permission (and data on a first fetch) for [line].  [k]
           gets the line contents when a fetch occurred, and the exclusivity

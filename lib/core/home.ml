@@ -53,6 +53,7 @@ let endpoint t ~line = t.first_id + bank_index t line
 let frame t = t.frame
 let stats t ~line = (bank t line).stats
 let bank_stats t b = t.banks.(b).stats
+let bank_name name b = Printf.sprintf "%s.b%d" name b
 
 let payload (msg : Msg.t) =
   match msg.Msg.payload with
@@ -159,7 +160,7 @@ let create engine net ~name ~first_id ~banks ~sets ~ways ~access_latency
     }
   in
   for b = 0 to banks - 1 do
-    let device = Printf.sprintf "%s.b%d" name b in
+    let device = bank_name name b in
     Engine.register_pending_source engine (fun () ->
         fold_bank t b ~init:[] ~f:(fun acc ~line m ->
             view.describe m
@@ -174,7 +175,7 @@ let create engine net ~name ~first_id ~banks ~sets ~ways ~access_latency
   done;
   t
 
-let register_metrics t ~device b reg =
+let register_metrics t b ~device reg =
   let module Metrics = Spandex_obs.Metrics in
   let p = t.probes in
   let labels = [ ("bank", string_of_int b); ("device", device) ] in
@@ -192,6 +193,15 @@ let register_metrics t ~device b reg =
   Metrics.counter reg ~name:(name "replayed_total") ~labels
     ~help:"duplicate requests answered from the reply cache (fault runs)"
     (fun () -> Stats.get t.banks.(b).stats "replayed")
+
+let parts t ~fingerprint =
+  Array.init t.n_banks (fun b ->
+      {
+        Spandex_device.Part.stats = bank_stats t b;
+        register_metrics = register_metrics t b;
+        fingerprint = (if b = 0 then fingerprint else ignore);
+        l1 = None;
+      })
 
 let by_key l = List.sort (fun (a, _) (b, _) -> compare a b) l
 

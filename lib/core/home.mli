@@ -44,7 +44,8 @@ val create :
   Engine.t -> Spandex_net.Network.t -> name:string -> first_id:Msg.device_id ->
   banks:int -> sets:int -> ways:int -> access_latency:int ->
   guarded:(Msg.req_kind -> bool) -> probes -> 'meta view -> 'meta t
-(** Registers one engine pending source per bank, ["<name>.b<bank>"].
+(** Registers one engine pending source per bank, named
+    [bank_name name bank].
     [guarded] names the request kinds whose processing is not idempotent.
     Raises [Invalid_argument] unless [banks ≥ 1] and [banks] divides
     [sets]. *)
@@ -93,11 +94,18 @@ val bank_stats : 'meta t -> int -> Stats.t
 (** Bank [b]'s counters; {!Stats.merge_into} of every bank under one
     prefix sums to the aggregate. *)
 
-val register_metrics :
-  'meta t -> device:string -> int -> Spandex_obs.Metrics.t -> unit
-(** Bank [b]'s probes, labelled [device] and [bank]: resident lines,
-    pending and blocked lines (feeding the counter tracks, dev = the bank
-    endpoint) and the replay counter. *)
+val bank_name : string -> int -> string
+(** [bank_name name b] is bank [b]'s pending-source name,
+    ["<name>.b<b>"]. *)
+
+val parts :
+  'meta t -> fingerprint:(Spandex_util.Fingerprint.t -> unit) ->
+  Spandex_device.Part.t array
+(** One part per bank, in bank order: the bank's counters and probes
+    (resident, pending and blocked lines, the last two feeding the counter
+    tracks of the bank endpoint, and the replay counter), labelled
+    [device] and [bank].  Bank 0 carries [fingerprint], the whole home's;
+    the others add nothing to it. *)
 
 val fingerprint :
   'meta t -> Spandex_util.Fingerprint.t ->

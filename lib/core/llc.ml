@@ -9,7 +9,6 @@ module Amo = Spandex_proto.Amo
 module Linedata = Spandex_proto.Linedata
 module Frames = Spandex_mem.Cache_frame
 
-type device_kind = Kind_mesi | Kind_denovo | Kind_gpu
 type reqs_policy = Reqs_auto | Reqs_shared | Reqs_valid | Reqs_owned
 
 type config = {
@@ -19,7 +18,7 @@ type config = {
   sets : int;
   ways : int;
   access_latency : int;
-  kind_of : Msg.device_id -> device_kind;
+  is_mesi : Msg.device_id -> bool;
   reqs_policy : reqs_policy;
 }
 
@@ -277,7 +276,7 @@ and do_reqs t meta (msg : Msg.t) =
   let owned_in = Mask.inter msg.Msg.mask meta.owned in
   let groups = owner_groups meta owned_in in
   let any_mesi_owner =
-    List.exists (fun (o, _) -> t.cfg.kind_of o = Kind_mesi) groups
+    List.exists (fun (o, _) -> t.cfg.is_mesi o) groups
   in
   let choose_opt1 =
     match t.cfg.reqs_policy with
@@ -319,7 +318,7 @@ and do_reqs t meta (msg : Msg.t) =
       in
       let mesi_owners =
         List.filter_map
-          (fun (o, _) -> if t.cfg.kind_of o = Kind_mesi then Some o else None)
+          (fun (o, _) -> if t.cfg.is_mesi o then Some o else None)
           fwd_groups
       in
       Msg.keep msg;
@@ -807,7 +806,7 @@ let view =
     describe;
   }
 
-let create ?(name = "llc") engine net backing (cfg : config) =
+let create ~name engine net backing (cfg : config) =
   let home =
     Home.create engine net ~name ~first_id:cfg.llc_id ~banks:cfg.banks
       ~sets:cfg.sets ~ways:cfg.ways ~access_latency:cfg.access_latency
@@ -831,7 +830,6 @@ let create ?(name = "llc") engine net backing (cfg : config) =
       handle_recall t ~line ~kind ~k);
   t
 
-let home t = t.home
 let bank_stats t b = Home.bank_stats t.home b
 
 let line_state t ~line =
@@ -900,3 +898,5 @@ let fingerprint t fp =
       fp_pending fp m.pending;
       Fp.list fp Msg.fingerprint m.blocked;
       Fp.int fp (List.length m.recalls))
+
+let parts t = Home.parts t.home ~fingerprint:(fingerprint t)

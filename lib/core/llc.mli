@@ -26,11 +26,6 @@
     per-bank stats, the reply cache and the pending/metric probes are the
     shared banked-home layer, {!Home} (see home.mli). *)
 
-type device_kind = Kind_mesi | Kind_denovo | Kind_gpu
-(** Attached-device classification, used by the [Reqs_auto] policy
-    (paper §III-B: option (1) "if the target data is in S state or owned in
-    a MESI core", option (3) otherwise). *)
-
 type reqs_policy =
   | Reqs_auto
       (** the paper's evaluated policy: option (1) when the line is Shared
@@ -50,7 +45,10 @@ type config = {
   sets : int;
   ways : int;
   access_latency : int;  (** cycles between arrival and response dispatch. *)
-  kind_of : Spandex_proto.Msg.device_id -> device_kind;
+  is_mesi : Spandex_proto.Msg.device_id -> bool;
+      (** whether an attached device is a MESI cache, for the [Reqs_auto]
+          policy (§III-B: option (1) "if the target data is in S state or
+          owned in a MESI core", option (3) otherwise). *)
   reqs_policy : reqs_policy;
       (** how writer-invalidated reads are served (§III-B, Table III rows
           ReqS (1)/(2)/(3)); [Reqs_auto] reproduces the paper's evaluation. *)
@@ -61,7 +59,7 @@ type meta
 (** A resident line's state. *)
 
 val create :
-  ?name:string ->
+  name:string ->
   Spandex_sim.Engine.t ->
   Spandex_net.Network.t ->
   Backing.t ->
@@ -70,18 +68,19 @@ val create :
 (** Registers the LLC on the network under [llc_id .. llc_id + banks - 1]
     ({!Home.create}, {!Home.listen}) and installs the recall handler on
     the backing.  Each bank registers an engine pending source named
-    ["<name>.b<bank>"] ([name] defaults to ["llc"]; the hierarchical GPU
-    L2 passes ["gpu_l2"]) reporting its pending, blocked and
+    [Home.bank_name name bank] reporting its pending, blocked and
     recall-queued lines; its metrics are named ["spandex_llc_*"] and its
-    trace names ["llc.*"] under either name.  Every kind but ReqV is
+    trace names ["llc.*"] under any [name].  Every kind but ReqV is
     covered by the reply cache.  Raises [Invalid_argument] unless
     [banks ≥ 1] and [banks] divides [sets]. *)
 
-val home : t -> meta Home.t
-(** The banked home: per-bank stats and metric probes. *)
+val parts : t -> Spandex_device.Part.t array
+(** {!Home.parts}: one per bank.  Bank 0 carries the fingerprint of the
+    whole LLC: resident lines, pending operations, blocked queues and the
+    reply cache. *)
 
 val bank_stats : t -> int -> Spandex_util.Stats.t
-(** [Home.bank_stats (home t)]. *)
+(** Bank [b]'s counters ({!Home.bank_stats}). *)
 
 (** {2 Introspection for tests} *)
 
@@ -94,8 +93,3 @@ val sharers : t -> line:int -> Spandex_proto.Msg.device_id list
 val peek_word : t -> Spandex_proto.Addr.t -> int option
 (** LLC's current copy of a word ([None] if not resident); stale for words
     owned remotely. *)
-
-val fingerprint : t -> Spandex_util.Fingerprint.t -> unit
-(** Append a canonical encoding of the full architectural state (resident
-    lines, pending operations, blocked queues, replay cache) for the model
-    checker's visited-state cache. *)

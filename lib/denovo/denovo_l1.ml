@@ -865,13 +865,7 @@ let handle t (msg : Msg.t) =
 
 (* ----- construction --------------------------------------------------------- *)
 
-let register_metrics t ~device reg =
-  Chassis.register_metrics t.ch ~device reg
-
-let create ?name engine net cfg =
-  let name =
-    Option.value name ~default:(Printf.sprintf "denovo_l1.%d" cfg.id)
-  in
+let create ~name engine net cfg =
   let ch =
     Chassis.create engine net ~id:cfg.id ~home_id:cfg.llc_id
       ~home_banks:cfg.llc_banks ~hit_latency:cfg.hit_latency
@@ -1029,3 +1023,8 @@ let owned_mask t ~line =
   match Cache_frame.find t.frame ~line with
   | Some l -> l.owned
   | None -> Mask.empty
+
+let part t =
+  Chassis.part t.ch ~fingerprint:(fingerprint t)
+    (Some
+       { port = port t; owned_mask = owned_mask t; peek_word = peek_word t })

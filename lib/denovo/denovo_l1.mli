@@ -45,29 +45,19 @@ type config = {
 type t
 
 val create :
-  ?name:string -> Spandex_sim.Engine.t -> Spandex_net.Network.t -> config -> t
-(** [name] (default ["denovo_l1.<id>"]) names the L1's work in its engine
-    pending source; [Run] passes its device name. *)
+  name:string -> Spandex_sim.Engine.t -> Spandex_net.Network.t -> config -> t
+(** [name] names the L1's work in its engine pending source. *)
 
 val port : t -> Spandex_device.Port.t
 val stats : t -> Spandex_util.Stats.t
 
-val register_metrics : t -> device:string -> Spandex_obs.Metrics.t -> unit
-(** Register the chassis occupancy/stall/retry probes, labelled
-    [device]; the occupancy gauges feed the ["l1.<id>.mshr"] /
+val part : t -> Spandex_device.Part.t
+(** The L1's port, counters, fingerprint (frame, MSHR payloads,
+    write-back records) and view (the words held Owned); its chassis
+    occupancy/stall/retry probes feed the ["l1.<id>.mshr"] /
     ["l1.<id>.sb"] trace counter tracks. *)
 
 (** {2 Test introspection} *)
 
 val word_state : t -> Spandex_proto.Addr.t -> Spandex_proto.State.device
-val peek_word : t -> Spandex_proto.Addr.t -> int option
 val owned_words : t -> int
-
-val owned_mask : t -> line:int -> Spandex_util.Mask.t
-(** Words of [line] held in Owned state — the cache's write-permission
-    claim, as consumed by the model checker's SWMR oracle. *)
-
-val fingerprint : t -> Spandex_util.Fingerprint.t -> unit
-(** Append a canonical encoding of the full architectural state (frame,
-    MSHR payloads, write-back records) for the model checker's
-    visited-state cache. *)

@@ -334,17 +334,13 @@ let handle t (msg : Msg.t) =
 
 (* ----- construction --------------------------------------------------------- *)
 
-let register_metrics t ~device reg =
-  Chassis.register_metrics t.ch ~device reg
-
-let create ?name engine net cfg =
+let create ~name engine net cfg =
   let ch =
     Chassis.create engine net ~id:cfg.id ~home_id:cfg.llc_id
       ~home_banks:cfg.llc_banks ~hit_latency:cfg.hit_latency
       ~coalesce_window:cfg.coalesce_window ~mshrs:cfg.mshrs
       ~sb_capacity:cfg.sb_capacity ~level:"l1"
-      ~device:
-        (Option.value name ~default:(Printf.sprintf "gpu_l1.%d" cfg.id))
+      ~device:name
   in
   let t =
     {
@@ -430,3 +426,12 @@ let fingerprint t fp =
       | Atomic a ->
         Fp.tag fp "A";
         Fp.int fp a.a_word)
+
+let part t =
+  Chassis.part t.ch ~fingerprint:(fingerprint t)
+    (Some
+       {
+         port = port t;
+         owned_mask = (fun ~line:_ -> Spandex_util.Mask.empty);
+         peek_word = peek_word t;
+       })

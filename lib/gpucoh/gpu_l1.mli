@@ -29,24 +29,18 @@ type config = {
 type t
 
 val create :
-  ?name:string -> Spandex_sim.Engine.t -> Spandex_net.Network.t -> config -> t
-(** [name] (default ["gpu_l1.<id>"]) names the L1's work in its engine
-    pending source; [Run] passes its device name. *)
+  name:string -> Spandex_sim.Engine.t -> Spandex_net.Network.t -> config -> t
+(** [name] names the L1's work in its engine pending source. *)
 
 val port : t -> Spandex_device.Port.t
 val stats : t -> Spandex_util.Stats.t
 
-val register_metrics : t -> device:string -> Spandex_obs.Metrics.t -> unit
-(** Register the chassis occupancy/stall/retry probes, labelled
-    [device]; the occupancy gauges feed the ["l1.<id>.mshr"] /
+val part : t -> Spandex_device.Part.t
+(** The L1's port, counters, fingerprint and view (GPU coherence never
+    holds ownership, so it makes no SWMR claims); its chassis
+    occupancy/stall/retry probes feed the ["l1.<id>.mshr"] /
     ["l1.<id>.sb"] trace counter tracks. *)
 
 (** {2 Test introspection} *)
 
-val peek_word : t -> Spandex_proto.Addr.t -> int option
 val valid_lines : t -> int
-
-val fingerprint : t -> Spandex_util.Fingerprint.t -> unit
-(** Append a canonical encoding of the full architectural state for the
-    model checker's visited-state cache.  (GPU coherence never holds
-    ownership, so it contributes no SWMR claims.) *)

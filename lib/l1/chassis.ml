@@ -259,6 +259,14 @@ let register_metrics t ~device ?aux reg =
     ~help:"timeout-driven request resends (fault runs)" (fun () ->
       Stats.get t.stats "retry.resend")
 
+let part t ?aux ~fingerprint l1 =
+  {
+    Spandex_device.Part.stats = t.stats;
+    register_metrics = (fun ~device reg -> register_metrics t ~device ?aux reg);
+    fingerprint;
+    l1;
+  }
+
 module Fp = Spandex_util.Fingerprint
 
 (* Canonical encoding of the shared transaction state.  MSHR entries are

@@ -167,18 +167,19 @@ val wake_stalled : 'o t -> unit
 val stall_store : 'o t -> (unit -> unit) -> unit
 (** Park a store that found the buffer full and arm a drain. *)
 
-val register_metrics :
+val part :
   'o t ->
-  device:string ->
   ?aux:string * string * (unit -> int) ->
-  Spandex_obs.Metrics.t ->
-  unit
-(** Register the chassis's standard probes on a metrics registry: MSHR
-    occupancy, store-buffer occupancy (or the [aux] (metric name, track
-    suffix, probe) gauge a protocol substitutes), store-buffer full-stall
-    and retry counters — all labelled [device].  The two occupancy gauges
-    feed the ["<level>.<id>.mshr"] and ["<level>.<id>.sb"] (or
-    ["<level>.<id>.<suffix>"]) trace counter tracks. *)
+  fingerprint:(Spandex_util.Fingerprint.t -> unit) ->
+  Spandex_device.Part.l1 option ->
+  Spandex_device.Part.t
+(** The device's part: the chassis's counters, [fingerprint], and its
+    standard probes: MSHR occupancy, store-buffer occupancy (or the [aux]
+    (metric name, track suffix, probe) gauge a protocol substitutes),
+    store-buffer full-stall and retry counters, all labelled [device].
+    The two occupancy gauges feed the ["<level>.<id>.mshr"] and
+    ["<level>.<id>.sb"] (or ["<level>.<id>.<suffix>"]) trace counter
+    tracks. *)
 
 val fingerprint :
   'o t ->

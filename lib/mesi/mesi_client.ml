@@ -27,6 +27,7 @@ type outstanding = Acq of acq | Wb of wb
 type t = {
   ch : outstanding Chassis.t;
   cfg : config;
+  name : string;
   states : (int, pstate) Hashtbl.t;
   (* Interned counters for the per-request fast paths. *)
   k_gets : Stats.key;
@@ -226,23 +227,19 @@ let handle t (msg : Msg.t) =
   | Msg.Req _ ->
     failwith (Format.asprintf "Mesi_client: unexpected message %a" Msg.pp msg)
 
-let register_metrics t ~device reg =
-  Chassis.register_metrics t.ch ~device
-    ~aux:("spandex_l2_parked", "parked", fun () -> t.parked)
-    reg
-
-let create engine net cfg =
+let create ~name engine net cfg =
   let ch =
     (* No store buffer at this level: the chassis's is a 1-entry stub that
        stays empty; the parent caches do the buffering. *)
     Chassis.create engine net ~id:cfg.id ~home_id:cfg.dir_id
       ~home_banks:cfg.dir_banks ~hit_latency:cfg.hit_latency ~coalesce_window:0
-      ~mshrs:256 ~sb_capacity:1 ~level:"l2" ~device:"mesi_client"
+      ~mshrs:256 ~sb_capacity:1 ~level:"l2" ~device:name
   in
   let t =
     {
       ch;
       cfg;
+      name;
       states = Hashtbl.create 1024;
       k_gets = Stats.key ch.Chassis.stats "gets";
       k_getm = Stats.key ch.Chassis.stats "getm";
@@ -260,7 +257,7 @@ let create engine net cfg =
       else
         [
           {
-            Engine.pw_device = "mesi_client";
+            Engine.pw_device = name;
             pw_txn = -1;
             pw_line = -1;
             pw_what =
@@ -272,20 +269,17 @@ let create engine net cfg =
 
 let backing t =
   {
-    Backing.name = "mesi_client";
-    acquire = (fun ~line ~excl ~k -> acquire t ~line ~excl ~k);
+    Backing.acquire = (fun ~line ~excl ~k -> acquire t ~line ~excl ~k);
     writeback = (fun ~line ~data ~dirty ~k -> writeback t ~line ~data ~dirty ~k);
     set_recall_handler = (fun h -> t.recall_handler <- h);
   }
-
-let stats t = t.ch.Chassis.stats
 
 (* ----- model-checker introspection ----------------------------------------- *)
 
 module Fp = Spandex_util.Fingerprint
 
 let fingerprint t fp =
-  Fp.tag fp "mesi_client";
+  Fp.tag fp t.name;
   Fp.int fp t.cfg.id;
   Fp.int fp t.parked;
   let lines =
@@ -310,3 +304,8 @@ let fingerprint t fp =
         Fp.tag fp "W";
         Fp.int fp w.w_line;
         Fp.array fp w.w_values)
+
+let part t =
+  Chassis.part t.ch
+    ~aux:("spandex_l2_parked", "parked", fun () -> t.parked)
+    ~fingerprint:(fingerprint t) None

@@ -18,19 +18,16 @@ type config = {
 
 type t
 
-val create : Spandex_sim.Engine.t -> Spandex_net.Network.t -> config -> t
-(** Registers an engine pending source named ["mesi_client"]: MSHR
-    entries and requests parked for an MSHR. *)
+val create :
+  name:string -> Spandex_sim.Engine.t -> Spandex_net.Network.t -> config -> t
+(** Registers an engine pending source named [name]: MSHR entries and
+    requests parked for an MSHR. *)
 
 val backing : t -> Spandex.Backing.t
-val stats : t -> Spandex_util.Stats.t
 
-val register_metrics : t -> device:string -> Spandex_obs.Metrics.t -> unit
-(** Register the chassis probes, labelled [device]; the aux gauge is the
-    parked-request depth.  The occupancy gauges feed the ["l2.<id>.mshr"]
-    / ["l2.<id>.parked"] trace counter tracks. *)
-
-val fingerprint : t -> Spandex_util.Fingerprint.t -> unit
-(** Append a canonical encoding of the client shim's state (per-line
-    permissions, outstanding acquires/write-backs) for the model checker's
-    visited-state cache. *)
+val part : t -> Spandex_device.Part.t
+(** The chassis counters and probes; the aux gauge is the parked-request
+    depth, and the occupancy gauges feed the ["l2.<id>.mshr"] /
+    ["l2.<id>.parked"] trace counter tracks.  The fingerprint (tagged
+    [name]) encodes the per-line permissions and outstanding
+    acquires/write-backs. *)

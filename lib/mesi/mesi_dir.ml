@@ -373,9 +373,9 @@ let view =
     describe;
   }
 
-let create engine net dram (cfg : config) =
+let create ~name engine net dram (cfg : config) =
   let home =
-    Home.create engine net ~name:"dir" ~first_id:cfg.dir_id ~banks:cfg.banks
+    Home.create engine net ~name ~first_id:cfg.dir_id ~banks:cfg.banks
       ~sets:cfg.sets ~ways:cfg.ways ~access_latency:cfg.access_latency
       ~guarded:replay_guarded probes view
   in
@@ -383,7 +383,6 @@ let create engine net dram (cfg : config) =
   Home.listen home (handle t);
   t
 
-let home t = t.home
 let bank_stats t b = Home.bank_stats t.home b
 
 let line_state t ~line =
@@ -424,3 +423,5 @@ let fingerprint t fp =
 
 let owner_of t ~line =
   match line_state t ~line with Some (D_M o) -> Some o | _ -> None
+
+let parts t = Home.parts t.home ~fingerprint:(fingerprint t)

@@ -24,6 +24,7 @@ type meta
 (** A resident line's directory entry. *)
 
 val create :
+  name:string ->
   Spandex_sim.Engine.t ->
   Spandex_net.Network.t ->
   Spandex_mem.Dram.t ->
@@ -34,15 +35,16 @@ val create :
     {!Spandex.Home.listen}).  A bank touches only lines ≡ bank (mod
     banks), whose DRAM accesses route to the matching {!Spandex_mem.Dram}
     channel, and registers an engine pending source named
-    ["dir.b<bank>"]; metrics are named ["spandex_dir_*"] and trace names
-    ["dir.*"].  The reply cache covers ReqS and ReqOdata.  Raises
+    [Spandex.Home.bank_name name bank]; metrics are named
+    ["spandex_dir_*"] and trace names ["dir.*"].  The reply cache covers ReqS and ReqOdata.  Raises
     [Invalid_argument] unless [banks ≥ 1] and [banks] divides [sets]. *)
 
-val home : t -> meta Spandex.Home.t
-(** The banked home: per-bank stats and metric probes. *)
+val parts : t -> Spandex_device.Part.t array
+(** {!Spandex.Home.parts}: one per bank, bank 0 carrying the whole
+    directory's fingerprint. *)
 
 val bank_stats : t -> int -> Spandex_util.Stats.t
-(** [Home.bank_stats (home t)]. *)
+(** Bank [b]'s counters ({!Spandex.Home.bank_stats}). *)
 
 (** {2 Test introspection} *)
 
@@ -53,7 +55,3 @@ val peek_word : t -> Spandex_proto.Addr.t -> int option
 
 val owner_of : t -> line:int -> Spandex_proto.Msg.device_id option
 (** The registered modified owner of [line], if any. *)
-
-val fingerprint : t -> Spandex_util.Fingerprint.t -> unit
-(** Append a canonical encoding of the full architectural state for the
-    model checker's visited-state cache. *)

@@ -618,11 +618,7 @@ let handle t (msg : Msg.t) =
 
 (* ----- construction ---------------------------------------------------------------- *)
 
-let register_metrics t ~device reg =
-  Chassis.register_metrics t.ch ~device reg
-
-let create engine net cfg =
-  let name = Printf.sprintf "mesi_l1.%d" cfg.id in
+let create ~name engine net cfg =
   let ch =
     Chassis.create engine net ~id:cfg.id ~home_id:cfg.llc_id
       ~home_banks:cfg.llc_banks ~hit_latency:cfg.hit_latency
@@ -675,8 +671,6 @@ let port t =
     acquire_region = (fun ~region:_ ~k -> acquire t ~k);
     release = (fun ~k -> release t ~k);
   }
-
-let stats t = t.ch.Chassis.stats
 
 let line_state t ~line =
   match Cache_frame.find t.frame ~line with
@@ -770,3 +764,8 @@ let owned_mask t ~line =
   match line_state t ~line with
   | State.M_E | State.M_M -> Addr.full_mask
   | State.M_S | State.M_I -> Mask.empty
+
+let part t =
+  Chassis.part t.ch ~fingerprint:(fingerprint t)
+    (Some
+       { port = port t; owned_mask = owned_mask t; peek_word = peek_word t })

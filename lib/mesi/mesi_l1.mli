@@ -33,27 +33,19 @@ type config = {
 
 type t
 
-val create : Spandex_sim.Engine.t -> Spandex_net.Network.t -> config -> t
-(** Names its work ["mesi_l1.<id>"] in its engine pending source, as [Run]
-    names a MESI CPU L1. *)
+val create :
+  name:string -> Spandex_sim.Engine.t -> Spandex_net.Network.t -> config -> t
+(** [name] names the L1's work in its engine pending source. *)
 
 val port : t -> Spandex_device.Port.t
-val stats : t -> Spandex_util.Stats.t
 
-val register_metrics : t -> device:string -> Spandex_obs.Metrics.t -> unit
-(** Register the chassis occupancy/stall/retry probes, labelled
-    [device]; the occupancy gauges feed the ["l1.<id>.mshr"] /
+val part : t -> Spandex_device.Part.t
+(** The L1's port, counters, fingerprint and view (a line held E/M is
+    owned in full: MESI write permission is line-granular); its chassis
+    occupancy/stall/retry probes feed the ["l1.<id>.mshr"] /
     ["l1.<id>.sb"] trace counter tracks. *)
 
 (** {2 Test introspection} *)
 
 val line_state : t -> line:int -> Spandex_proto.State.mesi
 val peek_word : t -> Spandex_proto.Addr.t -> int option
-
-val owned_mask : t -> line:int -> Spandex_util.Mask.t
-(** Full mask when the line is held E/M (MESI write permission is
-    line-granular), empty otherwise — the model checker's SWMR claim. *)
-
-val fingerprint : t -> Spandex_util.Fingerprint.t -> unit
-(** Append a canonical encoding of the full architectural state for the
-    model checker's visited-state cache. *)

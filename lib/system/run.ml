@@ -10,6 +10,7 @@ module Core = Spandex_device.Core
 module Port = Spandex_device.Port
 module Barrier = Spandex_device.Barrier
 module Check_log = Spandex_device.Check_log
+module Part = Spandex_device.Part
 module Metrics = Spandex_obs.Metrics
 module Llc = Spandex.Llc
 module Backing = Spandex.Backing
@@ -37,13 +38,6 @@ type result = {
   dram_channel_peaks : int array;
 }
 
-type component = {
-  c_name : string;
-  c_stats : Stats.t;
-  c_metrics : Metrics.t -> unit;
-  c_fingerprint : Spandex_util.Fingerprint.t -> unit;
-}
-
 type view = {
   view_id : int;
   view_name : string;
@@ -69,110 +63,43 @@ type system = {
   sys_run : unit -> result;
 }
 
+(* ----- the device table ---------------------------------------------------- *)
+
+type l1 =
+  | Mesi
+  | Denovo of {
+      policy : Spandex_l1.Spandex_policy.spec;
+      atomics_at_llc : bool;
+    }
+  | Gpu_coh
+
+type home = Llc_home | Dir_home | L2_home
+type cls = Cpu of l1 | Gpu of l1 | Bank of home | Client
+
+(* One row per network device id: the only place a device's class,
+   protocol and names are spelled.  [name] is the trace-track and
+   [Engine.live_work] spelling ([sys_device_names]); [label] is the stats
+   prefix, metrics label and view name.  They differ for a GPU L1 (its CU
+   number in [name], its device id in [label]) and a home bank. *)
+type row = { id : Msg.device_id; cls : cls; name : string; label : string }
+
+let l1_name = function
+  | Mesi -> "mesi_l1"
+  | Denovo _ -> "denovo_l1"
+  | Gpu_coh -> "gpu_l1"
+
+(* A home's pending-source name and its label. *)
+let home_names = function
+  | Llc_home -> ("llc", "spandex_llc")
+  | Dir_home -> ("dir", "mesi_dir")
+  | L2_home ->
+    let name = "gpu_l2" in
+    (name, name)
+
+let client_name = "mesi_client"
+
 let cache_geometry ~bytes ~ways =
   Spandex_mem.Cache_frame.size_lines ~bytes ~ways
-
-let build_denovo engine net (p : Params.t) ~name ~id ~llc_id ~atomics_at_llc
-    ~region_of ~policy =
-  let sets, ways = cache_geometry ~bytes:p.Params.l1_bytes ~ways:p.Params.l1_ways in
-  let l1 =
-    Denovo_l1.create ~name engine net
-      {
-        Denovo_l1.id;
-        llc_id;
-        llc_banks = p.Params.llc_banks;
-        sets;
-        ways;
-        mshrs = p.Params.mshrs;
-        sb_capacity = p.Params.sb_capacity;
-        hit_latency = p.Params.hit_latency;
-        coalesce_window = p.Params.coalesce_window;
-        max_reqv_retries = p.Params.max_reqv_retries;
-        atomics_at_llc;
-        region_of;
-        policy;
-      }
-  in
-  ( Denovo_l1.port l1,
-    {
-      c_name = Printf.sprintf "denovo_l1.%d" id;
-      c_stats = Denovo_l1.stats l1;
-      c_metrics =
-        Denovo_l1.register_metrics l1
-          ~device:(Printf.sprintf "denovo_l1.%d" id);
-      c_fingerprint = Denovo_l1.fingerprint l1;
-    },
-    {
-      view_id = id;
-      view_name = Printf.sprintf "denovo_l1.%d" id;
-      view_owned = (fun ~line -> Denovo_l1.owned_mask l1 ~line);
-      view_peek = Denovo_l1.peek_word l1;
-    } )
-
-let build_mesi engine net (p : Params.t) ~id ~llc_id ~notify =
-  let sets, ways = cache_geometry ~bytes:p.Params.l1_bytes ~ways:p.Params.l1_ways in
-  let l1 =
-    Mesi_l1.create engine net
-      {
-        Mesi_l1.id;
-        llc_id;
-        llc_banks = p.Params.llc_banks;
-        sets;
-        ways;
-        mshrs = p.Params.mshrs;
-        sb_capacity = p.Params.sb_capacity;
-        hit_latency = p.Params.hit_latency;
-        coalesce_window = p.Params.coalesce_window;
-        notify_home_on_fwd_getm = notify;
-      }
-  in
-  ( Mesi_l1.port l1,
-    {
-      c_name = Printf.sprintf "mesi_l1.%d" id;
-      c_stats = Mesi_l1.stats l1;
-      c_metrics =
-        Mesi_l1.register_metrics l1 ~device:(Printf.sprintf "mesi_l1.%d" id);
-      c_fingerprint = Mesi_l1.fingerprint l1;
-    },
-    {
-      view_id = id;
-      view_name = Printf.sprintf "mesi_l1.%d" id;
-      view_owned = (fun ~line -> Mesi_l1.owned_mask l1 ~line);
-      view_peek = Mesi_l1.peek_word l1;
-    } )
-
-let build_gpucoh engine net (p : Params.t) ~name ~id ~llc_id =
-  let sets, ways = cache_geometry ~bytes:p.Params.l1_bytes ~ways:p.Params.l1_ways in
-  let l1 =
-    Gpu_l1.create ~name engine net
-      {
-        Gpu_l1.id;
-        llc_id;
-        llc_banks = p.Params.llc_banks;
-        sets;
-        ways;
-        mshrs = p.Params.mshrs;
-        sb_capacity = p.Params.sb_capacity;
-        hit_latency = p.Params.hit_latency;
-        coalesce_window = p.Params.coalesce_window;
-        max_reqv_retries = p.Params.max_reqv_retries;
-      }
-  in
-  ( Gpu_l1.port l1,
-    {
-      c_name = Printf.sprintf "gpu_l1.%d" id;
-      c_stats = Gpu_l1.stats l1;
-      c_metrics =
-        Gpu_l1.register_metrics l1 ~device:(Printf.sprintf "gpu_l1.%d" id);
-      c_fingerprint = Gpu_l1.fingerprint l1;
-    },
-    {
-      view_id = id;
-      view_name = Printf.sprintf "gpu_l1.%d" id;
-      (* A GPU-coherence L1 never takes ownership of words. *)
-      view_owned = (fun ~line:_ -> Spandex_util.Mask.empty);
-      view_peek = Gpu_l1.peek_word l1;
-    } )
 
 let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
   Workload.validate w;
@@ -183,13 +110,67 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
      wall-clock.  Not part of bit-identity (GC counters are per-domain and
      scheduling-dependent). *)
   let gc0 = Gc.quick_stat () in
-  (* Device ids: CPUs, then GPU CUs, then LLC/dir, L2 front, L2 back. *)
-  let cpu_id i = i in
-  let gpu_id j = p.Params.cpu_cores + j in
-  let banks = p.Params.llc_banks in
-  let home_id = p.Params.cpu_cores + p.Params.gpu_cus in
-  let l2_front_id = home_id + banks in
-  let l2_back_id = l2_front_id + banks in
+  (* Device ids: CPU L1s, GPU L1s, home banks, the GPU L2's banks, then its
+     client port.  Flat configs build neither of the last two, but their
+     rows keep the names. *)
+  let cpus = p.Params.cpu_cores and banks = p.Params.llc_banks in
+  let home_id = cpus + p.Params.gpu_cus in
+  let l2_id = home_id + banks in
+  let client_id = l2_id + banks in
+  let cpu_l1 =
+    match config.Config.cpu with
+    | Config.Cpu_mesi -> Mesi
+    | Config.Cpu_denovo ->
+      Denovo
+        {
+          policy = Spandex_l1.Spandex_policy.Static_own;
+          atomics_at_llc = config.Config.cpu_atomics_at_llc;
+        }
+  in
+  let gpu_l1 =
+    let denovo policy = Denovo { policy; atomics_at_llc = false } in
+    match config.Config.gpu with
+    | Config.Gpu_coh -> Gpu_coh
+    | Config.Gpu_denovo -> denovo Spandex_l1.Spandex_policy.Static_own
+    | Config.Gpu_adaptive -> denovo Spandex_l1.Spandex_policy.adaptive_writes
+    | Config.Gpu_adaptive_rw -> denovo Spandex_l1.Spandex_policy.adaptive_full
+  in
+  let home =
+    match config.Config.llc with
+    | Config.Spandex_flat -> Llc_home
+    | Config.H_mesi -> Dir_home
+  in
+  let numbered = Printf.sprintf "%s.%d" in
+  let bank id home b =
+    let name, label = home_names home in
+    { id; cls = Bank home; name = Home.bank_name name b; label }
+  in
+  let table =
+    Array.init (client_id + 1) (fun id ->
+        if id < cpus then
+          let name = numbered (l1_name cpu_l1) id in
+          { id; cls = Cpu cpu_l1; name; label = name }
+        else if id < home_id then
+          let prefix =
+            match gpu_l1 with Gpu_coh -> l1_name gpu_l1 | _ -> "gpu_denovo_l1"
+          in
+          {
+            id;
+            cls = Gpu gpu_l1;
+            name = numbered prefix (id - cpus);
+            label = numbered (l1_name gpu_l1) id;
+          }
+        else if id < l2_id then bank id home (id - home_id)
+        else if id < client_id then bank id L2_home (id - l2_id)
+        else { id; cls = Client; name = client_name; label = client_name })
+  in
+  let device_names = Array.map (fun r -> r.name) table in
+  (* The LLC's ReqS option (1) test (Table III). *)
+  let is_mesi id =
+    match table.(id).cls with
+    | Cpu Mesi | Gpu Mesi -> true
+    | Cpu _ | Gpu _ | Bank _ | Client -> false
+  in
   let trace =
     match p.Params.trace with
     | None -> Trace.disabled
@@ -201,41 +182,23 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
     | None -> Metrics.disabled
     | Some spec -> Metrics.create spec
   in
-  (* Human-readable endpoint names for trace export ("who is track 12?");
-     components name their engine pending-source reports the same way. *)
-  let device_names =
-    Array.init (l2_back_id + 1) (fun id ->
-        if id < p.Params.cpu_cores then
-          match config.Config.cpu with
-          | Config.Cpu_mesi -> Printf.sprintf "mesi_l1.%d" id
-          | Config.Cpu_denovo -> Printf.sprintf "denovo_l1.%d" id
-        else if id < home_id then (
-          let j = id - p.Params.cpu_cores in
-          match config.Config.gpu with
-          | Config.Gpu_coh -> Printf.sprintf "gpu_l1.%d" j
-          | Config.Gpu_denovo | Config.Gpu_adaptive | Config.Gpu_adaptive_rw ->
-            Printf.sprintf "gpu_denovo_l1.%d" j)
-        else if id < l2_front_id then (
-          let b = id - home_id in
-          match config.Config.llc with
-          | Config.Spandex_flat -> Printf.sprintf "llc.b%d" b
-          | Config.H_mesi -> Printf.sprintf "dir.b%d" b)
-        else if id < l2_back_id then
-          Printf.sprintf "gpu_l2.b%d" (id - l2_front_id)
-        else "mesi_client")
-  in
   let topo =
     match config.Config.llc with
     | Config.Spandex_flat ->
       Network.flat_topology ~latency:p.Params.flat_net_latency
     | Config.H_mesi ->
-      let group_of id =
-        if id = l2_back_id then 2
-        else if id >= p.Params.cpu_cores && id < home_id then 1
-        else if id >= l2_front_id && id < l2_back_id then 1
-        else 0
+      (* The GPU side (its L1s and the L2's banks), the L2's client port,
+         and the CPU side with the directory. *)
+      let groups =
+        Array.map
+          (fun r ->
+            match r.cls with
+            | Gpu _ | Bank L2_home -> 1
+            | Client -> 2
+            | Cpu _ | Bank (Llc_home | Dir_home) -> 0)
+          table
       in
-      Network.grouped_topology ~group_of
+      Network.grouped_topology ~group_of:(Array.get groups)
         ~local_latency:p.Params.local_net_latency
         ~cross_latency:p.Params.cross_net_latency
   in
@@ -249,54 +212,37 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
     Dram.create ~channels:banks engine ~latency:p.Params.mem_latency
       ~service_interval:p.Params.mem_interval
   in
-  (* Components, most recently built first. *)
-  let components = ref [] in
-  let add c = components := c :: !components in
-  (* One component per home bank, all named [name]: the merged stats sum
-     back to the aggregate.  The fingerprint is emitted once, from bank 0's
-     slot. *)
-  let add_home name home ~fingerprint =
-    for b = 0 to banks - 1 do
-      add
-        {
-          c_name = name;
-          c_stats = Home.bank_stats home b;
-          c_metrics = Home.register_metrics home ~device:name b;
-          c_fingerprint = (if b = 0 then fingerprint else fun _ -> ());
-        }
-    done
-  in
-  let kind_of id =
-    if id < p.Params.cpu_cores then
-      match config.Config.cpu with
-      | Config.Cpu_mesi -> Llc.Kind_mesi
-      | Config.Cpu_denovo -> Llc.Kind_denovo
-    else
-      match config.Config.gpu with
-      | Config.Gpu_coh -> Llc.Kind_gpu
-      | Config.Gpu_denovo | Config.Gpu_adaptive | Config.Gpu_adaptive_rw ->
-        Llc.Kind_denovo
-  in
+  (* Each built endpoint's part under its row's label, most recently built
+     first.  A home's banks share one label: the merged stats sum back to
+     the aggregate. *)
+  let parts = ref [] in
+  let add row part = parts := (row.label, part) :: !parts in
+  let add_banks first = Array.iteri (fun b -> add table.(first + b)) in
   (* --- home level(s) ------------------------------------------------------ *)
+  let llc_config ~llc_id ~bytes ~ways =
+    let sets, ways = cache_geometry ~bytes ~ways in
+    {
+      Llc.llc_id;
+      banks;
+      sets;
+      ways;
+      (* The flat LLC replaces the intermediate level and sits at its
+         distance (Table VI). *)
+      access_latency = p.Params.l2_access;
+      is_mesi;
+      reqs_policy = p.Params.reqs_policy;
+    }
+  in
   let cpu_home, gpu_home, llc_view =
     match config.Config.llc with
     | Config.Spandex_flat ->
-      let sets, ways = cache_geometry ~bytes:p.Params.llc_bytes ~ways:p.Params.llc_ways in
       let llc =
-        Llc.create engine net (Backing.dram engine dram)
-          {
-            Llc.llc_id = home_id;
-            banks;
-            sets;
-            ways;
-            (* The flat LLC replaces the intermediate level and sits at its
-               distance (Table VI). *)
-            access_latency = p.Params.l2_access;
-            kind_of;
-            reqs_policy = p.Params.reqs_policy;
-          }
+        Llc.create ~name:(fst (home_names home)) engine net
+          (Backing.dram engine dram)
+          (llc_config ~llc_id:home_id ~bytes:p.Params.llc_bytes
+             ~ways:p.Params.llc_ways)
       in
-      add_home "spandex_llc" (Llc.home llc) ~fingerprint:(Llc.fingerprint llc);
+      add_banks home_id (Llc.parts llc);
       ( home_id,
         home_id,
         Some
@@ -306,73 +252,58 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
             lv_peek = Llc.peek_word llc;
           } )
     | Config.H_mesi ->
-      let dsets, dways = cache_geometry ~bytes:p.Params.llc_bytes ~ways:p.Params.llc_ways in
+      let sets, ways =
+        cache_geometry ~bytes:p.Params.llc_bytes ~ways:p.Params.llc_ways
+      in
       let dir =
-        Mesi_dir.create engine net dram
-          { Mesi_dir.dir_id = home_id; banks; sets = dsets; ways = dways;
+        Mesi_dir.create ~name:(fst (home_names home)) engine net dram
+          { Mesi_dir.dir_id = home_id; banks; sets; ways;
             access_latency = p.Params.llc_access }
       in
-      add_home "mesi_dir" (Mesi_dir.home dir)
-        ~fingerprint:(Mesi_dir.fingerprint dir);
+      add_banks home_id (Mesi_dir.parts dir);
       let client =
-        Mesi_client.create engine net
-          { Mesi_client.id = l2_back_id; dir_id = home_id; dir_banks = banks;
+        Mesi_client.create ~name:client_name engine net
+          { Mesi_client.id = client_id; dir_id = home_id; dir_banks = banks;
             hit_latency = p.Params.hit_latency }
       in
-      let l2sets, l2ways =
-        cache_geometry ~bytes:p.Params.gpu_l2_bytes ~ways:p.Params.gpu_l2_ways
-      in
       let l2 =
-        Llc.create ~name:"gpu_l2" engine net (Mesi_client.backing client)
-          {
-            Llc.llc_id = l2_front_id;
-            banks;
-            sets = l2sets;
-            ways = l2ways;
-            access_latency = p.Params.l2_access;
-            kind_of;
-            reqs_policy = p.Params.reqs_policy;
-          }
+        Llc.create ~name:(fst (home_names L2_home)) engine net
+          (Mesi_client.backing client)
+          (llc_config ~llc_id:l2_id ~bytes:p.Params.gpu_l2_bytes
+             ~ways:p.Params.gpu_l2_ways)
       in
-      add_home "gpu_l2" (Llc.home l2) ~fingerprint:(Llc.fingerprint l2);
-      add
-        {
-          c_name = "mesi_client";
-          c_stats = Mesi_client.stats client;
-          c_metrics =
-            Mesi_client.register_metrics client ~device:"mesi_client";
-          c_fingerprint = Mesi_client.fingerprint client;
-        };
-      (home_id, l2_front_id, None)
+      add_banks l2_id (Llc.parts l2);
+      add table.(client_id) (Mesi_client.part client);
+      (home_id, l2_id, None)
   in
   (* --- L1s ------------------------------------------------------------------ *)
-  let cpu_port i =
-    match config.Config.cpu with
-    | Config.Cpu_mesi ->
-      build_mesi engine net p ~id:(cpu_id i) ~llc_id:cpu_home
-        ~notify:(config.Config.llc = Config.H_mesi)
-    | Config.Cpu_denovo ->
-      build_denovo engine net p ~name:device_names.(cpu_id i) ~id:(cpu_id i)
-        ~llc_id:cpu_home
-        ~atomics_at_llc:config.Config.cpu_atomics_at_llc
-        ~region_of:w.Workload.region_of
-        ~policy:Spandex_l1.Spandex_policy.Static_own
-  in
-  let gpu_port j =
-    match config.Config.gpu with
-    | Config.Gpu_coh ->
-      build_gpucoh engine net p ~name:device_names.(gpu_id j) ~id:(gpu_id j)
-        ~llc_id:gpu_home
-    | Config.Gpu_denovo | Config.Gpu_adaptive | Config.Gpu_adaptive_rw ->
-      build_denovo engine net p ~name:device_names.(gpu_id j) ~id:(gpu_id j)
-        ~llc_id:gpu_home
-        ~atomics_at_llc:false ~region_of:w.Workload.region_of
-        ~policy:
-          (match config.Config.gpu with
-          | Config.Gpu_adaptive -> Spandex_l1.Spandex_policy.adaptive_writes
-          | Config.Gpu_adaptive_rw -> Spandex_l1.Spandex_policy.adaptive_full
-          | Config.Gpu_coh | Config.Gpu_denovo ->
-            Spandex_l1.Spandex_policy.Static_own)
+  let l1_part row l1 ~llc_id =
+    let id = row.id and name = row.name and llc_banks = banks in
+    let sets, ways =
+      cache_geometry ~bytes:p.Params.l1_bytes ~ways:p.Params.l1_ways
+    in
+    let mshrs = p.Params.mshrs and sb_capacity = p.Params.sb_capacity in
+    let hit_latency = p.Params.hit_latency in
+    let coalesce_window = p.Params.coalesce_window in
+    let max_reqv_retries = p.Params.max_reqv_retries in
+    match l1 with
+    | Mesi ->
+      Mesi_l1.part
+        (Mesi_l1.create ~name engine net
+           { Mesi_l1.id; llc_id; llc_banks; sets; ways; mshrs; sb_capacity;
+             hit_latency; coalesce_window;
+             notify_home_on_fwd_getm = config.Config.llc = Config.H_mesi })
+    | Denovo { policy; atomics_at_llc } ->
+      Denovo_l1.part
+        (Denovo_l1.create ~name engine net
+           { Denovo_l1.id; llc_id; llc_banks; sets; ways; mshrs; sb_capacity;
+             hit_latency; coalesce_window; max_reqv_retries; atomics_at_llc;
+             region_of = w.Workload.region_of; policy })
+    | Gpu_coh ->
+      Gpu_l1.part
+        (Gpu_l1.create ~name engine net
+           { Gpu_l1.id; llc_id; llc_banks; sets; ways; mshrs; sb_capacity;
+             hit_latency; coalesce_window; max_reqv_retries })
   in
   (* --- cores ----------------------------------------------------------------- *)
   (* One check log per core: totals sum and failure lists concatenate in
@@ -388,49 +319,57 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
       (fun parties -> Barrier.create engine ~parties)
       w.Workload.barrier_parties
   in
+  let ncpu = Array.length w.Workload.cpu_programs in
+  let ngpu = Array.length w.Workload.gpu_programs in
+  if ncpu > cpus then invalid_arg "workload uses more CPU cores than configured";
+  if ngpu > p.Params.gpu_cus then
+    invalid_arg "workload uses more GPU CUs than configured";
+  (* An L1 and its core for every row a program runs on, in id order. *)
   let cores = ref [] in
   let views = ref [] in
-  Array.iteri
-    (fun i program ->
-      if i >= p.Params.cpu_cores then
-        invalid_arg "workload uses more CPU cores than configured";
-      let port, comp, view = cpu_port i in
-      add comp;
-      views := view :: !views;
-      let core =
-        Core.create engine ~port ~barriers ~check_log:(new_check_log ())
-          ~core_id:(cpu_id i)
-          ~clock:p.Params.cpu_clock ~programs:[| program |]
-      in
-      cores := core :: !cores)
-    w.Workload.cpu_programs;
-  Array.iteri
-    (fun j warps ->
-      if j >= p.Params.gpu_cus then
-        invalid_arg "workload uses more GPU CUs than configured";
-      let port, comp, view = gpu_port j in
-      add comp;
-      views := view :: !views;
-      let core =
-        Core.create engine ~port ~barriers ~check_log:(new_check_log ())
-          ~core_id:(gpu_id j)
-          ~clock:p.Params.gpu_clock ~programs:warps
-      in
-      cores := core :: !cores)
-    w.Workload.gpu_programs;
+  let attach row l1 ~llc_id ~clock programs =
+    let part = l1_part row l1 ~llc_id in
+    add row part;
+    let l1 = Option.get part.Part.l1 in
+    views :=
+      {
+        view_id = row.id;
+        view_name = row.label;
+        view_owned = l1.Part.owned_mask;
+        view_peek = l1.Part.peek_word;
+      }
+      :: !views;
+    cores :=
+      Core.create engine ~port:l1.Part.port ~barriers
+        ~check_log:(new_check_log ()) ~core_id:row.id ~clock ~programs
+      :: !cores
+  in
+  Array.iter
+    (fun row ->
+      match row.cls with
+      | Cpu l1 when row.id < ncpu ->
+        attach row l1 ~llc_id:cpu_home ~clock:p.Params.cpu_clock
+          [| w.Workload.cpu_programs.(row.id) |]
+      | Gpu l1 when row.id - cpus < ngpu ->
+        attach row l1 ~llc_id:gpu_home ~clock:p.Params.gpu_clock
+          w.Workload.gpu_programs.(row.id - cpus)
+      | Cpu _ | Gpu _ | Bank _ | Client -> ())
+    table;
   let cores = List.rev !cores in
   let views = List.rev !views in
   let check_logs = List.rev !check_logs in
   List.iter Core.start cores;
-  (* [Metrics] is the one probe registry.  Components register their
+  (* [Metrics] is the one probe registry.  Parts register their
      probes on the metrics registry in build order; when tracing, they
      register again on the trace's registry, whose occupancy gauges become
-     the trace's counter tracks.  Those are written components most
+     the trace's counter tracks.  Those are written parts most
      recently built first, then the network: the traced goldens digest
      the JSONL ring, whose contents depend on that order. *)
   let metrics_on = Metrics.on mreg in
   if metrics_on then begin
-    List.iter (fun c -> c.c_metrics mreg) (List.rev !components);
+    List.iter
+      (fun (label, part) -> part.Part.register_metrics ~device:label mreg)
+      (List.rev !parts);
     Network.register_metrics net mreg;
     Metrics.counter mreg ~name:"spandex_engine_events_total"
       ~help:"engine events dispatched"
@@ -442,7 +381,9 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
   end;
   let tracks = Metrics.of_trace trace in
   if Trace.on trace then begin
-    List.iter (fun c -> c.c_metrics tracks) !components;
+    List.iter
+      (fun (label, part) -> part.Part.register_metrics ~device:label tracks)
+      !parts;
     Network.register_metrics net tracks
   end;
   (* One sampler runs inline in the engine's dispatch loop at the faster
@@ -465,14 +406,14 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
   let finished () =
     List.for_all Core.finished cores && Engine.live_work engine = []
   in
-  (* Canonical architectural-state fingerprint: components in build order,
+  (* Canonical architectural-state fingerprint: parts in build order,
      then cores, barriers, and in-flight message count.  One fresh
      accumulator per call so transaction-id remapping is first-encounter
      canonical — two executions that reach the same architectural state
      through different schedules digest identically. *)
   let fingerprint () =
     let fp = Spandex_util.Fingerprint.create () in
-    List.iter (fun c -> c.c_fingerprint fp) (List.rev !components);
+    List.iter (fun (_, part) -> part.Part.fingerprint fp) (List.rev !parts);
     List.iter (fun core -> Core.fingerprint core fp) cores;
     Array.iter
       (fun b ->
@@ -500,8 +441,9 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
     let cycles = Engine.run engine ~until_done:finished in
     let stats = Stats.create () in
     List.iter
-      (fun c -> Stats.merge_into ~dst:stats ~prefix:c.c_name c.c_stats)
-      !components;
+      (fun (label, part) ->
+        Stats.merge_into ~dst:stats ~prefix:label part.Part.stats)
+      !parts;
     List.iter
       (fun c ->
         Stats.merge_into ~dst:stats

@@ -1,5 +1,29 @@
 (** Build a full system for a configuration and run a workload to
-    completion. *)
+    completion.
+
+    {2:device_names Device names}
+
+    Device ids run: CPU L1s [0 .. cpu_cores - 1], GPU L1s (CU [j] is id
+    [cpu_cores + j]), the home banks, the hierarchical GPU L2's banks, then
+    its client port.  Each device has two spellings:
+
+    - its {e device name} ([device_names], [sys_device_names]) names its
+      trace track and its {!Spandex_sim.Engine.live_work} items:
+      ["mesi_l1.<id>"] or ["denovo_l1.<id>"] for a CPU L1,
+      ["gpu_l1.<j>"] or ["gpu_denovo_l1.<j>"] for the L1 of GPU CU [j],
+      ["llc.b<bank>"] or ["dir.b<bank>"] for a home bank, ["gpu_l2.b<bank>"]
+      and ["mesi_client"].  Flat configs keep the last two names, though
+      they build neither.
+    - its {e label} ([view_name], the [stats] key prefix and the
+      metrics [device] label) is ["<protocol>.<id>"] for every L1
+      (["mesi_l1"], ["denovo_l1"] or ["gpu_l1"]) and one name for all
+      banks of a home: ["spandex_llc"], ["mesi_dir"], ["gpu_l2"], and
+      ["mesi_client"].
+
+    So a GPU L1's two spellings differ, and under a GPU-coherence GPU
+    the same string can name two devices: with 8 CPU cores, stats key
+    ["gpu_l1.10.*"] is CU 2 (id 10), while device name ["gpu_l1.10"] is
+    CU 10 (id 18). *)
 
 type result = {
   cycles : int;  (** execution time: cycle at which the system finished. *)
@@ -10,7 +34,9 @@ type result = {
   checks : int;  (** workload [Check] ops executed. *)
   failures : Spandex_device.Check_log.failure list;
       (** data-value mismatches — any entry is a coherence bug. *)
-  stats : Spandex_util.Stats.t;  (** merged per-component counters. *)
+  stats : Spandex_util.Stats.t;
+      (** every built device's counters, keyed ["<label>.<counter>"], plus
+          ["core.<id>.*"] and ["net.*"]. *)
   minor_words : float;
       (** minor-heap words allocated over the whole simulation (build +
           run), from [Gc.quick_stat]; divide by [events] for a per-event
@@ -24,7 +50,8 @@ type result = {
       (** the run's trace sink, for export or timeline reconstruction;
           {!Spandex_sim.Trace.disabled} when [params.trace] was [None]. *)
   device_names : string array;
-      (** endpoint display name by device id, for trace export tracks. *)
+      (** device name by device id (see {!section-device_names}), for
+          trace export tracks. *)
   metrics : Spandex_obs.Metrics.t;
       (** the run's time-series registry; {!Spandex_obs.Metrics.disabled}
           when [params.metrics] was [None].  Sampling shares the engine's
@@ -37,7 +64,9 @@ type result = {
 
 type view = {
   view_id : int;  (** network device id of the L1. *)
-  view_name : string;  (** display name, matches [device_names]. *)
+  view_name : string;
+      (** the L1's label, ["<protocol>.<id>"]: for a GPU L1 it is not its
+          [device_names] entry (see {!section-device_names}). *)
   view_owned : line:int -> Spandex_util.Mask.t;
       (** words of [line] this L1 currently claims ownership of (MESI E/M
           counts as the full line; GPU-coh L1s never own). *)
@@ -60,6 +89,9 @@ type system = {
       (** one log per core, in core order; totals sum and failures
           concatenate. *)
   sys_device_names : string array;
+      (** device name by device id, one per network endpoint id the
+          configuration lays out (see {!section-device_names}); the same
+          array as [result.device_names]. *)
   sys_finished : unit -> bool;
       (** every core has retired its programs and
           [Engine.live_work sys_engine] is empty; its items name the cores

@@ -23,18 +23,18 @@ type t = {
 
 let llc_id = 10
 
-(* Three fake devices (0, 1, 2); device kinds are configurable to steer the
-   ReqS policy. *)
-let setup_with_policy ?(kind_of = fun _ -> Llc.Kind_denovo) ?(sets = 16)
+(* Three fake devices (0, 1, 2); which of them are MESI caches is
+   configurable to steer the ReqS policy. *)
+let setup_with_policy ?(is_mesi = fun _ -> false) ?(sets = 16)
     ?(ways = 4) ?(reqs_policy = Llc.Reqs_auto) ?fault () =
   Spandex_proto.Txn.reset ();
   let engine = Engine.create () in
   let net = Network.create ?fault engine (Network.flat_topology ~latency:2) in
   let dram = Dram.create engine ~latency:5 ~service_interval:0 in
   let llc =
-    Llc.create engine net
+    Llc.create ~name:"llc" engine net
       (Backing.dram engine dram)
-      { Llc.llc_id; banks = 1; sets; ways; access_latency = 1; kind_of; reqs_policy }
+      { Llc.llc_id; banks = 1; sets; ways; access_latency = 1; is_mesi; reqs_policy }
   in
   let devices =
     Array.init 3 (fun id ->
@@ -44,8 +44,8 @@ let setup_with_policy ?(kind_of = fun _ -> Llc.Kind_denovo) ?(sets = 16)
   in
   { engine; net; dram; llc; devices }
 
-let setup ?kind_of ?sets ?ways ?fault () =
-  setup_with_policy ?kind_of ?sets ?ways ?fault ()
+let setup ?is_mesi ?sets ?ways ?fault () =
+  setup_with_policy ?is_mesi ?sets ?ways ?fault ()
 
 let run t = ignore (Engine.run_all ~strict:false t.engine)
 

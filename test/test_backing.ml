@@ -33,8 +33,7 @@ let scripted_backing () =
   let s = { acquires = []; writebacks = []; recall = (fun ~line:_ ~kind:_ ~k -> k None) } in
   let backing =
     {
-      Backing.name = "scripted";
-      acquire = (fun ~line ~excl ~k -> s.acquires <- s.acquires @ [ (line, excl, k) ]);
+      Backing.acquire = (fun ~line ~excl ~k -> s.acquires <- s.acquires @ [ (line, excl, k) ]);
       writeback =
         (fun ~line ~data ~dirty ~k ->
           s.writebacks <- s.writebacks @ [ (line, data, dirty) ];
@@ -58,14 +57,14 @@ let harness () =
   let net = Network.create engine (Network.flat_topology ~latency:2) in
   let script, backing = scripted_backing () in
   let llc =
-    Llc.create engine net backing
+    Llc.create ~name:"llc" engine net backing
       {
         Llc.llc_id;
         banks = 1;
         sets = 8;
         ways = 2;
         access_latency = 1;
-        kind_of = (fun _ -> Llc.Kind_denovo);
+        is_mesi = (fun _ -> false);
         reqs_policy = Llc.Reqs_auto;
       }
   in
@@ -241,7 +240,7 @@ let client_harness () =
   Network.register cnet ~id:20 (fun m -> dir_inbox := m :: !dir_inbox);
   Network.register cnet ~id:5 (fun m -> req_inbox := m :: !req_inbox);
   let client =
-    Mesi_client.create cengine cnet
+    Mesi_client.create ~name:"mesi_client" cengine cnet
       { Mesi_client.id = 8; dir_id = 20; dir_banks = 1; hit_latency = 1 }
   in
   { cengine; cnet; client; dir_inbox; req_inbox }

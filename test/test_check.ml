@@ -26,7 +26,7 @@ let stuck_on_swallowed_reply () =
   let net = Network.create engine (Spandex_net.Network.flat_topology ~latency:3) in
   Network.register net ~id:10 (fun _msg -> () (* black-hole LLC *));
   let l1 =
-    Spandex_mesi.Mesi_l1.create engine net
+    Spandex_mesi.Mesi_l1.create ~name:"mesi_l1.0" engine net
       {
         Spandex_mesi.Mesi_l1.id = 0;
         llc_id = 10;

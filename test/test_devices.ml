@@ -67,19 +67,19 @@ let inject h ~kind ~line ~mask ?demand ?(requestor = peer_id) () =
   run h
 
 let mk_gpu h =
-  Gpu_l1.create h.engine h.net
+  Gpu_l1.create ~name:"gpu_l1.0" h.engine h.net
     { Gpu_l1.id = dev_id; llc_id; llc_banks = 1; sets = 4; ways = 2; mshrs = 8;
       sb_capacity = 8; hit_latency = 1; coalesce_window = 2; max_reqv_retries = 1 }
 
 let mk_denovo ?(atomics_at_llc = false) h =
-  Denovo_l1.create h.engine h.net
+  Denovo_l1.create ~name:"denovo_l1.0" h.engine h.net
     { Denovo_l1.id = dev_id; llc_id; llc_banks = 1; sets = 4; ways = 2;
       mshrs = 8; sb_capacity = 8; hit_latency = 1; coalesce_window = 2;
       max_reqv_retries = 1; atomics_at_llc; region_of = (fun _ -> 0);
       policy = Spandex_l1.Spandex_policy.Static_own }
 
 let mk_mesi ?(notify = false) h =
-  Mesi_l1.create h.engine h.net
+  Mesi_l1.create ~name:"mesi_l1.0" h.engine h.net
     { Mesi_l1.id = dev_id; llc_id; llc_banks = 1; sets = 4; ways = 2; mshrs = 8;
       sb_capacity = 8; hit_latency = 1; coalesce_window = 2;
       notify_home_on_fwd_getm = notify }

@@ -63,12 +63,12 @@ let reply h ?payload ~to_:(m : Msg.t) ~kind ?mask ?(from = llc_id) () =
   run h
 
 let mk_gpu ?(sb_capacity = 2) h =
-  Gpu_l1.create h.engine h.net
+  Gpu_l1.create ~name:"gpu_l1.0" h.engine h.net
     { Gpu_l1.id = dev_id; llc_id; llc_banks = 1; sets = 4; ways = 2; mshrs = 8;
       sb_capacity; hit_latency = 1; coalesce_window = 2; max_reqv_retries = 1 }
 
 let mk_denovo h =
-  Denovo_l1.create h.engine h.net
+  Denovo_l1.create ~name:"denovo_l1.0" h.engine h.net
     { Denovo_l1.id = dev_id; llc_id; llc_banks = 1; sets = 4; ways = 2;
       mshrs = 8; sb_capacity = 4; hit_latency = 1; coalesce_window = 2;
       max_reqv_retries = 1; atomics_at_llc = false; region_of = (fun _ -> 0);
@@ -245,7 +245,7 @@ let denovo_sb_full_stalls () =
 
 let mesi_rmw_waits_for_same_line_store () =
   let h = harness () in
-  let l1 = Mesi_l1.create h.engine h.net
+  let l1 = Mesi_l1.create ~name:"mesi_l1.0" h.engine h.net
       { Mesi_l1.id = dev_id; llc_id; llc_banks = 1; sets = 4; ways = 2;
         mshrs = 8; sb_capacity = 8; hit_latency = 1; coalesce_window = 50;
         notify_home_on_fwd_getm = false }
@@ -267,7 +267,7 @@ let mesi_load_waits_on_pending_write () =
      (the two would race at the LLC and one would be granted data-less);
      it is served from the write's grant. *)
   let h = harness () in
-  let l1 = Mesi_l1.create h.engine h.net
+  let l1 = Mesi_l1.create ~name:"mesi_l1.0" h.engine h.net
       { Mesi_l1.id = dev_id; llc_id; llc_banks = 1; sets = 4; ways = 2;
         mshrs = 8; sb_capacity = 8; hit_latency = 1; coalesce_window = 1;
         notify_home_on_fwd_getm = false }
@@ -287,7 +287,7 @@ let mesi_load_waits_on_pending_write () =
 
 let mesi_store_misses_coalesce_whole_line () =
   let h = harness () in
-  let l1 = Mesi_l1.create h.engine h.net
+  let l1 = Mesi_l1.create ~name:"mesi_l1.0" h.engine h.net
       { Mesi_l1.id = dev_id; llc_id; llc_banks = 1; sets = 4; ways = 2;
         mshrs = 8; sb_capacity = 8; hit_latency = 1; coalesce_window = 4;
         notify_home_on_fwd_getm = false }
@@ -327,7 +327,7 @@ let llc_plain_remote_write_without_amo () =
 let llc_writer_keeps_its_shared_copy () =
   (* A sharer's own write must not invalidate the writer itself. *)
   let open Proto_harness in
-  let t = setup ~kind_of:(fun _ -> Spandex.Llc.Kind_mesi) () in
+  let t = setup ~is_mesi:(fun _ -> true) () in
   ignore (req t ~from:0 ~kind:Msg.ReqOdata ~line:9 ~mask:Addr.full_mask ());
   clear_inboxes t;
   let _ = req t ~from:1 ~kind:Msg.ReqS ~line:9 ~mask:Addr.full_mask () in

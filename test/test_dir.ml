@@ -32,7 +32,7 @@ let harness ?(sets = 16) ?(ways = 4) ?fault () =
   let net = Network.create ?fault engine (Network.flat_topology ~latency:2) in
   let dram = Dram.create engine ~latency:5 ~service_interval:0 in
   let dir =
-    Mesi_dir.create engine net dram
+    Mesi_dir.create ~name:"dir" engine net dram
       { Mesi_dir.dir_id; banks = 1; sets; ways; access_latency = 1 }
   in
   let inboxes =

@@ -33,7 +33,7 @@ let denovo_standalone ~policy region_of =
   let llc_inbox = ref [] in
   Spandex_net.Network.register net ~id:10 (fun m -> llc_inbox := m :: !llc_inbox);
   let l1 =
-    Denovo_l1.create engine net
+    Denovo_l1.create ~name:"denovo_l1.0" engine net
       {
         Denovo_l1.id = 0;
         llc_id = 10;
@@ -145,7 +145,7 @@ let reqs_option2_served_as_reqv () =
      neither Shared state nor ownership. *)
   let open Proto_harness in
   let t =
-    setup_with_policy ~kind_of:(fun _ -> Llc.Kind_mesi)
+    setup_with_policy ~is_mesi:(fun _ -> true)
       ~reqs_policy:Llc.Reqs_valid ()
   in
   ignore (req t ~from:0 ~kind:Msg.ReqS ~line:4 ~mask:Addr.full_mask ());
@@ -156,7 +156,7 @@ let reqs_option2_served_as_reqv () =
 let reqs_option1_forced () =
   let open Proto_harness in
   let t =
-    setup_with_policy ~kind_of:(fun _ -> Llc.Kind_denovo)
+    setup_with_policy ~is_mesi:(fun _ -> false)
       ~reqs_policy:Llc.Reqs_shared ()
   in
   ignore (req t ~from:0 ~kind:Msg.ReqS ~line:4 ~mask:Addr.full_mask ());
@@ -173,7 +173,7 @@ let adaptive_streams_write_through () =
   let llc_inbox = ref [] in
   Spandex_net.Network.register net ~id:10 (fun m -> llc_inbox := m :: !llc_inbox);
   let l1 =
-    Denovo_l1.create engine net
+    Denovo_l1.create ~name:"denovo_l1.0" engine net
       {
         Denovo_l1.id = 0;
         llc_id = 10;

@@ -170,7 +170,7 @@ let reqwtdata_blocks_on_rvko () =
 
 let reqs_opt3_treated_as_ownership () =
   (* Unshared, no MESI owner: option (3) grants ownership with data. *)
-  let t = setup ~kind_of:(fun id -> if id = 1 then Llc.Kind_mesi else Llc.Kind_denovo) () in
+  let t = setup ~is_mesi:(fun id -> id = 1) () in
   ignore (req t ~from:1 ~kind:Msg.ReqS ~line:9 ~mask:full ());
   let rsp = expect_kind ~what:"E grant" (inbox t 1) (Msg.Rsp Msg.RspOdata) in
   check_int "full data" 16 (List.length (payload_list rsp));
@@ -179,7 +179,7 @@ let reqs_opt3_treated_as_ownership () =
   check_bool "no sharers" true (Llc.sharers t.llc ~line:9 = [])
 
 let reqs_opt3_with_denovo_owner () =
-  let t = setup ~kind_of:(fun id -> if id = 1 then Llc.Kind_mesi else Llc.Kind_denovo) () in
+  let t = setup ~is_mesi:(fun id -> id = 1) () in
   ignore (req t ~from:0 ~kind:Msg.ReqO ~line:9 ~mask:(w 7) ());
   clear_inboxes t;
   ignore (req t ~from:1 ~kind:Msg.ReqS ~line:9 ~mask:full ());
@@ -192,7 +192,7 @@ let reqs_opt3_with_denovo_owner () =
     (Llc.owner_of t.llc (Addr.make ~line:9 ~word:7) = Some 1)
 
 let reqs_opt1_with_mesi_owner () =
-  let t = setup ~kind_of:(fun _ -> Llc.Kind_mesi) () in
+  let t = setup ~is_mesi:(fun _ -> true) () in
   ignore (req t ~from:0 ~kind:Msg.ReqOdata ~line:9 ~mask:full ());
   clear_inboxes t;
   ignore (req t ~from:1 ~kind:Msg.ReqS ~line:9 ~mask:full ());
@@ -213,7 +213,7 @@ let reqs_opt1_with_mesi_owner () =
     (Llc.peek_word t.llc (Addr.make ~line:9 ~word:4) = Some 904)
 
 let reqs_opt1_when_already_shared () =
-  let t = setup ~kind_of:(fun _ -> Llc.Kind_mesi) () in
+  let t = setup ~is_mesi:(fun _ -> true) () in
   (* Build LS state via opt1 path. *)
   ignore (req t ~from:0 ~kind:Msg.ReqOdata ~line:9 ~mask:full ());
   let fwd = expect_kind ~what:"setup" (inbox t 0) (Msg.Rsp Msg.RspOdata) in
@@ -232,7 +232,7 @@ let reqs_opt1_when_already_shared () =
   check_bool "three sharers" true (List.length (Llc.sharers t.llc ~line:9) = 3)
 
 let write_to_shared_collects_acks () =
-  let t = setup ~kind_of:(fun _ -> Llc.Kind_mesi) () in
+  let t = setup ~is_mesi:(fun _ -> true) () in
   (* LS with sharers {0,1} as above. *)
   ignore (req t ~from:0 ~kind:Msg.ReqOdata ~line:9 ~mask:full ());
   clear_inboxes t;

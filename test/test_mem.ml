@@ -246,19 +246,19 @@ let frame_banks_must_divide_sets () =
     (fun banks ->
       refused "Llc.create" (fun () ->
           ignore
-            (Llc.create engine net (Backing.dram engine dram)
+            (Llc.create ~name:"llc" engine net (Backing.dram engine dram)
                {
                  Llc.llc_id = 10;
                  banks;
                  sets = 16;
                  ways = 4;
                  access_latency = 1;
-                 kind_of = (fun _ -> Llc.Kind_denovo);
+                 is_mesi = (fun _ -> false);
                  reqs_policy = Llc.Reqs_auto;
                }));
       refused "Mesi_dir.create" (fun () ->
           ignore
-            (Mesi_dir.create engine net dram
+            (Mesi_dir.create ~name:"dir" engine net dram
                { Mesi_dir.dir_id = 20; banks; sets = 16; ways = 4; access_latency = 1 })))
     [ 0; 3; 32 ]
 

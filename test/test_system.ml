@@ -172,6 +172,70 @@ let workload_too_big_rejected () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* The two spellings every device is known by (run.mli, "Device names"),
+   pinned for one id of each device class: a rename fails here, naming the
+   configuration, the id and the spelling that moved, before it reaches a
+   golden digest. *)
+let device_table_spellings () =
+  let cpus = params.Params.cpu_cores and banks = params.Params.llc_banks in
+  let gpu j = cpus + j and home b = cpus + params.Params.gpu_cus + b in
+  let l2 b = home banks + b in
+  let client = l2 banks in
+  (* (config, [ (id, device name, label) ]).  The label is the stats key
+     prefix and, for an L1, the view name; [""] marks a row the
+     configuration lays out but does not build. *)
+  let expected =
+    [
+      ( Config.hmg,
+        [ (0, "mesi_l1.0", "mesi_l1.0"); (gpu 1, "gpu_l1.1", "gpu_l1.3");
+          (home 0, "dir.b0", "mesi_dir"); (home 1, "dir.b1", "mesi_dir");
+          (l2 0, "gpu_l2.b0", "gpu_l2"); (client, "mesi_client", "mesi_client") ] );
+      ( Config.smg,
+        [ (1, "mesi_l1.1", "mesi_l1.1"); (gpu 1, "gpu_l1.1", "gpu_l1.3");
+          (home 0, "llc.b0", "spandex_llc"); (l2 1, "gpu_l2.b1", "");
+          (client, "mesi_client", "") ] );
+      ( Config.sdd,
+        [ (0, "denovo_l1.0", "denovo_l1.0");
+          (gpu 0, "gpu_denovo_l1.0", "denovo_l1.2");
+          (home 1, "llc.b1", "spandex_llc") ] );
+      ( Config.saa,
+        [ (1, "denovo_l1.1", "denovo_l1.1");
+          (gpu 1, "gpu_denovo_l1.1", "denovo_l1.3");
+          (home 0, "llc.b0", "spandex_llc") ] );
+    ]
+  in
+  let wl = (Registry.find "indirection").Registry.build ~scale:0.25 geom in
+  List.iter
+    (fun ((config : Config.t), rows) ->
+      let sys = Run.build ~params ~config wl in
+      let r = sys.Run.sys_run () in
+      Run.assert_clean r;
+      let keys = Spandex_util.Stats.names r.Run.stats in
+      List.iter
+        (fun (id, name, label) ->
+          let what k = Printf.sprintf "%s id %d: %s" config.Config.name id k in
+          Alcotest.(check string)
+            (what "device name") name sys.Run.sys_device_names.(id);
+          Alcotest.(check string)
+            (what "result device name") name r.Run.device_names.(id);
+          if label <> "" then begin
+            check_bool
+              (what (Printf.sprintf "a stats key starts %S" (label ^ ".")))
+              true
+              (List.exists
+                 (String.starts_with ~prefix:(label ^ "."))
+                 keys);
+            if id < home 0 then
+              Alcotest.(check (option string))
+                (what "view name") (Some label)
+                (List.find_map
+                   (fun v ->
+                     if v.Run.view_id = id then Some v.Run.view_name else None)
+                   sys.Run.sys_views)
+          end)
+        rows)
+    expected
+
 let tests =
   [
     test "configs_cover_table_v" configs_cover_table_v;
@@ -185,4 +249,5 @@ let tests =
     test "report_normalization" report_normalization;
     test "checks_catch_wrong_data" checks_catch_wrong_data;
     test "workload_too_big_rejected" workload_too_big_rejected;
+    test "device_table_spellings" device_table_spellings;
   ]
