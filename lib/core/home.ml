@@ -57,7 +57,7 @@ let bank_name name b = Printf.sprintf "%s.b%d" name b
 
 let payload (msg : Msg.t) =
   match msg.Msg.payload with
-  | Msg.Data v | Msg.Data_pooled v -> v
+  | Msg.Data v -> v
   | Msg.No_data -> invalid_arg "Home: request missing data payload"
 
 let count_req t ~line kind =
@@ -70,7 +70,7 @@ let send t (msg : Msg.t) = Engine.send_later t.engine ~delay:t.latency msg
 
 let respond t (req : Msg.t) ~kind ~mask ?payload () =
   let msg =
-    Msg.make ~txn:req.Msg.txn ~kind:(Msg.Rsp kind) ~line:req.Msg.line ~mask
+    Msg.make ~txn:req.Msg.txn ~kind:(Msg.rsp kind) ~line:req.Msg.line ~mask
       ?payload ~src:(endpoint t ~line:req.Msg.line) ~dst:req.Msg.requestor ()
   in
   (match (bank t req.Msg.line).replay with
@@ -83,7 +83,7 @@ let respond t (req : Msg.t) ~kind ~mask ?payload () =
 
 let forward t (req : Msg.t) ~kind ~dst ~mask ?demand () =
   send t
-    (Msg.make ~txn:req.Msg.txn ~kind:(Msg.Req kind) ~line:req.Msg.line ~mask
+    (Msg.make ~txn:req.Msg.txn ~kind:(Msg.req kind) ~line:req.Msg.line ~mask
        ?demand ~src:(endpoint t ~line:req.Msg.line) ~dst
        ~requestor:req.Msg.requestor ~fwd:true ())
 
@@ -91,7 +91,7 @@ let probe t ~kind ~dst ~line ~mask =
   send t
     (Msg.make
        ~txn:(Txn.next (bank t line).txns)
-       ~kind:(Msg.Probe kind) ~line ~mask ~src:(endpoint t ~line) ~dst ())
+       ~kind:(Msg.probe kind) ~line ~mask ~src:(endpoint t ~line) ~dst ())
 
 (* The at-most-once filter; only network arrivals pass through it. *)
 let arrival t handle (msg : Msg.t) =

@@ -96,19 +96,29 @@ let respond t (req : Msg.t) ~kind ~mask ?payload () =
 
 let respond_data t (req : Msg.t) meta ~kind ~mask =
   if not (Mask.is_empty mask) then
-    let payload = Msg.pooled_pack ~mask ~full:meta.data in
+    let payload = Msg.Data (Linedata.pack ~mask ~full:meta.data) in
     respond t req ~kind ~mask ~payload ()
 
 
 (* ----- per-word owner bookkeeping ----------------------------------------- *)
 
-(* Group the remotely-owned words of [mask] by owner. *)
+(* Group the remotely-owned words of [mask] by owner.  Most requests
+   find no owned word, and then neither this nor [words_owned_by] folds. *)
 let owner_groups meta mask =
-  Mask.fold (Mask.inter mask meta.owned) ~init:[] ~f:(fun acc w ->
-      let o = meta.owner.(w) in
-      match List.assoc_opt o acc with
-      | Some m -> (o, Mask.add m w) :: List.remove_assoc o acc
-      | None -> (o, Mask.singleton w) :: acc)
+  let owned = Mask.inter mask meta.owned in
+  if Mask.is_empty owned then []
+  else
+    Mask.fold owned ~init:[] ~f:(fun acc w ->
+        let o = meta.owner.(w) in
+        match List.assoc_opt o acc with
+        | Some m -> (o, Mask.add m w) :: List.remove_assoc o acc
+        | None -> (o, Mask.singleton w) :: acc)
+
+(* [owner_groups] of the request's mask without the requestor's own. *)
+let other_owner_groups meta (msg : Msg.t) =
+  match owner_groups meta msg.Msg.mask with
+  | [] -> []
+  | groups -> List.filter (fun (o, _) -> o <> msg.Msg.requestor) groups
 
 (* Every word of the line owned by [o]. *)
 let full_holding meta o =
@@ -122,8 +132,20 @@ let grant_ownership meta ~mask ~to_ =
 let clear_ownership meta ~mask = meta.owned <- Mask.diff meta.owned mask
 
 let words_owned_by meta ~mask ~owner =
-  Mask.fold (Mask.inter mask meta.owned) ~init:Mask.empty ~f:(fun acc w ->
-      if meta.owner.(w) = owner then Mask.add acc w else acc)
+  let owned = Mask.inter mask meta.owned in
+  if Mask.is_empty owned then Mask.empty
+  else
+    Mask.fold owned ~init:Mask.empty ~f:(fun acc w ->
+        if meta.owner.(w) = owner then Mask.add acc w else acc)
+
+(* Forward [msg] as [kind] to each group's owner for the group's words,
+   counting each forward under [stat]. *)
+let rec forward_groups home st (msg : Msg.t) ~kind ~stat = function
+  | [] -> ()
+  | (o, sub) :: rest ->
+    Stats.incr st stat;
+    Home.forward home msg ~kind ~dst:o ~mask:sub ();
+    forward_groups home st msg ~kind ~stat rest
 
 (* ----- request classification --------------------------------------------- *)
 
@@ -167,13 +189,11 @@ and handle_req t (msg : Msg.t) kind =
           ~mask:msg.Msg.mask
       | _ ->
         Stats.incr st "blocked";
-        Msg.keep msg;
         meta.blocked <- meta.blocked @ [ msg ])
     | None ->
       if needs_excl kind && not meta.backing_excl then begin
         Stats.incr st "backing_upgrade";
         meta.pending <- Some Upgrading;
-        Msg.keep msg;
         meta.blocked <- meta.blocked @ [ msg ];
         t.backing.Backing.acquire ~line:msg.Msg.line ~excl:true
           ~k:(fun data ~excl ->
@@ -221,8 +241,6 @@ and with_no_sharers t meta (msg : Msg.t) next =
     if targets = [] then next ()
     else begin
       Stats.incr (stats t msg.Msg.line) "inv_bursts";
-      (* [next] captures [msg] and runs after the ack collection. *)
-      Msg.keep msg;
       meta.pending <-
         Some
           (Collecting_acks
@@ -250,24 +268,25 @@ and do_reqv t meta (msg : Msg.t) =
   let local = Mask.diff msg.Msg.mask meta.owned in
   respond_data t msg meta ~kind:Msg.RspV ~mask:local;
   let fwd_words = Mask.inter msg.Msg.mask meta.owned in
-  List.iter
-    (fun (o, sub) ->
-      let demanded = Mask.inter sub msg.Msg.demand in
-      if o = msg.Msg.requestor then begin
-        (* The requestor was granted ownership (e.g. by another of its
-           contexts) after issuing this ReqV; the LLC has no data to give.
-           Nack so its TU retries and hits locally. *)
-        if not (Mask.is_empty demanded) then begin
-          Stats.incr (stats t msg.Msg.line) "reqv_self_nack";
-          respond t msg ~kind:Msg.Nack ~mask:demanded ()
+  if not (Mask.is_empty fwd_words) then
+    List.iter
+      (fun (o, sub) ->
+        let demanded = Mask.inter sub msg.Msg.demand in
+        if o = msg.Msg.requestor then begin
+          (* The requestor was granted ownership (e.g. by another of its
+             contexts) after issuing this ReqV; the LLC has no data to give.
+             Nack so its TU retries and hits locally. *)
+          if not (Mask.is_empty demanded) then begin
+            Stats.incr (stats t msg.Msg.line) "reqv_self_nack";
+            respond t msg ~kind:Msg.Nack ~mask:demanded ()
+          end
         end
-      end
-      else begin
-        Stats.incr (stats t msg.Msg.line) "fwd_reqv";
-        Home.forward t.home msg ~kind:Msg.ReqV ~dst:o ~mask:sub
-          ~demand:demanded ()
-      end)
-    (owner_groups meta fwd_words)
+        else begin
+          Stats.incr (stats t msg.Msg.line) "fwd_reqv";
+          Home.forward t.home msg ~kind:Msg.ReqV ~dst:o ~mask:sub
+            ~demand:demanded ()
+        end)
+      (owner_groups meta fwd_words)
 
 (* ReqS: option (1) when the line is Shared or a MESI device owns target
    words, option (3) otherwise (§III-B "Supporting Shared State"). *)
@@ -321,7 +340,6 @@ and do_reqs t meta (msg : Msg.t) =
           (fun (o, _) -> if t.cfg.is_mesi o then Some o else None)
           fwd_groups
       in
-      Msg.keep msg;
       meta.pending <-
         Some
           (Awaiting_wb
@@ -338,11 +356,7 @@ and do_reqs t meta (msg : Msg.t) =
                    respond_data t msg meta ~kind:Msg.RspS ~mask:self;
                    after_pending t msg.Msg.line);
              });
-      List.iter
-        (fun (o, sub) ->
-          Stats.incr st "fwd_reqs";
-          Home.forward t.home msg ~kind:Msg.ReqS ~dst:o ~mask:sub ())
-        fwd_groups
+      forward_groups t.home st msg ~kind:Msg.ReqS ~stat:"fwd_reqs" fwd_groups
     end
   end
   else begin
@@ -357,22 +371,15 @@ and do_reqs t meta (msg : Msg.t) =
 and do_reqwt t meta (msg : Msg.t) =
   let values = Home.payload msg in
   let self = words_owned_by meta ~mask:msg.Msg.mask ~owner:msg.Msg.requestor in
-  let groups =
-    List.filter
-      (fun (o, _) -> o <> msg.Msg.requestor)
-      (owner_groups meta msg.Msg.mask)
-  in
+  let groups = other_owner_groups meta msg in
   Linedata.unpack_into ~mask:msg.Msg.mask ~values ~full:meta.data;
   meta.dirty <- true;
   clear_ownership meta ~mask:msg.Msg.mask;
   let fwd_mask =
     List.fold_left (fun acc (_, sub) -> Mask.union acc sub) Mask.empty groups
   in
-  List.iter
-    (fun (o, sub) ->
-      Stats.incr (stats t msg.Msg.line) "fwd_wt_revoke";
-      Home.forward t.home msg ~kind:Msg.ReqO ~dst:o ~mask:sub ())
-    groups;
+  forward_groups t.home (stats t msg.Msg.line) msg ~kind:Msg.ReqO
+    ~stat:"fwd_wt_revoke" groups;
   respond t msg ~kind:Msg.RspWT
     ~mask:(Mask.union (Mask.diff msg.Msg.mask fwd_mask) self)
     ()
@@ -380,20 +387,13 @@ and do_reqwt t meta (msg : Msg.t) =
 (* ReqO: non-blocking ownership transfer (Fig. 1a). *)
 and do_reqo t meta (msg : Msg.t) =
   let self = words_owned_by meta ~mask:msg.Msg.mask ~owner:msg.Msg.requestor in
-  let groups =
-    List.filter
-      (fun (o, _) -> o <> msg.Msg.requestor)
-      (owner_groups meta msg.Msg.mask)
-  in
+  let groups = other_owner_groups meta msg in
   let fwd_mask =
     List.fold_left (fun acc (_, sub) -> Mask.union acc sub) Mask.empty groups
   in
   grant_ownership meta ~mask:msg.Msg.mask ~to_:msg.Msg.requestor;
-  List.iter
-    (fun (o, sub) ->
-      Stats.incr (stats t msg.Msg.line) "fwd_reqo";
-      Home.forward t.home msg ~kind:Msg.ReqO ~dst:o ~mask:sub ())
-    groups;
+  forward_groups t.home (stats t msg.Msg.line) msg ~kind:Msg.ReqO
+    ~stat:"fwd_reqo" groups;
   respond t msg ~kind:Msg.RspO
     ~mask:(Mask.union (Mask.diff msg.Msg.mask fwd_mask) self)
     ()
@@ -407,17 +407,10 @@ and do_grant_with_data t meta (msg : Msg.t) ~rsp =
     (* The requestor already owns these words; its copy is the truth, so no
        data can be supplied.  This only arises from defensive retries. *)
     respond t msg ~kind:Msg.RspO ~mask:self ();
-  let groups =
-    List.filter
-      (fun (o, _) -> o <> msg.Msg.requestor)
-      (owner_groups meta msg.Msg.mask)
-  in
+  let groups = other_owner_groups meta msg in
   respond_data t msg meta ~kind:rsp ~mask:local;
-  List.iter
-    (fun (o, sub) ->
-      Stats.incr (stats t msg.Msg.line) "fwd_reqodata";
-      Home.forward t.home msg ~kind:Msg.ReqOdata ~dst:o ~mask:sub ())
-    groups;
+  forward_groups t.home (stats t msg.Msg.line) msg ~kind:Msg.ReqOdata
+    ~stat:"fwd_reqodata" groups;
   grant_ownership meta ~mask:msg.Msg.mask ~to_:msg.Msg.requestor
 
 (* ReqWT+data: the update happens at the LLC, which must first collect the
@@ -426,7 +419,6 @@ and do_reqwtdata t meta (msg : Msg.t) =
   let groups = owner_groups meta msg.Msg.mask in
   if groups = [] then apply_wtdata t meta msg
   else begin
-    Msg.keep msg;
     let awaited =
       List.map
         (fun (o, _) ->
@@ -461,10 +453,10 @@ and apply_wtdata t meta (msg : Msg.t) =
       let w = Mask.lowest msg.Msg.mask in
       let next, ret = Amo.apply amo meta.data.(w) in
       meta.data.(w) <- next;
-      Msg.pooled_single ret
+      Msg.Data [| ret |]
     | None ->
       let values = Home.payload msg in
-      let old = Msg.pooled_pack ~mask:msg.Msg.mask ~full:meta.data in
+      let old = Msg.Data (Linedata.pack ~mask:msg.Msg.mask ~full:meta.data) in
       Linedata.unpack_into ~mask:msg.Msg.mask ~values ~full:meta.data;
       old
   in
@@ -548,7 +540,7 @@ and handle_rsp t (msg : Msg.t) kind =
       | None -> Stats.incr (stats t msg.Msg.line) "rvko_dup"
       | Some a ->
         (match msg.Msg.payload with
-        | Msg.Data values | Msg.Data_pooled values ->
+        | Msg.Data values ->
           Linedata.iter ~mask:msg.Msg.mask ~values ~f:(fun ~word ~value ->
               if Mask.mem meta.owned word && meta.owner.(word) = msg.Msg.src
               then meta.data.(word) <- value);
@@ -598,7 +590,6 @@ and allocate_and_fetch t (msg : Msg.t) kind =
   let insert () = Frames.insert t.frame ~line meta ~can_evict in
   let start_fetch () =
     meta.pending <- Some (Fetching { excl = needs_excl kind });
-    Msg.keep msg;
     meta.blocked <- [ msg ];
     t.backing.Backing.acquire ~line ~excl:(needs_excl kind)
       ~k:(fun data ~excl ->
@@ -628,7 +619,6 @@ and allocate_and_fetch t (msg : Msg.t) kind =
     match find_purge_victim t line with
     | Some (vline, vmeta) ->
       Stats.incr st "evict_purge";
-      Msg.keep msg;
       purge t vline vmeta ~keep_line:false ~inv_sharers:true
         ~k:(fun (data, dirty) ->
           t.backing.Backing.writeback ~line:vline ~data ~dirty
@@ -636,7 +626,6 @@ and allocate_and_fetch t (msg : Msg.t) kind =
           handle t msg)
     | None ->
       Stats.incr st "alloc_stall";
-      Msg.keep msg;
       Engine.schedule t.engine ~delay:8 (fun () -> handle t msg)
   end
 

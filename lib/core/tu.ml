@@ -34,7 +34,7 @@ let absorb t (msg : Msg.t) =
   | Msg.Rsp Msg.Nack -> acc.nacked <- Mask.union acc.nacked msg.Msg.mask
   | Msg.Rsp _ -> (
     match msg.Msg.payload with
-    | Msg.Data values | Msg.Data_pooled values ->
+    | Msg.Data values ->
       Linedata.unpack_into ~mask:msg.Msg.mask ~values ~full:acc.values;
       acc.data_mask <- Mask.union acc.data_mask msg.Msg.mask
     | Msg.No_data -> acc.acked <- Mask.union acc.acked msg.Msg.mask)

@@ -126,7 +126,7 @@ let send_wb t ~line ~mask ~values =
   Hashtbl.replace t.wb_records txn { b_line = line; b_mask = mask; b_values = values };
   Stats.bump t.ch.Chassis.stats t.k_wb_issued;
   request t ~txn ~kind:Msg.ReqWB ~line ~mask
-    ~payload:(Msg.pooled_pack ~mask ~full:values)
+    ~payload:(Msg.Data (Linedata.pack ~mask ~full:values))
     ()
 
 let get_or_alloc t line_id =
@@ -193,8 +193,9 @@ let rec drain t =
           request t ~txn ~kind:Msg.ReqWT ~line:e.Store_buffer.line
             ~mask:e.Store_buffer.mask
             ~payload:
-              (Msg.pooled_pack ~mask:e.Store_buffer.mask
-                 ~full:e.Store_buffer.values)
+              (Msg.Data
+                 (Linedata.pack ~mask:e.Store_buffer.mask
+                    ~full:e.Store_buffer.values))
             ()
         end
         else begin
@@ -228,32 +229,53 @@ let commit_own t (o : own_req) =
 
 (* ----- pending-write lookup (for local loads and external requests) --------- *)
 
+(* Closed MSHR predicates over (line, word), so a search allocates
+   nothing ({!Mshr.find_first_exn}). *)
+let covers o line word =
+  o.o_line = line && Mask.mem (Mask.diff o.o_mask o.o_stolen) word
+
+let own_covers line word = function
+  | Own o -> covers o line word
+  | Read _ | Rmw _ | Atomic _ -> false
+
+let own_covers_owning line word = function
+  | Own o -> (not o.o_through) && covers o line word
+  | Read _ | Rmw _ | Atomic _ -> false
+
+let rmw_covers line word = function
+  | Rmw r -> r.w_line = line && r.w_word = word && not r.w_stolen
+  | Read _ | Own _ | Atomic _ -> false
+
+let read_pending_now epoch line = function
+  | Read m -> m.r_line = line && m.r_epoch = epoch
+  | Own _ | Rmw _ | Atomic _ -> false
+
+let write_pending_on line _ = function
+  | Own o -> o.o_line = line
+  | Rmw r -> r.w_line = line
+  | Read _ | Atomic _ -> false
+
 let find_own_covering ?(include_through = true) t ~line ~word =
   if Mshr.count t.ch.Chassis.outstanding = 0 then None
   else
-  match
-    Mshr.find_first_exn t.ch.Chassis.outstanding ~f:(function
-      | Own o ->
-        o.o_line = line
-        && (include_through || not o.o_through)
-        && Mask.mem (Mask.diff o.o_mask o.o_stolen) word
-      | _ -> false)
-  with
-  | Own o -> Some o
-  | _ -> None
-  | exception Not_found -> None
+    match
+      Mshr.find_first_exn t.ch.Chassis.outstanding line word
+        ~f:(if include_through then own_covers else own_covers_owning)
+    with
+    | Own o -> Some o
+    | _ -> None
+    | exception Not_found -> None
+
+let rmw_pending t ~line ~word =
+  Mshr.count t.ch.Chassis.outstanding > 0
+  && Mshr.exists t.ch.Chassis.outstanding line word ~f:rmw_covers
 
 let find_rmw_covering t ~line ~word =
-  if Mshr.count t.ch.Chassis.outstanding = 0 then None
-  else
   match
-    Mshr.find_first_exn t.ch.Chassis.outstanding ~f:(function
-      | Rmw r -> r.w_line = line && r.w_word = word && not r.w_stolen
-      | _ -> false)
+    Mshr.find_first_exn t.ch.Chassis.outstanding line word ~f:rmw_covers
   with
-  | Rmw r -> Some r
-  | _ -> None
-  | exception Not_found -> None
+  | Rmw r -> r
+  | _ -> assert false
 
 let find_wb_covering t ~line ~word =
   if Hashtbl.length t.wb_records = 0 then None
@@ -267,10 +289,7 @@ let find_wb_covering t ~line ~word =
    issued beside one could be answered with a data-less self-grant. *)
 let line_write_pending t ~line =
   (Mshr.count t.ch.Chassis.outstanding > 0
-  && Mshr.exists t.ch.Chassis.outstanding ~f:(function
-       | Own o -> o.o_line = line
-       | Rmw r -> r.w_line = line
-       | Read _ | Atomic _ -> false))
+  && Mshr.exists t.ch.Chassis.outstanding line 0 ~f:write_pending_on)
   || Hashtbl.length t.wb_records > 0
      && Hashtbl.fold
           (fun _ (b : wb_req) acc -> acc || b.b_line = line)
@@ -324,7 +343,7 @@ let rec load t (addr : Addr.t) ~k =
       Stats.incr t.ch.Chassis.stats "load_wb_fwd";
       Engine.apply_later t.ch.Chassis.engine ~delay:t.cfg.hit_latency k
         b.b_values.(word)
-    | None when find_rmw_covering t ~line ~word <> None ->
+    | None when rmw_pending t ~line ~word ->
       (* Another context's RMW to this word is mid-grant; once it commits
          the load hits the owned word locally. *)
       Stats.incr t.ch.Chassis.stats "load_rmw_defer";
@@ -339,9 +358,8 @@ let rec load t (addr : Addr.t) ~k =
       | _ | (exception Not_found) -> (
         Stats.bump t.ch.Chassis.stats t.ch.Chassis.k_load_miss;
         match
-          Mshr.find_first_exn t.ch.Chassis.outstanding ~f:(function
-            | Read m -> m.r_line = line && m.r_epoch = t.epoch
-            | _ -> false)
+          Mshr.find_first_exn t.ch.Chassis.outstanding t.epoch line
+            ~f:read_pending_now
         with
         | Read m ->
           Stats.incr t.ch.Chassis.stats "load_miss_coalesced";
@@ -472,7 +490,7 @@ and seed_collector (m : read_miss) (r : Tu.result) =
       (Msg.make ~txn:0 ~kind:(Msg.Rsp Msg.RspV) ~line:m.r_line
          ~mask:r.Tu.data_mask
          ~payload:
-           (Msg.pooled_pack ~mask:r.Tu.data_mask ~full:r.Tu.values)
+           (Msg.Data (Linedata.pack ~mask:r.Tu.data_mask ~full:r.Tu.values))
          ~src:0 ~dst:0 ())
 
 (* ----- stores --------------------------------------------------------------- *)
@@ -502,7 +520,7 @@ let rec store t (addr : Addr.t) ~value ~k =
 let respond_words t (msg : Msg.t) ~kind ~dst ~words ~values =
   if not (Mask.is_empty words) then
     reply t msg ~kind ~dst ~mask:words
-      ~payload:(Msg.pooled_pack ~mask:words ~full:values)
+      ~payload:(Msg.Data (Linedata.pack ~mask:words ~full:values))
       ()
 
 (* Serve [words] held (or about to be held) Owned here, whose data is in
@@ -581,7 +599,7 @@ and rmw t (addr : Addr.t) amo ~k =
       Engine.apply_later t.ch.Chassis.engine ~delay:t.cfg.hit_latency k old
     | _ | (exception Not_found) ->
       if
-        find_rmw_covering t ~line ~word <> None
+        rmw_pending t ~line ~word
         || find_own_covering t ~line ~word <> None
         || find_wb_covering t ~line ~word <> None
       then begin
@@ -672,23 +690,16 @@ and external_req t (msg : Msg.t) =
     if kind_needs_data then begin
       Stats.incr t.ch.Chassis.stats "ext_delayed";
       Mask.iter in_rmw ~f:(fun w ->
-          match find_rmw_covering t ~line ~word:w with
-          | Some r ->
-            (* The narrowed copy aliases [msg]'s payload; pin the original
-               so recycling cannot hand its array to another message. *)
-            Msg.keep msg;
-            r.w_queued <-
-              r.w_queued @ [ { msg with Msg.mask = Mask.singleton w } ]
-          | None -> assert false)
+          let r = find_rmw_covering t ~line ~word:w in
+          r.w_queued <-
+            r.w_queued @ [ { msg with Msg.mask = Mask.singleton w } ])
     end
     else
       Mask.iter in_rmw ~f:(fun w ->
-          match find_rmw_covering t ~line ~word:w with
-          | Some r ->
-            r.w_stolen <- true;
-            reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor
-              ~mask:(Mask.singleton w) ()
-          | None -> assert false)
+          let r = find_rmw_covering t ~line ~word:w in
+          r.w_stolen <- true;
+          reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor
+            ~mask:(Mask.singleton w) ())
   end;
   (* Owned in the frame: the normal case. *)
   (match frame_line with
@@ -732,9 +743,7 @@ and external_req t (msg : Msg.t) =
      once it lands and the words are Owned in the frame. *)
   if not (Mask.is_empty in_read) then begin
     Stats.incr t.ch.Chassis.stats "ext_deferred_read";
-    (* Snapshot now: by the time the closure fires the original may have
-       been recycled and reused for an unrelated message.  The copy still
-       aliases the payload, so pin both records. *)
+    (* The retry asks only for the words still mid-grant. *)
     let deferred =
       {
         msg with
@@ -742,8 +751,6 @@ and external_req t (msg : Msg.t) =
         Msg.demand = Mask.inter msg.Msg.demand in_read;
       }
     in
-    Msg.keep msg;
-    Msg.keep deferred;
     Engine.schedule t.ch.Chassis.engine ~delay:3 (fun () ->
         external_req t deferred)
   end;
@@ -855,7 +862,7 @@ let handle t (msg : Msg.t) =
         end)
     | Atomic a -> (
       match (msg.Msg.kind, msg.Msg.payload) with
-      | Msg.Rsp Msg.RspWTdata, (Msg.Data values | Msg.Data_pooled values) ->
+      | Msg.Rsp Msg.RspWTdata, Msg.Data values ->
         free_txn t ~txn:msg.Msg.txn;
         a.at_k values.(0);
         Chassis.check_release t.ch;

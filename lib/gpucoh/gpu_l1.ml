@@ -57,6 +57,12 @@ type t = {
   mutable epoch : int;
 }
 
+(* A miss on [line] issued in [epoch]: a closed MSHR predicate
+   ({!Mshr.find_first_exn}). *)
+let miss_now epoch line = function
+  | Miss m -> m.m_line = line && m.epoch = epoch
+  | Wt _ | Atomic _ -> false
+
 let wts_outstanding t =
   let n = ref 0 in
   Mshr.iter t.ch.Chassis.outstanding ~f:(fun ~txn:_ -> function
@@ -90,7 +96,7 @@ let rec drain t =
         let e = Store_buffer.take_oldest_exn t.ch.Chassis.sb in
         let mask = e.Store_buffer.mask in
         let payload =
-          Msg.pooled_pack ~mask ~full:e.Store_buffer.values
+          Msg.Data (Linedata.pack ~mask ~full:e.Store_buffer.values)
         in
         Stats.bump t.ch.Chassis.stats t.k_wt_issued;
         Stats.bump_by t.ch.Chassis.stats t.k_wt_words (Mask.count mask);
@@ -148,9 +154,10 @@ let handle_nacks t ~txn (m : miss) (r : Tu.result) =
       (Msg.make ~txn ~kind:(Msg.Rsp Msg.RspV)
          ~mask:(Mask.union r.Tu.data_mask r.Tu.acked)
          ~payload:
-           (Msg.pooled_pack
-              ~mask:(Mask.union r.Tu.data_mask r.Tu.acked)
-              ~full:r.Tu.values)
+           (Msg.Data
+              (Linedata.pack
+                 ~mask:(Mask.union r.Tu.data_mask r.Tu.acked)
+                 ~full:r.Tu.values))
          ~line:m.m_line ~src:t.cfg.id ~dst:t.cfg.id ())
   in
   if m.retries < t.cfg.max_reqv_retries then begin
@@ -204,9 +211,8 @@ let rec load t (addr : Addr.t) ~k =
       Stats.bump t.ch.Chassis.stats t.ch.Chassis.k_load_miss;
       (* Coalesce with an outstanding miss of the current epoch. *)
       match
-        Mshr.find_first_exn t.ch.Chassis.outstanding ~f:(function
-          | Miss m -> m.m_line = addr.Addr.line && m.epoch = t.epoch
-          | _ -> false)
+        Mshr.find_first_exn t.ch.Chassis.outstanding t.epoch addr.Addr.line
+          ~f:miss_now
       with
       | Miss m ->
         Stats.incr t.ch.Chassis.stats "load_miss_coalesced";
@@ -312,7 +318,7 @@ let handle t (msg : Msg.t) =
       drain t
     | Atomic a -> (
       match (msg.Msg.kind, msg.Msg.payload) with
-      | Msg.Rsp Msg.RspWTdata, (Msg.Data values | Msg.Data_pooled values) ->
+      | Msg.Rsp Msg.RspWTdata, Msg.Data values ->
         free_txn t ~txn:msg.Msg.txn;
         a.a_k values.(0);
         drain t

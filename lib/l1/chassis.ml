@@ -138,31 +138,34 @@ let create engine net ~id ~home_id ~home_banks ~hit_latency ~coalesce_window
 let fresh_txn t = Txn.next t.txns
 let send t msg = Engine.send_later t.engine ~delay:t.hit_latency msg
 
+(* Fault-armed runs only: resend [msg] until [retire]. *)
+let arm_retry t r (msg : Msg.t) =
+  let txn = msg.Msg.txn in
+  let resend =
+    if Trace.on t.trace then (fun () ->
+        Trace.instant t.trace ~time:(Engine.now t.engine) ~dev:t.id
+          ~name:t.n_retry ~txn ~arg:(Msg.kind_index msg.Msg.kind);
+        Network.send t.net msg)
+    else fun () -> Network.send t.net msg
+  in
+  Retry.arm r ~txn
+    ~describe:
+      (Format.asprintf "%a line %d" Msg.pp_kind msg.Msg.kind msg.Msg.line)
+    ~resend
+
 let request t ~txn ~kind ~line ~mask ?demand ?payload ?amo () =
   let msg =
-    Msg.make ~txn ~kind:(Msg.Req kind) ~line ~mask ?demand ?payload ~src:t.id
+    Msg.make ~txn ~kind:(Msg.req kind) ~line ~mask ?demand ?payload ~src:t.id
       ~dst:(t.home_id + Addr.bank_of ~banks:t.home_banks line) ?amo ()
   in
   if Trace.on t.trace then
     Trace.span_begin t.trace ~time:(Engine.now t.engine) ~dev:t.id ~txn
       ~cls:(Msg.req_kind_index kind) ~line;
-  Option.iter
-    (fun r ->
-      let resend =
-        if Trace.on t.trace then (fun () ->
-            Trace.instant t.trace ~time:(Engine.now t.engine) ~dev:t.id
-              ~name:t.n_retry ~txn ~arg:(Msg.req_kind_index kind);
-            Network.send t.net msg)
-        else fun () -> Network.send t.net msg
-      in
-      Retry.arm r ~txn
-        ~describe:(Format.asprintf "%a line %d" Msg.pp_kind (Msg.Req kind) line)
-        ~resend)
-    t.retry;
+  (match t.retry with Some r -> arm_retry t r msg | None -> ());
   send t msg
 
 let retire t ~txn =
-  Option.iter (fun r -> Retry.complete r ~txn) t.retry;
+  (match t.retry with Some r -> Retry.complete r ~txn | None -> ());
   if Trace.on t.trace then
     Trace.span_end t.trace ~time:(Engine.now t.engine) ~dev:t.id ~txn
 
@@ -183,13 +186,13 @@ let trace_nack t ~txn ~count =
 let reply t (msg : Msg.t) ~kind ~dst ~mask ?payload () =
   if not (Mask.is_empty mask) then
     send t
-      (Msg.make ~txn:msg.Msg.txn ~kind:(Msg.Rsp kind) ~line:msg.Msg.line ~mask
+      (Msg.make ~txn:msg.Msg.txn ~kind:(Msg.rsp kind) ~line:msg.Msg.line ~mask
          ?payload ~src:t.id ~dst ())
 
 let reply_data t msg ~kind ~dst ~mask ~values =
   if not (Mask.is_empty mask) then
     reply t msg ~kind ~dst ~mask
-      ~payload:(Msg.pooled_pack ~mask ~full:values)
+      ~payload:(Msg.Data (Linedata.pack ~mask ~full:values))
       ()
 
 let entry_ready ?(forced = false) t line =

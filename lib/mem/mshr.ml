@@ -42,14 +42,14 @@ let alloc t v =
     Some txn
   end
 
+(* Scans are [while] loops: a local recursive [go] would capture its free
+   variables in a closure allocated on every call. *)
 let find_exn t ~txn =
-  let n = t.hi in
-  let rec go i =
-    if i >= n then raise Not_found
-    else if t.txns.(i) = txn then t.vals.(i)
-    else go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < t.hi && t.txns.(!i) <> txn do
+    incr i
+  done;
+  if !i < t.hi then t.vals.(!i) else raise Not_found
 
 let find t ~txn =
   match find_exn t ~txn with v -> Some v | exception Not_found -> None
@@ -67,30 +67,21 @@ let free t ~txn =
     t.hi <- t.hi - 1
   done
 
-let find_first t ~f =
+let find_first_exn t a b ~f =
   let besti = ref (-1) in
   for i = 0 to t.hi - 1 do
     let txn = t.txns.(i) in
-    if txn >= 0 && (!besti < 0 || txn < t.txns.(!besti)) && f t.vals.(i) then
-      besti := i
-  done;
-  if !besti < 0 then None else Some (t.txns.(!besti), t.vals.(!besti))
-
-let find_first_exn t ~f =
-  let besti = ref (-1) in
-  for i = 0 to t.hi - 1 do
-    let txn = t.txns.(i) in
-    if txn >= 0 && (!besti < 0 || txn < t.txns.(!besti)) && f t.vals.(i) then
-      besti := i
+    if txn >= 0 && (!besti < 0 || txn < t.txns.(!besti)) && f a b t.vals.(i)
+    then besti := i
   done;
   if !besti < 0 then raise Not_found else t.vals.(!besti)
 
-let exists t ~f =
-  let n = t.hi in
-  let rec go i =
-    i < n && ((t.txns.(i) >= 0 && f t.vals.(i)) || go (i + 1))
-  in
-  go 0
+let exists t a b ~f =
+  let i = ref 0 in
+  while !i < t.hi && not (t.txns.(!i) >= 0 && f a b t.vals.(!i)) do
+    incr i
+  done;
+  !i < t.hi
 
 let iter t ~f =
   for i = 0 to t.hi - 1 do

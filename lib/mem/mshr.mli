@@ -25,16 +25,17 @@ val is_full : 'a t -> bool
 val count : 'a t -> int
 val capacity : 'a t -> int
 
-val find_first : 'a t -> f:('a -> bool) -> (int * 'a) option
-(** Entry with the smallest transaction id satisfying [f] — i.e. the oldest
-    matching miss. *)
+(** The searches take the entry's key (a line, a word) as two ints and
+    pass them to [f] with each entry, so [f] can be a closed function: a
+    search then allocates nothing. *)
 
-val find_first_exn : 'a t -> f:('a -> bool) -> 'a
-(** Allocation-free {!find_first} when the txn id is not needed; raises
-    [Not_found] when no entry matches. *)
+val find_first_exn : 'a t -> int -> int -> f:(int -> int -> 'a -> bool) -> 'a
+(** [find_first_exn t a b ~f] is the entry with the smallest transaction id
+    satisfying [f a b] — i.e. the oldest matching miss; raises [Not_found]
+    when no entry matches. *)
 
-val exists : 'a t -> f:('a -> bool) -> bool
-(** Allocation-free [find_first ... <> None].  Unlike {!find_first} the
-    scan may stop at the first match in slot order, so [f] must be pure. *)
+val exists : 'a t -> int -> int -> f:(int -> int -> 'a -> bool) -> bool
+(** Whether some entry satisfies [f a b].  The scan may stop at the first
+    match in slot order, so [f] must be pure. *)
 
 val iter : 'a t -> f:(txn:int -> 'a -> unit) -> unit

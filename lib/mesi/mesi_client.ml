@@ -51,17 +51,15 @@ let free_txn t ~txn = Chassis.free_txn t.ch ~txn
 let reply t (msg : Msg.t) ~kind ~dst ?payload () =
   Chassis.reply t.ch msg ~kind ~dst ~mask:msg.Msg.mask ?payload ()
 
+(* Closed MSHR predicates on a line ({!Mshr.find_first_exn}). *)
+let acq_on line _ = function Acq a -> a.a_line = line | Wb _ -> false
+let wb_on line _ = function Wb b -> b.w_line = line | Acq _ -> false
+
 let pending_acq_for t line =
-  Mshr.exists t.ch.Chassis.outstanding ~f:(function
-    | Acq a -> a.a_line = line
-    | _ -> false)
+  Mshr.exists t.ch.Chassis.outstanding line 0 ~f:acq_on
 
 let wb_for t line =
-  match
-    Mshr.find_first_exn t.ch.Chassis.outstanding ~f:(function
-      | Wb b -> b.w_line = line
-      | _ -> false)
-  with
+  match Mshr.find_first_exn t.ch.Chassis.outstanding line 0 ~f:wb_on with
   | Wb b -> Some b
   | _ -> None
   | exception Not_found -> None
@@ -104,7 +102,7 @@ let writeback t ~line ~data ~dirty ~k =
       | Some txn ->
         t.parked <- t.parked - 1;
         request t ~txn ~kind:Msg.ReqWB ~line
-          ~payload:(Msg.pooled_copy data) ()
+          ~payload:(Msg.Data (Array.copy data)) ()
       | None ->
         Stats.incr t.ch.Chassis.stats "mshr_stall";
         Engine.schedule t.ch.Chassis.engine ~delay:4 fire
@@ -133,16 +131,13 @@ let handle t (msg : Msg.t) =
     end
     else begin
       set_state t msg.Msg.line P_I;
-      (* [k] captures [msg] and may run after an async recall. *)
-      Msg.keep msg;
-      Msg.keep msg;
       t.recall_handler ~line:msg.Msg.line ~kind:Backing.Recall_excl
         ~k:(fun _ -> reply t msg ~kind:Msg.Ack ~dst:msg.Msg.src ())
     end
   | Msg.Req Msg.ReqS when msg.Msg.fwd -> (
     let from_record (b : wb) =
       reply t msg ~kind:Msg.RspS ~dst:msg.Msg.requestor
-        ~payload:(Msg.pooled_copy b.w_values)
+        ~payload:(Msg.Data (Array.copy b.w_values))
         ();
       reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ()
     in
@@ -151,14 +146,13 @@ let handle t (msg : Msg.t) =
     | None ->
       (* The parent state changes only once the recall resolves: a purge
          already in flight must still see P_M when it writes back. *)
-      Msg.keep msg;
       t.recall_handler ~line:msg.Msg.line ~kind:Backing.Recall_shared
         ~k:(fun result ->
           match (result, wb_for t msg.Msg.line) with
           | Some (data, _dirty), _ ->
             set_state t msg.Msg.line P_S;
             reply t msg ~kind:Msg.RspS ~dst:msg.Msg.requestor
-              ~payload:(Msg.pooled_copy data)
+              ~payload:(Msg.Data (Array.copy data))
               ();
             reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src
               ~payload:(Msg.Data data) ()
@@ -171,14 +165,13 @@ let handle t (msg : Msg.t) =
   | Msg.Req Msg.ReqOdata when msg.Msg.fwd -> (
     let from_record (b : wb) =
       reply t msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor
-        ~payload:(Msg.pooled_copy b.w_values)
+        ~payload:(Msg.Data (Array.copy b.w_values))
         ();
       reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ()
     in
     match wb_for t msg.Msg.line with
     | Some b -> from_record b
     | None ->
-      Msg.keep msg;
       t.recall_handler ~line:msg.Msg.line ~kind:Backing.Recall_excl
         ~k:(fun result ->
           match (result, wb_for t msg.Msg.line) with
@@ -194,7 +187,6 @@ let handle t (msg : Msg.t) =
     match wb_for t msg.Msg.line with
     | Some _ -> reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ()
     | None ->
-      Msg.keep msg;
       t.recall_handler ~line:msg.Msg.line ~kind:Backing.Recall_excl
         ~k:(fun result ->
           set_state t msg.Msg.line P_I;
@@ -211,10 +203,10 @@ let handle t (msg : Msg.t) =
     | Some (Acq a) -> (
       free_txn t ~txn:msg.Msg.txn;
       match (msg.Msg.kind, msg.Msg.payload) with
-      | Msg.Rsp Msg.RspS, (Msg.Data values | Msg.Data_pooled values) ->
+      | Msg.Rsp Msg.RspS, Msg.Data values ->
         set_state t a.a_line P_S;
         a.a_k (Some values) ~excl:false
-      | Msg.Rsp Msg.RspOdata, (Msg.Data values | Msg.Data_pooled values) ->
+      | Msg.Rsp Msg.RspOdata, Msg.Data values ->
         set_state t a.a_line P_M;
         a.a_k (Some values) ~excl:true
       | _ -> failwith "Mesi_client: unexpected acquire response")

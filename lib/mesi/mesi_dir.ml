@@ -52,7 +52,7 @@ let respond t (req : Msg.t) ~kind ?payload () =
   Home.respond t.home req ~kind ~mask:req.Msg.mask ?payload ()
 
 let respond_data t req meta ~kind =
-  respond t req ~kind ~payload:(Msg.pooled_copy meta.data) ()
+  respond t req ~kind ~payload:(Msg.Data (Array.copy meta.data)) ()
 
 let forward t req ~kind ~dst =
   Home.forward t.home req ~kind ~dst ~mask:Addr.full_mask ()
@@ -93,7 +93,6 @@ and handle_req t (msg : Msg.t) kind =
       a.resume ()
     | Some _ ->
       Stats.incr st "blocked";
-      Msg.keep msg;
       meta.blocked <- meta.blocked @ [ msg ]
     | None -> dispatch t meta msg kind)
 
@@ -121,8 +120,6 @@ and dispatch t meta (msg : Msg.t) kind =
     (* Blocking: downgrade the owner, who sends data to the requestor and a
        write-back copy here. *)
     Stats.incr st "fwd_gets";
-    (* The resume closure captures [msg]. *)
-    Msg.keep msg;
     meta.pending <-
       Some
         (Awaiting
@@ -153,7 +150,6 @@ and dispatch t meta (msg : Msg.t) kind =
     if targets = [] then grant ()
     else begin
       Stats.incr st "inv_bursts";
-      Msg.keep msg;
       meta.pending <-
         Some
           (Collecting_acks
@@ -177,7 +173,6 @@ and dispatch t meta (msg : Msg.t) kind =
     (* Blocking transfer: the old owner supplies data to the requestor and
        confirms to the directory. *)
     Stats.incr st "fwd_getm";
-    Msg.keep msg;
     meta.pending <-
       Some
         (Awaiting
@@ -227,7 +222,7 @@ and handle_rsp t (msg : Msg.t) kind =
       else begin
         (if a.expect_data then
            match msg.Msg.payload with
-           | Msg.Data values | Msg.Data_pooled values ->
+           | Msg.Data values ->
              Linedata.unpack_into ~mask:msg.Msg.mask ~values ~full:meta.data;
              meta.dirty <- true
            | Msg.No_data ->
@@ -271,7 +266,6 @@ and allocate_and_fetch t (msg : Msg.t) =
   in
   let start_fetch () =
     meta.pending <- Some Fetching;
-    Msg.keep msg;
     meta.blocked <- [ msg ];
     Dram.read_line t.dram ~line ~k:(fun values ->
         Array.blit values 0 meta.data 0 Addr.words_per_line;
@@ -290,11 +284,9 @@ and allocate_and_fetch t (msg : Msg.t) =
     match find_recall_victim t line with
     | Some (vline, vmeta) ->
       Stats.incr st "evict_recall";
-      Msg.keep msg;
       recall t vline vmeta ~k:(fun () -> handle t msg)
     | None ->
       Stats.incr st "alloc_stall";
-      Msg.keep msg;
       Engine.schedule t.engine ~delay:8 (fun () -> handle t msg)
   end
 

@@ -107,7 +107,7 @@ let send_wb t ~line ~values =
   Hashtbl.replace t.wb_records txn { b_line = line; b_values = values };
   Stats.bump t.ch.Chassis.stats t.k_wb_issued;
   request t ~txn ~kind:Msg.ReqWB ~line ~mask:Addr.full_mask
-    ~payload:(Msg.pooled_copy values)
+    ~payload:(Msg.Data (Array.copy values))
     ()
 
 let install t ~line_id ~values ~mstate =
@@ -136,14 +136,14 @@ let install t ~line_id ~values ~mstate =
 let entry_ready t line =
   Chassis.entry_ready ~forced:(Hashtbl.mem t.forced_lines line) t.ch line
 
+(* Closed MSHR predicates on a line ({!Mshr.find_first_exn}). *)
+let write_on line _ = function Write w -> w.m_line = line | Read _ -> false
+let read_on line _ = function Read m -> m.r_line = line | Write _ -> false
+
 let write_pending_for t line =
   if Mshr.count t.ch.Chassis.outstanding = 0 then None
   else
-  match
-    Mshr.find_first_exn t.ch.Chassis.outstanding ~f:(function
-      | Write w -> w.m_line = line
-      | Read _ -> false)
-  with
+  match Mshr.find_first_exn t.ch.Chassis.outstanding line 0 ~f:write_on with
   | Write w -> Some w
   | _ -> None
   | exception Not_found -> None
@@ -154,9 +154,7 @@ let write_pending_for t line =
    RMWs therefore wait for reads to the same line. *)
 let read_pending t line =
   Mshr.count t.ch.Chassis.outstanding > 0
-  && Mshr.exists t.ch.Chassis.outstanding ~f:(function
-       | Read m -> m.r_line = line
-       | Write _ -> false)
+  && Mshr.exists t.ch.Chassis.outstanding line 0 ~f:read_on
 
 let writes_pending t =
   let n = ref 0 in
@@ -252,9 +250,7 @@ let rec load t (addr : Addr.t) ~k =
       | _ | (exception Not_found) -> (
         Stats.bump t.ch.Chassis.stats t.ch.Chassis.k_load_miss;
         match
-          Mshr.find_first_exn t.ch.Chassis.outstanding ~f:(function
-            | Read m -> m.r_line = line
-            | _ -> false)
+          Mshr.find_first_exn t.ch.Chassis.outstanding line 0 ~f:read_on
         with
         | Read m ->
           Stats.incr t.ch.Chassis.stats "load_miss_coalesced";
@@ -354,11 +350,7 @@ let wb_record_for t line =
 let read_pending_for t line =
   if Mshr.count t.ch.Chassis.outstanding = 0 then None
   else
-  match
-    Mshr.find_first_exn t.ch.Chassis.outstanding ~f:(function
-      | Read m -> m.r_line = line
-      | Write _ -> false)
-  with
+  match Mshr.find_first_exn t.ch.Chassis.outstanding line 0 ~f:read_on with
   | Read m -> Some m
   | _ -> None
   | exception Not_found -> None
@@ -447,7 +439,7 @@ and send_wb_words t ~line ~mask ~values =
   Hashtbl.replace t.wb_records txn { b_line = line; b_values = Array.copy values };
   Stats.bump t.ch.Chassis.stats t.k_wb_issued;
   request t ~txn ~kind:Msg.ReqWB ~line ~mask
-    ~payload:(Msg.pooled_pack ~mask ~full:values)
+    ~payload:(Msg.Data (Linedata.pack ~mask ~full:values))
     ()
 
 (* §III-C case 1: a pending ReqO+data is a transition *to* the expected
@@ -461,7 +453,6 @@ and serve_mid_write t (msg : Msg.t) (w : write_miss) =
     reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:msg.Msg.mask ()
   | Msg.Req (Msg.ReqV | Msg.ReqS | Msg.ReqOdata) | Msg.Probe Msg.RvkO ->
     Stats.incr t.ch.Chassis.stats "ext_delayed";
-    Msg.keep msg;
     w.m_queued <- w.m_queued @ [ msg ]
   | _ -> assert false
 
@@ -475,7 +466,6 @@ and serve_mid_read t (msg : Msg.t) (m : read_miss) =
     reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:msg.Msg.mask ()
   | Msg.Req (Msg.ReqV | Msg.ReqS | Msg.ReqOdata) | Msg.Probe Msg.RvkO ->
     Stats.incr t.ch.Chassis.stats "ext_delayed";
-    Msg.keep msg;
     m.r_queued <- m.r_queued @ [ msg ]
   | _ -> assert false
 

@@ -122,21 +122,11 @@ let send t (msg : Msg.t) =
      [ep.handler] (decrementing [in_flight]) from the [Handle] event. *)
   let ep = endpoint t msg.dst in
   match t.delivery_hook with
-  | Some hook ->
-    (* The hook (model checker) holds messages arbitrarily long and may
-       re-deliver them; detach from the pool. *)
-    Msg.keep msg;
-    hook msg ~latency
+  | Some hook -> hook msg ~latency
   | None -> (
   match t.fault with
   | None -> enqueue t ~cat ~delay:latency msg ep
   | Some fault -> (
-    (* Under fault injection a message can be dropped (retry closures
-       re-read it), duplicated (two Deliver events share one record) or
-       replayed from a reply cache — blanket-detach instead of tracking
-       which path each message takes.  Fault runs are off the measured
-       hot path. *)
-    Msg.keep msg;
     match Fault.route fault ~now ~latency msg with
     | Fault.Drop ->
       if Trace.on t.trace then

@@ -18,27 +18,46 @@ type rsp_kind =
 
 type probe_kind = RvkO | Inv
 type kind = Req of req_kind | Rsp of rsp_kind | Probe of probe_kind
-(* [Data_pooled] payloads are OWNED by the message: the array came from the
-   per-domain size-bucketed array pool (or was freshly minted for it) and is
-   returned to that pool when the message is recycled.  Use it only for
-   arrays created expressly for this message ({!pooled_pack},
-   {!pooled_copy}); payloads that alias longer-lived storage must stay
-   [Data]. *)
-type payload = No_data | Data of int array | Data_pooled of int array
+
+(* Each arm returns a structured constant, so a sender that knows only the
+   sub-kind reaches a shared [kind] block without boxing a fresh one. *)
+let req = function
+  | ReqV -> Req ReqV
+  | ReqS -> Req ReqS
+  | ReqWT -> Req ReqWT
+  | ReqO -> Req ReqO
+  | ReqWTdata -> Req ReqWTdata
+  | ReqOdata -> Req ReqOdata
+  | ReqWB -> Req ReqWB
+
+let rsp = function
+  | RspV -> Rsp RspV
+  | RspS -> Rsp RspS
+  | RspWT -> Rsp RspWT
+  | RspO -> Rsp RspO
+  | RspWTdata -> Rsp RspWTdata
+  | RspOdata -> Rsp RspOdata
+  | RspWB -> Rsp RspWB
+  | RspRvkO -> Rsp RspRvkO
+  | Ack -> Rsp Ack
+  | Nack -> Rsp Nack
+
+let probe = function RvkO -> Probe RvkO | Inv -> Probe Inv
+
+type payload = No_data | Data of int array
 
 type t = {
-  mutable txn : int;
-  mutable kind : kind;
-  mutable line : int;
-  mutable mask : Mask.t;
-  mutable demand : Mask.t;
-  mutable payload : payload;
-  mutable src : device_id;
-  mutable dst : device_id;
-  mutable requestor : device_id;
-  mutable fwd : bool;
-  mutable amo : Amo.t option;
-  mutable pooled : bool;
+  txn : int;
+  kind : kind;
+  line : int;
+  mask : Mask.t;
+  demand : Mask.t;
+  payload : payload;
+  src : device_id;
+  dst : device_id;
+  requestor : device_id;
+  fwd : bool;
+  amo : Amo.t option;
 }
 
 (* Per-message construction checks (payload length, demand ⊆ mask) run on
@@ -55,8 +74,7 @@ let checks =
 let set_checks on = checks := on
 let checks_enabled () = !checks
 
-(* A settled record shared as a placeholder slot filler (event pools, freed
-   pool slots).  Never delivered, never mutated. *)
+(* A placeholder record for empty event slots; never delivered. *)
 let dummy =
   {
     txn = -1;
@@ -70,125 +88,14 @@ let dummy =
     requestor = -1;
     fwd = false;
     amo = None;
-    pooled = false;
   }
 
-(* Per-domain free-list of message records.  Pooling is opt-in
-   ([set_pooling true], done by [Run.simulate]):
-   hand-driven test harnesses stash delivered messages in inbox lists and
-   must keep the allocate-per-message behaviour.  When enabled, [make]
-   pops a recycled record and overwrites every field; the engine recycles
-   a message right after its [Handle] dispatch returns unless some
-   component called [keep] on it (home nodes queue/capture requests they
-   will replay later; the fault path and the model checker re-deliver). *)
-type pool = {
-  mutable slots : t array;
-  mutable len : int;
-  mutable enabled : bool;
-  arrs : int array array array;
-      (* payload arrays bucketed by length (index 1..words_per_line). *)
-  arr_len : int array;
-}
-
-let pool_key : pool Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        slots = [||];
-        len = 0;
-        enabled = false;
-        arrs = Array.make (Addr.words_per_line + 1) [||];
-        arr_len = Array.make (Addr.words_per_line + 1) 0;
-      })
-
-let arr_bucket_cap = 32
-
-let arr_push p (arr : int array) =
-  let n = Array.length arr in
-  if n > 0 && n <= Addr.words_per_line then begin
-    let cap = Array.length p.arrs.(n) in
-    if p.arr_len.(n) = cap && cap < arr_bucket_cap then begin
-      let grown = Array.make (max 8 (2 * cap)) [||] in
-      Array.blit p.arrs.(n) 0 grown 0 cap;
-      p.arrs.(n) <- grown
-    end;
-    if p.arr_len.(n) < Array.length p.arrs.(n) then begin
-      p.arrs.(n).(p.arr_len.(n)) <- arr;
-      p.arr_len.(n) <- p.arr_len.(n) + 1
-    end
-  end
-
-let arr_alloc n =
-  let p = Domain.DLS.get pool_key in
-  if p.enabled && n > 0 && n <= Addr.words_per_line && p.arr_len.(n) > 0
-  then begin
-    p.arr_len.(n) <- p.arr_len.(n) - 1;
-    let arr = p.arrs.(n).(p.arr_len.(n)) in
-    p.arrs.(n).(p.arr_len.(n)) <- [||];
-    arr
-  end
-  else Array.make n 0
-
-let pooled_single v =
-  let out = arr_alloc 1 in
-  out.(0) <- v;
-  Data_pooled out
-
-let pooled_copy values =
-  let n = Array.length values in
-  let out = arr_alloc n in
-  Array.blit values 0 out 0 n;
-  Data_pooled out
-
-let pooled_pack ~mask ~full =
-  let n = Mask.count mask in
-  let out = arr_alloc n in
-  let i = ref 0 in
-  let w = ref 0 in
-  while !i < n do
-    if Mask.mem mask !w then begin
-      out.(!i) <- full.(!w);
-      incr i
-    end;
-    incr w
-  done;
-  Data_pooled out
-
-let set_pooling on =
-  let p = Domain.DLS.get pool_key in
-  p.enabled <- on
-
-let pooling_enabled () = (Domain.DLS.get pool_key).enabled
-
-let keep t = t.pooled <- false
-
-let recycle t =
-  if t.pooled then begin
-    t.pooled <- false;
-    let p = Domain.DLS.get pool_key in
-    (* Drop heap references so a parked free slot cannot leak a payload;
-       an owned payload array goes back to its size bucket. *)
-    (match t.payload with Data_pooled arr -> arr_push p arr | _ -> ());
-    t.payload <- No_data;
-    t.amo <- None;
-    if p.enabled then begin
-      if p.len = Array.length p.slots then begin
-        let cap = max 64 (2 * p.len) in
-        let slots = Array.make cap dummy in
-        Array.blit p.slots 0 slots 0 p.len;
-        p.slots <- slots
-      end;
-      p.slots.(p.len) <- t;
-      p.len <- p.len + 1
-    end
-  end
-
-let make ~txn ~kind ~line ~mask ?demand ?(payload = No_data) ~src ~dst
-    ?requestor ?(fwd = false) ?amo () =
-  let demand = match demand with Some d -> d | None -> mask in
+let make ~txn ~kind ~line ~mask ?(demand = mask) ?(payload = No_data) ~src
+    ~dst ?(requestor = src) ?(fwd = false) ?amo () =
   if !checks then begin
     (match payload with
     | No_data -> ()
-    | Data values | Data_pooled values ->
+    | Data values ->
       if Array.length values <> Mask.count mask then
         invalid_arg
           (Printf.sprintf "Msg.make: %d values for a %d-word mask"
@@ -196,59 +103,7 @@ let make ~txn ~kind ~line ~mask ?demand ?(payload = No_data) ~src ~dst
     if not (Mask.subset demand mask) then
       invalid_arg "Msg.make: demand not a subset of mask"
   end;
-  let requestor = match requestor with Some r -> r | None -> src in
-  let p = Domain.DLS.get pool_key in
-  if p.enabled then
-    if p.len > 0 then begin
-      p.len <- p.len - 1;
-      let t = p.slots.(p.len) in
-      p.slots.(p.len) <- dummy;
-      if !checks && t.pooled then
-        invalid_arg "Msg pool: free slot still marked live";
-      t.txn <- txn;
-      t.kind <- kind;
-      t.line <- line;
-      t.mask <- mask;
-      t.demand <- demand;
-      t.payload <- payload;
-      t.src <- src;
-      t.dst <- dst;
-      t.requestor <- requestor;
-      t.fwd <- fwd;
-      t.amo <- amo;
-      t.pooled <- true;
-      t
-    end
-    else
-      {
-        txn;
-        kind;
-        line;
-        mask;
-        demand;
-        payload;
-        src;
-        dst;
-        requestor;
-        fwd;
-        amo;
-        pooled = true;
-      }
-  else
-    {
-      txn;
-      kind;
-      line;
-      mask;
-      demand;
-      payload;
-      src;
-      dst;
-      requestor;
-      fwd;
-      amo;
-      pooled = false;
-    }
+  { txn; kind; line; mask; demand; payload; src; dst; requestor; fwd; amo }
 
 let rsp_of_req = function
   | ReqV -> RspV
@@ -289,7 +144,7 @@ let flit_bytes = 16
 let flits t =
   match t.payload with
   | No_data -> 1
-  | Data values | Data_pooled values ->
+  | Data values ->
     let bytes = Array.length values * Addr.word_bytes in
     1 + ((bytes + flit_bytes - 1) / flit_bytes)
 
@@ -365,7 +220,7 @@ let pp fmt t =
   let data =
     match t.payload with
     | No_data -> if t.fwd then " fwd" else ""
-    | Data values | Data_pooled values ->
+    | Data values ->
       let vs =
         if Array.length values <= 4 then
           String.concat ","
@@ -413,6 +268,6 @@ let fingerprint fp t =
     Fp.int fp desired);
   match t.payload with
   | No_data -> Fp.int fp 0
-  | Data values | Data_pooled values ->
+  | Data values ->
     Fp.int fp (Array.length values);
     Fp.array fp values

@@ -37,42 +37,43 @@ type probe_kind =
 
 type kind = Req of req_kind | Rsp of rsp_kind | Probe of probe_kind
 
+val req : req_kind -> kind
+(** [Req k] as a shared constant: allocation-free, unlike applying the
+    constructor to a variable.  Likewise {!rsp} and {!probe}. *)
+
+val rsp : rsp_kind -> kind
+val probe : probe_kind -> kind
+
 type payload =
   | No_data
   | Data of int array
-  | Data_pooled of int array
-      (** Same wire meaning as [Data], but the array is owned by the
-          message: it came from the per-domain payload-array pool and is
-          returned there when the message is recycled.  Only create it via
-          {!pooled_pack} / {!pooled_copy}, and never for arrays that alias
-          longer-lived storage. *)
       (** word values for the set bits of [mask], in increasing word
-          order; [Array.length] equals [Mask.count mask]. *)
+          order; [Array.length] equals [Mask.count mask].  Senders build a
+          fresh array per message; receivers read it and never write it. *)
 
 type t = {
-  mutable txn : int;  (** transaction id; responses echo the request's. *)
-  mutable kind : kind;
-  mutable line : int;
-  mutable mask : Spandex_util.Mask.t;  (** target words within [line]. *)
-  mutable demand : Spandex_util.Mask.t;
+  txn : int;  (** transaction id; responses echo the request's. *)
+  kind : kind;
+  line : int;
+  mask : Spandex_util.Mask.t;  (** target words within [line]. *)
+  demand : Spandex_util.Mask.t;
       (** subset of [mask] the requestor actually needs.  DeNovo ReqV
           requests demand a word but ask for the rest of the line
           opportunistically (Table II: "the responding device may include
           any available up-to-date data in the line"); only demanded words
           are forwarded to remote owners or Nack-retried. *)
-  mutable payload : payload;
-  mutable src : device_id;  (** immediate sender. *)
-  mutable dst : device_id;
-  mutable requestor : device_id;
+  payload : payload;
+  src : device_id;  (** immediate sender. *)
+  dst : device_id;
+  requestor : device_id;
       (** original requestor (survives forwarding). *)
-  mutable fwd : bool;  (** true when this request was forwarded by the LLC. *)
-  mutable amo : Amo.t option;  (** only on ReqWTdata / ReqOdata RMWs. *)
-  mutable pooled : bool;
-      (** pool bookkeeping: true while the record is live and owned by the
-          per-domain free-list (see {!set_pooling}).  Components never
-          read it; call {!keep} to detach a message you retain past its
-          handler. *)
+  fwd : bool;  (** true when this request was forwarded by the LLC. *)
+  amo : Amo.t option;  (** only on ReqWTdata / ReqOdata RMWs. *)
 }
+(** An immutable, GC-owned message.  A component may keep a delivered
+    message for as long as it likes (blocked queues, resume closures,
+    reply caches); one record may also be delivered more than once
+    (fault duplicates, replays). *)
 
 val make :
   txn:int ->
@@ -102,40 +103,8 @@ val set_checks : bool -> unit
 
 val checks_enabled : unit -> bool
 
-val set_pooling : bool -> unit
-(** Enable or disable the per-domain message free-list (default: off).
-    When on, {!make} reuses recycled records and the engine returns each
-    delivered message to the pool after its handler runs, unless {!keep}
-    was called on it.  Only [Run.simulate] turns this on: hand-driven
-    harnesses that stash delivered messages must leave it off.  The flag and the free-list are domain-local. *)
-
-val pooling_enabled : unit -> bool
-
-val keep : t -> unit
-(** Detach [t] from the pool: it will never be recycled and behaves like
-    an ordinary GC-managed record.  Components call this when they retain
-    a message past the handler that received it (blocked queues, resume
-    closures, replay caches).  Idempotent; a no-op when pooling is off. *)
-
-val pooled_pack : mask:Spandex_util.Mask.t -> full:int array -> payload
-(** Pack the masked words of [full] into a payload array drawn from the
-    per-domain pool (fresh when pooling is off or the bucket is empty). *)
-
-val pooled_single : int -> payload
-(** Single-word pooled payload (atomic returns). *)
-
-val pooled_copy : int array -> payload
-(** A pooled copy of [values]; see {!pooled_pack}. *)
-
-val recycle : t -> unit
-(** Return [t] to the current domain's free-list.  No-op unless [t] is
-    live-and-pooled, so double recycles and recycles of kept messages are
-    safe.  Called by the engine after each [Handle] dispatch; components
-    never need to call it. *)
-
 val dummy : t
-(** A settled placeholder record (never delivered, never mutated) for
-    pre-sizing event pools. *)
+(** A placeholder record for empty event slots; never delivered. *)
 
 val rsp_of_req : req_kind -> rsp_kind
 (** The response kind paired with each request kind (paper: "Every Spandex

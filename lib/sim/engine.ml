@@ -375,9 +375,7 @@ let step_limit_hit t =
           t.step_limit t.time pp_work (live_work t)))
 
 (* Dispatch copies an event's fields into locals and recycles the record
-   *before* acting, so the action's own pushes can reuse it immediately.
-   After a [Handle]'s component handler returns, the message itself goes
-   back to its pool unless the handler kept it (see {!Msg.recycle}). *)
+   *before* acting, so the action's own pushes can reuse it immediately. *)
 
 let dispatch t (e : ev) =
   if t.time >= t.next_sample then sample_now t;
@@ -391,8 +389,7 @@ let dispatch t (e : ev) =
     let msg = e.msg in
     ev_recycle t e;
     decr ep.in_flight;
-    ep.handler msg;
-    Msg.recycle msg
+    ep.handler msg
   | 3 ->
     let msg = e.msg in
     ev_recycle t e;

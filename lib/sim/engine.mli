@@ -95,9 +95,8 @@ type endpoint = {
     Component events are an implementation detail: mutable tagged records
     (Thunk / Handle / Egress / Apply) drawn from a per-engine free-list
     and recycled at dispatch, so the steady-state hot path allocates no
-    event cells.  After a Handle dispatch returns, the delivered message
-    is returned to its pool unless the handler kept it
-    ({!Spandex_proto.Msg.keep}). *)
+    event cells.  A Handle dispatch only hands its message to the handler:
+    messages are immutable and GC-owned, so the handler may keep it. *)
 
 val create : ?trace:Trace.t -> unit -> t
 (** [trace] (default {!Trace.disabled}) is the simulation's trace sink;

@@ -426,12 +426,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
     Spandex_util.Fingerprint.digest fp
   in
   let sys_run () =
-    (* Message pooling is scoped to the run: hand-driven harnesses that
-       deliver into inbox lists (and the model checker, which drives
-       [Engine.step] itself) keep the allocate-per-message default. *)
-    let was_pooling = Msg.pooling_enabled () in
-    Msg.set_pooling true;
-    Fun.protect ~finally:(fun () -> Msg.set_pooling was_pooling) @@ fun () ->
     if p.Params.watchdog_cycles > 0 then
       Engine.set_watchdog engine ~interval:p.Params.watchdog_cycles
         ~progress:(fun () ->

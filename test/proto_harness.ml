@@ -89,7 +89,7 @@ let expect_no_kind ~what msgs kind =
 
 let payload_list (m : Msg.t) =
   match m.Msg.payload with
-  | Msg.Data values | Msg.Data_pooled values -> Array.to_list values
+  | Msg.Data values -> Array.to_list values
   | Msg.No_data -> []
 
 let init_word = Spandex_proto.Linedata.init_word

@@ -558,8 +558,76 @@ let mesi_eviction_writes_back_m () =
   let wb = expect ~what:"PutM" (llc_msgs h) (Msg.Req Msg.ReqWB) in
   check_int "full line" 16 (Mask.count wb.Msg.mask)
 
+(* ===== Allocation pins ({!Helpers.check_flat}) =============================== *)
+
+(* [n] fault-free ReqVs, each sent to a home that drops it and delivered
+   before the next.  A warm-up round first grows the engine's event
+   free-list and delivery queue. *)
+let chassis_request_words n =
+  let engine = Engine.create () in
+  let net = Network.create engine (Network.flat_topology ~latency:2) in
+  Network.register net ~id:llc_id ignore;
+  let ch =
+    Spandex_l1.Chassis.create engine net ~id:dev_id ~home_id:llc_id
+      ~home_banks:1 ~hit_latency:1 ~coalesce_window:2 ~mshrs:8 ~sb_capacity:8
+      ~level:"l1" ~device:"l1.0"
+  in
+  let round () =
+    for i = 1 to n do
+      Spandex_l1.Chassis.request ch ~txn:i ~kind:Msg.ReqV ~line:i ~mask:full ();
+      ignore (Engine.run_all ~strict:false engine : int)
+    done
+  in
+  round ();
+  let w0 = Gc.minor_words () in
+  round ();
+  Gc.minor_words () -. w0
+
+(* The message record is its header and 11 fields: no kind box, no retry
+   closure. *)
+let chassis_request_allocates_message_only () =
+  Helpers.check_flat ~per_item:12 "Chassis.request" ~words:chassis_request_words
+
+(* [n] load hits on a filled line while a miss to another line stays
+   outstanding (its home never answers). *)
+let denovo_hit_words n =
+  let h = harness () in
+  let port = Denovo_l1.port (mk_denovo h) in
+  let got = ref 0 in
+  let k v = got := v in
+  port.Port.load (a 2 3) ~k;
+  run h;
+  let m = expect ~what:"fill" (llc_msgs h) (Msg.Req Msg.ReqV) in
+  reply h ~to_:m ~kind:Msg.RspV
+    ~payload:(Msg.Data (Array.init (Mask.count m.Msg.mask) (fun i -> 50 + i)))
+    ();
+  port.Port.load (a 5 0) ~k;
+  run h;
+  check_int "one miss outstanding" 2 (List.length (llc_msgs h));
+  let addr = a 2 3 in
+  let round () =
+    for _ = 1 to n do
+      port.Port.load addr ~k;
+      run h
+    done
+  in
+  round ();
+  let w0 = Gc.minor_words () in
+  round ();
+  let words = Gc.minor_words () -. w0 in
+  check_int "hits read the fill" 53 !got;
+  words
+
+let denovo_hit_beside_miss_allocates_nothing () =
+  Helpers.check_flat "DeNovo load hit beside an outstanding miss"
+    ~words:denovo_hit_words
+
 let tests =
   [
+    test "chassis_request_allocates_message_only"
+      chassis_request_allocates_message_only;
+    test "denovo_hit_beside_miss_allocates_nothing"
+      denovo_hit_beside_miss_allocates_nothing;
     test "gpu_read_miss_line_reqv" gpu_read_miss_line_reqv;
     test "gpu_store_writes_through_word" gpu_store_writes_through_word;
     test "gpu_rmw_bypasses_l1" gpu_rmw_bypasses_l1;

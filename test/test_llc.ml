@@ -432,8 +432,40 @@ let reply_cache_replays_guarded () =
   check_int "ReqV not replayed" 1 (replayed ());
   check_int "ReqV handled again" (seen + 1) (reqv_count ())
 
+(* --- allocation pin ({!Helpers.check_flat}) ------------------------------- *)
+
+(* [n] one-word ReqV hits on a resident line with no owned word, each
+   answered before the next; the requester drops the responses.  The same
+   immutable request record is sent every time.  A warm-up round first
+   grows the engine's event free-list and delivery queue. *)
+let reqv_hit_words n =
+  let t = setup () in
+  ignore (req t ~from:0 ~kind:Msg.ReqV ~line:3 ~mask:full ());
+  Network.register t.net ~id:0 ignore;
+  let m =
+    Msg.make ~txn:1 ~kind:(Msg.Req Msg.ReqV) ~line:3 ~mask:(w 2) ~src:0
+      ~dst:llc_id ()
+  in
+  let round () =
+    for _ = 1 to n do
+      Network.send t.net m;
+      run t
+    done
+  in
+  round ();
+  let w0 = Gc.minor_words () in
+  round ();
+  Gc.minor_words () -. w0
+
+(* The response is its record (header and 11 fields), its [Data] box and
+   its one-word array: 16 words.  The option that carries the payload into
+   [Home.respond]'s optional argument adds 2. *)
+let reqv_hit_allocates_response_only () =
+  Helpers.check_flat ~per_item:18 "LLC ReqV hit" ~words:reqv_hit_words
+
 let tests =
   [
+    test "reqv_hit_allocates_response_only" reqv_hit_allocates_response_only;
     test "reqv_fills_from_memory" reqv_fills_from_memory;
     test "reqv_no_state_change" reqv_no_state_change;
     test "reqv_forwards_owned_words" reqv_forwards_owned_words;

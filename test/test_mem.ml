@@ -325,12 +325,21 @@ let mshr_alloc_free () =
 
 let mshr_find_first_oldest () =
   let m = Mshr.create ~capacity:8 () in
-  let _t1 = Option.get (Mshr.alloc m 10) in
+  let t1 = Option.get (Mshr.alloc m 10) in
   let t2 = Option.get (Mshr.alloc m 20) in
   let _t3 = Option.get (Mshr.alloc m 21) in
-  (match Mshr.find_first m ~f:(fun v -> v >= 20) with
-  | Some (txn, 20) -> check_int "oldest matching" t2 txn
-  | _ -> Alcotest.fail "expected to find 20")
+  (* A younger entry reuses slot 0, so slot order is not age order. *)
+  Mshr.free m ~txn:t1;
+  let _t4 = Option.get (Mshr.alloc m 22) in
+  let at_least lo _ v = v >= lo in
+  check_int "oldest matching" 20 (Mshr.find_first_exn m 20 0 ~f:at_least);
+  Mshr.free m ~txn:t2;
+  check_int "next oldest once freed" 21
+    (Mshr.find_first_exn m 20 0 ~f:at_least);
+  check_bool "no match raises" true
+    (match Mshr.find_first_exn m 30 0 ~f:at_least with
+    | _ -> false
+    | exception Not_found -> true)
 
 (* ----- Store_buffer --------------------------------------------------------------- *)
 

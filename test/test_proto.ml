@@ -184,99 +184,6 @@ let txn_unique () =
   Txn.reset ();
   check_int "reset restarts" a (Txn.fresh ())
 
-(* ----- message pool aliasing ------------------------------------------------ *)
-
-(* The recycle/reuse contract behind [Run]'s message pooling: a recycled
-   record (and a recycled owned payload array) may be handed out again,
-   but never while a live reference exists — [keep] pins a record and its
-   payload out of the pool forever.  Physical equality is the oracle. *)
-
-let with_pool f =
-  let was_pool = Msg.pooling_enabled () in
-  let was_checks = Msg.checks_enabled () in
-  Msg.set_pooling true;
-  Msg.set_checks true;
-  Fun.protect
-    ~finally:(fun () ->
-      Msg.set_pooling was_pool;
-      Msg.set_checks was_checks)
-    f
-
-let mk ?(mask = Mask.singleton 0) ?(payload = Msg.No_data) () =
-  Msg.make ~txn:(Txn.fresh ()) ~kind:(Msg.Req Msg.ReqV) ~mask ~line:1 ~payload
-    ~src:0 ~dst:1 ()
-
-let payload_arr m =
-  match m.Msg.payload with
-  | Msg.Data_pooled a -> a
-  | _ -> Alcotest.fail "expected pooled payload"
-
-let pool_recycles_records () =
-  with_pool @@ fun () ->
-  let m1 = mk () in
-  Msg.recycle m1;
-  let m2 = mk () in
-  check_bool "recycled record is reused" true (m1 == m2);
-  let m3 = mk () in
-  check_bool "live records never alias" true (not (m2 == m3));
-  Msg.recycle m2;
-  Msg.recycle m3
-
-let pool_never_reuses_kept_records () =
-  with_pool @@ fun () ->
-  let m1 = mk () in
-  Msg.keep m1;
-  Msg.recycle m1;
-  (* A kept record must not come back even after a recycle call. *)
-  let m2 = mk () in
-  check_bool "kept record stays out of the pool" true (not (m1 == m2));
-  (* keep is sticky: a second recycle still cannot free it. *)
-  Msg.recycle m1;
-  let m3 = mk () in
-  check_bool "keep is sticky" true (not (m1 == m3));
-  Msg.recycle m2;
-  Msg.recycle m3
-
-let pool_recycles_owned_payloads () =
-  with_pool @@ fun () ->
-  let full = Array.init Addr.words_per_line (fun i -> i) in
-  let m1 = mk ~mask:(Mask.full ~words:4)
-      ~payload:(Msg.pooled_pack ~mask:(Mask.full ~words:4) ~full)
-      () in
-  let a1 = payload_arr m1 in
-  Msg.recycle m1;
-  (* The next same-size pooled payload takes the recycled array... *)
-  let m2 = mk ~mask:(Mask.full ~words:4)
-      ~payload:(Msg.pooled_pack ~mask:(Mask.full ~words:4) ~full)
-      () in
-  check_bool "recycled payload array is reused" true (a1 == payload_arr m2);
-  (* ...but two live messages never share one. *)
-  let m3 = mk ~mask:(Mask.full ~words:4)
-      ~payload:(Msg.pooled_pack ~mask:(Mask.full ~words:4) ~full)
-      () in
-  check_bool "live payloads never alias" true
-    (not (payload_arr m2 == payload_arr m3));
-  Msg.recycle m2;
-  Msg.recycle m3
-
-let pool_never_reuses_kept_payloads () =
-  with_pool @@ fun () ->
-  let full = Array.init Addr.words_per_line (fun i -> 7 * i) in
-  let m1 = mk ~mask:(Mask.full ~words:3)
-      ~payload:(Msg.pooled_pack ~mask:(Mask.full ~words:3) ~full)
-      () in
-  let a1 = payload_arr m1 in
-  Msg.keep m1;
-  Msg.recycle m1;
-  let m2 = mk ~mask:(Mask.full ~words:3)
-      ~payload:(Msg.pooled_pack ~mask:(Mask.full ~words:3) ~full)
-      () in
-  check_bool "kept payload array stays out of the pool" true
-    (not (a1 == payload_arr m2));
-  check_bool "kept payload survives later allocations" true
-    (a1.(1) = full.(1));
-  Msg.recycle m2
-
 let tests =
   [
     test "addr_geometry" addr_geometry;
@@ -292,9 +199,5 @@ let tests =
     test "linedata_init_deterministic" linedata_init_deterministic;
     test "state_mapping" state_mapping;
     test "txn_unique" txn_unique;
-    test "pool_recycles_records" pool_recycles_records;
-    test "pool_never_reuses_kept_records" pool_never_reuses_kept_records;
-    test "pool_recycles_owned_payloads" pool_recycles_owned_payloads;
-    test "pool_never_reuses_kept_payloads" pool_never_reuses_kept_payloads;
   ]
   @ [ QCheck_alcotest.to_alcotest ~long:false linedata_roundtrip_prop ]

@@ -61,9 +61,9 @@ let non_stress_names =
 
 let sweep_matches_sequential_all_cells () =
   (* The full 60-cell bench matrix (every non-stress workload x every
-     baseline config) with message/event pooling active inside each
-     [Run.simulate]: per-domain pools must not let one cell's recycled
-     records bleed into another's results. *)
+     baseline config), run sequentially and on four domains: no state
+     shared between domains (such as each engine's event free-list) may
+     let one cell bleed into another's results. *)
   let cells = matrix ~params:Params.bench non_stress_names in
   Alcotest.(check int) "matrix size" 60 (List.length cells);
   let seq = Sweep.simulate_all ~jobs:1 cells in
