@@ -175,22 +175,22 @@ let create engine net ~name ~first_id ~banks ~sets ~ways ~access_latency
   done;
   t
 
-let register_metrics t b ~device reg =
+let register_metrics t b ~label ~name reg =
   let module Metrics = Spandex_obs.Metrics in
   let p = t.probes in
-  let labels = [ ("bank", string_of_int b); ("device", device) ] in
-  let name what = Printf.sprintf "spandex_%s_%s" p.tag what in
-  let track what = (t.first_id + b, p.tag ^ "." ^ what) in
+  let labels = [ ("bank", string_of_int b); ("device", label) ] in
+  let metric what = Printf.sprintf "spandex_%s_%s" p.tag what in
+  let track what = (t.first_id + b, name ^ "." ^ what) in
   Metrics.gauge reg ~name:p.lines_metric ~labels ~help:p.lines_help (fun () ->
       Frames.count_bank t.frame ~banks:t.n_banks b);
-  Metrics.gauge reg ~name:(name "pending") ~labels ~track:(track "pending")
+  Metrics.gauge reg ~name:(metric "pending") ~labels ~track:(track "pending")
     ~help:p.pending_help (fun () ->
       fold_bank t b ~init:0 ~f:(fun n ~line:_ m ->
           if t.view.busy m then n + 1 else n));
-  Metrics.gauge reg ~name:(name "blocked") ~labels ~track:(track "blocked")
+  Metrics.gauge reg ~name:(metric "blocked") ~labels ~track:(track "blocked")
     ~help:"requests parked behind a pending line" (fun () ->
       fold_bank t b ~init:0 ~f:(fun n ~line:_ m -> n + t.view.blocked m));
-  Metrics.counter reg ~name:(name "replayed_total") ~labels
+  Metrics.counter reg ~name:(metric "replayed_total") ~labels
     ~help:"duplicate requests answered from the reply cache (fault runs)"
     (fun () -> Stats.get t.banks.(b).stats "replayed")
 

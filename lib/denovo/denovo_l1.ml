@@ -81,9 +81,6 @@ type rmw_req = {
 
 type atomic_req = { at_k : int -> unit }
 
-(* A replaced-Owned write-back: data retained until RspWB (§III-A). *)
-type wb_req = { b_line : int; b_mask : Mask.t; b_values : int array }
-
 type outstanding =
   | Read of read_miss
   | Own of own_req
@@ -94,10 +91,6 @@ type t = {
   ch : outstanding Chassis.t;
   cfg : config;
   frame : line Cache_frame.t;
-  (* Write-backs in flight, keyed by transaction id; outside the MSHR file
-     because the record must exist from the instant the words leave the
-     frame (cf. Mesi_l1.wb_records). *)
-  wb_records : (int, wb_req) Hashtbl.t;
   (* Per-request classification (the Spandex flexibility knob): static for
      classic DeNovo, reuse-predicted for the adaptive configurations. *)
   policy : Policy.t;
@@ -105,29 +98,10 @@ type t = {
   k_wt_chosen : Stats.key;
   k_reqo_issued : Stats.key;
   k_reqo_words : Stats.key;
-  k_wb_issued : Stats.key;
   mutable epoch : int;
 }
 
-let send t msg = Chassis.send t.ch msg
-
-let request t ~txn ~kind ~line ~mask ?demand ?payload ?amo () =
-  Chassis.request t.ch ~txn ~kind ~line ~mask ?demand ?payload ?amo ()
-
-let free_txn t ~txn = Chassis.free_txn t.ch ~txn
-
-let reply t (msg : Msg.t) ~kind ~dst ~mask ?payload () =
-  Chassis.reply t.ch msg ~kind ~dst ~mask ?payload ()
-
 (* ----- frame management ----------------------------------------------------- *)
-
-let send_wb t ~line ~mask ~values =
-  let txn = Chassis.fresh_txn t.ch in
-  Hashtbl.replace t.wb_records txn { b_line = line; b_mask = mask; b_values = values };
-  Stats.bump t.ch.Chassis.stats t.k_wb_issued;
-  request t ~txn ~kind:Msg.ReqWB ~line ~mask
-    ~payload:(Msg.Data (Linedata.pack ~mask ~full:values))
-    ()
 
 let get_or_alloc t line_id =
   match Cache_frame.find_exn t.frame ~line:line_id with
@@ -148,19 +122,13 @@ let get_or_alloc t line_id =
     | Cache_frame.Evicted (vline, vmeta) ->
       Stats.incr t.ch.Chassis.stats "evictions";
       if not (Mask.is_empty vmeta.owned) then
-        send_wb t ~line:vline ~mask:vmeta.owned
+        (* Data retained until RspWB (§III-A). *)
+        Chassis.write_back t.ch ~line:vline ~mask:vmeta.owned
           ~values:(Array.copy vmeta.data);
       fresh
     | Cache_frame.No_room -> assert false)
 
 (* ----- write-through of the store buffer as ownership requests -------------- *)
-
-let writes_pending t =
-  let n = ref 0 in
-  Mshr.iter t.ch.Chassis.outstanding ~f:(fun ~txn:_ -> function
-    | Own _ | Atomic _ -> incr n
-    | Read _ | Rmw _ -> ());
-  !n
 
 let rec drain t =
   match Store_buffer.peek_oldest_exn t.ch.Chassis.sb with
@@ -190,7 +158,7 @@ let rec drain t =
         if through then begin
           Stats.bump t.ch.Chassis.stats t.k_wt_chosen;
           t.policy.Policy.on_write_through ~line:e.Store_buffer.line;
-          request t ~txn ~kind:Msg.ReqWT ~line:e.Store_buffer.line
+          Chassis.request t.ch ~txn ~kind:Msg.ReqWT ~line:e.Store_buffer.line
             ~mask:e.Store_buffer.mask
             ~payload:
               (Msg.Data
@@ -203,7 +171,7 @@ let rec drain t =
           Stats.bump_by t.ch.Chassis.stats t.k_reqo_words
             (Mask.count e.Store_buffer.mask);
           (* Ownership without data: every requested word is overwritten. *)
-          request t ~txn ~kind:Msg.ReqO ~line:e.Store_buffer.line
+          Chassis.request t.ch ~txn ~kind:Msg.ReqO ~line:e.Store_buffer.line
             ~mask:e.Store_buffer.mask ()
         end
       | None -> assert false);
@@ -277,23 +245,12 @@ let find_rmw_covering t ~line ~word =
   | Rmw r -> r
   | _ -> assert false
 
-let find_wb_covering t ~line ~word =
-  if Hashtbl.length t.wb_records = 0 then None
-  else
-  Hashtbl.fold
-    (fun _ (b : wb_req) acc ->
-      if b.b_line = line && Mask.mem b.b_mask word then Some b else acc)
-    t.wb_records None
-
 (* Any write-side transaction alive for [line]: a promoted (ReqO+data) read
    issued beside one could be answered with a data-less self-grant. *)
 let line_write_pending t ~line =
   (Mshr.count t.ch.Chassis.outstanding > 0
   && Mshr.exists t.ch.Chassis.outstanding line 0 ~f:write_pending_on)
-  || Hashtbl.length t.wb_records > 0
-     && Hashtbl.fold
-          (fun _ (b : wb_req) acc -> acc || b.b_line = line)
-          t.wb_records false
+  || Chassis.find_wb t.ch ~line ~mask:Addr.full_mask <> None
 
 (* ----- loads ---------------------------------------------------------------- *)
 
@@ -336,13 +293,13 @@ let rec load t (addr : Addr.t) ~k =
       Engine.apply_later t.ch.Chassis.engine ~delay:t.cfg.hit_latency k
         o.o_values.(word)
     | None -> (
-    match find_wb_covering t ~line ~word with
+    match Chassis.find_wb t.ch ~line ~mask:(Mask.singleton word) with
     | Some b ->
       (* The word is mid-write-back: the LLC still lists us as owner, so a
          ReqV would be forwarded right back; serve the retained data. *)
       Stats.incr t.ch.Chassis.stats "load_wb_fwd";
       Engine.apply_later t.ch.Chassis.engine ~delay:t.cfg.hit_latency k
-        b.b_values.(word)
+        b.Chassis.values.(word)
     | None when rmw_pending t ~line ~word ->
       (* Another context's RMW to this word is mid-grant; once it commits
          the load hits the owned word locally. *)
@@ -378,9 +335,9 @@ let rec load t (addr : Addr.t) ~k =
              any write-side transaction is alive for the line — the LLC
              could answer with a data-less self-grant. *)
           let promote =
-            match t.policy.Policy.classify_read ~line Policy.absent with
+            match t.policy.Policy.classify_read ~line with
             | Policy.Read_own -> not (line_write_pending t ~line)
-            | Policy.Read_valid | Policy.Read_shared -> false
+            | Policy.Read_valid -> false
           in
           if promote then begin
             Stats.incr t.ch.Chassis.stats "load_promoted_own";
@@ -395,7 +352,8 @@ let rec load t (addr : Addr.t) ~k =
               }
             in
             match Mshr.alloc t.ch.Chassis.outstanding (Read m) with
-            | Some txn -> request t ~txn ~kind:Msg.ReqOdata ~line ~mask ()
+            | Some txn ->
+              Chassis.request t.ch ~txn ~kind:Msg.ReqOdata ~line ~mask ()
             | None ->
               Stats.incr t.ch.Chassis.stats "mshr_stall";
               Engine.schedule t.ch.Chassis.engine ~delay:4 (fun () ->
@@ -417,14 +375,14 @@ let rec load t (addr : Addr.t) ~k =
             | Some txn ->
               (* Word-granularity demand, opportunistic line fill
                  (Table II: ReqV "flexible"). *)
-              request t ~txn ~kind:Msg.ReqV ~line ~mask ~demand ()
+              Chassis.request t.ch ~txn ~kind:Msg.ReqV ~line ~mask ~demand ()
             | None ->
               Stats.incr t.ch.Chassis.stats "mshr_stall";
               Engine.schedule t.ch.Chassis.engine ~delay:4 (fun () ->
                   load t addr ~k))))))
 
 and complete_read t ~txn (m : read_miss) (r : Tu.result) =
-  free_txn t ~txn;
+  Chassis.free_txn t.ch ~txn;
   install_fill t m r;
   let covered, uncovered =
     List.partition (fun (w, _) -> Mask.mem r.Tu.data_mask w) m.r_waiters
@@ -453,10 +411,11 @@ and handle_read_nacks t ~txn (m : read_miss) (r : Tu.result) =
       complete_read t ~txn m' r'
     | None -> (
       Stats.incr t.ch.Chassis.stats "reqv_retry";
-      free_txn t ~txn;
+      Chassis.free_txn t.ch ~txn;
       match Mshr.alloc t.ch.Chassis.outstanding (Read m') with
       | Some txn' ->
-        request t ~txn:txn' ~kind:Msg.ReqV ~line:m.r_line ~mask:r.Tu.nacked
+        Chassis.request t.ch ~txn:txn' ~kind:Msg.ReqV ~line:m.r_line
+          ~mask:r.Tu.nacked
           ~demand:r.Tu.nacked ();
         Chassis.trace_chain t.ch ~txn ~txn'
       | None -> assert false)
@@ -474,10 +433,11 @@ and handle_read_nacks t ~txn (m : read_miss) (r : Tu.result) =
     | Some r' -> complete_read t ~txn m' r'
     | None -> (
       Stats.incr t.ch.Chassis.stats "reqv_converted";
-      free_txn t ~txn;
+      Chassis.free_txn t.ch ~txn;
       match Mshr.alloc t.ch.Chassis.outstanding (Read m') with
       | Some txn' ->
-        request t ~txn:txn' ~kind:Msg.ReqOdata ~line:m.r_line ~mask:r.Tu.nacked
+        Chassis.request t.ch ~txn:txn' ~kind:Msg.ReqOdata ~line:m.r_line
+          ~mask:r.Tu.nacked
           ();
         Chassis.trace_chain t.ch ~txn ~txn'
       | None -> assert false)
@@ -516,13 +476,6 @@ let rec store t (addr : Addr.t) ~value ~k =
 
 (* ----- serving external requests ------------------------------------------- *)
 
-(* Answer [msg] for [words] with their data taken from [values]. *)
-let respond_words t (msg : Msg.t) ~kind ~dst ~words ~values =
-  if not (Mask.is_empty words) then
-    reply t msg ~kind ~dst ~mask:words
-      ~payload:(Msg.Data (Linedata.pack ~mask:words ~full:values))
-      ()
-
 (* Serve [words] held (or about to be held) Owned here, whose data is in
    [values]; [downgrade] gives them up when the request takes ownership. *)
 let serve t (msg : Msg.t) ~words ~values ~downgrade =
@@ -530,23 +483,29 @@ let serve t (msg : Msg.t) ~words ~values ~downgrade =
     match msg.Msg.kind with
     | Msg.Req Msg.ReqV ->
       (* No state change (Table IV: expected O, next O). *)
-      respond_words t msg ~kind:Msg.RspV ~dst:msg.Msg.requestor ~words ~values
+      Chassis.reply_data t.ch msg ~kind:Msg.RspV ~dst:msg.Msg.requestor
+        ~mask:words ~values
     | Msg.Req Msg.ReqO ->
       downgrade words;
-      reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:words ()
+      Chassis.reply t.ch msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:words
+        ()
     | Msg.Req Msg.ReqOdata ->
       downgrade words;
-      respond_words t msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor ~words
+      Chassis.reply_data t.ch msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor
+        ~mask:words
         ~values
     | Msg.Req Msg.ReqS ->
       (* DeNovo has no Shared state: surrender the data to both the
          requestor and the LLC and fall to Invalid. *)
       downgrade words;
-      respond_words t msg ~kind:Msg.RspS ~dst:msg.Msg.requestor ~words ~values;
-      respond_words t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~words ~values
+      Chassis.reply_data t.ch msg ~kind:Msg.RspS ~dst:msg.Msg.requestor
+        ~mask:words ~values;
+      Chassis.reply_data t.ch msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:words
+        ~values
     | Msg.Probe Msg.RvkO ->
       downgrade words;
-      respond_words t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~words ~values
+      Chassis.reply_data t.ch msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:words
+        ~values
     | _ -> assert false
   end
 
@@ -554,7 +513,7 @@ let serve t (msg : Msg.t) ~words ~values ~downgrade =
 
 let rec finish_rmw t ~txn (r : rmw_req) ~value =
   let next, old = Amo.apply r.w_amo value in
-  free_txn t ~txn;
+  Chassis.free_txn t.ch ~txn;
   if (not r.w_stolen) && r.w_queued = [] then begin
     let l = get_or_alloc t r.w_line in
     l.data.(r.w_word) <- next;
@@ -584,7 +543,8 @@ and rmw t (addr : Addr.t) amo ~k =
     | exception Not_found -> ());
     match Mshr.alloc t.ch.Chassis.outstanding (Atomic { at_k = k }) with
     | Some txn ->
-      request t ~txn ~kind:Msg.ReqWTdata ~line ~mask:(Mask.singleton word)
+      Chassis.request t.ch ~txn ~kind:Msg.ReqWTdata ~line
+        ~mask:(Mask.singleton word)
         ~amo ()
     | None ->
       Stats.incr t.ch.Chassis.stats "mshr_stall";
@@ -601,7 +561,7 @@ and rmw t (addr : Addr.t) amo ~k =
       if
         rmw_pending t ~line ~word
         || find_own_covering t ~line ~word <> None
-        || find_wb_covering t ~line ~word <> None
+        || Chassis.find_wb t.ch ~line ~mask:(Mask.singleton word) <> None
       then begin
         (* Another context's write to this word is mid-grant, or the word is
            mid-write-back (the LLC would answer a ReqO+data with a data-less
@@ -625,7 +585,8 @@ and rmw t (addr : Addr.t) amo ~k =
         in
         match Mshr.alloc t.ch.Chassis.outstanding (Rmw r) with
         | Some txn ->
-          request t ~txn ~kind:Msg.ReqOdata ~line ~mask:(Mask.singleton word)
+          Chassis.request t.ch ~txn ~kind:Msg.ReqOdata ~line
+            ~mask:(Mask.singleton word)
             ()
         | None ->
           Stats.incr t.ch.Chassis.stats "mshr_stall";
@@ -652,24 +613,11 @@ and external_req t (msg : Msg.t) =
         rmw := Mask.add !rmw r.w_word
       | Read m when m.r_line = line -> read := Mask.union !read m.r_own_mask
       | Own _ | Rmw _ | Read _ | Atomic _ -> ());
-  (* One pass over the write-backs: the words they cover on [line], and
-     the last record (in table order) holding a requested word, whose
-     retained data answers them. *)
-  let wb = ref Mask.empty and wb_rec = ref None in
-  if Hashtbl.length t.wb_records > 0 then
-    Hashtbl.iter
-      (fun _ (b : wb_req) ->
-        if b.b_line = line then begin
-          wb := Mask.union !wb b.b_mask;
-          if not (Mask.is_empty (Mask.inter b.b_mask mask)) then
-            wb_rec := Some b
-        end)
-      t.wb_records;
-  (* The write-back record is consulted first: forwards arriving while it
-     is alive were serialized before the write-back at the LLC and target
-     the old ownership epoch (cf. Mesi_l1.external_req). *)
+  (* The write-back records are consulted first: forwards arriving while
+     one is alive were serialized before the write-back at the LLC and
+     target the old ownership epoch (cf. Mesi_l1.external_req). *)
   let frame_line = Cache_frame.find t.frame ~line in
-  let in_wb = Mask.inter mask !wb in
+  let in_wb = Mask.inter mask (Chassis.wb_words t.ch ~line) in
   let rest = Mask.diff mask in_wb in
   let owned_here =
     match frame_line with
@@ -698,7 +646,7 @@ and external_req t (msg : Msg.t) =
       Mask.iter in_rmw ~f:(fun w ->
           let r = find_rmw_covering t ~line ~word:w in
           r.w_stolen <- true;
-          reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor
+          Chassis.reply t.ch msg ~kind:Msg.RspO ~dst:msg.Msg.requestor
             ~mask:(Mask.singleton w) ())
   end;
   (* Owned in the frame: the normal case. *)
@@ -715,29 +663,32 @@ and external_req t (msg : Msg.t) =
         serve t msg ~words:(Mask.singleton w) ~values:o.o_values
           ~downgrade:(fun words -> o.o_stolen <- Mask.union o.o_stolen words)
       | None -> assert false);
-  (* Pending write-back: respond with the retained data; the LLC treats the
+  (* Pending write-back: respond with the retained data of the last record
+     (in table order) holding a requested word; the LLC treats the
      in-flight ReqWB as the data carrier (§III-C case 2). *)
-  (match !wb_rec with
-  | _ when Mask.is_empty in_wb -> ()
-  | Some b -> (
-    match msg.Msg.kind with
-    | Msg.Req Msg.ReqV ->
-      respond_words t msg ~kind:Msg.RspV ~dst:msg.Msg.requestor ~words:in_wb
-        ~values:b.b_values
-    | Msg.Req Msg.ReqO ->
-      reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:in_wb ()
-    | Msg.Req Msg.ReqOdata ->
-      respond_words t msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor
-        ~words:in_wb ~values:b.b_values
-    | Msg.Req Msg.ReqS ->
-      respond_words t msg ~kind:Msg.RspS ~dst:msg.Msg.requestor ~words:in_wb
-        ~values:b.b_values;
-      (* Data already travels in the pending ReqWB (footnote 5). *)
-      reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:in_wb ()
-    | Msg.Probe Msg.RvkO ->
-      reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:in_wb ()
-    | _ -> assert false)
-  | None -> assert false);
+  if not (Mask.is_empty in_wb) then begin
+    match Chassis.find_wb t.ch ~line ~mask with
+    | Some { Chassis.values; _ } -> (
+      match msg.Msg.kind with
+      | Msg.Req Msg.ReqV ->
+        Chassis.reply_data t.ch msg ~kind:Msg.RspV ~dst:msg.Msg.requestor
+          ~mask:in_wb ~values
+      | Msg.Req Msg.ReqO ->
+        Chassis.reply t.ch msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:in_wb
+          ()
+      | Msg.Req Msg.ReqOdata ->
+        Chassis.reply_data t.ch msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor
+          ~mask:in_wb ~values
+      | Msg.Req Msg.ReqS ->
+        Chassis.reply_data t.ch msg ~kind:Msg.RspS ~dst:msg.Msg.requestor
+          ~mask:in_wb ~values;
+        (* Data already travels in the pending ReqWB (footnote 5). *)
+        Chassis.reply t.ch msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:in_wb ()
+      | Msg.Probe Msg.RvkO ->
+        Chassis.reply t.ch msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:in_wb ()
+      | _ -> assert false)
+    | None -> assert false
+  end;
   (* Words mid-grant to a converted or promoted read: the fill is in
      flight from the LLC (the response cannot be Nacked), so re-dispatch
      once it lands and the words are Owned in the frame. *)
@@ -764,10 +715,12 @@ and external_req t (msg : Msg.t) =
       let demanded = Mask.inter absent msg.Msg.demand in
       if not (Mask.is_empty demanded) then begin
         Stats.incr t.ch.Chassis.stats "nack_sent";
-        reply t msg ~kind:Msg.Nack ~dst:msg.Msg.requestor ~mask:demanded ()
+        Chassis.reply t.ch msg ~kind:Msg.Nack ~dst:msg.Msg.requestor
+          ~mask:demanded ()
       end
     | Msg.Req Msg.ReqO ->
-      reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:absent ()
+      Chassis.reply t.ch msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:absent
+        ()
     | _ ->
       failwith
         (Format.asprintf "Denovo_l1 %d: data-needing external for absent words %a"
@@ -810,16 +763,11 @@ let handle t (msg : Msg.t) =
   | Msg.Probe Msg.RvkO -> external_req t msg
   | Msg.Probe Msg.Inv ->
     (* No Shared state: silently acknowledge (§III-C case 3). *)
-    send t
+    Chassis.send t.ch
       (Msg.make ~txn:msg.Msg.txn ~kind:(Msg.Rsp Msg.Ack) ~line:msg.Msg.line
          ~mask:msg.Msg.mask ~src:t.cfg.id ~dst:msg.Msg.src ())
-  | Msg.Rsp _ when Hashtbl.mem t.wb_records msg.Msg.txn ->
-    (match msg.Msg.kind with
-    | Msg.Rsp Msg.RspWB -> ()
-    | _ -> failwith "Denovo_l1: unexpected write-back response");
-    Hashtbl.remove t.wb_records msg.Msg.txn;
-    Chassis.retire t.ch ~txn:msg.Msg.txn;
-    drain t
+  | Msg.Rsp _ when Chassis.is_wb t.ch ~txn:msg.Msg.txn ->
+    Chassis.finish_wb t.ch msg
   | Msg.Rsp _ -> (
     match Mshr.find_exn t.ch.Chassis.outstanding ~txn:msg.Msg.txn with
     | exception Not_found -> Stats.incr t.ch.Chassis.stats "orphan_rsp"
@@ -833,7 +781,7 @@ let handle t (msg : Msg.t) =
       match Tu.absorb o.o_collector msg with
       | None -> ()
       | Some _ ->
-        free_txn t ~txn:msg.Msg.txn;
+        Chassis.free_txn t.ch ~txn:msg.Msg.txn;
         commit_own t o;
         Chassis.check_release t.ch;
         drain t)
@@ -855,7 +803,7 @@ let handle t (msg : Msg.t) =
             Stats.incr t.ch.Chassis.stats "rmw_regranted";
             if r.w_queued <> [] then
               failwith "Denovo_l1: data-less RMW grant with queued externals";
-            free_txn t ~txn:msg.Msg.txn;
+            Chassis.free_txn t.ch ~txn:msg.Msg.txn;
             Engine.schedule t.ch.Chassis.engine ~delay:2 (fun () ->
                 rmw t { Addr.line = r.w_line; word = r.w_word } r.w_amo
                   ~k:r.w_k)
@@ -863,7 +811,7 @@ let handle t (msg : Msg.t) =
     | Atomic a -> (
       match (msg.Msg.kind, msg.Msg.payload) with
       | Msg.Rsp Msg.RspWTdata, Msg.Data values ->
-        free_txn t ~txn:msg.Msg.txn;
+        Chassis.free_txn t.ch ~txn:msg.Msg.txn;
         a.at_k values.(0);
         Chassis.check_release t.ch;
         drain t
@@ -877,14 +825,19 @@ let create ~name engine net cfg =
     Chassis.create engine net ~id:cfg.id ~home_id:cfg.llc_id
       ~home_banks:cfg.llc_banks ~hit_latency:cfg.hit_latency
       ~coalesce_window:cfg.coalesce_window ~mshrs:cfg.mshrs
-      ~sb_capacity:cfg.sb_capacity ~level:"l1" ~device:name
+      ~sb_capacity:cfg.sb_capacity ~device:name
+      ~describe:(function
+        | Read m -> (m.r_line, "Read miss")
+        | Own o -> (o.o_line, "Own request")
+        | Rmw r -> (r.w_line, "Rmw request")
+        | Atomic _ -> (-1, "Atomic at LLC"))
+      ~is_write:(function Own _ | Atomic _ -> true | Read _ | Rmw _ -> false)
   in
   let t =
     {
       ch;
       cfg;
       frame = Cache_frame.create ~sets:cfg.sets ~ways:cfg.ways;
-      wb_records = Hashtbl.create 16;
       policy =
         Spandex_policy.make cfg.policy
           ~now:(fun () -> Engine.now engine)
@@ -893,35 +846,10 @@ let create ~name engine net cfg =
       k_wt_chosen = Stats.key ch.Chassis.stats "wt_chosen";
       k_reqo_issued = Stats.key ch.Chassis.stats "reqo_issued";
       k_reqo_words = Stats.key ch.Chassis.stats "reqo_words";
-      k_wb_issued = Stats.key ch.Chassis.stats "wb_issued";
       epoch = 0;
     }
   in
   ch.Chassis.drain <- (fun () -> drain t);
-  ch.Chassis.writes_pending <- (fun () -> writes_pending t);
-  ch.Chassis.source_line <-
-    (function
-    | Read m -> m.r_line
-    | Own o -> o.o_line
-    | Rmw r -> r.w_line
-    | Atomic _ -> -1);
-  ch.Chassis.source_what <-
-    (function
-    | Read _ -> "Read miss"
-    | Own _ -> "Own request"
-    | Rmw _ -> "Rmw request"
-    | Atomic _ -> "Atomic at LLC");
-  Engine.register_pending_source engine (fun () ->
-      Hashtbl.fold
-        (fun txn (b : wb_req) acc ->
-          {
-            Engine.pw_device = name;
-            pw_txn = txn;
-            pw_line = b.b_line;
-            pw_what = "write-back awaiting RspWB";
-          }
-          :: acc)
-        t.wb_records []);
   Network.register net ~id:cfg.id (fun msg -> handle t msg);
   t
 
@@ -1006,25 +934,7 @@ let fingerprint t fp =
         Fp.bool fp r.w_stolen;
         Fp.list fp Msg.fingerprint r.w_queued;
         Tu.fingerprint fp r.w_collector
-      | Atomic _ -> Fp.tag fp "A");
-  let wbs =
-    Hashtbl.fold (fun txn b acc -> (txn, b) :: acc) t.wb_records []
-    |> List.sort (fun (t1, b1) (t2, b2) ->
-           match
-             compare (b1.b_line, (b1.b_mask :> int))
-               (b2.b_line, (b2.b_mask :> int))
-           with
-           | 0 -> compare t1 t2
-           | c -> c)
-  in
-  Fp.int fp (List.length wbs);
-  List.iter
-    (fun (txn, (b : wb_req)) ->
-      Fp.txn fp txn;
-      Fp.int fp b.b_line;
-      Fp.int fp (b.b_mask :> int);
-      Fp.masked_array fp ~mask:b.b_mask b.b_values)
-    wbs
+      | Atomic _ -> Fp.tag fp "A")
 
 let owned_mask t ~line =
   match Cache_frame.find t.frame ~line with

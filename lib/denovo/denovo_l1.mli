@@ -52,10 +52,10 @@ val port : t -> Spandex_device.Port.t
 val stats : t -> Spandex_util.Stats.t
 
 val part : t -> Spandex_device.Part.t
-(** The L1's port, counters, fingerprint (frame, MSHR payloads,
-    write-back records) and view (the words held Owned); its chassis
-    occupancy/stall/retry probes feed the ["l1.<id>.mshr"] /
-    ["l1.<id>.sb"] trace counter tracks. *)
+(** The L1's port, counters, fingerprint (frame, then the chassis's MSHR
+    payloads and write-back records) and view (the words held Owned); its
+    chassis occupancy/stall/retry probes feed the ["<name>.mshr"] /
+    ["<name>.sb"] trace counter tracks. *)
 
 (** {2 Test introspection} *)
 

@@ -14,8 +14,11 @@ type l1 = {
 
 type t = {
   stats : Spandex_util.Stats.t;
-  register_metrics : device:string -> Spandex_obs.Metrics.t -> unit;
-      (** register the endpoint's probes, labelled [device]. *)
+  register_metrics :
+    label:string -> name:string -> Spandex_obs.Metrics.t -> unit;
+      (** register the endpoint's probes under its [Run] label; its trace
+          counter tracks are named ["<name>.<what>"] from its device
+          name. *)
   fingerprint : Spandex_util.Fingerprint.t -> unit;
       (** the endpoint's share of the model checker's visited-state key (a
           banked home emits its whole state from bank 0). *)

@@ -12,7 +12,6 @@ module Store_buffer = Spandex_mem.Store_buffer
 module Port = Spandex_device.Port
 module Tu = Spandex.Tu
 module Chassis = Spandex_l1.Chassis
-module Policy = Spandex_l1.Policy
 
 type config = {
   id : Msg.device_id;
@@ -47,10 +46,6 @@ type t = {
   ch : outstanding Chassis.t;
   cfg : config;
   frame : line Cache_frame.t;
-  (* GPU coherence never owns: reads are self-invalidated ReqV, writes go
-     through.  The policy layer still picks the request kinds so a GPU L1
-     is classified exactly like every other Spandex device (Table II). *)
-  policy : Policy.t;
   k_rmw : Stats.key;
   k_wt_issued : Stats.key;
   k_wt_words : Stats.key;
@@ -63,19 +58,8 @@ let miss_now epoch line = function
   | Miss m -> m.m_line = line && m.epoch = epoch
   | Wt _ | Atomic _ -> false
 
-let wts_outstanding t =
-  let n = ref 0 in
-  Mshr.iter t.ch.Chassis.outstanding ~f:(fun ~txn:_ -> function
-    | Wt _ -> incr n
-    | _ -> ());
-  !n
-
-let send t msg = Chassis.send t.ch msg
-
-let request t ~txn ~kind ~line ~mask ?demand ?payload ?amo () =
-  Chassis.request t.ch ~txn ~kind ~line ~mask ?demand ?payload ?amo ()
-
-let free_txn t ~txn = Chassis.free_txn t.ch ~txn
+(* GPU coherence never owns: reads are self-invalidated line ReqVs, writes
+   go through as ReqWTs (Table II). *)
 
 (* ----- write-through drain -------------------------------------------------- *)
 
@@ -100,10 +84,8 @@ let rec drain t =
         in
         Stats.bump t.ch.Chassis.stats t.k_wt_issued;
         Stats.bump_by t.ch.Chassis.stats t.k_wt_words (Mask.count mask);
-        let kind =
-          Policy.req_of_write (t.policy.Policy.classify_write ~line:e.Store_buffer.line)
-        in
-        request t ~txn ~kind ~line:e.Store_buffer.line ~mask ~payload ();
+        Chassis.request t.ch ~txn ~kind:Msg.ReqWT ~line:e.Store_buffer.line
+          ~mask ~payload ();
         Store_buffer.release t.ch.Chassis.sb e;
         (* A freed entry may unblock a stalled store. *)
         Chassis.wake_stalled t.ch;
@@ -135,7 +117,7 @@ let install_line t ~line values =
     | exception Not_found -> ())
 
 let complete_miss t ~txn (m : miss) (r : Tu.result) =
-  free_txn t ~txn;
+  Chassis.free_txn t.ch ~txn;
   if m.epoch = t.epoch then install_line t ~line:m.m_line r.Tu.values
   else Stats.incr t.ch.Chassis.stats "stale_fill_dropped";
   List.iter (fun (w, k) -> k r.Tu.values.(w)) (List.rev m.waiters);
@@ -168,10 +150,11 @@ let handle_nacks t ~txn (m : miss) (r : Tu.result) =
       m.retries <- m.retries + 1;
       Stats.incr t.ch.Chassis.stats "reqv_retry";
       let m' = { m with collector = fresh; retries = m.retries } in
-      free_txn t ~txn;
+      Chassis.free_txn t.ch ~txn;
       (match Mshr.alloc t.ch.Chassis.outstanding (Miss m') with
       | Some txn' ->
-        request t ~txn:txn' ~kind:Msg.ReqV ~line:m.m_line ~mask:r.Tu.nacked
+        Chassis.request t.ch ~txn:txn' ~kind:Msg.ReqV ~line:m.m_line
+          ~mask:r.Tu.nacked
           ~demand:r.Tu.nacked ();
         Chassis.trace_chain t.ch ~txn ~txn'
       | None -> assert false (* we just freed a slot *))
@@ -184,11 +167,11 @@ let handle_nacks t ~txn (m : miss) (r : Tu.result) =
     | None ->
       Stats.incr t.ch.Chassis.stats "reqv_converted";
       let m' = { m with collector = base } in
-      free_txn t ~txn;
+      Chassis.free_txn t.ch ~txn;
       (match Mshr.alloc t.ch.Chassis.outstanding (Miss m') with
       | Some txn' ->
         Mask.iter r.Tu.nacked ~f:(fun w ->
-            request t ~txn:txn' ~kind:Msg.ReqWTdata ~line:m.m_line
+            Chassis.request t.ch ~txn:txn' ~kind:Msg.ReqWTdata ~line:m.m_line
               ~mask:(Mask.singleton w) ~amo:Amo.Read ());
         Chassis.trace_chain t.ch ~txn ~txn'
       | None -> assert false)
@@ -231,11 +214,8 @@ let rec load t (addr : Addr.t) ~k =
         match Mshr.alloc t.ch.Chassis.outstanding (Miss m) with
         | Some txn ->
           (* Line-granularity read (Table II). *)
-          let kind =
-            Policy.req_of_read
-              (t.policy.Policy.classify_read ~line:addr.Addr.line Policy.absent)
-          in
-          request t ~txn ~kind ~line:addr.Addr.line ~mask:Addr.full_mask ()
+          Chassis.request t.ch ~txn ~kind:Msg.ReqV ~line:addr.Addr.line
+            ~mask:Addr.full_mask ()
         | None ->
           (* MSHRs exhausted: retry shortly. *)
           Stats.incr t.ch.Chassis.stats "mshr_stall";
@@ -268,7 +248,7 @@ let rmw t (addr : Addr.t) amo ~k =
   | Some txn ->
     (* The returned data makes any cached copy of the line stale. *)
     Cache_frame.remove t.frame ~line:addr.Addr.line;
-    request t ~txn ~kind:Msg.ReqWTdata ~line:addr.Addr.line
+    Chassis.request t.ch ~txn ~kind:Msg.ReqWTdata ~line:addr.Addr.line
       ~mask:(Mask.singleton addr.Addr.word) ~amo ()
   | None ->
     Stats.incr t.ch.Chassis.stats "mshr_stall";
@@ -280,7 +260,7 @@ let rmw t (addr : Addr.t) amo ~k =
           with
           | Some txn ->
             Cache_frame.remove t.frame ~line:addr.Addr.line;
-            request t ~txn ~kind:Msg.ReqWTdata ~line:addr.Addr.line
+            Chassis.request t.ch ~txn ~kind:Msg.ReqWTdata ~line:addr.Addr.line
               ~mask:(Mask.singleton addr.Addr.word) ~amo ()
           | None -> Engine.schedule t.ch.Chassis.engine ~delay:4 retry
         in
@@ -313,13 +293,13 @@ let handle t (msg : Msg.t) =
       (match msg.Msg.kind with
       | Msg.Rsp Msg.RspWT | Msg.Rsp Msg.RspO -> ()
       | _ -> failwith "Gpu_l1: unexpected write-through response");
-      free_txn t ~txn:msg.Msg.txn;
+      Chassis.free_txn t.ch ~txn:msg.Msg.txn;
       Chassis.check_release t.ch;
       drain t
     | Atomic a -> (
       match (msg.Msg.kind, msg.Msg.payload) with
       | Msg.Rsp Msg.RspWTdata, Msg.Data values ->
-        free_txn t ~txn:msg.Msg.txn;
+        Chassis.free_txn t.ch ~txn:msg.Msg.txn;
         a.a_k values.(0);
         drain t
       | _ -> failwith "Gpu_l1: unexpected atomic response")
@@ -332,7 +312,7 @@ let handle t (msg : Msg.t) =
   | Msg.Probe Msg.Inv ->
     (* No Shared state: a (defensive) Inv is acknowledged without action
        (§III-C case 3). *)
-    send t
+    Chassis.send t.ch
       (Msg.make ~txn:msg.Msg.txn ~kind:(Msg.Rsp Msg.Ack) ~line:msg.Msg.line
          ~mask:msg.Msg.mask ~src:t.cfg.id ~dst:msg.Msg.src ())
   | Msg.Probe Msg.RvkO | Msg.Req _ ->
@@ -345,17 +325,18 @@ let create ~name engine net cfg =
     Chassis.create engine net ~id:cfg.id ~home_id:cfg.llc_id
       ~home_banks:cfg.llc_banks ~hit_latency:cfg.hit_latency
       ~coalesce_window:cfg.coalesce_window ~mshrs:cfg.mshrs
-      ~sb_capacity:cfg.sb_capacity ~level:"l1"
-      ~device:name
+      ~sb_capacity:cfg.sb_capacity ~device:name
+      ~describe:(function
+        | Miss m -> (m.m_line, "Read miss")
+        | Wt w -> (w.wt_line, "Write-through")
+        | Atomic _ -> (-1, "Atomic at LLC"))
+      ~is_write:(function Wt _ -> true | Miss _ | Atomic _ -> false)
   in
   let t =
     {
       ch;
       cfg;
       frame = Cache_frame.create ~sets:cfg.sets ~ways:cfg.ways;
-      policy =
-        Policy.static ~name:"gpu-through" ~read:Policy.Read_valid
-          ~write:Policy.Write_through;
       k_rmw = Stats.key ch.Chassis.stats "rmw";
       k_wt_issued = Stats.key ch.Chassis.stats "wt_issued";
       k_wt_words = Stats.key ch.Chassis.stats "wt_words";
@@ -363,14 +344,6 @@ let create ~name engine net cfg =
     }
   in
   ch.Chassis.drain <- (fun () -> drain t);
-  ch.Chassis.writes_pending <- (fun () -> wts_outstanding t);
-  ch.Chassis.source_line <-
-    (function Miss m -> m.m_line | Wt w -> w.wt_line | Atomic _ -> -1);
-  ch.Chassis.source_what <-
-    (function
-    | Miss _ -> "Read miss"
-    | Wt _ -> "Write-through"
-    | Atomic _ -> "Atomic at LLC");
   Network.register net ~id:cfg.id (fun msg -> handle t msg);
   t
 

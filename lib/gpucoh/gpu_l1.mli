@@ -38,8 +38,8 @@ val stats : t -> Spandex_util.Stats.t
 val part : t -> Spandex_device.Part.t
 (** The L1's port, counters, fingerprint and view (GPU coherence never
     holds ownership, so it makes no SWMR claims); its chassis
-    occupancy/stall/retry probes feed the ["l1.<id>.mshr"] /
-    ["l1.<id>.sb"] trace counter tracks. *)
+    occupancy/stall/retry probes feed the ["<name>.mshr"] /
+    ["<name>.sb"] trace counter tracks. *)
 
 (** {2 Test introspection} *)
 

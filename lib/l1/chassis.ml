@@ -12,6 +12,8 @@ module Fault = Spandex_net.Fault
 module Mshr = Spandex_mem.Mshr
 module Store_buffer = Spandex_mem.Store_buffer
 
+type wb = { line : int; mask : Mask.t; values : int array }
+
 type 'o t = {
   engine : Engine.t;
   net : Network.t;
@@ -34,20 +36,22 @@ type 'o t = {
   n_retry : int;
   n_nack : int;
   n_chain : int;
-  name : string;
+  describe : 'o -> int * string;
+  is_write : int -> int -> 'o -> bool;
+      (* the protocol's predicate in {!Mshr.exists}'s keyed form, built
+         once so the release check allocates nothing. *)
+  wbs : (int, wb) Hashtbl.t;
+  k_wb_issued : Stats.key;
   mutable flushing : bool;
   mutable drain_armed : bool;
   mutable release_waiters : (unit -> unit) list;
   mutable stalled_stores : (unit -> unit) list;
   mutable drain : unit -> unit;
-  mutable writes_pending : unit -> int;
   mutable drain_tick : unit -> unit;
-  mutable source_line : 'o -> int;
-  mutable source_what : 'o -> string;
 }
 
 let create engine net ~id ~home_id ~home_banks ~hit_latency ~coalesce_window
-    ~mshrs ~sb_capacity ~level ~device =
+    ~mshrs ~sb_capacity ~device ~describe ~is_write =
   let stats = Stats.create () in
   let trace = Engine.trace engine in
   let retry =
@@ -83,33 +87,34 @@ let create engine net ~id ~home_id ~home_banks ~hit_latency ~coalesce_window
       n_retry = Trace.name trace "retry.resend";
       n_nack = Trace.name trace "tu.nack";
       n_chain = Trace.name trace "txn.chain";
-      name = Printf.sprintf "%s.%d" level id;
+      describe;
+      is_write = (fun _ _ o -> is_write o);
+      wbs = Hashtbl.create 16;
+      k_wb_issued = Stats.key stats "wb_issued";
       flushing = false;
       drain_armed = false;
       release_waiters = [];
       stalled_stores = [];
       drain = (fun () -> ());
-      writes_pending = (fun () -> 0);
       drain_tick = (fun () -> ());
-      source_line = (fun _ -> -1);
-      source_what = (fun _ -> "mshr");
     }
   in
   t.drain_tick <-
     (fun () ->
       t.drain_armed <- false;
       t.drain ());
-  (* MSHR entries, buffered and stalled stores, reported under the
-     device's [Run] name. *)
+  (* MSHR entries, buffered and stalled stores, then write-backs, reported
+     under the device's [Run] name. *)
   Engine.register_pending_source engine (fun () ->
       let acc = ref [] in
       Mshr.iter t.outstanding ~f:(fun ~txn o ->
+          let line, what = describe o in
           acc :=
             {
               Engine.pw_device = device;
               pw_txn = txn;
-              pw_line = t.source_line o;
-              pw_what = t.source_what o;
+              pw_line = line;
+              pw_what = what;
             }
             :: !acc);
       Store_buffer.iter t.sb ~f:(fun e ->
@@ -132,10 +137,19 @@ let create engine net ~id ~home_id ~home_banks ~hit_latency ~coalesce_window
                 (List.length t.stalled_stores);
           }
           :: !acc;
-      List.rev !acc);
+      List.rev_append !acc
+        (Hashtbl.fold
+           (fun txn b acc ->
+             {
+               Engine.pw_device = device;
+               pw_txn = txn;
+               pw_line = b.line;
+               pw_what = "write-back awaiting RspWB";
+             }
+             :: acc)
+           t.wbs []));
   t
 
-let fresh_txn t = Txn.next t.txns
 let send t msg = Engine.send_later t.engine ~delay:t.hit_latency msg
 
 (* Fault-armed runs only: resend [msg] until [retire]. *)
@@ -195,6 +209,46 @@ let reply_data t msg ~kind ~dst ~mask ~values =
       ~payload:(Msg.Data (Linedata.pack ~mask ~full:values))
       ()
 
+(* ----- write-backs ----------------------------------------------------- *)
+
+let write_back t ~line ~mask ~values =
+  let txn = Txn.next t.txns in
+  Hashtbl.replace t.wbs txn { line; mask; values };
+  Stats.bump t.stats t.k_wb_issued;
+  request t ~txn ~kind:Msg.ReqWB ~line ~mask
+    ~payload:(Msg.Data (Linedata.pack ~mask ~full:values))
+    ()
+
+let is_wb t ~txn = Hashtbl.mem t.wbs txn
+
+let finish_wb t (msg : Msg.t) =
+  (match msg.Msg.kind with
+  | Msg.Rsp Msg.RspWB -> ()
+  | _ ->
+    failwith
+      (Format.asprintf "Chassis %d: unexpected write-back response %a" t.id
+         Msg.pp msg));
+  Hashtbl.remove t.wbs msg.Msg.txn;
+  retire t ~txn:msg.Msg.txn;
+  t.drain ()
+
+let find_wb t ~line ~mask =
+  if Hashtbl.length t.wbs = 0 then None
+  else
+    Hashtbl.fold
+      (fun _ b acc ->
+        if b.line = line && not (Mask.is_empty (Mask.inter b.mask mask)) then
+          Some b
+        else acc)
+      t.wbs None
+
+let wb_words t ~line =
+  if Hashtbl.length t.wbs = 0 then Mask.empty
+  else
+    Hashtbl.fold
+      (fun _ b acc -> if b.line = line then Mask.union acc b.mask else acc)
+      t.wbs Mask.empty
+
 let entry_ready ?(forced = false) t line =
   if t.flushing || forced || Store_buffer.count t.sb * 2 >= t.sb_capacity then
     true
@@ -203,7 +257,9 @@ let entry_ready ?(forced = false) t line =
     age >= t.coalesce_window
 
 let check_release t =
-  if t.flushing && Store_buffer.is_empty t.sb && t.writes_pending () = 0
+  if
+    t.flushing && Store_buffer.is_empty t.sb
+    && not (Mshr.exists t.outstanding 0 0 ~f:t.is_write)
   then begin
     t.flushing <- false;
     let ws = t.release_waiters in
@@ -237,13 +293,12 @@ let stall_store t retry =
 
 (* Metrics probes shared by every protocol built on the chassis: MSHR and
    store-buffer (or protocol-specific [aux]) occupancy gauges plus the
-   retry/stall counters.  [device] labels the series — the same display
-   name trace tracks use; the two gauges also feed the "<level>.<id>.mshr"
-   and "<level>.<id>.sb" (or aux) trace counter tracks. *)
-let register_metrics t ~device ?aux reg =
+   retry/stall counters.  [label] labels the series; the two gauges also
+   feed the "<name>.mshr" and "<name>.sb" (or aux) trace counter tracks. *)
+let register_metrics t ?aux ~label ~name reg =
   let module Metrics = Spandex_obs.Metrics in
-  let labels = [ ("device", device) ] in
-  let track what = (t.id, t.name ^ "." ^ what) in
+  let labels = [ ("device", label) ] in
+  let track what = (t.id, name ^ "." ^ what) in
   Metrics.gauge reg ~name:"spandex_l1_mshr_occupancy" ~labels
     ~track:(track "mshr") ~help:"MSHR entries in use" (fun () ->
       Mshr.count t.outstanding);
@@ -265,7 +320,7 @@ let register_metrics t ~device ?aux reg =
 let part t ?aux ~fingerprint l1 =
   {
     Spandex_device.Part.stats = t.stats;
-    register_metrics = (fun ~device reg -> register_metrics t ~device ?aux reg);
+    register_metrics = register_metrics t ?aux;
     fingerprint;
     l1;
   }
@@ -274,9 +329,10 @@ module Fp = Spandex_util.Fingerprint
 
 (* Canonical encoding of the shared transaction state.  MSHR entries are
    sorted by the protocol's [key] (line + kind, unique for coexisting
-   entries) with the raw txn as a tiebreaker, so the fingerprint's txn
-   remap is assigned in a content-determined order; store-buffer entries
-   sort by line (one entry per line by construction). *)
+   entries) and write-backs by line and mask, each with the raw txn as a
+   tiebreaker, so the fingerprint's txn remap is assigned in a
+   content-determined order; store-buffer entries sort by line (one entry
+   per line by construction). *)
 let fingerprint t fp ~key ~payload =
   Fp.tag fp "ch";
   Fp.bool fp t.flushing;
@@ -309,7 +365,24 @@ let fingerprint t fp ~key ~payload =
     (fun (txn, o) ->
       Fp.txn fp txn;
       payload fp o)
-    ms
+    ms;
+  let wbs =
+    Hashtbl.fold (fun txn b acc -> (txn, b) :: acc) t.wbs []
+    |> List.sort (fun (t1, b1) (t2, b2) ->
+           match
+             compare (b1.line, (b1.mask :> int)) (b2.line, (b2.mask :> int))
+           with
+           | 0 -> compare t1 t2
+           | c -> c)
+  in
+  Fp.int fp (List.length wbs);
+  List.iter
+    (fun (txn, b) ->
+      Fp.txn fp txn;
+      Fp.int fp b.line;
+      Fp.int fp (b.mask :> int);
+      Fp.masked_array fp ~mask:b.mask b.values)
+    wbs
 
 let fingerprint_waiters fp ws =
   Fp.list fp Fp.int (List.sort compare (List.map fst ws))

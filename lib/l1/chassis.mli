@@ -4,11 +4,12 @@
     L1 and the MESI client L2 shim — shares the same transaction plumbing:
     MSHR allocate/retire, end-to-end retry-timer arming and cancellation,
     trace span begin/end with the interned instant names, store-buffer
-    aging and drain scheduling, release flushing, and stalled-store wakeup.
-    This module owns that plumbing once; a protocol keeps only its state
-    machine (frame contents, outstanding-transaction payloads, external
-    request handling) and installs its drain routine and pending-write
-    census as hooks.
+    aging and drain scheduling, release flushing, stalled-store wakeup,
+    and write-backs in flight.  This module owns that plumbing once; a
+    protocol keeps only its state machine (frame contents,
+    outstanding-transaction payloads, external request handling), tells
+    {!create} how to describe its MSHR entries and which of them are
+    writes, and installs its drain routine as the one hook.
 
     The record is exposed: protocols read the shared fields directly and
     the chassis stays a passive toolbox, not an inversion-of-control
@@ -22,6 +23,11 @@ module Msg = Spandex_proto.Msg
 module Network = Spandex_net.Network
 module Mshr = Spandex_mem.Mshr
 module Store_buffer = Spandex_mem.Store_buffer
+
+(** A write-back in flight: the words of [line] in [mask] left the frame
+    and ride a ReqWB; [values] (full line, retained as given) answers
+    requests the home forwards before its RspWB (§III-C, footnote 5). *)
+type wb = { line : int; mask : Spandex_util.Mask.t; values : int array }
 
 type 'o t = {
   engine : Engine.t;
@@ -50,22 +56,23 @@ type 'o t = {
   n_retry : int;  (** interned trace names (0 on a disabled sink). *)
   n_nack : int;
   n_chain : int;
-  name : string;  (** ["<level>.<id>"]. *)
+  describe : 'o -> int * string;
+      (** an MSHR entry's line ([-1] when none) and short kind, for
+          {!Spandex_sim.Engine.live_work}. *)
+  is_write : int -> int -> 'o -> bool;
+      (** the [is_write] given to {!create}, in {!Mshr.exists}'s keyed
+          form. *)
+  wbs : (int, wb) Hashtbl.t;  (** write-backs in flight, keyed by txn. *)
+  k_wb_issued : Stats.key;
   mutable flushing : bool;
   mutable drain_armed : bool;
   mutable release_waiters : (unit -> unit) list;
   mutable stalled_stores : (unit -> unit) list;
   mutable drain : unit -> unit;
-      (** installed by the protocol; invoked by the armed drain tick. *)
-  mutable writes_pending : unit -> int;
-      (** installed by the protocol; gates release completion. *)
+      (** installed by the protocol after {!create} (it recurses into the
+          protocol); invoked by the armed drain tick and on RspWB. *)
   mutable drain_tick : unit -> unit;
       (** preallocated tick closure so {!arm_drain} allocates nothing. *)
-  mutable source_line : 'o -> int;
-      (** installed by the protocol: line an outstanding entry targets,
-          for the pending source ([-1] when unknown). *)
-  mutable source_what : 'o -> string;
-      (** installed by the protocol: short kind of an outstanding entry. *)
 }
 
 val create :
@@ -78,20 +85,15 @@ val create :
   coalesce_window:int ->
   mshrs:int ->
   sb_capacity:int ->
-  level:string ->
   device:string ->
+  describe:('o -> int * string) ->
+  is_write:('o -> bool) ->
   'o t
-(** [level] names the occupancy trace counter tracks
-    (["<level>.<id>.mshr"]); [device] names the L1's work in the engine
-    pending source the chassis registers (MSHR entries, buffered and
-    stalled stores; protocols register their own records, such as
-    write-backs, separately), and should be the L1's [Run] device name.
-    Does not register a network handler: the protocol owns message
-    dispatch. *)
-
-val fresh_txn : 'o t -> int
-(** Draw a transaction id from the device's allocator — for transactions
-    tracked outside the MSHR file (write-back records). *)
+(** [device], the L1's [Run] device name, names its work in the engine
+    pending source the chassis registers: MSHR entries (as [describe]d),
+    buffered and stalled stores, then write-backs.  A release completes
+    once the store buffer is empty and no MSHR entry [is_write].  Does not
+    register a network handler: the protocol owns message dispatch. *)
 
 val send : 'o t -> Msg.t -> unit
 (** Inject after the L1's hit latency. *)
@@ -110,12 +112,9 @@ val request :
 (** Build and send a request to the line's home bank, opening its trace
     span and arming the retry timer (when faults are on). *)
 
-val retire : 'o t -> txn:int -> unit
-(** Cancel the retry timer and close the trace span — for transactions
-    tracked outside the MSHR file (write-back records). *)
-
 val free_txn : 'o t -> txn:int -> unit
-(** Free the MSHR entry, then {!retire}. *)
+(** Free the MSHR entry, cancel its retry timer and close its trace
+    span. *)
 
 val trace_chain : 'o t -> txn:int -> txn':int -> unit
 (** Link a protocol-level follow-up transaction for [explain]. *)
@@ -144,14 +143,35 @@ val reply_data :
   unit
 (** {!reply} carrying the masked words of [values]. *)
 
+val write_back :
+  'o t -> line:int -> mask:Spandex_util.Mask.t -> values:int array -> unit
+(** Record a write-back of [mask] under a fresh txn and send its ReqWB
+    carrying those words of [values].  The record keeps [values] itself
+    (not a copy) until {!finish_wb}. *)
+
+val is_wb : 'o t -> txn:int -> bool
+(** Whether [txn] is a write-back in flight. *)
+
+val finish_wb : 'o t -> Msg.t -> unit
+(** Retire the write-back a RspWB answers, then run the drain; fails on
+    any other response kind. *)
+
+val find_wb :
+  'o t -> line:int -> mask:Spandex_util.Mask.t -> wb option
+(** The last record, in table order, of a write-back from [line] whose
+    words meet [mask] ([Addr.full_mask]: any write-back from the line). *)
+
+val wb_words : 'o t -> line:int -> Spandex_util.Mask.t
+(** The words of [line] that write-backs in flight carry. *)
+
 val entry_ready : ?forced:bool -> 'o t -> int -> bool
 (** A store-buffer entry issues once aged past the coalesce window,
     immediately when [forced], a release is flushing, or the buffer is
     half full. *)
 
 val check_release : 'o t -> unit
-(** Complete a pending release once the buffer is empty and the
-    protocol's [writes_pending] census reaches zero. *)
+(** Complete a pending release once the buffer is empty and no MSHR entry
+    is a write. *)
 
 val arm_drain : 'o t -> delay:int -> unit
 (** Schedule the protocol's drain, coalescing concurrent arms. *)
@@ -176,10 +196,10 @@ val part :
 (** The device's part: the chassis's counters, [fingerprint], and its
     standard probes: MSHR occupancy, store-buffer occupancy (or the [aux]
     (metric name, track suffix, probe) gauge a protocol substitutes),
-    store-buffer full-stall and retry counters, all labelled [device].
-    The two occupancy gauges feed the ["<level>.<id>.mshr"] and
-    ["<level>.<id>.sb"] (or ["<level>.<id>.<suffix>"]) trace counter
-    tracks. *)
+    store-buffer full-stall and retry counters, all labelled with the
+    device's label.  The two occupancy gauges feed the ["<name>.mshr"] and
+    ["<name>.sb"] (or ["<name>.<suffix>"]) trace counter tracks, [name]
+    being the device name. *)
 
 val fingerprint :
   'o t ->
@@ -190,7 +210,8 @@ val fingerprint :
 (** Append a canonical encoding of the shared transaction state (store
     buffer sorted by line, MSHR entries sorted by [key] — the protocol
     supplies a content key, typically [line * k + kind-tag] — then
-    encoded by [payload]).  Used by the model checker. *)
+    encoded by [payload], then write-backs sorted by line and mask).
+    Used by the model checker. *)
 
 val fingerprint_waiters :
   Spandex_util.Fingerprint.t -> (int * 'k) list -> unit

@@ -1,25 +1,8 @@
-module Msg = Spandex_proto.Msg
-
-type line_state = { owned : bool; valid : bool }
-
-let absent = { owned = false; valid = false }
-
-type read_kind = Read_valid | Read_shared | Read_own
-type write_kind = Write_through | Write_own | Write_own_data
-
-let req_of_read = function
-  | Read_valid -> Msg.ReqV
-  | Read_shared -> Msg.ReqS
-  | Read_own -> Msg.ReqOdata
-
-let req_of_write = function
-  | Write_through -> Msg.ReqWT
-  | Write_own -> Msg.ReqO
-  | Write_own_data -> Msg.ReqOdata
+type read_kind = Read_valid | Read_own
+type write_kind = Write_through | Write_own
 
 type t = {
-  name : string;
-  classify_read : line:int -> line_state -> read_kind;
+  classify_read : line:int -> read_kind;
   classify_write : line:int -> write_kind;
   on_store_hit_owned : line:int -> unit;
   on_write_through : line:int -> unit;
@@ -28,10 +11,9 @@ type t = {
 
 let nop ~line:_ = ()
 
-let static ~name ~read ~write =
+let static ~read ~write =
   {
-    name;
-    classify_read = (fun ~line:_ _ -> read);
+    classify_read = (fun ~line:_ -> read);
     classify_write = (fun ~line:_ -> write);
     on_store_hit_owned = nop;
     on_write_through = nop;

@@ -3,39 +3,26 @@
     Spandex's central claim is that the *request interface* is flexible: a
     device may issue ReqV, ReqS, ReqWT or ReqO per access (paper §III-A),
     and the right choice depends on the access pattern, not the protocol
-    family.  Each L1 protocol implements this interface as a thin module:
-    the classifiers pick the request kind for an access, and the hooks feed
-    observed coherence events (ownership hits, write-throughs, downgrades)
-    back into the policy's predictor state.  Static protocols — MESI,
-    GPU coherence, plain DeNovo — use {!static} constant classifications;
-    {!Spandex_policy} builds adaptive instances with per-line saturating
-    reuse counters (cf. Alsop et al., "A Case for Fine-grain Coherence
-    Specialization in Heterogeneous Systems"). *)
-
-type line_state = {
-  owned : bool;  (** the demanded word is locally Owned / Modified. *)
-  valid : bool;  (** the demanded word holds a locally valid copy. *)
-}
-
-val absent : line_state
-(** Both false: the common miss-path state. *)
+    family.  A DeNovo-family L1 asks its policy per access: the
+    classifiers pick the request kind, and the hooks feed observed
+    coherence events (ownership hits, write-throughs, downgrades) back
+    into the policy's predictor state.  Classic DeNovo uses a {!static}
+    classification; {!Spandex_policy} builds adaptive instances with
+    per-line saturating reuse counters (cf. Alsop et al., "A Case for
+    Fine-grain Coherence Specialization in Heterogeneous Systems").
+    Protocols whose request kinds never vary — MESI (ReqS, ReqO+data) and
+    GPU coherence (ReqV, ReqWT) — issue them directly. *)
 
 type read_kind =
   | Read_valid  (** ReqV: self-invalidated data, no sharer state at the LLC. *)
-  | Read_shared  (** ReqS: writer-invalidated Shared data. *)
   | Read_own  (** ReqO+data: fetch with ownership; survives acquires. *)
 
 type write_kind =
   | Write_through  (** ReqWT: update the LLC, keep nothing locally. *)
   | Write_own  (** ReqO: data-less ownership (every word overwritten). *)
-  | Write_own_data  (** ReqO+data: read-for-ownership of the whole line. *)
-
-val req_of_read : read_kind -> Spandex_proto.Msg.req_kind
-val req_of_write : write_kind -> Spandex_proto.Msg.req_kind
 
 type t = {
-  name : string;
-  classify_read : line:int -> line_state -> read_kind;
+  classify_read : line:int -> read_kind;
       (** request-kind selection for a load miss to [line]. *)
   classify_write : line:int -> write_kind;
       (** request-kind selection for a drained store-buffer entry. *)
@@ -47,5 +34,5 @@ type t = {
       (** probe-response hook: an external request downgraded [line]. *)
 }
 
-val static : name:string -> read:read_kind -> write:write_kind -> t
+val static : read:read_kind -> write:write_kind -> t
 (** Constant classification, no predictor state, no-op hooks. *)

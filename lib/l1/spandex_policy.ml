@@ -13,15 +13,10 @@ let legacy_adaptive =
 let adaptive_writes = Adaptive legacy_adaptive
 let adaptive_full = Adaptive { legacy_adaptive with read_threshold = 2 }
 
-let name = function
-  | Static_own -> "own"
-  | Adaptive a ->
-    if a.read_threshold > 0 then "adaptive-rw" else "adaptive-writes"
-
 let make spec ~now ~coalesce_window =
   match spec with
   | Static_own ->
-    Policy.static ~name:"own" ~read:Policy.Read_valid ~write:Policy.Write_own
+    Policy.static ~read:Policy.Read_valid ~write:Policy.Write_own
   | Adaptive a ->
     (* Per-line saturating counters; lines never touched stay out of the
        tables entirely. *)
@@ -34,9 +29,8 @@ let make spec ~now ~coalesce_window =
     in
     let decay tbl line = Hashtbl.replace tbl line (max 0 (count tbl line - 1)) in
     {
-      Policy.name = name spec;
-      classify_read =
-        (fun ~line (_ : Policy.line_state) ->
+      Policy.classify_read =
+        (fun ~line ->
           if a.read_threshold <= 0 then Policy.Read_valid
           else begin
             let seen = count read_misses line in

@@ -47,8 +47,6 @@ val adaptive_full : spec
 (** Write adaptation plus ReqV-vs-ReqO+data load promotion
     (read_threshold 2) — what [Config.saa] sweeps. *)
 
-val name : spec -> string
-
 val make :
   spec -> now:(unit -> int) -> coalesce_window:int -> Policy.t
 (** Build a fresh policy instance (predictor tables are per-L1). *)

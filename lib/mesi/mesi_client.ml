@@ -43,14 +43,6 @@ let set_state t line = function
   | P_I -> Hashtbl.remove t.states line
   | s -> Hashtbl.replace t.states line s
 
-let request t ~txn ~kind ~line ?payload () =
-  Chassis.request t.ch ~txn ~kind ~line ~mask:Addr.full_mask ?payload ()
-
-let free_txn t ~txn = Chassis.free_txn t.ch ~txn
-
-let reply t (msg : Msg.t) ~kind ~dst ?payload () =
-  Chassis.reply t.ch msg ~kind ~dst ~mask:msg.Msg.mask ?payload ()
-
 (* Closed MSHR predicates on a line ({!Mshr.find_first_exn}). *)
 let acq_on line _ = function Acq a -> a.a_line = line | Wb _ -> false
 let wb_on line _ = function Wb b -> b.w_line = line | Acq _ -> false
@@ -66,6 +58,21 @@ let wb_for t line =
 
 (* ----- Backing interface ----------------------------------------------------- *)
 
+(* Take an MSHR for [entry] and [issue] its request; while every slot is
+   busy the request stays [parked], retried as responses free slots. *)
+let rec fire t entry issue =
+  match Mshr.alloc t.ch.Chassis.outstanding entry with
+  | Some txn ->
+    t.parked <- t.parked - 1;
+    issue txn
+  | None ->
+    Stats.incr t.ch.Chassis.stats "mshr_stall";
+    Engine.schedule t.ch.Chassis.engine ~delay:4 (fun () -> fire t entry issue)
+
+let park t entry issue =
+  t.parked <- t.parked + 1;
+  fire t entry issue
+
 let acquire t ~line ~excl ~k =
   match state t line with
   | P_M -> k None ~excl:true
@@ -73,20 +80,8 @@ let acquire t ~line ~excl ~k =
   | P_S | P_I ->
     let kind = if excl then Msg.ReqOdata else Msg.ReqS in
     Stats.bump t.ch.Chassis.stats (if excl then t.k_getm else t.k_gets);
-    let rec fire () =
-      match
-        Mshr.alloc t.ch.Chassis.outstanding (Acq { a_line = line; a_k = k })
-      with
-      | Some txn ->
-        t.parked <- t.parked - 1;
-        request t ~txn ~kind ~line ()
-      | None ->
-        (* All request slots busy: wait for responses to free one. *)
-        Stats.incr t.ch.Chassis.stats "mshr_stall";
-        Engine.schedule t.ch.Chassis.engine ~delay:4 fire
-    in
-    t.parked <- t.parked + 1;
-    fire ()
+    park t (Acq { a_line = line; a_k = k }) (fun txn ->
+        Chassis.request t.ch ~txn ~kind ~line ~mask:Addr.full_mask ())
 
 let writeback t ~line ~data ~dirty ~k =
   match state t line with
@@ -96,19 +91,11 @@ let writeback t ~line ~data ~dirty ~k =
     ignore dirty;
     set_state t line P_I;
     Stats.bump t.ch.Chassis.stats t.k_putm;
-    let record = Wb { w_line = line; w_values = Array.copy data; w_k = k } in
-    let rec fire () =
-      match Mshr.alloc t.ch.Chassis.outstanding record with
-      | Some txn ->
-        t.parked <- t.parked - 1;
-        request t ~txn ~kind:Msg.ReqWB ~line
-          ~payload:(Msg.Data (Array.copy data)) ()
-      | None ->
-        Stats.incr t.ch.Chassis.stats "mshr_stall";
-        Engine.schedule t.ch.Chassis.engine ~delay:4 fire
-    in
-    t.parked <- t.parked + 1;
-    fire ())
+    park t
+      (Wb { w_line = line; w_values = Array.copy data; w_k = k })
+      (fun txn ->
+        Chassis.request t.ch ~txn ~kind:Msg.ReqWB ~line ~mask:Addr.full_mask
+          ~payload:(Msg.Data (Array.copy data)) ()))
   | P_S ->
     (* Shared lines drop silently; a later Inv finds nothing and is Acked. *)
     set_state t line P_I;
@@ -127,19 +114,24 @@ let handle t (msg : Msg.t) =
          the upgrade's response will carry fresh data. *)
       Stats.incr t.ch.Chassis.stats "inv_mid_upgrade";
       set_state t msg.Msg.line P_I;
-      reply t msg ~kind:Msg.Ack ~dst:msg.Msg.src ()
+      Chassis.reply t.ch msg ~kind:Msg.Ack ~dst:msg.Msg.src
+        ~mask:msg.Msg.mask ()
     end
     else begin
       set_state t msg.Msg.line P_I;
       t.recall_handler ~line:msg.Msg.line ~kind:Backing.Recall_excl
-        ~k:(fun _ -> reply t msg ~kind:Msg.Ack ~dst:msg.Msg.src ())
+        ~k:(fun _ ->
+          Chassis.reply t.ch msg ~kind:Msg.Ack ~dst:msg.Msg.src
+            ~mask:msg.Msg.mask ())
     end
   | Msg.Req Msg.ReqS when msg.Msg.fwd -> (
     let from_record (b : wb) =
-      reply t msg ~kind:Msg.RspS ~dst:msg.Msg.requestor
+      Chassis.reply t.ch msg ~kind:Msg.RspS ~dst:msg.Msg.requestor
+        ~mask:msg.Msg.mask
         ~payload:(Msg.Data (Array.copy b.w_values))
         ();
-      reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ()
+      Chassis.reply t.ch msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src
+        ~mask:msg.Msg.mask ()
     in
     match wb_for t msg.Msg.line with
     | Some b -> from_record b
@@ -151,10 +143,12 @@ let handle t (msg : Msg.t) =
           match (result, wb_for t msg.Msg.line) with
           | Some (data, _dirty), _ ->
             set_state t msg.Msg.line P_S;
-            reply t msg ~kind:Msg.RspS ~dst:msg.Msg.requestor
+            Chassis.reply t.ch msg ~kind:Msg.RspS ~dst:msg.Msg.requestor
+              ~mask:msg.Msg.mask
               ~payload:(Msg.Data (Array.copy data))
               ();
-            reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src
+            Chassis.reply t.ch msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src
+              ~mask:msg.Msg.mask
               ~payload:(Msg.Data data) ()
           | None, Some b ->
             (* The recall was queued behind a purge that evicted the line;
@@ -164,10 +158,12 @@ let handle t (msg : Msg.t) =
             failwith "Mesi_client: forwarded ReqS for line not held"))
   | Msg.Req Msg.ReqOdata when msg.Msg.fwd -> (
     let from_record (b : wb) =
-      reply t msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor
+      Chassis.reply t.ch msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor
+        ~mask:msg.Msg.mask
         ~payload:(Msg.Data (Array.copy b.w_values))
         ();
-      reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ()
+      Chassis.reply t.ch msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src
+        ~mask:msg.Msg.mask ()
     in
     match wb_for t msg.Msg.line with
     | Some b -> from_record b
@@ -177,31 +173,37 @@ let handle t (msg : Msg.t) =
           match (result, wb_for t msg.Msg.line) with
           | Some (data, _dirty), _ ->
             set_state t msg.Msg.line P_I;
-            reply t msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor
+            Chassis.reply t.ch msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor
+              ~mask:msg.Msg.mask
               ~payload:(Msg.Data data) ();
-            reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ()
+            Chassis.reply t.ch msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src
+              ~mask:msg.Msg.mask ()
           | None, Some b -> from_record b
           | None, None ->
             failwith "Mesi_client: forwarded ReqO+data for line not held"))
   | Msg.Probe Msg.RvkO -> (
     match wb_for t msg.Msg.line with
-    | Some _ -> reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ()
+    | Some _ ->
+      Chassis.reply t.ch msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src
+        ~mask:msg.Msg.mask ()
     | None ->
       t.recall_handler ~line:msg.Msg.line ~kind:Backing.Recall_excl
         ~k:(fun result ->
           set_state t msg.Msg.line P_I;
           match result with
           | Some (data, _dirty) ->
-            reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src
+            Chassis.reply t.ch msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src
+              ~mask:msg.Msg.mask
               ~payload:(Msg.Data data) ()
           | None ->
             (* If a purge-eviction raced us, its PutM carries the data. *)
-            reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ()))
+            Chassis.reply t.ch msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src
+              ~mask:msg.Msg.mask ()))
   | Msg.Rsp _ -> (
     match Mshr.find t.ch.Chassis.outstanding ~txn:msg.Msg.txn with
     | None -> Stats.incr t.ch.Chassis.stats "orphan_rsp"
     | Some (Acq a) -> (
-      free_txn t ~txn:msg.Msg.txn;
+      Chassis.free_txn t.ch ~txn:msg.Msg.txn;
       match (msg.Msg.kind, msg.Msg.payload) with
       | Msg.Rsp Msg.RspS, Msg.Data values ->
         set_state t a.a_line P_S;
@@ -214,7 +216,7 @@ let handle t (msg : Msg.t) =
       (match msg.Msg.kind with
       | Msg.Rsp Msg.RspWB -> ()
       | _ -> failwith "Mesi_client: unexpected write-back response");
-      free_txn t ~txn:msg.Msg.txn;
+      Chassis.free_txn t.ch ~txn:msg.Msg.txn;
       b.w_k ())
   | Msg.Req _ ->
     failwith (Format.asprintf "Mesi_client: unexpected message %a" Msg.pp msg)
@@ -225,7 +227,11 @@ let create ~name engine net cfg =
        stays empty; the parent caches do the buffering. *)
     Chassis.create engine net ~id:cfg.id ~home_id:cfg.dir_id
       ~home_banks:cfg.dir_banks ~hit_latency:cfg.hit_latency ~coalesce_window:0
-      ~mshrs:256 ~sb_capacity:1 ~level:"l2" ~device:name
+      ~mshrs:256 ~sb_capacity:1 ~device:name
+      ~describe:(function
+        | Acq a -> (a.a_line, "acquire (GetS/GetM)")
+        | Wb w -> (w.w_line, "write-back (PutM)"))
+      ~is_write:(function Wb _ -> true | Acq _ -> false)
   in
   let t =
     {
@@ -240,10 +246,6 @@ let create ~name engine net cfg =
       recall_handler = (fun ~line:_ ~kind:_ ~k -> k None);
     }
   in
-  ch.Chassis.source_line <-
-    (function Acq a -> a.a_line | Wb w -> w.w_line);
-  ch.Chassis.source_what <-
-    (function Acq _ -> "acquire (GetS/GetM)" | Wb _ -> "write-back (PutM)");
   Engine.register_pending_source engine (fun () ->
       if t.parked = 0 then []
       else

@@ -27,7 +27,7 @@ val backing : t -> Spandex.Backing.t
 
 val part : t -> Spandex_device.Part.t
 (** The chassis counters and probes; the aux gauge is the parked-request
-    depth, and the occupancy gauges feed the ["l2.<id>.mshr"] /
-    ["l2.<id>.parked"] trace counter tracks.  The fingerprint (tagged
+    depth, and the occupancy gauges feed the ["<name>.mshr"] /
+    ["<name>.parked"] trace counter tracks.  The fingerprint (tagged
     [name]) encodes the per-line permissions and outstanding
     acquires/write-backs. *)

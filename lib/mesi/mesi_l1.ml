@@ -5,7 +5,6 @@ module Msg = Spandex_proto.Msg
 module Addr = Spandex_proto.Addr
 module Amo = Spandex_proto.Amo
 module State = Spandex_proto.State
-module Linedata = Spandex_proto.Linedata
 module Network = Spandex_net.Network
 module Cache_frame = Spandex_mem.Cache_frame
 module Mshr = Spandex_mem.Mshr
@@ -13,7 +12,6 @@ module Store_buffer = Spandex_mem.Store_buffer
 module Port = Spandex_device.Port
 module Tu = Spandex.Tu
 module Chassis = Spandex_l1.Chassis
-module Policy = Spandex_l1.Policy
 
 type config = {
   id : Msg.device_id;
@@ -63,52 +61,22 @@ type write_miss = {
          are served from the grant instead. *)
 }
 
-type wb_req = { b_line : int; b_values : int array }
-
 type outstanding = Read of read_miss | Write of write_miss
 
 type t = {
   ch : outstanding Chassis.t;
   cfg : config;
   frame : line Cache_frame.t;
-  (* Write-backs in flight, keyed by transaction id.  Kept outside the MSHR
-     file: the record is protocol state (the data must be servable while
-     the LLC still lists this cache as owner) and must exist from the
-     instant the line is downgraded, regardless of miss-resource pressure. *)
-  wb_records : (int, wb_req) Hashtbl.t;
   forced_lines : (int, unit) Hashtbl.t;  (* drain immediately (RMW order). *)
-  (* MESI is writer-invalidated: reads want Shared data, writes fetch the
-     whole line with ownership.  Constant classification, but routed
-     through the policy layer like every other protocol. *)
-  policy : Policy.t;
   k_store_commit_owned : Stats.key;
   k_rmw_hit : Stats.key;
   k_rmw_miss : Stats.key;
-  k_wb_issued : Stats.key;
 }
 
-let send t msg = Chassis.send t.ch msg
-
-let request t ~txn ~kind ~line ~mask ?payload () =
-  Chassis.request t.ch ~txn ~kind ~line ~mask ?payload ()
-
-let free_txn t ~txn = Chassis.free_txn t.ch ~txn
-
-let reply t (msg : Msg.t) ~kind ~dst ~mask ?payload () =
-  Chassis.reply t.ch msg ~kind ~dst ~mask ?payload ()
-
-let reply_data t msg ~kind ~dst ~mask ~values =
-  Chassis.reply_data t.ch msg ~kind ~dst ~mask ~values
+(* MESI is writer-invalidated: reads ask for Shared data (ReqS), writes and
+   RMWs fetch the whole line with ownership (ReqO+data). *)
 
 (* ----- frame management ----------------------------------------------------- *)
-
-let send_wb t ~line ~values =
-  let txn = Chassis.fresh_txn t.ch in
-  Hashtbl.replace t.wb_records txn { b_line = line; b_values = values };
-  Stats.bump t.ch.Chassis.stats t.k_wb_issued;
-  request t ~txn ~kind:Msg.ReqWB ~line ~mask:Addr.full_mask
-    ~payload:(Msg.Data (Array.copy values))
-    ()
 
 let install t ~line_id ~values ~mstate =
   match Cache_frame.find_exn t.frame ~line:line_id with
@@ -126,7 +94,9 @@ let install t ~line_id ~values ~mstate =
     | Cache_frame.Evicted (vline, vmeta) ->
       Stats.incr t.ch.Chassis.stats "evictions";
       (match vmeta.mstate with
-      | State.M_M | State.M_E -> send_wb t ~line:vline ~values:vmeta.data
+      | State.M_M | State.M_E ->
+        Chassis.write_back t.ch ~line:vline ~mask:Addr.full_mask
+          ~values:vmeta.data
       | State.M_S | State.M_I -> ());
       fresh
     | Cache_frame.No_room -> assert false)
@@ -155,13 +125,6 @@ let write_pending_for t line =
 let read_pending t line =
   Mshr.count t.ch.Chassis.outstanding > 0
   && Mshr.exists t.ch.Chassis.outstanding line 0 ~f:read_on
-
-let writes_pending t =
-  let n = ref 0 in
-  Mshr.iter t.ch.Chassis.outstanding ~f:(fun ~txn:_ -> function
-    | Write _ -> incr n
-    | Read _ -> ());
-  !n
 
 let rec drain t =
   match Store_buffer.peek_oldest_exn t.ch.Chassis.sb with
@@ -209,10 +172,8 @@ let rec drain t =
           | Some txn ->
             Stats.incr t.ch.Chassis.stats "write_miss";
             (* Read-for-ownership: fetch the whole line with ownership. *)
-            let kind =
-              Policy.req_of_write (t.policy.Policy.classify_write ~line:line_id)
-            in
-            request t ~txn ~kind ~line:line_id ~mask:Addr.full_mask ()
+            Chassis.request t.ch ~txn ~kind:Msg.ReqOdata ~line:line_id
+              ~mask:Addr.full_mask ()
           | None -> assert false);
           Store_buffer.release t.ch.Chassis.sb e;
           Chassis.wake_stalled t.ch;
@@ -271,11 +232,8 @@ let rec load t (addr : Addr.t) ~k =
           in
           match Mshr.alloc t.ch.Chassis.outstanding (Read m) with
           | Some txn ->
-            let kind =
-              Policy.req_of_read
-                (t.policy.Policy.classify_read ~line Policy.absent)
-            in
-            request t ~txn ~kind ~line ~mask:Addr.full_mask ()
+            Chassis.request t.ch ~txn ~kind:Msg.ReqS ~line ~mask:Addr.full_mask
+              ()
           | None ->
             Stats.incr t.ch.Chassis.stats "mshr_stall";
             Engine.schedule t.ch.Chassis.engine ~delay:4 (fun () ->
@@ -329,23 +287,13 @@ let rec rmw t (addr : Addr.t) amo ~k =
       in
       match Mshr.alloc t.ch.Chassis.outstanding (Write w) with
       | Some txn ->
-        let kind =
-          Policy.req_of_write (t.policy.Policy.classify_write ~line)
-        in
-        request t ~txn ~kind ~line ~mask:Addr.full_mask ()
+        Chassis.request t.ch ~txn ~kind:Msg.ReqOdata ~line ~mask:Addr.full_mask
+          ()
       | None ->
         Stats.incr t.ch.Chassis.stats "mshr_stall";
         Engine.schedule t.ch.Chassis.engine ~delay:4 (fun () -> rmw t addr amo ~k))
 
 (* ----- external requests (TU behaviours, §III-D) ------------------------------ *)
-
-let wb_record_for t line =
-  if Hashtbl.length t.wb_records = 0 then None
-  else
-  Hashtbl.fold
-    (fun _ (b : wb_req) acc ->
-      if b.b_line = line then Some b else acc)
-    t.wb_records None
 
 let read_pending_for t line =
   if Mshr.count t.ch.Chassis.outstanding = 0 then None
@@ -367,7 +315,7 @@ let rec external_req t (msg : Msg.t) =
   match Cache_frame.find_exn t.frame ~line:line_id with
   | l when l.mstate = State.M_M || l.mstate = State.M_E -> serve_owned t msg l
   | _ | (exception Not_found) -> (
-    match wb_record_for t line_id with
+    match Chassis.find_wb t.ch ~line:line_id ~mask:Addr.full_mask with
     | Some b -> serve_from_wb t msg b
     | None -> (
       match write_pending_for t line_id with
@@ -380,11 +328,11 @@ let rec external_req t (msg : Msg.t) =
           | Msg.Req Msg.ReqV ->
             if not (Mask.is_empty msg.Msg.demand) then begin
               Stats.incr t.ch.Chassis.stats "nack_sent";
-              reply t msg ~kind:Msg.Nack ~dst:msg.Msg.requestor
+              Chassis.reply t.ch msg ~kind:Msg.Nack ~dst:msg.Msg.requestor
                 ~mask:msg.Msg.demand ()
             end
           | Msg.Req Msg.ReqO ->
-            reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor
+            Chassis.reply t.ch msg ~kind:Msg.RspO ~dst:msg.Msg.requestor
               ~mask:msg.Msg.mask ()
           | _ ->
             failwith
@@ -398,49 +346,48 @@ and serve_owned t (msg : Msg.t) l =
   match msg.Msg.kind with
   | Msg.Req Msg.ReqV ->
     (* Owned data served in place; no state change (Table IV). *)
-    reply_data t msg ~kind:Msg.RspV ~dst:msg.Msg.requestor ~mask ~values:l.data
+    Chassis.reply_data t.ch msg ~kind:Msg.RspV ~dst:msg.Msg.requestor ~mask
+      ~values:l.data
   | Msg.Req Msg.ReqS ->
     (* O -> S: data to the requestor, write-back copy to the LLC. *)
-    reply_data t msg ~kind:Msg.RspS ~dst:msg.Msg.requestor ~mask ~values:l.data;
-    reply_data t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:Addr.full_mask
+    Chassis.reply_data t.ch msg ~kind:Msg.RspS ~dst:msg.Msg.requestor ~mask
+      ~values:l.data;
+    Chassis.reply_data t.ch msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src
+      ~mask:Addr.full_mask
       ~values:l.data;
     l.mstate <- State.M_S
   | Msg.Req Msg.ReqO ->
-    reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask ();
+    Chassis.reply t.ch msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask ();
     if not (Mask.is_empty rest) then begin
       Stats.incr t.ch.Chassis.stats "partial_downgrade_wb";
-      send_wb_words t ~line:line_id ~mask:rest ~values:l.data
+      Chassis.write_back t.ch ~line:line_id ~mask:rest
+        ~values:(Array.copy l.data)
     end;
     Cache_frame.remove t.frame ~line:line_id
   | Msg.Req Msg.ReqOdata ->
-    reply_data t msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor ~mask
+    Chassis.reply_data t.ch msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor ~mask
       ~values:l.data;
     if t.cfg.notify_home_on_fwd_getm then
       (* Directory protocols block the line until the old owner confirms
          the transfer. *)
-      reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask ();
+      Chassis.reply t.ch msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask ();
     if not (Mask.is_empty rest) then begin
       Stats.incr t.ch.Chassis.stats "partial_downgrade_wb";
-      send_wb_words t ~line:line_id ~mask:rest ~values:l.data
+      Chassis.write_back t.ch ~line:line_id ~mask:rest
+        ~values:(Array.copy l.data)
     end;
     Cache_frame.remove t.frame ~line:line_id
   | Msg.Probe Msg.RvkO ->
-    reply_data t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask ~values:l.data;
+    Chassis.reply_data t.ch msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask
+      ~values:l.data;
     let outside = Mask.diff Addr.full_mask mask in
     if not (Mask.is_empty outside) then
       (* The LLC revokes everything it thinks we own; words outside the
          revocation are ours to write back. *)
-      send_wb_words t ~line:line_id ~mask:outside ~values:l.data;
+      Chassis.write_back t.ch ~line:line_id ~mask:outside
+        ~values:(Array.copy l.data);
     Cache_frame.remove t.frame ~line:line_id
   | _ -> assert false
-
-and send_wb_words t ~line ~mask ~values =
-  let txn = Chassis.fresh_txn t.ch in
-  Hashtbl.replace t.wb_records txn { b_line = line; b_values = Array.copy values };
-  Stats.bump t.ch.Chassis.stats t.k_wb_issued;
-  request t ~txn ~kind:Msg.ReqWB ~line ~mask
-    ~payload:(Msg.Data (Linedata.pack ~mask ~full:values))
-    ()
 
 (* §III-C case 1: a pending ReqO+data is a transition *to* the expected
    state.  Data-needing externals wait for the fill; data-less downgrades
@@ -450,7 +397,8 @@ and serve_mid_write t (msg : Msg.t) (w : write_miss) =
   | Msg.Req Msg.ReqO ->
     Stats.incr t.ch.Chassis.stats "ext_stolen_mid_write";
     w.m_downgraded <- Mask.union w.m_downgraded msg.Msg.mask;
-    reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:msg.Msg.mask ()
+    Chassis.reply t.ch msg ~kind:Msg.RspO ~dst:msg.Msg.requestor
+      ~mask:msg.Msg.mask ()
   | Msg.Req (Msg.ReqV | Msg.ReqS | Msg.ReqOdata) | Msg.Probe Msg.RvkO ->
     Stats.incr t.ch.Chassis.stats "ext_delayed";
     w.m_queued <- w.m_queued @ [ msg ]
@@ -463,7 +411,8 @@ and serve_mid_read t (msg : Msg.t) (m : read_miss) =
   | Msg.Req Msg.ReqO ->
     Stats.incr t.ch.Chassis.stats "ext_stolen_mid_read";
     m.r_downgraded <- Mask.union m.r_downgraded msg.Msg.mask;
-    reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:msg.Msg.mask ()
+    Chassis.reply t.ch msg ~kind:Msg.RspO ~dst:msg.Msg.requestor
+      ~mask:msg.Msg.mask ()
   | Msg.Req (Msg.ReqV | Msg.ReqS | Msg.ReqOdata) | Msg.Probe Msg.RvkO ->
     Stats.incr t.ch.Chassis.stats "ext_delayed";
     m.r_queued <- m.r_queued @ [ msg ]
@@ -471,30 +420,36 @@ and serve_mid_read t (msg : Msg.t) (m : read_miss) =
 
 (* §III-D case 3: pending write-back — respond from the retained data; the
    in-flight ReqWB carries the data to the LLC (footnote 5). *)
-and serve_from_wb t (msg : Msg.t) (b : wb_req) =
+and serve_from_wb t (msg : Msg.t) (b : Chassis.wb) =
   match msg.Msg.kind with
   | Msg.Req Msg.ReqV ->
-    reply_data t msg ~kind:Msg.RspV ~dst:msg.Msg.requestor ~mask:msg.Msg.mask
-      ~values:b.b_values
+    Chassis.reply_data t.ch msg ~kind:Msg.RspV ~dst:msg.Msg.requestor
+      ~mask:msg.Msg.mask
+      ~values:b.Chassis.values
   | Msg.Req Msg.ReqS ->
-    reply_data t msg ~kind:Msg.RspS ~dst:msg.Msg.requestor ~mask:msg.Msg.mask
-      ~values:b.b_values;
-    reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:msg.Msg.mask ()
+    Chassis.reply_data t.ch msg ~kind:Msg.RspS ~dst:msg.Msg.requestor
+      ~mask:msg.Msg.mask
+      ~values:b.Chassis.values;
+    Chassis.reply t.ch msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:msg.Msg.mask
+      ()
   | Msg.Req Msg.ReqO ->
-    reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:msg.Msg.mask ()
+    Chassis.reply t.ch msg ~kind:Msg.RspO ~dst:msg.Msg.requestor
+      ~mask:msg.Msg.mask ()
   | Msg.Req Msg.ReqOdata ->
-    reply_data t msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor
-      ~mask:msg.Msg.mask ~values:b.b_values;
+    Chassis.reply_data t.ch msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor
+      ~mask:msg.Msg.mask ~values:b.Chassis.values;
     if t.cfg.notify_home_on_fwd_getm then
-      reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:msg.Msg.mask ()
+      Chassis.reply t.ch msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src
+        ~mask:msg.Msg.mask ()
   | Msg.Probe Msg.RvkO ->
-    reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:msg.Msg.mask ()
+    Chassis.reply t.ch msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:msg.Msg.mask
+      ()
   | _ -> assert false
 
 (* ----- miss completion -------------------------------------------------------- *)
 
 let complete_read t ~txn (m : read_miss) (r : Tu.result) =
-  free_txn t ~txn;
+  Chassis.free_txn t.ch ~txn;
   if (m.r_valid_only || m.r_inv) && not m.r_excl then begin
     (* Option (2): the read is satisfied but nothing may be cached. *)
     Stats.incr t.ch.Chassis.stats "read_uncached_opt2";
@@ -508,7 +463,8 @@ let complete_read t ~txn (m : read_miss) (r : Tu.result) =
   if not (Mask.is_empty m.r_downgraded) then begin
     let keep = Mask.diff Addr.full_mask m.r_downgraded in
     if not (Mask.is_empty keep) then
-      send_wb_words t ~line:m.r_line ~mask:keep ~values:l.data;
+      Chassis.write_back t.ch ~line:m.r_line ~mask:keep
+        ~values:(Array.copy l.data);
     Cache_frame.remove t.frame ~line:m.r_line
   end;
   let queued = m.r_queued in
@@ -518,7 +474,7 @@ let complete_read t ~txn (m : read_miss) (r : Tu.result) =
   end
 
 let complete_write t ~txn (w : write_miss) (r : Tu.result) =
-  free_txn t ~txn;
+  Chassis.free_txn t.ch ~txn;
   let l = install t ~line_id:w.m_line ~values:r.Tu.values ~mstate:State.M_M in
   (match w.m_store with
   | Some (mask, values) ->
@@ -537,7 +493,8 @@ let complete_write t ~txn (w : write_miss) (r : Tu.result) =
   if not (Mask.is_empty w.m_downgraded) then begin
     let keep = Mask.diff Addr.full_mask w.m_downgraded in
     if not (Mask.is_empty keep) then
-      send_wb_words t ~line:w.m_line ~mask:keep ~values:l.data;
+      Chassis.write_back t.ch ~line:w.m_line ~mask:keep
+        ~values:(Array.copy l.data);
     Cache_frame.remove t.frame ~line:w.m_line
   end;
   rmw_finish ();
@@ -575,17 +532,12 @@ let handle t (msg : Msg.t) =
     (match read_pending_for t msg.Msg.line with
     | Some m -> m.r_inv <- true
     | None -> ());
-    send t
+    Chassis.send t.ch
       (Msg.make ~txn:msg.Msg.txn ~kind:(Msg.Rsp Msg.Ack) ~line:msg.Msg.line
          ~mask:msg.Msg.mask ~src:t.cfg.id ~dst:msg.Msg.src ())
   | Msg.Probe Msg.RvkO | Msg.Req _ -> external_req t msg
-  | Msg.Rsp _ when Hashtbl.mem t.wb_records msg.Msg.txn ->
-    (match msg.Msg.kind with
-    | Msg.Rsp Msg.RspWB -> ()
-    | _ -> failwith "Mesi_l1: unexpected write-back response");
-    Hashtbl.remove t.wb_records msg.Msg.txn;
-    Chassis.retire t.ch ~txn:msg.Msg.txn;
-    drain t
+  | Msg.Rsp _ when Chassis.is_wb t.ch ~txn:msg.Msg.txn ->
+    Chassis.finish_wb t.ch msg
   | Msg.Rsp _ -> (
     match Mshr.find_exn t.ch.Chassis.outstanding ~txn:msg.Msg.txn with
     | exception Not_found -> Stats.incr t.ch.Chassis.stats "orphan_rsp"
@@ -613,41 +565,24 @@ let create ~name engine net cfg =
     Chassis.create engine net ~id:cfg.id ~home_id:cfg.llc_id
       ~home_banks:cfg.llc_banks ~hit_latency:cfg.hit_latency
       ~coalesce_window:cfg.coalesce_window ~mshrs:cfg.mshrs
-      ~sb_capacity:cfg.sb_capacity ~level:"l1" ~device:name
+      ~sb_capacity:cfg.sb_capacity ~device:name
+      ~describe:(function
+        | Read m -> (m.r_line, "Read miss")
+        | Write w -> (w.m_line, "Write miss"))
+      ~is_write:(function Write _ -> true | Read _ -> false)
   in
   let t =
     {
       ch;
       cfg;
       frame = Cache_frame.create ~sets:cfg.sets ~ways:cfg.ways;
-      wb_records = Hashtbl.create 16;
       forced_lines = Hashtbl.create 8;
-      policy =
-        Policy.static ~name:"mesi" ~read:Policy.Read_shared
-          ~write:Policy.Write_own_data;
       k_store_commit_owned = Stats.key ch.Chassis.stats "store_commit_owned";
       k_rmw_hit = Stats.key ch.Chassis.stats "rmw_hit";
       k_rmw_miss = Stats.key ch.Chassis.stats "rmw_miss";
-      k_wb_issued = Stats.key ch.Chassis.stats "wb_issued";
     }
   in
   ch.Chassis.drain <- (fun () -> drain t);
-  ch.Chassis.writes_pending <- (fun () -> writes_pending t);
-  ch.Chassis.source_line <-
-    (function Read m -> m.r_line | Write w -> w.m_line);
-  ch.Chassis.source_what <-
-    (function Read _ -> "Read miss" | Write _ -> "Write miss");
-  Engine.register_pending_source engine (fun () ->
-      Hashtbl.fold
-        (fun txn (b : wb_req) acc ->
-          {
-            Engine.pw_device = name;
-            pw_txn = txn;
-            pw_line = b.b_line;
-            pw_what = "write-back awaiting RspWB";
-          }
-          :: acc)
-        t.wb_records []);
   Network.register net ~id:cfg.id (fun msg -> handle t msg);
   t
 
@@ -734,21 +669,7 @@ let fingerprint t fp =
         Fp.int fp (w.m_downgraded :> int);
         Fp.list fp Msg.fingerprint w.m_queued;
         Chassis.fingerprint_waiters fp w.m_loads;
-        Tu.fingerprint fp w.m_collector);
-  let wbs =
-    Hashtbl.fold (fun txn b acc -> (txn, b) :: acc) t.wb_records []
-    |> List.sort (fun (t1, b1) (t2, b2) ->
-           match compare b1.b_line b2.b_line with
-           | 0 -> compare t1 t2
-           | c -> c)
-  in
-  Fp.int fp (List.length wbs);
-  List.iter
-    (fun (txn, (b : wb_req)) ->
-      Fp.txn fp txn;
-      Fp.int fp b.b_line;
-      Fp.array fp b.b_values)
-    wbs
+        Tu.fingerprint fp w.m_collector)
 
 let owned_mask t ~line =
   match line_state t ~line with

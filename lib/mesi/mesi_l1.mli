@@ -42,8 +42,8 @@ val port : t -> Spandex_device.Port.t
 val part : t -> Spandex_device.Part.t
 (** The L1's port, counters, fingerprint and view (a line held E/M is
     owned in full: MESI write permission is line-granular); its chassis
-    occupancy/stall/retry probes feed the ["l1.<id>.mshr"] /
-    ["l1.<id>.sb"] trace counter tracks. *)
+    occupancy/stall/retry probes feed the ["<name>.mshr"] /
+    ["<name>.sb"] trace counter tracks. *)
 
 (** {2 Test introspection} *)
 

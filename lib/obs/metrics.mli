@@ -66,9 +66,9 @@ val gauge :
   (unit -> int) ->
   unit
 (** Register an instantaneous-level probe (occupancy, queue depth…).
-    [track] = (device id, counter name), e.g. [(3, "l1.3.mshr")], names
-    the trace counter track the probe feeds on an {!of_trace} registry;
-    series registries ignore it. *)
+    [track] = (device id, counter name), e.g. [(3, "denovo_l1.3.mshr")],
+    names the trace counter track the probe feeds on an {!of_trace}
+    registry; series registries ignore it. *)
 
 val ratio :
   t ->

@@ -216,7 +216,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
      first.  A home's banks share one label: the merged stats sum back to
      the aggregate. *)
   let parts = ref [] in
-  let add row part = parts := (row.label, part) :: !parts in
+  let add row part = parts := (row, part) :: !parts in
   let add_banks first = Array.iteri (fun b -> add table.(first + b)) in
   (* --- home level(s) ------------------------------------------------------ *)
   let llc_config ~llc_id ~bytes ~ways =
@@ -368,7 +368,8 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
   let metrics_on = Metrics.on mreg in
   if metrics_on then begin
     List.iter
-      (fun (label, part) -> part.Part.register_metrics ~device:label mreg)
+      (fun (row, part) ->
+        part.Part.register_metrics ~label:row.label ~name:row.name mreg)
       (List.rev !parts);
     Network.register_metrics net mreg;
     Metrics.counter mreg ~name:"spandex_engine_events_total"
@@ -382,7 +383,8 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
   let tracks = Metrics.of_trace trace in
   if Trace.on trace then begin
     List.iter
-      (fun (label, part) -> part.Part.register_metrics ~device:label tracks)
+      (fun (row, part) ->
+        part.Part.register_metrics ~label:row.label ~name:row.name tracks)
       !parts;
     Network.register_metrics net tracks
   end;
@@ -435,8 +437,8 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
     let cycles = Engine.run engine ~until_done:finished in
     let stats = Stats.create () in
     List.iter
-      (fun (label, part) ->
-        Stats.merge_into ~dst:stats ~prefix:label part.Part.stats)
+      (fun (row, part) ->
+        Stats.merge_into ~dst:stats ~prefix:row.label part.Part.stats)
       !parts;
     List.iter
       (fun c ->

@@ -8,7 +8,10 @@
     its client port.  Each device has two spellings:
 
     - its {e device name} ([device_names], [sys_device_names]) names its
-      trace track and its {!Spandex_sim.Engine.live_work} items:
+      trace track, its trace counter tracks (["<name>.mshr"] and
+      ["<name>.sb"] for an L1, ["<name>.mshr"] and ["<name>.parked"] for
+      the client port, ["<name>.pending"] and ["<name>.blocked"] for a
+      home bank) and its {!Spandex_sim.Engine.live_work} items:
       ["mesi_l1.<id>"] or ["denovo_l1.<id>"] for a CPU L1,
       ["gpu_l1.<j>"] or ["gpu_denovo_l1.<j>"] for the L1 of GPU CU [j],
       ["llc.b<bank>"] or ["dir.b<bank>"] for a home bank, ["gpu_l2.b<bank>"]

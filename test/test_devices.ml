@@ -558,6 +558,93 @@ let mesi_eviction_writes_back_m () =
   let wb = expect ~what:"PutM" (llc_msgs h) (Msg.Req Msg.ReqWB) in
   check_int "full line" 16 (Mask.count wb.Msg.mask)
 
+(* ===== Write-backs in flight (the chassis's write-back table) ========== *)
+
+(* The live-work items of write-backs awaiting their RspWB. *)
+let wb_items h =
+  List.filter
+    (fun (i : Engine.pending_work) ->
+      i.Engine.pw_what = "write-back awaiting RspWB")
+    (Engine.live_work h.engine)
+
+(* The write-back [wb] is live work under [device] until its RspWB. *)
+let check_wb_live h ~device (wb : Msg.t) =
+  match wb_items h with
+  | [ i ] ->
+    Alcotest.(check string) "listed under the device name" device
+      i.Engine.pw_device;
+    check_int "its txn" wb.Msg.txn i.Engine.pw_txn;
+    check_int "its line" wb.Msg.line i.Engine.pw_line
+  | items ->
+    Alcotest.failf "%d write-back items, expected 1" (List.length items)
+
+let denovo_wb_record_until_rspwb () =
+  let h = harness () in
+  let port = Denovo_l1.port (mk_denovo h) in
+  (* sets=4, ways=2: owning lines 8, 12 and 16 (set 0) evicts an Owned
+     line. *)
+  List.iter
+    (fun line ->
+      port.Port.store (a line 0) ~value:(10 * line) ~k:(fun () -> ());
+      port.Port.release ~k:(fun () -> ());
+      run h;
+      let m = expect ~what:"own" (llc_msgs h) (Msg.Req Msg.ReqO) in
+      clear h;
+      reply h ~to_:m ~kind:Msg.RspO ())
+    [ 8; 12; 16 ];
+  let wb = expect ~what:"eviction wb" (llc_msgs h) (Msg.Req Msg.ReqWB) in
+  let line = wb.Msg.line in
+  clear h;
+  check_wb_live h ~device:"denovo_l1.0" wb;
+  (* A forwarded ReqV that overtakes the RspWB is answered from the
+     retained values. *)
+  inject h ~kind:(Msg.Req Msg.ReqV) ~line ~mask:(w 0) ~demand:(w 0) ();
+  let rv =
+    expect ~what:"served from the record" (peer_msgs h) (Msg.Rsp Msg.RspV)
+  in
+  Alcotest.(check (list int)) "retained value" [ 10 * line ] (values rv);
+  check_wb_live h ~device:"denovo_l1.0" wb;
+  reply h ~to_:wb ~kind:Msg.RspWB ();
+  check_int "retired on RspWB" 0 (List.length (wb_items h));
+  (* The words are gone: a later forward is Nacked. *)
+  clear h;
+  inject h ~kind:(Msg.Req Msg.ReqV) ~line ~mask:(w 0) ~demand:(w 0) ();
+  ignore (expect ~what:"nack after RspWB" (peer_msgs h) (Msg.Rsp Msg.Nack))
+
+let mesi_wb_record_until_rspwb () =
+  let h = harness () in
+  let port = Mesi_l1.port (mk_mesi h) in
+  (* Three same-set lines filled Modified: installing the third evicts
+     one, whose data leaves in a full-line ReqWB. *)
+  List.iter
+    (fun line ->
+      port.Port.store (a line 0) ~value:(10 * line) ~k:(fun () -> ());
+      port.Port.release ~k:(fun () -> ());
+      run h;
+      let rfo = expect ~what:"rfo" (llc_msgs h) (Msg.Req Msg.ReqOdata) in
+      clear h;
+      reply h ~to_:rfo ~kind:Msg.RspOdata
+        ~payload:(Msg.Data (Array.init 16 (fun i -> (100 * line) + i)))
+        ())
+    [ 8; 12; 16 ];
+  let wb = expect ~what:"PutM" (llc_msgs h) (Msg.Req Msg.ReqWB) in
+  let line = wb.Msg.line in
+  clear h;
+  check_wb_live h ~device:"mesi_l1.0" wb;
+  (* A forwarded ReqS that overtakes the RspWB gets the retained values;
+     the home's copy is the ReqWB itself, so its RspRvkO carries none. *)
+  inject h ~kind:(Msg.Req Msg.ReqS) ~line ~mask:(Mask.of_list [ 0; 2 ]) ();
+  let rs =
+    expect ~what:"served from the record" (peer_msgs h) (Msg.Rsp Msg.RspS)
+  in
+  Alcotest.(check (list int)) "retained values" [ 10 * line; (100 * line) + 2 ]
+    (values rs);
+  let rvk = expect ~what:"home ack" (llc_msgs h) (Msg.Rsp Msg.RspRvkO) in
+  check_bool "data-less" true (rvk.Msg.payload = Msg.No_data);
+  check_wb_live h ~device:"mesi_l1.0" wb;
+  reply h ~to_:wb ~kind:Msg.RspWB ();
+  check_int "retired on RspWB" 0 (List.length (wb_items h))
+
 (* ===== Allocation pins ({!Helpers.check_flat}) =============================== *)
 
 (* [n] fault-free ReqVs, each sent to a home that drops it and delivered
@@ -570,7 +657,8 @@ let chassis_request_words n =
   let ch =
     Spandex_l1.Chassis.create engine net ~id:dev_id ~home_id:llc_id
       ~home_banks:1 ~hit_latency:1 ~coalesce_window:2 ~mshrs:8 ~sb_capacity:8
-      ~level:"l1" ~device:"l1.0"
+      ~device:"l1.0" ~describe:(fun () -> (-1, "mshr"))
+      ~is_write:(fun () -> false)
   in
   let round () =
     for i = 1 to n do
@@ -653,4 +741,6 @@ let tests =
     test "mesi_rvko_writes_back" mesi_rvko_writes_back;
     test "mesi_steal_mid_write" mesi_steal_mid_write;
     test "mesi_eviction_writes_back_m" mesi_eviction_writes_back_m;
+    test "denovo_wb_record_until_rspwb" denovo_wb_record_until_rspwb;
+    test "mesi_wb_record_until_rspwb" mesi_wb_record_until_rspwb;
   ]

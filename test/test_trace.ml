@@ -313,6 +313,40 @@ let trace_end_to_end_export () =
     (List.length lines);
   List.iter (fun l -> check_bool "jsonl line parses" true (json_valid l)) lines
 
+(* Counter tracks are named from the device table: every counter event's
+   name is its device's name plus what it counts, so each home bank has
+   its own [pending] track.  The network's [net.in_flight] gauge is the
+   one exception: the network is not a device, and its track rides
+   device 0's id. *)
+let trace_counters_named_from_device_table () =
+  let geom = Registry.geometry_of_params Params.bench in
+  let wl = (Registry.find "bc").Registry.build ~scale:0.25 geom in
+  let r =
+    Run.simulate ~params:(traced_params Params.bench) ~config:Config.sdd wl
+  in
+  Run.assert_clean r;
+  let names = r.Run.device_names in
+  let has_prefix p s =
+    String.length s > String.length p && String.sub s 0 (String.length p) = p
+  in
+  let pending = ref [] in
+  Trace.iter r.Run.trace ~f:(function
+    | Trace.Counter { dev; name; _ } when name <> "net.in_flight" ->
+      if not (has_prefix (names.(dev) ^ ".") name) then
+        Alcotest.failf "counter %s on device %s" name names.(dev);
+      if Filename.extension name = ".pending" && not (List.mem name !pending)
+      then pending := name :: !pending
+    | _ -> ());
+  let banks =
+    List.filter (has_prefix "llc.b") (Array.to_list names)
+    |> List.map (fun bank -> bank ^ ".pending")
+  in
+  check_int "one LLC bank per configured bank" Params.bench.Params.llc_banks
+    (List.length banks);
+  Alcotest.(check (list string))
+    "one pending counter per LLC bank" (List.sort compare banks)
+    (List.sort compare !pending)
+
 let tests =
   [
     test "hist_basics" hist_basics;
@@ -327,5 +361,7 @@ let tests =
     test "trace_bit_identity" trace_bit_identity;
     test "trace_bit_identity_faulted" trace_bit_identity_faulted;
     test "trace_end_to_end_export" trace_end_to_end_export;
+    test "trace_counters_named_from_device_table"
+      trace_counters_named_from_device_table;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) hist_quantile_props
