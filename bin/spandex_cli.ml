@@ -54,7 +54,7 @@ let find_config = function
       Printf.eprintf "unknown configuration %s\n" name;
       exit 1)
 
-(* [names] is a run's [device_names]; ids outside it print as "devN". *)
+(* [names] is a run's [track_names]; ids outside it print as "devN". *)
 let device_name names id =
   if id >= 0 && id < Array.length names then names.(id)
   else Printf.sprintf "dev%d" id
@@ -313,7 +313,7 @@ let trace_cmd =
           (if format = "jsonl" then "jsonl" else "json")
     in
     let buf = Buffer.create (1 lsl 16) in
-    let device_name = device_name r.Run.device_names in
+    let device_name = device_name r.Run.track_names in
     (match format with
     | "chrome" -> Trace.export_chrome tr ~device_name buf
     | "jsonl" -> Trace.export_jsonl tr ~device_name buf
@@ -383,7 +383,7 @@ let explain_cmd =
     let params = { Params.bench with Params.trace = Some spec; fault } in
     let r = simulate_traced ~params ~config entry ~scale in
     let tr = r.Run.trace in
-    let dev = device_name r.Run.device_names in
+    let dev = device_name r.Run.track_names in
     (* The transaction family: the requested txn plus every successor
        linked by a txn.chain instant (timeout re-issues reuse the same txn
        id; protocol-level retries and conversions allocate a new one and
@@ -491,7 +491,7 @@ let metrics_cmd =
       Trace.export_chrome
         ~extra:(Metrics.chrome_counter_events m)
         r.Run.trace
-        ~device_name:(device_name r.Run.device_names)
+        ~device_name:(device_name r.Run.track_names)
         buf
     | f ->
       Printf.eprintf "unknown metrics format %s (openmetrics, csv or chrome)\n"
@@ -577,7 +577,7 @@ let check_replay ~path ~out =
     let tr = Spandex_sim.Engine.trace sys.Run.sys_engine in
     let buf = Buffer.create (1 lsl 16) in
     Trace.export_chrome tr
-      ~device_name:(device_name sys.Run.sys_device_names)
+      ~device_name:(device_name sys.Run.sys_track_names)
       buf;
     let oc = open_out out in
     Buffer.output_buffer oc buf;

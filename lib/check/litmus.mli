@@ -18,9 +18,7 @@ type case = {
 
 val mp : case
 val ww : case
-val rmw : case
 val own : case
-val shared : case
 val all : case list
 
 val by_name : string -> case

@@ -13,7 +13,6 @@ module Store_buffer = Spandex_mem.Store_buffer
 module Port = Spandex_device.Port
 module Tu = Spandex.Tu
 module Chassis = Spandex_l1.Chassis
-module Policy = Spandex_l1.Policy
 module Spandex_policy = Spandex_l1.Spandex_policy
 
 type config = {
@@ -93,7 +92,7 @@ type t = {
   frame : line Cache_frame.t;
   (* Per-request classification (the Spandex flexibility knob): static for
      classic DeNovo, reuse-predicted for the adaptive configurations. *)
-  policy : Policy.t;
+  policy : Spandex_policy.t;
   k_store_hit_owned : Stats.key;
   k_wt_chosen : Stats.key;
   k_reqo_issued : Stats.key;
@@ -140,8 +139,8 @@ let rec drain t =
     else begin
       let e = Store_buffer.take_oldest_exn t.ch.Chassis.sb in
       let through =
-        t.policy.Policy.classify_write ~line:e.Store_buffer.line
-        = Policy.Write_through
+        Spandex_policy.classify_write t.policy ~line:e.Store_buffer.line
+        = Spandex_policy.Write_through
       in
       let record =
         {
@@ -157,7 +156,7 @@ let rec drain t =
       | Some txn ->
         if through then begin
           Stats.bump t.ch.Chassis.stats t.k_wt_chosen;
-          t.policy.Policy.on_write_through ~line:e.Store_buffer.line;
+          Spandex_policy.on_write_through t.policy ~line:e.Store_buffer.line;
           Chassis.request t.ch ~txn ~kind:Msg.ReqWT ~line:e.Store_buffer.line
             ~mask:e.Store_buffer.mask
             ~payload:
@@ -335,9 +334,9 @@ let rec load t (addr : Addr.t) ~k =
              any write-side transaction is alive for the line — the LLC
              could answer with a data-less self-grant. *)
           let promote =
-            match t.policy.Policy.classify_read ~line with
-            | Policy.Read_own -> not (line_write_pending t ~line)
-            | Policy.Read_valid -> false
+            match Spandex_policy.classify_read t.policy ~line with
+            | Spandex_policy.Read_own -> not (line_write_pending t ~line)
+            | Spandex_policy.Read_valid -> false
           in
           if promote then begin
             Stats.incr t.ch.Chassis.stats "load_promoted_own";
@@ -460,7 +459,7 @@ let rec store t (addr : Addr.t) ~value ~k =
   match Cache_frame.find_exn t.frame ~line with
   | l when Mask.mem l.owned word ->
     Stats.bump t.ch.Chassis.stats t.k_store_hit_owned;
-    t.policy.Policy.on_store_hit_owned ~line;
+    Spandex_policy.on_store_hit_owned t.policy ~line;
     l.data.(word) <- value;
     Engine.schedule t.ch.Chassis.engine ~delay:t.cfg.hit_latency k
   | _ | (exception Not_found) -> (
@@ -653,7 +652,7 @@ and external_req t (msg : Msg.t) =
   (match frame_line with
   | Some l when not (Mask.is_empty owned_here) ->
     serve t msg ~words:owned_here ~values:l.data ~downgrade:(fun words ->
-        t.policy.Policy.on_downgrade ~line;
+        Spandex_policy.on_downgrade t.policy ~line;
         l.owned <- Mask.diff l.owned words)
   | _ -> ());
   (* Granted-but-uncommitted stores: answer from the pending values. *)

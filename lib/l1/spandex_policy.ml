@@ -1,3 +1,6 @@
+type read_kind = Read_valid | Read_own
+type write_kind = Write_through | Write_own
+
 type adaptive = {
   write_threshold : int;
   read_threshold : int;
@@ -7,51 +10,78 @@ type adaptive = {
 
 type spec = Static_own | Adaptive of adaptive
 
-let legacy_adaptive =
+let sda =
   { write_threshold = 2; read_threshold = 0; saturation = 3; wt_window = 8 }
 
-let adaptive_writes = Adaptive legacy_adaptive
-let adaptive_full = Adaptive { legacy_adaptive with read_threshold = 2 }
+let adaptive_writes = Adaptive sda
+let adaptive_full = Adaptive { sda with read_threshold = 2 }
+
+(* Per-line saturating counters; lines never touched stay out of the
+   tables entirely. *)
+type t =
+  | Static
+  | Predictor of {
+      a : adaptive;
+      now : unit -> int;
+      coalesce_window : int;
+      reuse : (int, int) Hashtbl.t;
+      read_misses : (int, int) Hashtbl.t;
+      last_wt : (int, int) Hashtbl.t;
+    }
 
 let make spec ~now ~coalesce_window =
   match spec with
-  | Static_own ->
-    Policy.static ~read:Policy.Read_valid ~write:Policy.Write_own
+  | Static_own -> Static
   | Adaptive a ->
-    (* Per-line saturating counters; lines never touched stay out of the
-       tables entirely. *)
-    let reuse = Hashtbl.create 64 in
-    let read_misses = Hashtbl.create 64 in
-    let last_wt = Hashtbl.create 64 in
-    let count tbl line = Option.value ~default:0 (Hashtbl.find_opt tbl line) in
-    let bump tbl line =
-      Hashtbl.replace tbl line (min a.saturation (count tbl line + 1))
-    in
-    let decay tbl line = Hashtbl.replace tbl line (max 0 (count tbl line - 1)) in
-    {
-      Policy.classify_read =
-        (fun ~line ->
-          if a.read_threshold <= 0 then Policy.Read_valid
-          else begin
-            let seen = count read_misses line in
-            bump read_misses line;
-            if seen >= a.read_threshold then Policy.Read_own
-            else Policy.Read_valid
-          end);
-      classify_write =
-        (fun ~line ->
-          (* A quick re-write after a write-through is the evidence that
-             ownership would have paid off. *)
-          (match Hashtbl.find_opt last_wt line with
-          | Some cycle when now () - cycle < a.wt_window * coalesce_window ->
-            bump reuse line
-          | _ -> ());
-          if count reuse line < a.write_threshold then Policy.Write_through
-          else Policy.Write_own);
-      on_store_hit_owned = (fun ~line -> bump reuse line);
-      on_write_through = (fun ~line -> Hashtbl.replace last_wt line (now ()));
-      on_downgrade =
-        (fun ~line ->
-          decay reuse line;
-          if a.read_threshold > 0 then decay read_misses line);
-    }
+    Predictor
+      {
+        a;
+        now;
+        coalesce_window;
+        reuse = Hashtbl.create 64;
+        read_misses = Hashtbl.create 64;
+        last_wt = Hashtbl.create 64;
+      }
+
+let count tbl line = Option.value ~default:0 (Hashtbl.find_opt tbl line)
+
+let bump a tbl line =
+  Hashtbl.replace tbl line (min a.saturation (count tbl line + 1))
+
+let decay tbl line = Hashtbl.replace tbl line (max 0 (count tbl line - 1))
+
+let classify_read t ~line =
+  match t with
+  | Predictor p when p.a.read_threshold > 0 ->
+    let seen = count p.read_misses line in
+    bump p.a p.read_misses line;
+    if seen >= p.a.read_threshold then Read_own else Read_valid
+  | Static | Predictor _ -> Read_valid
+
+let classify_write t ~line =
+  match t with
+  | Static -> Write_own
+  | Predictor p ->
+    (* A quick re-write after a write-through is the evidence that
+       ownership would have paid off. *)
+    (match Hashtbl.find_opt p.last_wt line with
+    | Some cycle when p.now () - cycle < p.a.wt_window * p.coalesce_window ->
+      bump p.a p.reuse line
+    | _ -> ());
+    if count p.reuse line < p.a.write_threshold then Write_through
+    else Write_own
+
+let on_store_hit_owned t ~line =
+  match t with Static -> () | Predictor p -> bump p.a p.reuse line
+
+let on_write_through t ~line =
+  match t with
+  | Static -> ()
+  | Predictor p -> Hashtbl.replace p.last_wt line (p.now ())
+
+let on_downgrade t ~line =
+  match t with
+  | Static -> ()
+  | Predictor p ->
+    decay p.reuse line;
+    if p.a.read_threshold > 0 then decay p.read_misses line

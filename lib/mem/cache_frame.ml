@@ -137,5 +137,3 @@ let count t = t.resident
 
 let count_bank t ~banks b =
   fold_bank t ~banks b ~init:0 ~f:(fun n ~line:_ _ -> n + 1)
-
-let capacity t = t.sets * t.nways

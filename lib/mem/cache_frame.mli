@@ -69,4 +69,3 @@ val fold_bank :
 
 val count : 'a t -> int
 val count_bank : 'a t -> banks:int -> int -> int
-val capacity : 'a t -> int

@@ -110,7 +110,6 @@ let peek_word t ({ Spandex_proto.Addr.line; _ } as a) =
 let sum f t = Array.fold_left (fun acc c -> acc + f c) 0 t.channels
 let reads t = sum Channel.reads t
 let writes t = sum Channel.writes t
-let queue_depth t = sum Channel.queue_depth t
 
 let register_metrics t reg =
   Array.iteri

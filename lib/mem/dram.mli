@@ -21,11 +21,10 @@ module Channel : sig
   val write_words :
     t -> line:int -> mask:Spandex_util.Mask.t -> values:int array -> unit
 
-  val queue_depth : t -> int
-
   val peak_queue_depth : t -> int
-  (** High-water mark of {!queue_depth} over the run so far (sampled at
-      each enqueue, where the queue is deepest); deterministic. *)
+  (** High-water mark of the channel's queue depth over the run so far
+      (sampled at each enqueue, where the queue is deepest);
+      deterministic. *)
 
   val reads : t -> int
   val writes : t -> int
@@ -46,8 +45,6 @@ val create :
 val channels : t -> Channel.t array
 (** The per-bank channels, in bank order. *)
 
-val channel_of_line : t -> line:int -> Channel.t
-
 val read_line : t -> line:int -> k:(int array -> unit) -> unit
 (** Fetch a full line via its channel; [k] receives a fresh copy after
     the access delay. *)
@@ -64,9 +61,6 @@ val reads : t -> int
 
 val writes : t -> int
 (** Total across channels. *)
-
-val queue_depth : t -> int
-(** Summed across channels; 0 when bandwidth is unlimited. *)
 
 val register_metrics : t -> Spandex_obs.Metrics.t -> unit
 (** Register every channel's series on one registry, each labelled with

@@ -24,7 +24,6 @@ let create ?(fresh_txn = Spandex_proto.Txn.fresh) ~capacity () =
 
 let is_full t = t.len >= t.capacity
 let count t = t.len
-let capacity t = t.capacity
 
 let alloc t v =
   if is_full t then None

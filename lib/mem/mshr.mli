@@ -23,7 +23,6 @@ val find_exn : 'a t -> txn:int -> 'a
 val free : 'a t -> txn:int -> unit
 val is_full : 'a t -> bool
 val count : 'a t -> int
-val capacity : 'a t -> int
 
 (** The searches take the entry's key (a line, a word) as two ints and
     pass them to [f] with each entry, so [f] can be a closed function: a

@@ -79,18 +79,6 @@ let push t ~addr:{ Addr.line; word } ~value ~now =
 let is_empty t = t.len = 0
 let count t = t.len
 
-let remove t ~line =
-  if Hashtbl.mem t.table line then begin
-    Hashtbl.remove t.table line;
-    (* Compact the ring around the removed line, preserving FIFO order. *)
-    let found = ref false in
-    for i = 0 to t.len - 1 do
-      if !found then t.order.(slot t (i - 1)) <- t.order.(slot t i)
-      else if t.order.(slot t i) = line then found := true
-    done;
-    if !found then t.len <- t.len - 1
-  end
-
 let take_oldest_exn t =
   if t.len = 0 then raise Not_found
   else begin
@@ -102,18 +90,9 @@ let take_oldest_exn t =
     e
   end
 
-let take_oldest t = match take_oldest_exn t with
-  | e -> Some e
-  | exception Not_found -> None
-
 let peek_oldest_exn t =
   if t.len = 0 then raise Not_found
   else Hashtbl.find t.table t.order.(t.head)
-
-let peek_oldest t =
-  match peek_oldest_exn t with
-  | e -> Some e
-  | exception Not_found -> None
 
 let release t e =
   if t.free_n < Array.length t.free

@@ -33,20 +33,16 @@ val push :
 val is_empty : t -> bool
 val count : t -> int
 
-val take_oldest : t -> entry option
-(** Remove and return the oldest entry (FIFO order of line allocation). *)
-
 val take_oldest_exn : t -> entry
-(** Allocation-free {!take_oldest}; raises [Not_found] when empty. *)
-
-val peek_oldest : t -> entry option
-(** The oldest entry without removing it. *)
+(** Remove and return the oldest entry (FIFO order of line allocation).
+    Allocation-free; raises [Not_found] when empty. *)
 
 val peek_oldest_exn : t -> entry
-(** Allocation-free {!peek_oldest}; raises [Not_found] when empty. *)
+(** The oldest entry without removing it.  Allocation-free; raises
+    [Not_found] when empty. *)
 
 val release : t -> entry -> unit
-(** Return an entry obtained from {!take_oldest} to the internal free list
+(** Return an entry obtained from {!take_oldest_exn} to the internal free list
     once the caller is completely done with it; a later push may reuse the
     record and its values array. *)
 
@@ -63,5 +59,4 @@ val age : t -> line:int -> int
 val forward : t -> addr:Spandex_proto.Addr.t -> int option
 (** Value a load of [addr] must observe from the buffer, if any. *)
 
-val remove : t -> line:int -> unit
 val iter : t -> f:(entry -> unit) -> unit

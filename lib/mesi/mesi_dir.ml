@@ -413,7 +413,4 @@ let fingerprint t fp =
         Fp.bool fp satisfied);
       Fp.list fp Msg.fingerprint m.blocked)
 
-let owner_of t ~line =
-  match line_state t ~line with Some (D_M o) -> Some o | _ -> None
-
 let parts t = Home.parts t.home ~fingerprint:(fingerprint t)

@@ -52,6 +52,3 @@ type dir_state = D_V | D_S of Spandex_proto.Msg.device_id list | D_M of Spandex_
 
 val line_state : t -> line:int -> dir_state option
 val peek_word : t -> Spandex_proto.Addr.t -> int option
-
-val owner_of : t -> line:int -> Spandex_proto.Msg.device_id option
-(** The registered modified owner of [line], if any. *)

@@ -47,20 +47,13 @@ type probs = { drop : float; dup : float; delay : float; reorder : float }
 
 type spec = {
   seed : int;
-  per_category : probs array;  (** indexed by [category_index], length 6. *)
+  per_category : probs array;
+      (** indexed by [Msg.category_index], length 6. *)
   delay_min : int;  (** extra-delay fault: min added cycles. *)
   delay_max : int;  (** extra-delay fault: max added cycles. *)
   reorder_window : int;  (** reorder fault: max added skew in cycles. *)
   retry : Retry.config;  (** recovery tuning for the requesters. *)
 }
-
-let category_index = function
-  | Msg.Cat_ReqV -> 0
-  | Msg.Cat_ReqS -> 1
-  | Msg.Cat_ReqWT -> 2
-  | Msg.Cat_ReqO -> 3
-  | Msg.Cat_WB -> 4
-  | Msg.Cat_Probe -> 5
 
 let uniform ?(drop = 0.0) ?(dup = 0.0) ?(delay = 0.0) ?(reorder = 0.0)
     ?(delay_min = 32) ?(delay_max = 256) ?(reorder_window = 24)
@@ -130,7 +123,7 @@ let count t what =
   Stats.incr t.stats ("fault." ^ what)
 
 let route t ~now ~latency (msg : Msg.t) =
-  let p = t.spec.per_category.(category_index (Msg.category msg.kind)) in
+  let p = t.spec.per_category.(Msg.category_index (Msg.category msg.kind)) in
   let lk = link t ~src:msg.src ~dst:msg.dst in
   let roll pr = pr > 0.0 && Rng.float lk.rng 1.0 < pr in
   let clamp arrival =

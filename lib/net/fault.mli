@@ -19,14 +19,13 @@ type probs = { drop : float; dup : float; delay : float; reorder : float }
 
 type spec = {
   seed : int;
-  per_category : probs array;  (** indexed by [category_index], length 6. *)
+  per_category : probs array;
+      (** indexed by {!Spandex_proto.Msg.category_index}, length 6. *)
   delay_min : int;  (** extra-delay fault: min added cycles. *)
   delay_max : int;  (** extra-delay fault: max added cycles. *)
   reorder_window : int;  (** reorder fault: max added skew in cycles. *)
   retry : Retry.config;  (** recovery tuning for the requesters. *)
 }
-
-val category_index : Spandex_proto.Msg.category -> int
 
 val uniform :
   ?drop:float ->

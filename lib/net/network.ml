@@ -66,14 +66,7 @@ type t = {
   mutable vc_depth : int array option;
 }
 
-let category_index = function
-  | Msg.Cat_ReqV -> 0
-  | Msg.Cat_ReqS -> 1
-  | Msg.Cat_ReqWT -> 2
-  | Msg.Cat_ReqO -> 3
-  | Msg.Cat_WB -> 4
-  | Msg.Cat_Probe -> 5
-
+let name = "net"
 let fault t = t.fault
 let faults_enabled t = Option.is_some t.fault
 
@@ -112,7 +105,7 @@ let send t (msg : Msg.t) =
       ~txn:msg.txn ~kind:(Msg.kind_index msg.kind) ~line:msg.line;
   let flits = Msg.flits msg in
   let hops = t.topo.hops ~src:msg.src ~dst:msg.dst in
-  let cat = category_index (Msg.category msg.kind) in
+  let cat = Msg.category_index (Msg.category msg.kind) in
   t.traffic.(cat) <- t.traffic.(cat) + (flits * hops);
   t.messages <- t.messages + 1;
   Stats.bump t.stats t.kind_keys.(Msg.kind_index msg.kind);
@@ -200,7 +193,7 @@ let create ?fault engine topo =
       else
         [
           {
-            Engine.pw_device = "net";
+            Engine.pw_device = name;
             pw_txn = -1;
             pw_line = -1;
             pw_what = Printf.sprintf "%d message(s) in flight" n;
@@ -210,22 +203,23 @@ let create ?fault engine topo =
 
 let in_flight t = !(t.in_flight)
 
-let traffic_flits t cat = t.traffic.(category_index cat)
+let traffic_flits t cat = t.traffic.(Msg.category_index cat)
 let total_flits t = Array.fold_left ( + ) 0 t.traffic
 let messages_sent t = t.messages
 let stats t = t.stats
 
 (* ----- metrics ------------------------------------------------------------- *)
 
-let register_metrics t reg =
+let register_metrics t ~track reg =
   let module Metrics = Spandex_obs.Metrics in
   Metrics.counter reg ~name:"spandex_net_messages_total"
     ~help:"messages sent" (fun () -> t.messages);
-  Metrics.gauge reg ~name:"spandex_net_in_flight" ~track:(0, "net.in_flight")
+  Metrics.gauge reg ~name:"spandex_net_in_flight"
+    ~track:(track, name ^ ".in_flight")
     ~help:"messages sent but not yet delivered" (fun () -> !(t.in_flight));
   List.iter
     (fun cat ->
-      let i = category_index cat in
+      let i = Msg.category_index cat in
       Metrics.counter reg ~name:"spandex_net_flits_total"
         ~labels:[ ("vc", Msg.category_name cat) ]
         ~help:"flit-hops sent per virtual channel (request category)"
@@ -255,13 +249,13 @@ let enable_vc_depth_metrics t reg =
           let prev = ep.Engine.handler in
           ep.Engine.handler <-
             (fun msg ->
-              let i = category_index (Msg.category msg.Msg.kind) in
+              let i = Msg.category_index (Msg.category msg.Msg.kind) in
               a.(i) <- a.(i) - 1;
               prev msg))
       t.endpoints;
     List.iter
       (fun cat ->
-        let i = category_index cat in
+        let i = Msg.category_index cat in
         Metrics.gauge reg ~name:"spandex_net_vc_depth"
           ~labels:[ ("vc", Msg.category_name cat) ]
           ~help:"in-flight messages per virtual channel" (fun () -> a.(i)))

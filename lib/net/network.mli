@@ -29,11 +29,15 @@ val grouped_topology :
 
 type t
 
+val name : string
+(** ["net"]: the network's device name — its {!Spandex_sim.Engine.live_work}
+    items, its trace track and the prefix of its counter track and stats. *)
+
 val create : ?fault:Fault.spec -> Spandex_sim.Engine.t -> topology -> t
 (** [?fault] arms a fault-injection plan (see {!Fault}); when absent the
     network is reliable and delivery behavior is bit-identical to before
     fault injection existed.  Registers an engine pending source named
-    ["net"] that reports the {!in_flight} count while it is nonzero. *)
+    {!name} that reports the {!in_flight} count while it is nonzero. *)
 
 val fault : t -> Fault.t option
 (** The live fault-injection state, when a plan was armed at [create]. *)
@@ -78,7 +82,7 @@ val wrap_handler :
 
 val in_flight : t -> int
 (** Messages sent but not yet delivered; the network's engine pending
-    source reports it as one ["net"] item while nonzero. *)
+    source reports it as one {!name} item while nonzero. *)
 
 val traffic_flits : t -> Spandex_proto.Msg.category -> int
 val total_flits : t -> int
@@ -87,11 +91,11 @@ val stats : t -> Spandex_util.Stats.t
 (** Per-kind message counters, keyed by message-kind name, plus the fault
     plan's outcome counters when one is armed. *)
 
-val register_metrics : t -> Spandex_obs.Metrics.t -> unit
+val register_metrics : t -> track:int -> Spandex_obs.Metrics.t -> unit
 (** Register the network's probes: message and per-virtual-channel flit
     counters, the in-flight gauge (which also feeds the ["net.in_flight"]
-    trace counter track, dev 0), and (fault runs) the fault-injection
-    outcome counters. *)
+    trace counter on trace track [track], the network's own), and (fault
+    runs) the fault-injection outcome counters. *)
 
 val enable_vc_depth_metrics : t -> Spandex_obs.Metrics.t -> unit
 (** Arm per-virtual-channel in-flight depth gauges: the send path counts

@@ -196,16 +196,6 @@ let iter_series t ~f =
     f t.series.(i)
   done
 
-let dump t =
-  let acc = ref [] in
-  iter_series t ~f:(fun s ->
-      let samples =
-        Array.init s.sr_len (fun i ->
-            (s.sr_times.(i), s.sr_num.(i), s.sr_den.(i)))
-      in
-      acc := (s.sr_name, s.sr_labels, s.sr_kind, samples) :: !acc);
-  List.rev !acc
-
 let num_series t = t.n_series
 
 let num_samples t =

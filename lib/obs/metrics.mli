@@ -22,10 +22,6 @@ type spec = { sample_every : int  (** cycles between samples (≥ 1). *) }
 val default_spec : spec
 (** [{ sample_every = 64 }] — the trace sink's occupancy cadence. *)
 
-type kind = Counter | Gauge | Ratio
-
-val kind_name : kind -> string
-
 type t
 
 val disabled : t
@@ -95,11 +91,6 @@ val sample_due : t -> time:int -> unit
     tracks. *)
 
 (* ----- introspection ------------------------------------------------------- *)
-
-val dump :
-  t -> (string * (string * string) list * kind * (int * int * int) array) list
-(** Every series as (name, labels, kind, [(cycle, num, den)] samples), in
-    registration order — the test-facing view. *)
 
 val num_series : t -> int
 val num_samples : t -> int

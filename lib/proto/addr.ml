@@ -9,15 +9,6 @@ let make ~line ~word =
   assert (line >= 0);
   { line; word }
 
-let of_byte b = { line = b / line_bytes; word = b mod line_bytes / word_bytes }
-let to_byte { line; word } = (line * line_bytes) + (word * word_bytes)
-let equal a b = a.line = b.line && a.word = b.word
-
-let compare a b =
-  match Int.compare a.line b.line with
-  | 0 -> Int.compare a.word b.word
-  | c -> c
-
 let pp fmt { line; word } = Format.fprintf fmt "%d.%d" line word
 
 let line_of_word_index i =

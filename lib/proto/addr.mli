@@ -15,12 +15,6 @@ type t = { line : int; word : int }
 val make : line:int -> word:int -> t
 (** Validates [0 <= word < words_per_line]. *)
 
-val of_byte : int -> t
-(** Split a byte address. *)
-
-val to_byte : t -> int
-val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 val line_of_word_index : int -> t

@@ -34,24 +34,6 @@ let iter ~mask ~values ~f =
     incr w
   done
 
-let extract ~mask ~values ~sub =
-  assert (Mask.subset sub mask);
-  let out = Array.make (Mask.count sub) 0 in
-  let j = ref 0 in
-  iter ~mask ~values ~f:(fun ~word ~value ->
-      if Mask.mem sub word then begin
-        out.(!j) <- value;
-        incr j
-      end);
-  out
-
-let value_at ~mask ~values ~word =
-  assert (Mask.mem mask word);
-  let result = ref 0 in
-  iter ~mask ~values ~f:(fun ~word:w ~value ->
-      if w = word then result := value);
-  !result
-
 (* An arbitrary but fixed hash of the address; distinct per word with very
    high probability, cheap, and stable across runs. *)
 let init_word ~line ~word =

@@ -2,7 +2,7 @@
 
     A payload [Data values] lists one value per set bit of the mask, in
     increasing word order.  These helpers convert between that packed form
-    and full [words_per_line]-sized arrays, and extract/merge sub-masks. *)
+    and full [words_per_line]-sized arrays. *)
 
 val pack : mask:Spandex_util.Mask.t -> full:int array -> int array
 (** Select the masked words of a full line array into packed order. *)
@@ -11,12 +11,6 @@ val unpack_into : mask:Spandex_util.Mask.t -> values:int array -> full:int array
 (** Scatter packed [values] into a full line array at the masked positions. *)
 
 val iter : mask:Spandex_util.Mask.t -> values:int array -> f:(word:int -> value:int -> unit) -> unit
-
-val extract : mask:Spandex_util.Mask.t -> values:int array -> sub:Spandex_util.Mask.t -> int array
-(** Packed values for [sub], which must be a subset of [mask]. *)
-
-val value_at : mask:Spandex_util.Mask.t -> values:int array -> word:int -> int
-(** The value carried for [word], which must be in [mask]. *)
 
 val init_word : line:int -> word:int -> int
 (** Deterministic initial memory contents, so tests can predict the value

@@ -62,17 +62,14 @@ type t = {
 
 (* Per-message construction checks (payload length, demand ⊆ mask) run on
    every send.  They are on by default everywhere; SPANDEX_CHECKS=0/false/off
-   in the environment turns them off, and [set_checks] is for tests.  Read
-   eagerly at module init and only mutated before domains spawn, so
+   in the environment turns them off.  Read once at module init, so
    parallel sweeps see a settled value. *)
 let checks =
-  ref
-    (match Sys.getenv_opt "SPANDEX_CHECKS" with
-    | Some ("0" | "false" | "off") -> false
-    | Some _ | None -> true)
+  match Sys.getenv_opt "SPANDEX_CHECKS" with
+  | Some ("0" | "false" | "off") -> false
+  | Some _ | None -> true
 
-let set_checks on = checks := on
-let checks_enabled () = !checks
+let checks_enabled () = checks
 
 (* A placeholder record for empty event slots; never delivered. *)
 let dummy =
@@ -92,7 +89,7 @@ let dummy =
 
 let make ~txn ~kind ~line ~mask ?(demand = mask) ?(payload = No_data) ~src
     ~dst ?(requestor = src) ?(fwd = false) ?amo () =
-  if !checks then begin
+  if checks then begin
     (match payload with
     | No_data -> ()
     | Data values ->
@@ -104,15 +101,6 @@ let make ~txn ~kind ~line ~mask ?(demand = mask) ?(payload = No_data) ~src
       invalid_arg "Msg.make: demand not a subset of mask"
   end;
   { txn; kind; line; mask; demand; payload; src; dst; requestor; fwd; amo }
-
-let rsp_of_req = function
-  | ReqV -> RspV
-  | ReqS -> RspS
-  | ReqWT -> RspWT
-  | ReqO -> RspO
-  | ReqWTdata -> RspWTdata
-  | ReqOdata -> RspOdata
-  | ReqWB -> RspWB
 
 let kind_needs_data = function
   | Req (ReqV | ReqOdata | ReqS) | Probe RvkO -> true
@@ -135,6 +123,14 @@ let category_name = function
   | Cat_ReqO -> "ReqO"
   | Cat_WB -> "WB"
   | Cat_Probe -> "Probe"
+
+let category_index = function
+  | Cat_ReqV -> 0
+  | Cat_ReqS -> 1
+  | Cat_ReqWT -> 2
+  | Cat_ReqO -> 3
+  | Cat_WB -> 4
+  | Cat_Probe -> 5
 
 let all_categories =
   [ Cat_ReqV; Cat_ReqS; Cat_ReqWT; Cat_ReqO; Cat_WB; Cat_Probe ]

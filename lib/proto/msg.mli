@@ -91,24 +91,18 @@ val make :
   t
 (** [requestor] defaults to [src]; [demand] to [mask]; [payload] to
     [No_data]; [fwd] to false.  When construction checks are enabled (see
-    {!set_checks}), raises [Invalid_argument] if a [Data] payload length
+    {!checks_enabled}), raises [Invalid_argument] if a [Data] payload length
     does not match the mask population or [demand] is not a subset of
     [mask]. *)
 
-val set_checks : bool -> unit
-(** Enable or disable {!make}'s per-message validation, for tests.  The
-    checks are on by default everywhere; [SPANDEX_CHECKS=0] (also [false]
-    / [off]) in the environment starts with them off, any other value
-    leaves them on.  Only flip this before worker domains spawn. *)
-
 val checks_enabled : unit -> bool
+(** Whether {!make} validates each message.  The checks are on by default
+    everywhere; [SPANDEX_CHECKS=0] (also [false] / [off]) in the
+    environment turns them off for the whole process, any other value
+    leaves them on. *)
 
 val dummy : t
 (** A placeholder record for empty event slots; never delivered. *)
-
-val rsp_of_req : req_kind -> rsp_kind
-(** The response kind paired with each request kind (paper: "Every Spandex
-    request (Req) type has an associated response (Rsp) type"). *)
 
 val kind_needs_data : kind -> bool
 (** True when serving this request (or probe) at a remote owner requires
@@ -122,6 +116,10 @@ type category = Cat_ReqV | Cat_ReqS | Cat_ReqWT | Cat_ReqO | Cat_WB | Cat_Probe
 
 val category : kind -> category
 val category_name : category -> string
+
+val category_index : category -> int
+(** Dense index in [0, 6); matches the order of {!all_categories}. *)
+
 val all_categories : category list
 
 val flits : t -> int

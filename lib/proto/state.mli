@@ -14,14 +14,5 @@ type mesi = M_I | M_S | M_E | M_M
 type llc_line = L_I | L_V | L_S
 (** Line-level LLC state; ownership is tracked separately per word. *)
 
-val device_of_mesi : mesi -> device
-(** The §III-D mapping: I->I, S->S, E and M -> O. *)
-
-val device_readable : device -> bool
-(** A read hits without a request in V, O, or S. *)
-
-val device_writable : device -> bool
-(** A write hits without a request only in O. *)
-
 val device_to_string : device -> string
 val llc_line_to_string : llc_line -> string

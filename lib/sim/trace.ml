@@ -243,12 +243,14 @@ let devices_used t =
   iter t ~f:(fun ev ->
       let mark d = if not (Hashtbl.mem seen d) then Hashtbl.add seen d () in
       match ev with
-      | Span_begin { dev; _ } | Span_end { dev; _ } | Instant { dev; _ } ->
+      | Span_begin { dev; _ }
+      | Span_end { dev; _ }
+      | Instant { dev; _ }
+      | Counter { dev; _ } ->
         mark dev
       | Msg_send { src; dst; _ } ->
         mark src;
-        mark dst
-      | Counter _ -> ());
+        mark dst);
   Hashtbl.fold (fun d () acc -> d :: acc) seen [] |> List.sort compare
 
 let export_chrome ?extra t ~device_name buf =

@@ -13,6 +13,7 @@ let normalized row ~metric =
     (fun c -> (c.config, float_of_int (metric c.result) /. base))
     row.cells
 
+(* The minimal-metric cell among the configs [among] selects. *)
 let best row ~among ~metric =
   match List.filter (fun c -> among c.config) row.cells with
   | [] -> invalid_arg "Report.best: no matching configuration"

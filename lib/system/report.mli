@@ -11,9 +11,6 @@ type row = { workload : string; cells : cell list }
 val normalized : row -> metric:(Run.result -> int) -> (string * float) list
 (** Each config's metric divided by HMG's. *)
 
-val best : row -> among:(string -> bool) -> metric:(Run.result -> int) -> cell
-(** The minimal-metric cell among configs selected by [among]. *)
-
 type headline = {
   time_avg : float;  (** mean of (1 - Sbest/Hbest) over workloads, in time. *)
   time_max : float;

@@ -33,7 +33,7 @@ type result = {
   minor_words : float;
   latency : (string * Hist.summary) list;
   trace : Trace.t;
-  device_names : string array;
+  track_names : string array;
   metrics : Metrics.t;
   dram_channel_peaks : int array;
 }
@@ -56,6 +56,7 @@ type system = {
   sys_net : Network.t;
   sys_check_logs : Check_log.t list;
   sys_device_names : string array;
+  sys_track_names : string array;
   sys_finished : unit -> bool;
   sys_fingerprint : unit -> string;
   sys_views : view list;
@@ -165,6 +166,10 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
         else { id; cls = Client; name = client_name; label = client_name })
   in
   let device_names = Array.map (fun r -> r.name) table in
+  (* Trace tracks: the devices', then the network's own, so its counter
+     track rides no device's. *)
+  let net_track = Array.length table in
+  let track_names = Array.append device_names [| Network.name |] in
   (* The LLC's ReqS option (1) test (Table III). *)
   let is_mesi id =
     match table.(id).cls with
@@ -371,7 +376,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
       (fun (row, part) ->
         part.Part.register_metrics ~label:row.label ~name:row.name mreg)
       (List.rev !parts);
-    Network.register_metrics net mreg;
+    Network.register_metrics net ~track:net_track mreg;
     Metrics.counter mreg ~name:"spandex_engine_events_total"
       ~help:"engine events dispatched"
       (fun () -> Engine.events_processed engine);
@@ -386,7 +391,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
       (fun (row, part) ->
         part.Part.register_metrics ~label:row.label ~name:row.name tracks)
       !parts;
-    Network.register_metrics net tracks
+    Network.register_metrics net ~track:net_track tracks
   end;
   (* One sampler runs inline in the engine's dispatch loop at the faster
      cadence; it never enqueues events, so event counts and scheduling are
@@ -446,7 +451,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
           ~prefix:(Printf.sprintf "core.%d" (Core.core_id c))
           (Core.stats c))
       cores;
-    Stats.merge_into ~dst:stats ~prefix:"net" (Network.stats net);
+    Stats.merge_into ~dst:stats ~prefix:Network.name (Network.stats net);
     let gc1 = Gc.quick_stat () in
     {
       cycles;
@@ -462,7 +467,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
       minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
       latency = Trace.latency_summaries trace;
       trace;
-      device_names;
+      track_names;
       metrics = mreg;
       dram_channel_peaks =
         Array.map Dram.Channel.peak_queue_depth (Dram.channels dram);
@@ -473,6 +478,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
     sys_net = net;
     sys_check_logs = check_logs;
     sys_device_names = device_names;
+    sys_track_names = track_names;
     sys_finished = finished;
     sys_fingerprint = fingerprint;
     sys_views = views;

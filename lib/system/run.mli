@@ -7,16 +7,18 @@
     [cpu_cores + j]), the home banks, the hierarchical GPU L2's banks, then
     its client port.  Each device has two spellings:
 
-    - its {e device name} ([device_names], [sys_device_names]) names its
-      trace track, its trace counter tracks (["<name>.mshr"] and
-      ["<name>.sb"] for an L1, ["<name>.mshr"] and ["<name>.parked"] for
-      the client port, ["<name>.pending"] and ["<name>.blocked"] for a
-      home bank) and its {!Spandex_sim.Engine.live_work} items:
+    - its {e device name} ([sys_device_names], and [track_names] by the
+      same id) names its trace track, its trace counter tracks
+      (["<name>.mshr"] and ["<name>.sb"] for an L1, ["<name>.mshr"] and
+      ["<name>.parked"] for the client port, ["<name>.pending"] and
+      ["<name>.blocked"] for a home bank) and its {!Spandex_sim.Engine.live_work} items:
       ["mesi_l1.<id>"] or ["denovo_l1.<id>"] for a CPU L1,
       ["gpu_l1.<j>"] or ["gpu_denovo_l1.<j>"] for the L1 of GPU CU [j],
       ["llc.b<bank>"] or ["dir.b<bank>"] for a home bank, ["gpu_l2.b<bank>"]
       and ["mesi_client"].  Flat configs keep the last two names, though
-      they build neither.
+      they build neither.  The trace has one more track after the
+      devices': the network's ({!Spandex_net.Network.name}), which carries
+      its ["net.in_flight"] counter.
     - its {e label} ([view_name], the [stats] key prefix and the
       metrics [device] label) is ["<protocol>.<id>"] for every L1
       (["mesi_l1"], ["denovo_l1"] or ["gpu_l1"]) and one name for all
@@ -52,9 +54,10 @@ type result = {
   trace : Spandex_sim.Trace.t;
       (** the run's trace sink, for export or timeline reconstruction;
           {!Spandex_sim.Trace.disabled} when [params.trace] was [None]. *)
-  device_names : string array;
-      (** device name by device id (see {!section-device_names}), for
-          trace export tracks. *)
+  track_names : string array;
+      (** trace track name by track id, for trace export: the device
+          names by device id, then the network's (see
+          {!section-device_names}). *)
   metrics : Spandex_obs.Metrics.t;
       (** the run's time-series registry; {!Spandex_obs.Metrics.disabled}
           when [params.metrics] was [None].  Sampling shares the engine's
@@ -69,7 +72,7 @@ type view = {
   view_id : int;  (** network device id of the L1. *)
   view_name : string;
       (** the L1's label, ["<protocol>.<id>"]: for a GPU L1 it is not its
-          [device_names] entry (see {!section-device_names}). *)
+          [sys_device_names] entry (see {!section-device_names}). *)
   view_owned : line:int -> Spandex_util.Mask.t;
       (** words of [line] this L1 currently claims ownership of (MESI E/M
           counts as the full line; GPU-coh L1s never own). *)
@@ -93,8 +96,9 @@ type system = {
           concatenate. *)
   sys_device_names : string array;
       (** device name by device id, one per network endpoint id the
-          configuration lays out (see {!section-device_names}); the same
-          array as [result.device_names]. *)
+          configuration lays out (see {!section-device_names}). *)
+  sys_track_names : string array;
+      (** the same array as [result.track_names]. *)
   sys_finished : unit -> bool;
       (** every core has retired its programs and
           [Engine.live_work sys_engine] is empty; its items name the cores

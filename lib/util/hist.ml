@@ -40,7 +40,6 @@ let bucket_bounds i =
 type t = {
   counts : int array;
   mutable count : int;
-  mutable min_v : int;  (* exact; max_int when empty. *)
   mutable max_v : int;  (* exact; -1 when empty. *)
   mutable total : float;  (* float: sums of cycle counts can exceed 2^62. *)
 }
@@ -49,38 +48,20 @@ let create () =
   {
     counts = Array.make buckets 0;
     count = 0;
-    min_v = max_int;
     max_v = -1;
     total = 0.0;
   }
 
-let record_n t v ~n =
-  if n > 0 then begin
-    let v = if v < 0 then 0 else v in
-    let i = index v in
-    t.counts.(i) <- t.counts.(i) + n;
-    t.count <- t.count + n;
-    if v < t.min_v then t.min_v <- v;
-    if v > t.max_v then t.max_v <- v;
-    t.total <- t.total +. (float_of_int v *. float_of_int n)
-  end
-
-let record t v = record_n t v ~n:1
+let record t v =
+  let v = if v < 0 then 0 else v in
+  let i = index v in
+  t.counts.(i) <- t.counts.(i) + 1;
+  t.count <- t.count + 1;
+  if v > t.max_v then t.max_v <- v;
+  t.total <- t.total +. float_of_int v
 let count t = t.count
 let is_empty t = t.count = 0
 
-let merge_into ~dst src =
-  if src.count > 0 then begin
-    for i = 0 to buckets - 1 do
-      if src.counts.(i) <> 0 then dst.counts.(i) <- dst.counts.(i) + src.counts.(i)
-    done;
-    dst.count <- dst.count + src.count;
-    if src.min_v < dst.min_v then dst.min_v <- src.min_v;
-    if src.max_v > dst.max_v then dst.max_v <- src.max_v;
-    dst.total <- dst.total +. src.total
-  end
-
-let min_value t = if t.count = 0 then 0 else t.min_v
 let max_value t = if t.count = 0 then 0 else t.max_v
 let mean t = if t.count = 0 then 0.0 else t.total /. float_of_int t.count
 

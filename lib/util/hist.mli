@@ -3,8 +3,8 @@
     Values are non-negative integers (cycles).  Buckets below [1 lsl
     sub_bits] are exact; above that each power-of-two octave is split into
     [1 lsl sub_bits] equal sub-buckets, so the relative quantization error
-    is bounded by [2 ** -sub_bits] (~3% at the default precision).  Record,
-    merge and quantile extraction are all O(1) in the number of recorded
+    is bounded by [2 ** -sub_bits] (~3% at the default precision).  Record
+    and quantile extraction are both O(1) in the number of recorded
     samples (quantiles scan the fixed bucket array). *)
 
 type t
@@ -14,23 +14,13 @@ val create : unit -> t
 val record : t -> int -> unit
 (** Record one sample.  Negative values clamp to 0. *)
 
-val record_n : t -> int -> n:int -> unit
-(** Record the same value [n] times. *)
-
 val count : t -> int
 val is_empty : t -> bool
-
-val merge_into : dst:t -> t -> unit
-(** Fold every sample of the source into [dst]; exact min/max/total are
-    preserved, bucket counts add. *)
 
 val quantile : t -> float -> int
 (** [quantile t q] for [q] in [0, 1]: an upper bound for the value at rank
     [ceil (q * count)], from the same bucket the exact order statistic
     falls in (clamped to the exact recorded maximum).  0 when empty. *)
-
-val min_value : t -> int
-(** Exact smallest recorded sample; 0 when empty. *)
 
 val max_value : t -> int
 (** Exact largest recorded sample; 0 when empty. *)

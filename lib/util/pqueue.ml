@@ -19,7 +19,6 @@ let create ?(capacity = 16) () =
   { heap = [||]; filler = None; capacity = max 1 capacity; size = 0; next_seq = 0 }
 
 let is_empty t = t.size = 0
-let length t = t.size
 
 let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
@@ -86,22 +85,3 @@ let pop_min t =
   let min = t.heap.(0) in
   remove_min t;
   min.value
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let min = t.heap.(0) in
-    remove_min t;
-    Some (min.time, min.value)
-  end
-
-let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
-
-let clear t =
-  (match t.filler with
-  | None -> ()
-  | Some f ->
-    for i = 0 to t.size - 1 do
-      t.heap.(i) <- f
-    done);
-  t.size <- 0

@@ -15,24 +15,15 @@ val create : ?capacity:int -> unit -> 'a t
     regardless. *)
 
 val is_empty : 'a t -> bool
-val length : 'a t -> int
 
 val push : 'a t -> time:int -> 'a -> unit
 (** Insert with key [time]; FIFO among equal times. *)
-
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the minimum-time element, or [None] when empty. *)
 
 val min_time : 'a t -> int
 (** Time of the minimum element.  O(1), no allocation.
     @raise Invalid_argument when empty. *)
 
 val pop_min : 'a t -> 'a
-(** Remove and return the minimum-time element's value.  Unlike {!pop}
-    this allocates nothing; pair with {!min_time} in event loops.
+(** Remove and return the minimum-time element's value.  Allocates
+    nothing; pair with {!min_time} in event loops.
     @raise Invalid_argument when empty. *)
-
-val peek_time : 'a t -> int option
-(** Time of the minimum element without removing it. *)
-
-val clear : 'a t -> unit

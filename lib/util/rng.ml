@@ -11,20 +11,10 @@ let bits64 t =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let split t =
-  let seed = Int64.to_int (bits64 t) in
-  { state = Int64.of_int seed }
-
 let int t bound =
   assert (bound > 0);
   let r = Int64.to_int (bits64 t) land max_int in
   r mod bound
-
-let int_in t ~lo ~hi =
-  assert (hi >= lo);
-  lo + int t (hi - lo + 1)
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
@@ -37,12 +27,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let pick t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))
-
-let geometric t ~p =
-  assert (p > 0.0 && p <= 1.0);
-  let rec loop n = if float t 1.0 < p then n else loop (n + 1) in
-  loop 0

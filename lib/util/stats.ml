@@ -117,6 +117,3 @@ let merge_into ~dst ~prefix src =
 let get_prefixed t ~prefix name =
   let buf, plen = prefix_buf prefix in
   get t (joined buf ~plen name)
-
-let pp fmt t =
-  List.iter (fun (k, v) -> Format.fprintf fmt "%s = %d@." k v) (to_assoc t)

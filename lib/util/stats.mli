@@ -60,4 +60,3 @@ val get_prefixed : t -> prefix:string -> string -> int
     the intermediate concatenations. *)
 
 val to_assoc : t -> (string * int) list
-val pp : Format.formatter -> t -> unit

@@ -125,13 +125,6 @@ let pop_min t =
     v
   end
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let time = min_time t in
-    Some (time, pop_min t)
-  end
-
 (* Non-destructive: [min_time]'s cursor advance would make pushes at times
    between the (unchanged) dispatch clock and the peeked minimum illegal —
    exactly what an event loop that peeks, declines to step, and then
@@ -148,17 +141,3 @@ let next_time t =
     t.cur <- saved;
     time
   end
-
-let clear t =
-  Array.iter
-    (fun s ->
-      for i = s.rd to s.wr - 1 do
-        s.arr.(i) <- t.dummy
-      done;
-      s.rd <- 0;
-      s.wr <- 0)
-    t.slots;
-  Pqueue.clear t.overflow;
-  t.cur <- 0;
-  t.wheel_count <- 0;
-  t.size <- 0

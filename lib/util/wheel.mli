@@ -49,11 +49,7 @@ val pop_min : 'a t -> 'a
 val current_time : 'a t -> int
 (** The cursor position.  Immediately after {!pop_min} this is the time of
     the element just popped, letting event loops retrieve it without a
-    second cursor advance (and without the tuple {!pop} allocates). *)
-
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the minimum element with its time, or [None] when
-    empty.  Convenience wrapper over {!min_time}/{!pop_min}. *)
+    second cursor advance. *)
 
 val next_time : 'a t -> int
 (** Time of the minimum element without removing it or moving the cursor,
@@ -62,7 +58,3 @@ val next_time : 'a t -> int
 val overflow_pushes : 'a t -> int
 (** Total pushes routed to the overflow heap since creation — a cheap
     telemetry hook for checking that the horizon fits the workload. *)
-
-val clear : 'a t -> unit
-(** Drop every pending event and reset the cursor to 0, releasing held
-    values for collection.  The wheel is reusable afterwards. *)

@@ -20,6 +20,9 @@ let executors (g : geometry) (t : Gen.t) =
 
 (* --- BC ---------------------------------------------------------------------- *)
 
+(* Betweenness centrality: push-based; vertices partitioned CPU/GPU; every
+   edge is an atomic update to the destination's centrality; the skewed
+   graph gives atomics high temporal locality (data, fine-grain, flat). *)
 let bc ?(scale = 1.0) g =
   let vertices = scaled scale 1536 in
   let iters = 2 in
@@ -63,6 +66,9 @@ let bc ?(scale = 1.0) g =
 
 (* --- PR ---------------------------------------------------------------------- *)
 
+(* PageRank: pull-based; plain reads of neighbours' ranks, one store per
+   vertex per iteration; bound by memory throughput (data, coarse-grain,
+   flat, moderate locality). *)
 let pr ?(scale = 1.0) g =
   let vertices = scaled scale 1024 in
   let graph = Graph.mesh ~seed:43 ~vertices ~avg_degree:4 in
@@ -95,6 +101,9 @@ let pr ?(scale = 1.0) g =
 
 (* --- HSTI -------------------------------------------------------------------- *)
 
+(* Input-partitioned histogram: atomic pops from one shared queue counter,
+   streaming reads of the popped block, atomic updates of a compact bin
+   array (high atomic spatial locality; low data locality). *)
 let hsti ?(scale = 1.0) g =
   let block = 128 in
   let blocks = scaled scale 48 in
@@ -142,6 +151,8 @@ let hsti ?(scale = 1.0) g =
 
 (* --- TRNS -------------------------------------------------------------------- *)
 
+(* In-place transposition: per-block flag atomics (spread one per line —
+   low spatial locality) guarding strided swap reads/writes. *)
 let trns ?(scale = 1.0) g =
   let n = scaled scale 48 in
   let alloc = Gen.allocator () in
@@ -194,6 +205,9 @@ let trns ?(scale = 1.0) g =
 
 (* --- RSCT -------------------------------------------------------------------- *)
 
+(* Random sample consensus: task-partitioned; the CPU produces small
+   parameter sets; every GPU core densely reads the same input window per
+   task (hierarchical sharing, fine-grain sync). *)
 let rsct ?(scale = 1.0) g =
   let window = scaled scale 192 in
   let tasks = 6 in
@@ -234,6 +248,9 @@ let rsct ?(scale = 1.0) g =
 
 (* --- TQH --------------------------------------------------------------------- *)
 
+(* Task-queue histogram: the CPU pushes task records and bumps queue
+   tails; each GPU core pops and streams a private input partition
+   (minimal hierarchical sharing) plus shared atomic histogram updates. *)
 let tqh ?(scale = 1.0) g =
   let block = scaled scale 96 in
   let rounds = 4 in

@@ -9,36 +9,8 @@
 
 type geometry = Microbench.geometry = { cpus : int; cus : int; warps : int }
 
-val bc : ?scale:float -> geometry -> Spandex_system.Workload.t
-(** Betweenness centrality: push-based; vertices partitioned CPU/GPU; every
-    edge is an atomic update to the destination's centrality; the skewed
-    graph gives atomics high temporal locality (data, fine-grain, flat). *)
-
-val pr : ?scale:float -> geometry -> Spandex_system.Workload.t
-(** PageRank: pull-based; plain reads of neighbours' ranks, one store per
-    vertex per iteration; bound by memory throughput (data, coarse-grain,
-    flat, moderate locality). *)
-
-val hsti : ?scale:float -> geometry -> Spandex_system.Workload.t
-(** Input-partitioned histogram: atomic pops from one shared queue counter,
-    streaming reads of the popped block, atomic updates of a compact bin
-    array (high atomic spatial locality; low data locality). *)
-
-val trns : ?scale:float -> geometry -> Spandex_system.Workload.t
-(** In-place transposition: per-block flag atomics (spread one per line —
-    low spatial locality) guarding strided swap reads/writes. *)
-
-val rsct : ?scale:float -> geometry -> Spandex_system.Workload.t
-(** Random sample consensus: task-partitioned; the CPU produces small
-    parameter sets; every GPU core densely reads the same input window per
-    task (hierarchical sharing, fine-grain sync). *)
-
-val tqh : ?scale:float -> geometry -> Spandex_system.Workload.t
-(** Task-queue histogram: the CPU pushes task records and bumps queue
-    tails; each GPU core pops and streams a private input partition
-    (minimal hierarchical sharing) plus shared atomic histogram updates. *)
-
 val all : (string * (?scale:float -> geometry -> Spandex_system.Workload.t)) list
+(** The six generators by name: bc, pr, hsti, trns, rsct and tqh. *)
 
 val executors : geometry -> Gen.t -> Gen.builder array
 (** All execution contexts (CPU threads, then warps in CU order) of a

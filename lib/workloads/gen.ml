@@ -19,8 +19,6 @@ let addr r i =
   if i < 0 || i >= r.words then invalid_arg "Gen.addr: out of region";
   Addr.line_of_word_index (r.base + i)
 
-let size r = r.words
-
 type mem = (int, int) Hashtbl.t
 
 let mem () : mem = Hashtbl.create 4096
@@ -101,16 +99,6 @@ let global_barrier t =
   let id = alloc_barrier t ~parties in
   Array.iter (emit_barrier id) t.cpus;
   Array.iter (Array.iter (emit_barrier id)) t.gpus
-
-let barrier_among t ~members =
-  let id = alloc_barrier t ~parties:(List.length members) in
-  List.iter
-    (fun m ->
-      emit_barrier id
-        (match m with
-        | `Cpu i -> t.cpus.(i)
-        | `Warp (cu, w) -> t.gpus.(cu).(w)))
-    members
 
 let finish ?(region_of = fun _ -> 0) t ~name =
   let addrs = Array.init t.tables.top Addr.line_of_word_index in

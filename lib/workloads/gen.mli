@@ -16,8 +16,6 @@ val region : alloc -> words:int -> region
 val addr : region -> int -> Spandex_proto.Addr.t
 (** [addr r i] is the i-th word of the region; bounds-checked. *)
 
-val size : region -> int
-
 (** {2 Expected-value tracking} *)
 
 type mem
@@ -65,9 +63,6 @@ val create : cpus:int -> cus:int -> warps:int -> t
 
 val global_barrier : t -> unit
 (** Emit a barrier joining every CPU thread and every warp. *)
-
-val barrier_among : t -> members:[ `Cpu of int | `Warp of int * int ] list -> unit
-(** Emit a barrier joining only the listed participants. *)
 
 val finish :
   ?region_of:(int -> int) -> t -> name:string -> Spandex_system.Workload.t

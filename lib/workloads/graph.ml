@@ -11,29 +11,6 @@ let build vertices edges =
   Array.iter (fun (s, d) -> out_edges.(s) <- d :: out_edges.(s)) edges;
   { vertices; edges; out_edges }
 
-let power_law ~seed ~vertices ~avg_degree =
-  let rng = Rng.create ~seed in
-  let n_edges = vertices * avg_degree in
-  (* Preferential attachment approximated by sampling targets from the
-     endpoint list built so far (each prior endpoint is equally likely, so
-     high-degree vertices attract more new edges). *)
-  let endpoints = Array.make (2 * n_edges) 0 in
-  let n_endpoints = ref 0 in
-  let target () =
-    if !n_endpoints = 0 || Rng.int rng 4 = 0 then Rng.int rng vertices
-    else endpoints.(Rng.int rng !n_endpoints)
-  in
-  let edges =
-    Array.init n_edges (fun _ ->
-        let s = Rng.int rng vertices in
-        let d = target () in
-        endpoints.(!n_endpoints) <- s;
-        endpoints.(!n_endpoints + 1) <- d;
-        n_endpoints := !n_endpoints + 2;
-        (s, d))
-  in
-  build vertices edges
-
 let community ~seed ~vertices ~parts ~avg_degree ~local_frac =
   let rng = Rng.create ~seed in
   let n_edges = vertices * avg_degree in
@@ -97,8 +74,3 @@ let mesh ~seed ~vertices ~avg_degree =
         (s, d))
   in
   build vertices edges
-
-let in_degree t =
-  let deg = Array.make t.vertices 0 in
-  Array.iter (fun (_, d) -> deg.(d) <- deg.(d) + 1) t.edges;
-  deg

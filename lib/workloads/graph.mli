@@ -13,9 +13,6 @@ type t = {
   out_edges : int list array;  (** adjacency: destinations per source. *)
 }
 
-val power_law : seed:int -> vertices:int -> avg_degree:int -> t
-(** Preferential attachment: a few hub vertices receive most edges. *)
-
 val community :
   seed:int ->
   vertices:int ->
@@ -34,5 +31,3 @@ val community :
 
 val mesh : seed:int -> vertices:int -> avg_degree:int -> t
 (** Near-uniform degree, neighbours scattered pseudo-randomly. *)
-
-val in_degree : t -> int array

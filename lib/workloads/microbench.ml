@@ -209,8 +209,8 @@ let region_reuse ?(scale = 1.0) ?(use_regions = true) g =
       @ List.map (fun (cu, w) -> t.Gen.gpus.(cu).(w)) warps)
   in
   let barrier t =
-    (* Region-selective barriers need explicit allocation: reuse
-       [barrier_among] mechanics through a synthetic op per builder. *)
+    (* A barrier among these builders only, allocated by hand so it can
+       be region-selective: one synthetic op per builder. *)
     let id = List.length t.Gen.barriers in
     t.Gen.barriers <- parties :: t.Gen.barriers;
     Array.iter

@@ -82,7 +82,7 @@ let add_latency b (r : Run.result) =
 
 let add_trace b (r : Run.result) =
   Trace.export_jsonl r.Run.trace
-    ~device_name:(fun id -> r.Run.device_names.(id))
+    ~device_name:(fun id -> r.Run.track_names.(id))
     b
 
 (* Every observability export of a run: OpenMetrics, CSV, and the Chrome
@@ -93,7 +93,7 @@ let add_exports b (r : Run.result) =
   Trace.export_chrome
     ~extra:(Metrics.chrome_counter_events r.Run.metrics)
     r.Run.trace
-    ~device_name:(fun id -> r.Run.device_names.(id))
+    ~device_name:(fun id -> r.Run.track_names.(id))
     b
 
 (* What a digest folds in beyond the run's results. *)

@@ -61,7 +61,7 @@ let stuck_on_swallowed_reply () =
    their items.  Before
    the first event and after every one, this pins two things: the guard
    agrees with the cores' own pending items (finished exactly when the
-   live work is empty), and every item names a [Run.device_names] entry,
+   live work is empty), and every item names a [Run.sys_device_names] entry,
    ["core.N"] or ["net"].  Soak's tiny cell on every configuration, plus
    one fault-armed cell. *)
 let tiny_params =

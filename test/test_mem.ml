@@ -20,7 +20,6 @@ let check_bool = Alcotest.(check bool)
 
 let frame_insert_find () =
   let f = Cache_frame.create ~sets:4 ~ways:2 in
-  check_int "capacity" 8 (Cache_frame.capacity f);
   (match Cache_frame.insert f ~line:0 "a" ~can_evict:(fun ~line:_ _ -> true) with
   | Cache_frame.Inserted -> ()
   | _ -> Alcotest.fail "expected Inserted");
@@ -363,22 +362,24 @@ let sb_capacity_and_fifo () =
   check_bool "full" true (Store_buffer.push sb ~addr:(a 2) ~value:3 ~now:0 = `Full);
   check_bool "coalescing still allowed when full" true
     (Store_buffer.push sb ~addr:(Addr.make ~line:0 ~word:3) ~value:4 ~now:0 = `Coalesced);
-  let e = Option.get (Store_buffer.take_oldest sb) in
+  let e = Store_buffer.take_oldest_exn sb in
   check_int "fifo order" 0 e.Store_buffer.line;
   check_int "coalesced mask" 2 (Mask.count e.Store_buffer.mask);
-  let e2 = Option.get (Store_buffer.take_oldest sb) in
+  let e2 = Store_buffer.take_oldest_exn sb in
   check_int "second" 1 e2.Store_buffer.line;
   check_bool "drained" true (Store_buffer.is_empty sb)
 
 let sb_peek_and_remove () =
   let sb = Store_buffer.create ~capacity:4 in
   ignore (Store_buffer.push sb ~addr:(Addr.make ~line:7 ~word:1) ~value:5 ~now:0);
-  (match Store_buffer.peek_oldest sb with
-  | Some e -> check_int "peek line" 7 e.Store_buffer.line
-  | None -> Alcotest.fail "expected entry");
+  check_int "peek line" 7 (Store_buffer.peek_oldest_exn sb).Store_buffer.line;
   check_int "peek does not remove" 1 (Store_buffer.count sb);
-  Store_buffer.remove sb ~line:7;
-  check_bool "removed" true (Store_buffer.is_empty sb)
+  check_int "take line" 7 (Store_buffer.take_oldest_exn sb).Store_buffer.line;
+  check_bool "removed" true (Store_buffer.is_empty sb);
+  Alcotest.check_raises "peek empty" Not_found (fun () ->
+      ignore (Store_buffer.peek_oldest_exn sb));
+  Alcotest.check_raises "take empty" Not_found (fun () ->
+      ignore (Store_buffer.take_oldest_exn sb))
 
 (* ----- Dram ------------------------------------------------------------------------- *)
 

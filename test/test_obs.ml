@@ -21,6 +21,22 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+(* The CSV export's rows, header dropped. *)
+let csv_rows reg =
+  let buf = Buffer.create 4096 in
+  Metrics.export_csv reg buf;
+  List.tl (String.split_on_char '\n' (String.trim (Buffer.contents buf)))
+
+(* Every sample of [reg] as (metric name, value), in export order:
+   series in registration order, each series' samples by cycle. *)
+let csv_samples reg =
+  List.map
+    (fun row ->
+      match String.split_on_char ',' row with
+      | [ _cycle; name; _labels; _kind; value; _delta ] -> (name, value)
+      | _ -> Alcotest.failf "malformed CSV row: %s" row)
+    (csv_rows reg)
+
 (* ----- registry: sampling and kinds ------------------------------------------- *)
 
 let disabled_is_noop () =
@@ -45,19 +61,18 @@ let sampling_records_typed_series () =
   Metrics.sample reg ~time:4;
   check_int "series" 3 (Metrics.num_series reg);
   check_int "samples" 6 (Metrics.num_samples reg);
-  match Metrics.dump reg with
-  | [ (cn, cl, ck, cs); (gn, _, gk, gs); (rn, _, rk, rs) ] ->
-    check_string "counter name" "t_ops_total" cn;
-    check_bool "counter labels" true (cl = [ ("device", "llc.b0") ]);
-    check_bool "counter kind" true (ck = Metrics.Counter);
-    check_bool "counter points" true (cs = [| (0, 0, 1); (4, 3, 1) |]);
-    check_string "gauge name" "t_depth" gn;
-    check_bool "gauge kind" true (gk = Metrics.Gauge);
-    check_bool "gauge points" true (gs = [| (0, 5, 1); (4, 6, 1) |]);
-    check_string "ratio name" "t_hit_ratio" rn;
-    check_bool "ratio kind" true (rk = Metrics.Ratio);
-    check_bool "ratio points" true (rs = [| (0, 0, 5); (4, 3, 6) |])
-  | l -> Alcotest.failf "expected 3 series, got %d" (List.length l)
+  (* cycle, name, labels, kind, value, and a counter's delta. *)
+  Alcotest.(check (list string))
+    "series in registration order"
+    [
+      "0,t_ops_total,device=llc.b0,counter,0,0";
+      "4,t_ops_total,device=llc.b0,counter,3,3";
+      "0,t_depth,,gauge,5,";
+      "4,t_depth,,gauge,6,";
+      "0,t_hit_ratio,,ratio,0,";
+      "4,t_hit_ratio,,ratio,0.5,";
+    ]
+    (csv_rows reg)
 
 let rejects_bad_cadence () =
   match Metrics.create { Metrics.sample_every = 0 } with
@@ -204,7 +219,8 @@ let simulated_run_collects_series () =
   check_bool "registry live" true (Metrics.on m);
   check_bool "collected series" true (Metrics.num_series m > 0);
   check_bool "collected samples" true (Metrics.num_samples m > 0);
-  let names = List.map (fun (n, _, _, _) -> n) (Metrics.dump m) in
+  let samples = csv_samples m in
+  let names = List.map fst samples in
   List.iter
     (fun expected ->
       check_bool ("series registered: " ^ expected) true
@@ -221,22 +237,17 @@ let simulated_run_collects_series () =
   (* The engine-events counter's last sample cannot exceed the run's
      event total, and must be monotone. *)
   (match
-     List.find_opt
-       (fun (n, _, _, _) -> n = "spandex_engine_events_total")
-       (Metrics.dump m)
+     List.filter_map
+       (fun (n, v) ->
+         if n = "spandex_engine_events_total" then Some (int_of_string v)
+         else None)
+       samples
    with
-  | Some (_, _, _, pts) ->
-    check_bool "events counter sampled" true (Array.length pts > 0);
-    let mono = ref true and prev = ref min_int in
-    Array.iter
-      (fun (_, v, _) ->
-        if v < !prev then mono := false;
-        prev := v)
-      pts;
-    check_bool "monotone" true !mono;
-    let _, last, _ = pts.(Array.length pts - 1) in
-    check_bool "bounded by run events" true (last <= r.Run.events)
-  | None -> Alcotest.fail "engine events series missing");
+  | [] -> Alcotest.fail "engine events series missing"
+  | pts ->
+    check_bool "monotone" true (List.sort compare pts = pts);
+    check_bool "bounded by run events" true
+      (List.nth pts (List.length pts - 1) <= r.Run.events));
   (* The whole Chrome document with metric counter tracks merged in must
      still parse. *)
   let tparams = { params with Params.trace = Some Trace.default_spec } in
@@ -245,7 +256,7 @@ let simulated_run_collects_series () =
   Trace.export_chrome
     ~extra:(Metrics.chrome_counter_events rt.Run.metrics)
     rt.Run.trace
-    ~device_name:(fun id -> rt.Run.device_names.(id))
+    ~device_name:(fun id -> rt.Run.track_names.(id))
     buf;
   check_bool "merged chrome export parses" true
     (Helpers.json_valid (String.trim (Buffer.contents buf)))
@@ -265,9 +276,7 @@ let sinks_stay_separate () =
   check_int "trace-only run keeps no series" 0
     (Metrics.num_series traced.Run.metrics);
   check_bool "no vc depth series" false
-    (List.exists
-       (fun (n, _, _, _) -> n = "spandex_net_vc_depth")
-       (Metrics.dump traced.Run.metrics));
+    (List.mem_assoc "spandex_net_vc_depth" (csv_samples traced.Run.metrics));
   let metered =
     Run.simulate
       ~params:{ Params.bench with Params.metrics = Some Metrics.default_spec }

@@ -5,7 +5,6 @@ module Amo = Spandex_proto.Amo
 module Msg = Spandex_proto.Msg
 module Linedata = Spandex_proto.Linedata
 module Txn = Spandex_proto.Txn
-module State = Spandex_proto.State
 module Mask = Spandex_util.Mask
 
 let test = Helpers.test
@@ -17,20 +16,9 @@ let check_bool = Alcotest.(check bool)
 let addr_geometry () =
   check_int "line bytes" 64 Addr.line_bytes;
   check_int "words per line" 16 Addr.words_per_line;
-  let a = Addr.of_byte 132 in
-  check_int "line" 2 a.Addr.line;
-  check_int "word" 1 a.Addr.word;
-  check_int "roundtrip" 132 (Addr.to_byte (Addr.of_byte 132));
   let b = Addr.line_of_word_index 35 in
   check_int "flat line" 2 b.Addr.line;
   check_int "flat word" 3 b.Addr.word
-
-let addr_compare () =
-  let a = Addr.make ~line:1 ~word:5 and b = Addr.make ~line:1 ~word:6 in
-  check_bool "lt" true (Addr.compare a b < 0);
-  check_bool "eq" true (Addr.equal a a);
-  check_bool "line dominates" true
-    (Addr.compare (Addr.make ~line:0 ~word:15) (Addr.make ~line:1 ~word:0) < 0)
 
 let addr_invalid () =
   Alcotest.check_raises "word out of range" (Assert_failure ("lib/proto/addr.ml", 10, 2))
@@ -111,19 +99,6 @@ let msg_defaults () =
   check_bool "demand defaults to mask" true (Mask.equal m.Msg.demand m.Msg.mask);
   check_bool "not forwarded" false m.Msg.fwd
 
-let rsp_pairing () =
-  List.iter
-    (fun (req, rsp) -> check_bool "pairing" true (Msg.rsp_of_req req = rsp))
-    [
-      (Msg.ReqV, Msg.RspV);
-      (Msg.ReqS, Msg.RspS);
-      (Msg.ReqWT, Msg.RspWT);
-      (Msg.ReqO, Msg.RspO);
-      (Msg.ReqWTdata, Msg.RspWTdata);
-      (Msg.ReqOdata, Msg.RspOdata);
-      (Msg.ReqWB, Msg.RspWB);
-    ]
-
 (* ----- Linedata ------------------------------------------------------------- *)
 
 let linedata_pack_unpack () =
@@ -134,15 +109,7 @@ let linedata_pack_unpack () =
   let dst = Array.make 16 0 in
   Linedata.unpack_into ~mask ~values:packed ~full:dst;
   check_int "unpacked 5" 105 dst.(5);
-  check_int "untouched" 0 dst.(0);
-  check_int "value_at" 113 (Linedata.value_at ~mask ~values:packed ~word:13)
-
-let linedata_extract () =
-  let mask = Mask.of_list [ 0; 3; 8; 9 ] in
-  let values = [| 10; 13; 18; 19 |] in
-  let sub = Mask.of_list [ 3; 9 ] in
-  Alcotest.(check (array int)) "extract" [| 13; 19 |]
-    (Linedata.extract ~mask ~values ~sub)
+  check_int "untouched" 0 dst.(0)
 
 let linedata_roundtrip_prop =
   QCheck2.Test.make ~name:"pack_unpack_roundtrip"
@@ -163,19 +130,7 @@ let linedata_init_deterministic () =
     (Array.init 16 (fun w -> Linedata.init_word ~line:9 ~word:w))
     (Linedata.fresh_line ~line:9)
 
-(* ----- State / Txn ----------------------------------------------------------- *)
-
-let state_mapping () =
-  check_bool "E maps to O" true (State.device_of_mesi State.M_E = State.O);
-  check_bool "M maps to O" true (State.device_of_mesi State.M_M = State.O);
-  check_bool "S maps to S" true (State.device_of_mesi State.M_S = State.S);
-  check_bool "I maps to I" true (State.device_of_mesi State.M_I = State.I);
-  check_bool "V readable" true (State.device_readable State.V);
-  check_bool "I not readable" false (State.device_readable State.I);
-  check_bool "only O writable" true
-    (State.device_writable State.O
-    && (not (State.device_writable State.V))
-    && not (State.device_writable State.S))
+(* ----- Txn -------------------------------------------------------------------- *)
 
 let txn_unique () =
   Txn.reset ();
@@ -187,17 +142,13 @@ let txn_unique () =
 let tests =
   [
     test "addr_geometry" addr_geometry;
-    test "addr_compare" addr_compare;
     test "amo_semantics" amo_semantics;
     test "msg_flits" msg_flits;
     test "msg_categories" msg_categories;
     test "msg_validation" msg_validation;
     test "msg_defaults" msg_defaults;
-    test "rsp_pairing" rsp_pairing;
     test "linedata_pack_unpack" linedata_pack_unpack;
-    test "linedata_extract" linedata_extract;
     test "linedata_init_deterministic" linedata_init_deterministic;
-    test "state_mapping" state_mapping;
     test "txn_unique" txn_unique;
   ]
   @ [ QCheck_alcotest.to_alcotest ~long:false linedata_roundtrip_prop ]

@@ -217,7 +217,7 @@ let device_table_spellings () =
           Alcotest.(check string)
             (what "device name") name sys.Run.sys_device_names.(id);
           Alcotest.(check string)
-            (what "result device name") name r.Run.device_names.(id);
+            (what "result device name") name r.Run.track_names.(id);
           if label <> "" then begin
             check_bool
               (what (Printf.sprintf "a stats key starts %S" (label ^ ".")))

@@ -24,7 +24,7 @@ let hist_basics () =
   check_int "empty quantile" 0 (Hist.quantile h 0.99);
   List.iter (Hist.record h) [ 3; 1; 4; 1; 5 ];
   check_int "count" 5 (Hist.count h);
-  check_int "min" 1 (Hist.min_value h);
+  check_int "p0 is the smallest" 1 (Hist.quantile h 0.0);
   check_int "max" 5 (Hist.max_value h);
   (* Values below 2^sub_bits land in exact unit buckets, so small-value
      quantiles are exact order statistics. *)
@@ -35,17 +35,7 @@ let hist_basics () =
   check_int "summary count" 5 s.Hist.count;
   check_int "summary max" 5 s.Hist.max;
   Hist.record h (-7);
-  check_int "negative clamps to 0" 0 (Hist.min_value h)
-
-let hist_merge () =
-  let a = Hist.create () and b = Hist.create () in
-  List.iter (Hist.record a) [ 10; 1000 ];
-  Hist.record_n b 77 ~n:3;
-  Hist.merge_into ~dst:a b;
-  check_int "merged count" 5 (Hist.count a);
-  check_int "merged min" 10 (Hist.min_value a);
-  check_int "merged max" 1000 (Hist.max_value a);
-  check_int "merged p50 bucket" (Hist.index 77) (Hist.index (Hist.quantile a 0.5))
+  check_int "negative clamps to 0" 0 (Hist.quantile h 0.0)
 
 (* The oracle: exact order statistic at rank ceil(q*n) from a sorted list.
    The histogram must return an upper bound from the same bucket, clamped
@@ -84,23 +74,6 @@ let hist_quantile_props =
         let lo, hi = Hist.bucket_bounds i in
         lo <= v && v <= hi)
       ~print:string_of_int;
-    QCheck2.Test.make ~name:"hist_merge_is_concat"
-      QCheck2.Gen.(
-        pair
-          (list_size (int_range 1 100) value_gen)
-          (list_size (int_range 1 100) value_gen))
-      (fun (xs, ys) ->
-        let a = Hist.create () and b = Hist.create () and c = Hist.create () in
-        List.iter (Hist.record a) xs;
-        List.iter (Hist.record b) ys;
-        List.iter (Hist.record c) (xs @ ys);
-        Hist.merge_into ~dst:a b;
-        Hist.count a = Hist.count c
-        && Hist.min_value a = Hist.min_value c
-        && Hist.max_value a = Hist.max_value c
-        && List.for_all
-             (fun q -> Hist.quantile a q = Hist.quantile c q)
-             [ 0.5; 0.9; 0.99; 1.0 ]);
   ]
 
 (* ----- trace sink ------------------------------------------------------------ *)
@@ -294,8 +267,8 @@ let trace_end_to_end_export () =
   in
   Run.assert_clean r;
   let device_name id =
-    if id >= 0 && id < Array.length r.Run.device_names then
-      r.Run.device_names.(id)
+    if id >= 0 && id < Array.length r.Run.track_names then
+      r.Run.track_names.(id)
     else Printf.sprintf "dev%d" id
   in
   let buf = Buffer.create 65536 in
@@ -315,9 +288,8 @@ let trace_end_to_end_export () =
 
 (* Counter tracks are named from the device table: every counter event's
    name is its device's name plus what it counts, so each home bank has
-   its own [pending] track.  The network's [net.in_flight] gauge is the
-   one exception: the network is not a device, and its track rides
-   device 0's id. *)
+   its own [pending] track, and the network's [net.in_flight] is on the
+   network's own track. *)
 let trace_counters_named_from_device_table () =
   let geom = Registry.geometry_of_params Params.bench in
   let wl = (Registry.find "bc").Registry.build ~scale:0.25 geom in
@@ -325,13 +297,13 @@ let trace_counters_named_from_device_table () =
     Run.simulate ~params:(traced_params Params.bench) ~config:Config.sdd wl
   in
   Run.assert_clean r;
-  let names = r.Run.device_names in
+  let names = r.Run.track_names in
   let has_prefix p s =
     String.length s > String.length p && String.sub s 0 (String.length p) = p
   in
   let pending = ref [] in
   Trace.iter r.Run.trace ~f:(function
-    | Trace.Counter { dev; name; _ } when name <> "net.in_flight" ->
+    | Trace.Counter { dev; name; _ } ->
       if not (has_prefix (names.(dev) ^ ".") name) then
         Alcotest.failf "counter %s on device %s" name names.(dev);
       if Filename.extension name = ".pending" && not (List.mem name !pending)
@@ -350,7 +322,6 @@ let trace_counters_named_from_device_table () =
 let tests =
   [
     test "hist_basics" hist_basics;
-    test "hist_merge" hist_merge;
     test "trace_disabled" trace_disabled;
     test "trace_ring_wrap" trace_ring_wrap;
     test "trace_capacity_rounds_up" trace_capacity_rounds_up;

@@ -97,22 +97,30 @@ let mask_model_props =
 
 (* ----- Pqueue ------------------------------------------------------------ *)
 
+(* Drain through [min_time]/[pop_min], returning (time, value) pairs. *)
+let drain_min q =
+  let rec go acc =
+    if Pqueue.is_empty q then List.rev acc
+    else
+      let t = Pqueue.min_time q in
+      let v = Pqueue.pop_min q in
+      go ((t, v) :: acc)
+  in
+  go []
+
 let pqueue_ordering () =
   let q = Pqueue.create () in
   Pqueue.push q ~time:5 "c";
   Pqueue.push q ~time:1 "a";
   Pqueue.push q ~time:3 "b";
-  Alcotest.(check (option int)) "peek" (Some 1) (Pqueue.peek_time q);
-  let pop () = Option.map snd (Pqueue.pop q) in
-  Alcotest.(check (option string)) "first" (Some "a") (pop ());
-  Alcotest.(check (option string)) "second" (Some "b") (pop ());
-  Alcotest.(check (option string)) "third" (Some "c") (pop ());
-  Alcotest.(check (option string)) "empty" None (pop ())
+  check_int "peek" 1 (Pqueue.min_time q);
+  Alcotest.(check (list (pair int string)))
+    "sorted" [ (1, "a"); (3, "b"); (5, "c") ] (drain_min q)
 
 let pqueue_fifo_ties () =
   let q = Pqueue.create () in
   List.iter (fun v -> Pqueue.push q ~time:7 v) [ 1; 2; 3; 4 ];
-  let order = List.init 4 (fun _ -> snd (Option.get (Pqueue.pop q))) in
+  let order = List.init 4 (fun _ -> Pqueue.pop_min q) in
   Alcotest.(check (list int)) "fifo among equal times" [ 1; 2; 3; 4 ] order
 
 let pqueue_prop =
@@ -121,16 +129,10 @@ let pqueue_prop =
     (fun times ->
       let q = Pqueue.create () in
       List.iter (fun t -> Pqueue.push q ~time:t t) times;
-      let rec drain acc =
-        match Pqueue.pop q with
-        | None -> List.rev acc
-        | Some (_, v) -> drain (v :: acc)
-      in
-      drain [] = List.sort compare times)
+      List.map snd (drain_min q) = List.sort compare times)
 
 let pqueue_alloc_free_api () =
-  (* min_time/pop_min mirror peek_time/pop without the option/tuple boxing;
-     they must agree and raise on empty. *)
+  (* min_time/pop_min must raise on empty and agree with each other. *)
   let q = Pqueue.create ~capacity:1 () in
   Alcotest.check_raises "min_time empty"
     (Invalid_argument "Pqueue.min_time: empty") (fun () ->
@@ -145,17 +147,6 @@ let pqueue_alloc_free_api () =
   Alcotest.(check string) "pop_min 2" "m" (Pqueue.pop_min q);
   Alcotest.(check string) "pop_min 3" "z" (Pqueue.pop_min q);
   check_bool "empty again" true (Pqueue.is_empty q)
-
-(* Drain through the alloc-free API, returning (time, value) pairs. *)
-let drain_min q =
-  let rec go acc =
-    if Pqueue.is_empty q then List.rev acc
-    else
-      let t = Pqueue.min_time q in
-      let v = Pqueue.pop_min q in
-      go ((t, v) :: acc)
-  in
-  go []
 
 let pqueue_props =
   let open QCheck2 in
@@ -179,18 +170,17 @@ let pqueue_props =
             (List.mapi (fun i t -> (t, i)) times)
         in
         drain_min q = expected);
-    Test.make ~name:"pqueue_grow_clear_reuse"
+    Test.make ~name:"pqueue_grow_drain_reuse"
       Gen.(
         pair
           (list_size (int_bound 200) (int_bound 1000))
           (list_size (int_bound 200) (int_bound 1000)))
       (fun (first, second) ->
-        (* Grow from minimal capacity, clear, then reuse: the second batch
-           must sort correctly and ties stay FIFO by the new seqs. *)
+        (* Grow from minimal capacity, drain, then reuse, as the wheel's
+           overflow heap is: the second batch must sort correctly. *)
         let q = Pqueue.create ~capacity:1 () in
         List.iter (fun t -> Pqueue.push q ~time:t t) first;
-        Pqueue.clear q;
-        Pqueue.is_empty q
+        List.map fst (drain_min q) = List.sort compare first
         &&
         (List.iter (fun t -> Pqueue.push q ~time:t t) second;
          List.map fst (drain_min q) = List.sort compare second));
@@ -203,10 +193,11 @@ let pqueue_interleaved () =
   let q = Pqueue.create () in
   let now = ref 0 in
   for _ = 1 to 1000 do
-    if Rng.bool rng || Pqueue.is_empty q then
+    if Rng.int rng 2 = 1 || Pqueue.is_empty q then
       Pqueue.push q ~time:(!now + Rng.int rng 50) ()
     else begin
-      let t, () = Option.get (Pqueue.pop q) in
+      let t = Pqueue.min_time q in
+      Pqueue.pop_min q;
       Alcotest.(check bool) "monotone" true (t >= !now);
       now := t
     end
@@ -225,18 +216,9 @@ let rng_bounds () =
   for _ = 1 to 1000 do
     let v = Rng.int r 17 in
     check_bool "in range" true (v >= 0 && v < 17);
-    let w = Rng.int_in r ~lo:(-3) ~hi:4 in
-    check_bool "int_in range" true (w >= -3 && w <= 4);
     let f = Rng.float r 2.5 in
     check_bool "float range" true (f >= 0.0 && f < 2.5)
   done
-
-let rng_split_independent () =
-  let a = Rng.create ~seed:7 in
-  let b = Rng.split a in
-  let xs = List.init 20 (fun _ -> Rng.int a 1000) in
-  let ys = List.init 20 (fun _ -> Rng.int b 1000) in
-  check_bool "streams differ" true (xs <> ys)
 
 let rng_shuffle_permutes () =
   let r = Rng.create ~seed:11 in
@@ -245,17 +227,6 @@ let rng_shuffle_permutes () =
   let sorted = Array.copy a in
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
-
-let rng_geometric () =
-  let r = Rng.create ~seed:13 in
-  let n = 5000 in
-  let total = ref 0 in
-  for _ = 1 to n do
-    total := !total + Rng.geometric r ~p:0.5
-  done;
-  (* Mean of Geometric(0.5) failures-before-success is 1. *)
-  let mean = float_of_int !total /. float_of_int n in
-  check_bool "mean near 1" true (mean > 0.8 && mean < 1.2)
 
 (* ----- Stats ---------------------------------------------------------------- *)
 
@@ -366,9 +337,7 @@ let tests =
     test "pqueue_interleaved" pqueue_interleaved;
     test "rng_determinism" rng_determinism;
     test "rng_bounds" rng_bounds;
-    test "rng_split_independent" rng_split_independent;
     test "rng_shuffle_permutes" rng_shuffle_permutes;
-    test "rng_geometric" rng_geometric;
     test "stats_counters" stats_counters;
     test "stats_merge" stats_merge;
     test "stats_merge_max" stats_merge_max;

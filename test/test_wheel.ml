@@ -1,8 +1,9 @@
 (* Unit and property tests for the timing-wheel scheduler, mirroring the
    Pqueue suite: sort order, FIFO tie-break among equal cycles, the
-   overflow-heap handoff for far-future times, clear/reuse, and engine-level
+   overflow-heap handoff for far-future times, and engine-level
    equivalence between the wheel and heap backends on identical random
-   schedules. *)
+   schedules.  Everything pops through [min_time]/[pop_min], the pair the
+   engine's event loop uses. *)
 
 module Wheel = Spandex_util.Wheel
 module Pqueue = Spandex_util.Pqueue
@@ -17,23 +18,31 @@ let check_bool = Alcotest.(check bool)
    heap; correctness must not depend on which tier held an event. *)
 let small_wheel () = Wheel.create ~horizon:16 ~dummy:(-1) ()
 
+(* Pop everything, returning (time, value) pairs in pop order. *)
+let drain q =
+  let rec go acc =
+    if Wheel.is_empty q then List.rev acc
+    else
+      let t = Wheel.min_time q in
+      let v = Wheel.pop_min q in
+      go ((t, v) :: acc)
+  in
+  go []
+
 let wheel_ordering () =
   let q = Wheel.create ~dummy:"" () in
   Wheel.push q ~time:5 "c";
   Wheel.push q ~time:1 "a";
   Wheel.push q ~time:3 "b";
   Alcotest.(check int) "peek" 1 (Wheel.next_time q);
-  let pop () = Option.map snd (Wheel.pop q) in
-  Alcotest.(check (option string)) "first" (Some "a") (pop ());
-  Alcotest.(check (option string)) "second" (Some "b") (pop ());
-  Alcotest.(check (option string)) "third" (Some "c") (pop ());
-  Alcotest.(check (option string)) "empty" None (pop ());
+  Alcotest.(check (list (pair int string)))
+    "sorted" [ (1, "a"); (3, "b"); (5, "c") ] (drain q);
   Alcotest.(check int) "idle peek" max_int (Wheel.next_time q)
 
 let wheel_fifo_ties () =
   let q = Wheel.create ~dummy:0 () in
   List.iter (fun v -> Wheel.push q ~time:7 v) [ 1; 2; 3; 4 ];
-  let order = List.init 4 (fun _ -> snd (Option.get (Wheel.pop q))) in
+  let order = List.init 4 (fun _ -> Wheel.pop_min q) in
   Alcotest.(check (list int)) "fifo among equal times" [ 1; 2; 3; 4 ] order
 
 let wheel_empty_raises () =
@@ -48,7 +57,7 @@ let wheel_empty_raises () =
 let wheel_rejects_past () =
   let q = Wheel.create ~dummy:0 () in
   Wheel.push q ~time:10 1;
-  ignore (Wheel.pop q);
+  ignore (Wheel.pop_min q);
   (* Cursor now sits at 10; scheduling into the past must be refused just
      like Engine.at refuses it. *)
   check_bool "past push raises" true
@@ -81,21 +90,11 @@ let wheel_overflow_fifo_with_slots () =
   let q = small_wheel () in
   Wheel.push q ~time:100 1;  (* overflow: 100 >= 0 + 16 *)
   Wheel.push q ~time:90 0;   (* overflow *)
-  ignore (Wheel.pop q);      (* pops 0 at 90; cursor at 90 *)
+  ignore (Wheel.pop_min q);  (* pops 0 at 90; cursor at 90 *)
   Wheel.push q ~time:100 2;  (* slot: 100 - 90 < 16, pushed after 1 *)
   Alcotest.(check (list int))
     "overflow before slot at equal time" [ 1; 2 ]
-    (List.init 2 (fun _ -> snd (Option.get (Wheel.pop q))))
-
-let drain q =
-  let rec go acc =
-    if Wheel.is_empty q then List.rev acc
-    else
-      let t = Wheel.min_time q in
-      let v = Wheel.pop_min q in
-      go ((t, v) :: acc)
-  in
-  go []
+    (List.init 2 (fun _ -> Wheel.pop_min q))
 
 let wheel_props =
   let open QCheck2 in
@@ -132,24 +131,27 @@ let wheel_props =
             Pqueue.push h ~time:t i)
           times;
         let rec drain_h acc =
-          match Pqueue.pop h with
-          | None -> List.rev acc
-          | Some tv -> drain_h (tv :: acc)
+          if Pqueue.is_empty h then List.rev acc
+          else
+            let t = Pqueue.min_time h in
+            drain_h ((t, Pqueue.pop_min h) :: acc)
         in
         drain q = drain_h []);
-    Test.make ~name:"wheel_clear_reuse"
+    Test.make ~name:"wheel_drain_reuse"
       Gen.(
         pair
           (list_size (int_bound 200) (int_bound 1000))
           (list_size (int_bound 200) (int_bound 1000)))
       (fun (first, second) ->
+        (* Drain, then reuse from where the cursor stopped, as the engine
+           does between bursts: the second batch must sort correctly. *)
         let q = small_wheel () in
         List.iter (fun t -> Wheel.push q ~time:t t) first;
-        Wheel.clear q;
-        Wheel.is_empty q
+        List.map fst (drain q) = List.sort compare first
         &&
-        (List.iter (fun t -> Wheel.push q ~time:t t) second;
-         List.map fst (drain q) = List.sort compare second));
+        let base = Wheel.current_time q in
+        List.iter (fun t -> Wheel.push q ~time:(base + t) t) second;
+        List.map snd (drain q) = List.sort compare second);
   ]
 
 let wheel_interleaved () =
@@ -160,10 +162,11 @@ let wheel_interleaved () =
   let q = small_wheel () in
   let now = ref 0 in
   for _ = 1 to 1000 do
-    if Rng.bool rng || Wheel.is_empty q then
+    if Rng.int rng 2 = 1 || Wheel.is_empty q then
       Wheel.push q ~time:(!now + Rng.int rng 50) 0
     else begin
-      let t, _ = Option.get (Wheel.pop q) in
+      let t = Wheel.min_time q in
+      ignore (Wheel.pop_min q);
       check_bool "monotone" true (t >= !now);
       now := t
     end
